@@ -1,55 +1,17 @@
-"""Hot numeric kernels: numba-jitted implementations with pure-numpy fallbacks.
+"""Hot numeric kernels in numpy and plain Python.
 
-Everything here is exact integer/boolean work; the jitted and fallback paths
-must return identical arrays.  The active path is chosen once at import from
-the environment variable ``KTREESUB_BACKEND``:
-
-* ``KTREESUB_BACKEND=numpy``  -- force the pure-numpy fallbacks
-* ``KTREESUB_BACKEND=numba``  -- force the jitted kernels (error if numba is
-  missing)
-* unset                       -- numba when importable, numpy otherwise
-
-Both paths stay importable so that ``benchmarks/bench_kernels.py`` can time
-them against each other regardless of the selected backend.
+Everything here is exact integer/boolean work.  The Smith normal form runs a
+guarded int64 pass and falls back to exact big-integer arithmetic when the
+entries could overflow.
 """
 
 from __future__ import annotations
 
-import os
 from math import comb
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _pick_backend() -> str:
-    env = os.environ.get("KTREESUB_BACKEND", "").strip().lower()
-    if env == "numpy":
-        return "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("KTREESUB_BACKEND=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-BACKEND = _pick_backend()
-
-# Guard for the int64 Smith normal form passes: with entries below this bound
+# Guard for the int64 Smith normal form pass: with entries below this bound
 # every update term fits int64 (bound**2 * 2 < 2**63).
 _SNF_INT64_BOUND = np.int64(1) << 31
 
@@ -81,49 +43,15 @@ def count_partitions_modk(m: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _rgs_filtered_numba(m, k, out):  # pragma: no cover - covered via dispatch
-    a = np.zeros(m, dtype=np.int8)
-    bmax = np.zeros(m + 1, dtype=np.int8)  # bmax[j] = max(a[:j])
-    sizes = np.zeros(m, dtype=np.int64)
-    idx = 0
-    while True:
-        nb = int(bmax[m])
-        if a[m - 1] > nb:
-            nb = int(a[m - 1])
-        nb += 1
-        for c in range(nb):
-            sizes[c] = 0
-        for j in range(m):
-            sizes[a[j]] += 1
-        ok = True
-        for c in range(nb):
-            if (sizes[c] - 1) % k != 0:
-                ok = False
-                break
-        if ok:
-            for j in range(m):
-                out[idx, j] = a[j]
-            idx += 1
-        j = m - 1
-        while j > 0 and a[j] > bmax[j]:
-            j -= 1
-        if j == 0:
-            break
-        a[j] += 1
-        for i in range(j + 1, m):
-            a[i] = 0
-        for i in range(j, m):
-            bi = bmax[i]
-            if a[i] > bi:
-                bi = a[i]
-            bmax[i + 1] = bi
-    return idx
-
-
-def _rgs_filtered_python(m, k, out):
+def rgs_filtered(m: int, k: int) -> np.ndarray:
+    """All restricted growth strings on m symbols whose block sizes are
+    ≡ 1 (mod k), as an (N, m) int8 array in lexicographic order."""
+    n = count_partitions_modk(m, k)
+    out = np.zeros((n, m), dtype=np.int8)
+    if m == 0:
+        return out
     a = [0] * m
-    bmax = [0] * (m + 1)
+    bmax = [0] * (m + 1)  # bmax[j] = max(a[:j])
     idx = 0
     while True:
         sizes = [0] * (max(a) + 1)
@@ -142,20 +70,8 @@ def _rgs_filtered_python(m, k, out):
             a[i] = 0
         for i in range(j, m):
             bmax[i + 1] = max(bmax[i], a[i])
-    return idx
-
-
-def rgs_filtered(m: int, k: int) -> np.ndarray:
-    """All restricted growth strings on m symbols whose block sizes are
-    ≡ 1 (mod k), as an (N, m) int8 array in lexicographic order."""
-    n = count_partitions_modk(m, k)
-    out = np.zeros((n, m), dtype=np.int8)
-    if m == 0:
-        return out
-    fn = _rgs_filtered_numba if BACKEND == "numba" else _rgs_filtered_python
-    filled = fn(m, k, out)
-    if filled != n:
-        raise AssertionError(f"rgs enumeration produced {filled} rows, expected {n}")
+    if idx != n:
+        raise AssertionError(f"rgs enumeration produced {idx} rows, expected {n}")
     return out
 
 
@@ -164,33 +80,14 @@ def rgs_filtered(m: int, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _first_occurrences(rgs: np.ndarray) -> np.ndarray:
+def refinement_leq(rgs: np.ndarray) -> np.ndarray:
+    """Boolean matrix: out[p, q] iff partition row p refines row q."""
     n, m = rgs.shape
+    # fo[p, c]: first position of block c in row p
     fo = np.zeros((n, m), dtype=np.int32)
     for c in range(m):
         eq = rgs == c
-        has = eq.any(axis=1)
-        fo[:, c] = np.where(has, eq.argmax(axis=1), 0)
-    return fo
-
-
-@njit(cache=True)
-def _refinement_leq_numba(rgs, fo):  # pragma: no cover - covered via dispatch
-    n, m = rgs.shape
-    out = np.zeros((n, n), dtype=np.bool_)
-    for p in range(n):
-        for q in range(n):
-            ok = True
-            for i in range(m):
-                if rgs[q, i] != rgs[q, fo[p, rgs[p, i]]]:
-                    ok = False
-                    break
-            out[p, q] = ok
-    return out
-
-
-def _refinement_leq_numpy(rgs, fo):
-    n, m = rgs.shape
+        fo[:, c] = np.where(eq.any(axis=1), eq.argmax(axis=1), 0)
     out = np.empty((n, n), dtype=bool)
     for p in range(n):
         cols = fo[p][rgs[p]]
@@ -198,49 +95,21 @@ def _refinement_leq_numpy(rgs, fo):
     return out
 
 
-def refinement_leq(rgs: np.ndarray) -> np.ndarray:
-    """Boolean matrix: out[p, q] iff partition row p refines row q."""
-    fo = _first_occurrences(rgs)
-    fn = _refinement_leq_numba if BACKEND == "numba" else _refinement_leq_numpy
-    return fn(np.ascontiguousarray(rgs), fo)
-
-
 # ---------------------------------------------------------------------------
 # reflexive-transitive closure of a relation
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _closure_numba(adj):  # pragma: no cover - covered via dispatch
-    n = adj.shape[0]
-    out = adj.copy()
-    for i in range(n):
-        out[i, i] = True
-    for t in range(n):
-        for i in range(n):
-            if out[i, t]:
-                for j in range(n):
-                    if out[t, j]:
-                        out[i, j] = True
-    return out
-
-
-def _closure_numpy(adj):
-    out = adj.copy()
+def closure(adj: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of a boolean relation matrix."""
+    out = np.array(adj, dtype=bool)
     np.fill_diagonal(out, True)
     while True:
-        u8 = out.astype(np.uint8)
-        nxt = out | ((u8 @ u8) > 0)
+        # boolean product: a uint8 product would count paths modulo 256
+        nxt = out | (out @ out)
         if (nxt == out).all():
             return out
         out = nxt
-
-
-def closure(adj: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure of a boolean relation matrix."""
-    adj = np.asarray(adj, dtype=bool)
-    fn = _closure_numba if BACKEND == "numba" else _closure_numpy
-    return fn(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -248,28 +117,11 @@ def closure(adj: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _block_compat_numba(masks):  # pragma: no cover - covered via dispatch
-    n = masks.shape[0]
-    out = np.zeros((n, n), dtype=np.bool_)
-    for i in range(n):
-        mi = masks[i]
-        for j in range(n):
-            inter = mi & masks[j]
-            out[i, j] = inter == 0 or inter == mi or inter == masks[j]
-    return out
-
-
-def _block_compat_numpy(masks):
-    inter = masks[:, None] & masks[None, :]
-    return (inter == 0) | (inter == masks[:, None]) | (inter == masks[None, :])
-
-
 def block_compat(masks: np.ndarray) -> np.ndarray:
     """out[i, j] iff block masks i and j are disjoint or nested."""
     masks = np.asarray(masks, dtype=np.uint64)
-    fn = _block_compat_numba if BACKEND == "numba" else _block_compat_numpy
-    return fn(masks)
+    inter = masks[:, None] & masks[None, :]
+    return (inter == 0) | (inter == masks[:, None]) | (inter == masks[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -277,97 +129,7 @@ def block_compat(masks: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _snf_int64_numba(a, bound):  # pragma: no cover - covered via dispatch
-    r, c = a.shape
-    n = min(r, c)
-    diag = np.zeros(n, dtype=np.int64)
-    t = 0
-    while t < n:
-        # locate a minimal-magnitude nonzero pivot in the trailing block
-        best = np.int64(0)
-        bi = -1
-        bj = -1
-        for i in range(t, r):
-            for j in range(t, c):
-                v = a[i, j]
-                if v != 0:
-                    av = v if v > 0 else -v
-                    if bi < 0 or av < best:
-                        best = av
-                        bi = i
-                        bj = j
-        if bi < 0:
-            break
-        for j in range(c):
-            tmp = a[t, j]
-            a[t, j] = a[bi, j]
-            a[bi, j] = tmp
-        for i in range(r):
-            tmp = a[i, t]
-            a[i, t] = a[i, bj]
-            a[i, bj] = tmp
-        while True:
-            mx = np.int64(0)
-            for i in range(t, r):
-                for j in range(t, c):
-                    av = a[i, j] if a[i, j] > 0 else -a[i, j]
-                    if av > mx:
-                        mx = av
-            if mx > bound:
-                return diag, False
-            piv = a[t, t]
-            done = True
-            for i in range(t + 1, r):
-                if a[i, t] != 0:
-                    q = a[i, t] // piv
-                    if q != 0:
-                        for j in range(t, c):
-                            a[i, j] -= q * a[t, j]
-                    if a[i, t] != 0:
-                        done = False
-                        for j in range(c):
-                            tmp = a[t, j]
-                            a[t, j] = a[i, j]
-                            a[i, j] = tmp
-                        break
-            if not done:
-                continue
-            for j in range(t + 1, c):
-                if a[t, j] != 0:
-                    q = a[t, j] // piv
-                    if q != 0:
-                        for i in range(t, r):
-                            a[i, j] -= q * a[i, t]
-                    if a[t, j] != 0:
-                        done = False
-                        for i in range(r):
-                            tmp = a[i, t]
-                            a[i, t] = a[i, j]
-                            a[i, j] = tmp
-                        break
-            if not done:
-                continue
-            # pivot must divide the trailing block for invariant factors
-            fixed = False
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if a[i, j] % piv != 0:
-                        for jj in range(t, c):
-                            a[t, jj] += a[i, jj]
-                        fixed = True
-                        break
-                if fixed:
-                    break
-            if not fixed:
-                break
-        piv = a[t, t]
-        diag[t] = piv if piv >= 0 else -piv
-        t += 1
-    return diag, True
-
-
-def _snf_int64_numpy(a, bound):
+def _snf_int64(a, bound):
     r, c = a.shape
     n = min(r, c)
     diag = np.zeros(n, dtype=np.int64)
@@ -487,7 +249,7 @@ def snf_diagonal(mat) -> list:
     """Invariant factors of an integer matrix (nonnegative, divisibility
     ordered, padded with zeros to min(r, c)).
 
-    Tries the backend's guarded int64 pass first and falls back to exact
+    Tries the guarded int64 pass first and falls back to exact
     big-integer arithmetic if entries threaten to overflow.
     """
     arr = np.asarray(mat)
@@ -498,18 +260,9 @@ def snf_diagonal(mat) -> list:
     exact_needed = arr.dtype == object or np.abs(arr).max() > int(_SNF_INT64_BOUND)
     if not exact_needed:
         work = arr.astype(np.int64).copy()
-        fn = _snf_int64_numba if BACKEND == "numba" else _snf_int64_numpy
-        diag, ok = fn(work, _SNF_INT64_BOUND)
+        diag, ok = _snf_int64(work, _SNF_INT64_BOUND)
         if ok:
             return [int(d) for d in diag]
     rows = [[int(x) for x in row] for row in arr]
     return _snf_exact_python(rows)
 
-
-def warmup() -> None:
-    """Trigger jit compilation of every kernel on tiny inputs."""
-    rgs_filtered(3, 1)
-    refinement_leq(np.array([[0, 0], [0, 1]], dtype=np.int8))
-    closure(np.array([[False, True], [False, False]]))
-    block_compat(np.array([3, 4], dtype=np.uint64))
-    snf_diagonal(np.array([[2, 0], [0, 4]]))

@@ -10,12 +10,13 @@ import argparse
 import json
 import os
 import sys
+from itertools import permutations
 
 from .complexes import SimplicialComplex
 from .errors import KTreeSubError, ResourceLimit
 from .partitions import Partition, enumerate_partitions, parse_partition
 from .poset import poset_to_json
-from .subdivision import check_equivariance, verify_theorem
+from .subdivision import check_equivariance, sample_permutations, verify_theorem
 from .trees import enumerate_ktree_complex
 
 EXIT_PASS = 0
@@ -216,13 +217,10 @@ def cmd_equivariance(args) -> int:
             m = kom.vertices[0].m
         except (OSError, ValueError, KeyError, IndexError, json.JSONDecodeError) as e:
             return _usage_error(f"cannot load complex from {args.infile}: {e}")
-        import itertools
-        import random as _random
-
-        perms = list(itertools.permutations(range(1, m + 1)))
         if m > 5:
-            rng = _random.Random(args.seed)
-            perms = rng.sample(perms, min(args.sample, len(perms)))
+            perms = sample_permutations(m, args.sample, args.seed)
+        else:
+            perms = list(permutations(range(1, m + 1)))
         try:
             bad = [
                 pi
@@ -262,13 +260,18 @@ def cmd_equivariance(args) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, not {text!r}")
+    return int(text)
+
+
 def _add_common(sub):
     sub.add_argument("--out", help="output artifact path")
     sub.add_argument("--format", choices=["json", "text"], default="text")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--max-poset-elements", type=int, default=5_000)
-    sub.add_argument("--max-faces", type=int, default=200_000)
-    sub.add_argument("--threads", type=int, default=1, help="accepted for compatibility; execution is single-threaded")
+    sub.add_argument("--max-poset-elements", type=_nonnegative_int, default=5_000)
+    sub.add_argument("--max-faces", type=_nonnegative_int, default=200_000)
     sub.add_argument("-v", "--verbosity", type=int, default=1)
 
 
@@ -308,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq = subs.add_parser("equivariance", help="symmetric-group equivariance checks")
     p_eq.add_argument("--k", type=int)
     p_eq.add_argument("--n", type=int)
-    p_eq.add_argument("--sample", type=int, default=200)
+    p_eq.add_argument("--sample", type=_nonnegative_int, default=200)
     p_eq.add_argument("--in", dest="infile", help="complex artifact to check for invariance")
     _add_common(p_eq)
     p_eq.set_defaults(func=cmd_equivariance)

@@ -249,12 +249,16 @@ class PartitionPoset:
         return [self.poset.labels[i] for i in self.g_indices()]
 
     def factors(self, x: Partition) -> frozenset:
-        """Maximal G-elements below x, computed against the poset order."""
+        """Maximal G-elements below x.
+
+        Every block of x has size ≡ 1 (mod k), so these are the single-block
+        partitions of its non-singleton blocks: ``factors_I(x)``.
+        """
         i = self.index(x)
         got = self._factors_cache.get(i)
         if got is None:
-            below = [g for g in self.g_indices() if self.poset.leq[g, i]]
-            got = frozenset(self.poset.labels[j] for j in self.poset.maximal_in(below))
+            # the poset's own label objects, not fresh copies, to share memory
+            got = frozenset(self.partition(self.index(g)) for g in factors_I(x))
             self._factors_cache[i] = got
         return got
 
@@ -303,10 +307,6 @@ def enumerate_partitions(m: int, k: int, max_elements: int = 100_000) -> Partiti
     return PartitionPoset(m, k, poset)
 
 
-def partition_join(a: Partition, b: Partition) -> Partition:
-    return a.join(b)
-
-
 def join_all(parts) -> Partition:
     """Join of a nonempty family in the full partition lattice."""
     parts = list(parts)
@@ -314,11 +314,6 @@ def join_all(parts) -> Partition:
     for p in parts[1:]:
         out = out.join(p)
     return out
-
-
-def k_minimal_upper_bounds(pk: PartitionPoset, parts) -> list:
-    """The set of minimal upper bounds taken inside the restricted poset."""
-    return pk.minimal_upper_bounds(parts)
 
 
 def building_set_I(m: int) -> list:
@@ -343,15 +338,3 @@ def factors_I(x: Partition) -> frozenset:
     per non-singleton block of x."""
     return frozenset(Partition.atom(x.m, b) for b in x.nonsingleton_blocks())
 
-
-def factors_k(pk: PartitionPoset, x: Partition) -> frozenset:
-    """Maximal G-elements below x inside the restricted poset."""
-    return pk.factors(x)
-
-
-def factors_k_of_chain(pk: PartitionPoset, chain) -> frozenset:
-    return pk.chain_factors(chain)
-
-
-def apply_permutation(x: Partition, perm) -> Partition:
-    return x.permute(perm)

@@ -58,6 +58,22 @@ def common_refinement_oracle(a_blocks, b_blocks):
     return tuple(sorted(out, key=lambda b: b[0]))
 
 
+def factors_search_oracle(pk, x):
+    """Factors of x by their definition: the maximal elements, in the order
+    matrix of the partition poset ``pk``, among the G-elements below x
+    (single non-singleton block, rank divisible by k)."""
+    labels, leq = pk.poset.labels, pk.poset.leq
+    i = pk.poset.index(x)
+    below = [
+        g
+        for g, y in enumerate(labels)
+        if len(y.nonsingleton_blocks()) == 1 and y.rank % pk.k == 0 and leq[g, i]
+    ]
+    return frozenset(
+        labels[g] for g in below if not any(h != g and leq[g, h] for h in below)
+    )
+
+
 def closure_oracle(adj):
     """Reflexive-transitive closure by the triple loop."""
     n = len(adj)

@@ -64,7 +64,14 @@ def test_verify_multiple_extensions(tmp_path):
     data = json.loads(out.read_text())
     assert data["extensions_checked"] == 3
     names = [c["name"] for c in data["checks"]]
-    assert "linear_extension_independence" in names
+    assert names == [
+        "stellar_sequence_matches_order_complex[0]",
+        "stellar_sequence_matches_order_complex[1]",
+        "stellar_sequence_matches_order_complex[2]",
+        "carrier_map_partition",
+        "homology_equal_all_degrees",
+    ]
+    assert all(c["pass"] for c in data["checks"])
 
 
 def test_verify_resource_limit(tmp_path, capsys):
@@ -75,6 +82,22 @@ def test_verify_resource_limit(tmp_path, capsys):
 def test_verify_cap_flag(tmp_path):
     code = main(["verify", "--k", "2", "--n", "4", "--max-poset-elements", "10"])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["equivariance", "--k", "2", "--n", "4", "--sample", "-1"],
+        ["verify", "--k", "2", "--n", "4", "--max-faces", "-5"],
+        ["verify", "--k", "2", "--n", "4", "--max-poset-elements", "-1"],
+    ],
+)
+def test_negative_count_flag_is_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "usage:" in stderr and "must be a nonnegative integer" in stderr
 
 
 def test_homology_order_complex(capsys):

@@ -1,10 +1,8 @@
 import numpy as np
-import pytest
 
+from ktreesub import Partition
 from ktreesub import _kernels as K
 from oracles import brute_modk_partitions, closure_oracle
-
-needs_numba = pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba unavailable")
 
 
 def test_count_matches_bruteforce():
@@ -35,11 +33,11 @@ def test_rgs_rows_are_valid_growth_strings():
 
 def test_refinement_paths_agree():
     rgs = K.rgs_filtered(6, 1)
-    fo = K._first_occurrences(rgs)
-    a = K._refinement_leq_numpy(rgs, fo)
-    if K.HAVE_NUMBA:
-        b = K._refinement_leq_numba(np.ascontiguousarray(rgs), fo)
-        assert np.array_equal(a, b)
+    leq = K.refinement_leq(rgs)
+    parts = [Partition.from_rgs(row) for row in rgs]
+    for p, a in enumerate(parts):
+        for q, b in enumerate(parts):
+            assert leq[p, q] == a.refines(b)
 
 
 def test_closure_paths_agree_and_match_oracle():
@@ -47,44 +45,37 @@ def test_closure_paths_agree_and_match_oracle():
     for _ in range(10):
         n = int(rng.integers(2, 30))
         adj = np.triu(rng.random((n, n)) < 0.15, k=1)
-        a = K._closure_numpy(adj)
-        assert a.tolist() == closure_oracle(adj.tolist())
-        if K.HAVE_NUMBA:
-            b = K._closure_numba(adj)
-            assert np.array_equal(a, b)
+        assert K.closure(adj).tolist() == closure_oracle(adj.tolist())
+    # 0 -> t -> 257 through 256 middle elements t: 0 <= 257 must survive
+    adj = np.zeros((258, 258), dtype=bool)
+    adj[0, 1:257] = adj[1:257, 257] = True
+    assert K.closure(adj)[0, 257]
 
 
 def test_block_compat_paths_agree():
     rng = np.random.default_rng(1)
     masks = rng.integers(1, 2**20, size=50).astype(np.uint64)
-    a = K._block_compat_numpy(masks)
+    a = K.block_compat(masks)
     for i in range(len(masks)):
         for j in range(len(masks)):
             inter = int(masks[i]) & int(masks[j])
             expect = inter == 0 or inter == int(masks[i]) or inter == int(masks[j])
             assert a[i, j] == expect
-    if K.HAVE_NUMBA:
-        b = K._block_compat_numba(masks)
-        assert np.array_equal(a, b)
 
 
 def test_snf_paths_agree():
-    # the int64 passes may bail out on coefficient growth (ok=False); when
-    # they complete they must agree with the exact big-integer reference,
-    # and the dispatcher must always return the exact answer
+    # the int64 pass may bail out on coefficient growth (ok=False); when it
+    # completes it must agree with the exact big-integer reference, and
+    # snf_diagonal must always return the exact answer
     rng = np.random.default_rng(2)
     for _ in range(25):
         r, c = rng.integers(1, 10, size=2)
         mat = rng.integers(-5, 6, size=(int(r), int(c))).astype(np.int64)
         exact = K._snf_exact_python([[int(x) for x in row] for row in mat])
         assert K.snf_diagonal(mat) == exact
-        dn, ok_n = K._snf_int64_numpy(mat.copy(), K._SNF_INT64_BOUND)
-        if ok_n:
-            assert list(dn) == exact
-        if K.HAVE_NUMBA:
-            db, ok_b = K._snf_int64_numba(mat.copy(), K._SNF_INT64_BOUND)
-            if ok_b:
-                assert list(db) == exact
+        diag, ok = K._snf_int64(mat.copy(), K._SNF_INT64_BOUND)
+        if ok:
+            assert list(diag) == exact
 
 
 def test_snf_divisibility_chain():
@@ -101,16 +92,3 @@ def test_snf_overflow_guard_falls_back_exact():
     diag = K.snf_diagonal(big)
     assert diag == [1, 2**80 - 1]
 
-
-@needs_numba
-def test_backend_dispatch_env(monkeypatch):
-    monkeypatch.setenv("KTREESUB_BACKEND", "numpy")
-    assert K._pick_backend() == "numpy"
-    monkeypatch.setenv("KTREESUB_BACKEND", "numba")
-    assert K._pick_backend() == "numba"
-    monkeypatch.delenv("KTREESUB_BACKEND")
-    assert K._pick_backend() in ("numba", "numpy")
-
-
-def test_warmup_runs():
-    K.warmup()

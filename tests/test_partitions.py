@@ -9,17 +9,14 @@ from ktreesub import (
     count_partitions_modk,
     enumerate_partitions,
     factors_I,
-    factors_k,
-    factors_k_of_chain,
     g_set,
-    k_minimal_upper_bounds,
     parse_partition,
-    partition_join,
 )
 from oracles import (
     brute_modk_partitions,
     brute_set_partitions,
     common_refinement_oracle,
+    factors_search_oracle,
     join_oracle,
     refinement_oracle,
 )
@@ -84,22 +81,22 @@ def test_enumerate_desk_scale_instance():
 def test_join_examples():
     a = parse_partition("(123)4567", 7)
     b = parse_partition("1(234)567", 7)
-    assert partition_join(a, b).text() == "(1234)567"
+    assert a.join(b).text() == "(1234)567"
     x = parse_partition("(12)(34)", 4)
-    assert partition_join(x, Partition.zero(4)) == x
+    assert x.join(Partition.zero(4)) == x
     y = parse_partition("(23)(14)", 4)
-    assert partition_join(x, y) == Partition.one(4)
+    assert x.join(y) == Partition.one(4)
 
 
 def test_kmub_examples(pk72):
     a = parse_partition("(123)4567", 7)
     b = parse_partition("1(234)567", 7)
-    mubs = k_minimal_upper_bounds(pk72, [a, b])
+    mubs = pk72.minimal_upper_bounds([a, b])
     assert {x.text() for x in mubs} == {"(12345)67", "(12346)57", "(12347)56"}
-    assert k_minimal_upper_bounds(pk72, [a]) == [a]
+    assert pk72.minimal_upper_bounds([a]) == [a]
     c = parse_partition("123(456)7", 7)
-    disjoint = k_minimal_upper_bounds(pk72, [a, c])
-    assert disjoint == [partition_join(a, c)]
+    disjoint = pk72.minimal_upper_bounds([a, c])
+    assert disjoint == [a.join(c)]
     assert len(disjoint[0].nonsingleton_blocks()) == 2
 
 
@@ -130,19 +127,21 @@ def test_factors_I_examples():
 
 def test_factors_k_examples(pk72):
     x = parse_partition("(123)(456)7", 7)
-    assert factors_k(pk72, x) == {
+    assert pk72.factors(x) == {
         parse_partition("(123)4567", 7),
         parse_partition("123(456)7", 7),
     }
     g = parse_partition("(12345)67", 7)
-    assert factors_k(pk72, g) == {g}
+    assert pk72.factors(g) == {g}
+    with pytest.raises(KeyError):
+        pk72.factors(parse_partition("(12)34567", 7))  # block of size 2: not in Π^(2)_7
 
 
 @pytest.mark.parametrize("mk", [(5, 2), (7, 2), (7, 3)])
 def test_lemma_factors_agree_exhaustive(mk, pk52, pk72, pk73):
     pk = {(5, 2): pk52, (7, 2): pk72, (7, 3): pk73}[mk]
     for x in pk.poset.labels:
-        assert factors_k(pk, x) == factors_I(x)
+        assert pk.factors(x) == factors_search_oracle(pk, x) == factors_I(x)
 
 
 @pytest.mark.parametrize("mk", [(5, 2), (7, 2), (7, 3)])
@@ -156,7 +155,7 @@ def test_lemma_disjoint_blocks_iff_unique_join_outside_g(mk, pk52, pk72, pk73):
                 continue
             ba = set(a.nonsingleton_blocks()[0])
             bb = set(b.nonsingleton_blocks()[0])
-            mubs = k_minimal_upper_bounds(pk, [a, b])
+            mubs = pk.minimal_upper_bounds([a, b])
             rhs = len(mubs) == 1 and mubs[0] not in gmembers
             assert (not (ba & bb)) == rhs
 
@@ -164,10 +163,10 @@ def test_lemma_disjoint_blocks_iff_unique_join_outside_g(mk, pk52, pk72, pk73):
 def test_chain_factors(pk72):
     x = parse_partition("(123)(456)7", 7)
     chain = [parse_partition("(123)4567", 7), x]
-    expected = factors_k(pk72, x) | {parse_partition("(123)4567", 7)}
-    assert factors_k_of_chain(pk72, chain) == expected
+    expected = pk72.factors(x) | {parse_partition("(123)4567", 7)}
+    assert pk72.chain_factors(chain) == expected
     single = [parse_partition("(12345)67", 7)]
-    assert factors_k_of_chain(pk72, single) == frozenset(single)
+    assert pk72.chain_factors(single) == frozenset(single)
 
 
 def test_apply_permutation_examples():

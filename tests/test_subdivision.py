@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -26,7 +29,7 @@ from ktreesub import (
     verify_carrier_map,
     verify_theorem,
 )
-from ktreesub.subdivision import _distinct_extensions
+from ktreesub.subdivision import _distinct_extensions, sample_permutations
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +301,16 @@ def test_compatibility_family_passes(pk41, t14, delta41):
     assert res.passed, [f.to_json() for f in res.failures]
 
 
+@pytest.mark.parametrize("kn", [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4)])
+def test_global_carrier_map_implies_compatibility(kn):
+    # verify_theorem checks only the global map: its localizations are
+    # restrictions of it, so they must be compatible whenever it passes
+    cm, _ = global_carrier_map(*kn)
+    assert verify_carrier_map(cm).passed
+    res = check_compatibility(build_local_carrier_maps(cm))
+    assert res.passed, [f.to_json() for f in res.failures]
+
+
 def test_compatibility_disjoint_faces_vacuous(pk41, t14, delta41):
     cm = carrier_map_from_parts(pk41, delta41, t14)
     two_pts = [f for f in t14.faces if len(f) == 1][:2]
@@ -391,6 +404,18 @@ def test_verify_theorem_counts_24():
     assert rep.sizes["poset_elements"] == 128
     assert rep.sizes["proper_elements"] == 126
     assert rep.sizes["target_vertices"] == 56
+
+
+def test_sample_permutations_matches_list_sample():
+    # the lazy sampler must pick what rng.sample picks from the full list
+    for m in range(1, 9):
+        universe = list(permutations(range(1, m + 1)))
+        total = factorial(m)
+        for seed in (0, 1, 7, 123):
+            for count in (0, 1, 5, 20, 200, total, total + 3):
+                if count <= 1000:
+                    want = random.Random(seed).sample(universe, min(count, total))
+                    assert sample_permutations(m, count, seed) == want
 
 
 def test_equivariance_identity_only(pk41):
