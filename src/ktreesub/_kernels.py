@@ -1,19 +1,16 @@
 """Hot numeric kernels in numpy and plain Python.
 
-Everything here is exact integer/boolean work.  The Smith normal form runs a
-guarded int64 pass and falls back to exact big-integer arithmetic when the
-entries could overflow.
+Everything here is exact integer/boolean work.  The Smith normal form works
+on sparse columns: unit pivots are eliminated first and only the columns
+without one go through the exact big-integer reduction.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import comb
 
 import numpy as np
-
-# Guard for the int64 Smith normal form pass: with entries below this bound
-# every update term fits int64 (bound**2 * 2 < 2**63).
-_SNF_INT64_BOUND = np.int64(1) << 31
 
 
 # ---------------------------------------------------------------------------
@@ -129,54 +126,6 @@ def block_compat(masks: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _snf_int64(a, bound):
-    r, c = a.shape
-    n = min(r, c)
-    diag = np.zeros(n, dtype=np.int64)
-    t = 0
-    while t < n:
-        sub = a[t:, t:]
-        nz = sub != 0
-        if not nz.any():
-            break
-        mag = np.where(nz, np.abs(sub), np.iinfo(np.int64).max)
-        i, j = np.unravel_index(np.argmin(mag), mag.shape)
-        a[[t, t + i], :] = a[[t + i, t], :]
-        a[:, [t, t + j]] = a[:, [t + j, t]]
-        while True:
-            if np.abs(a[t:, t:]).max() > bound:
-                return diag, False
-            piv = a[t, t]
-            col = a[t + 1 :, t]
-            if col.any():
-                q = col // piv
-                a[t + 1 :, t:] -= q[:, None] * a[t, t:]
-                rem = a[t + 1 :, t]
-                if rem.any():
-                    i = int(np.flatnonzero(rem)[0]) + t + 1
-                    a[[t, i], :] = a[[i, t], :]
-                    continue
-            row = a[t, t + 1 :]
-            if row.any():
-                q = row // piv
-                a[t:, t + 1 :] -= a[t:, t, None] * q[None, :]
-                rem = a[t, t + 1 :]
-                if rem.any():
-                    j = int(np.flatnonzero(rem)[0]) + t + 1
-                    a[:, [t, j]] = a[:, [j, t]]
-                    continue
-            tail = a[t + 1 :, t + 1 :]
-            bad = np.argwhere(tail % piv != 0)
-            if bad.size:
-                i = int(bad[0, 0]) + t + 1
-                a[t, t:] += a[i, t:]
-                continue
-            break
-        diag[t] = abs(int(a[t, t]))
-        t += 1
-    return diag, True
-
-
 def _snf_exact_python(rows):
     """Reference Smith normal form over arbitrary-precision integers.
 
@@ -245,24 +194,61 @@ def _snf_exact_python(rows):
     return diag
 
 
-def snf_diagonal(mat) -> list:
-    """Invariant factors of an integer matrix (nonnegative, divisibility
-    ordered, padded with zeros to min(r, c)).
+def _reduce_by_pivots(col, pivots):
+    """Clear ``col`` (a {row: value} dict, updated in place) on every pivot
+    row by subtracting multiples of the pivot columns.
 
-    Tries the guarded int64 pass first and falls back to exact
-    big-integer arithmetic if entries threaten to overflow.
+    ``pivots[row]`` is ``(order, column)`` with a ±1 entry at ``row``.  A
+    pivot column is zero on the rows of the pivots made before it, so taking
+    the pivot rows in creation order never brings back a cleared one.
     """
-    arr = np.asarray(mat)
-    if arr.size == 0:
-        return []
-    if arr.ndim != 2:
-        raise ValueError("snf_diagonal expects a 2d matrix")
-    exact_needed = arr.dtype == object or np.abs(arr).max() > int(_SNF_INT64_BOUND)
-    if not exact_needed:
-        work = arr.astype(np.int64).copy()
-        diag, ok = _snf_int64(work, _SNF_INT64_BOUND)
-        if ok:
-            return [int(d) for d in diag]
-    rows = [[int(x) for x in row] for row in arr]
-    return _snf_exact_python(rows)
+    heap = [(pivots[r][0], r) for r in col if r in pivots]
+    heapify(heap)
+    while heap:
+        _, r = heappop(heap)
+        a = col.get(r)
+        if not a:
+            continue
+        p = pivots[r][1]
+        f = a * p[r]  # p[r] is ±1
+        for s, v in p.items():
+            w = col.get(s, 0) - f * v
+            if w:
+                if s not in col and s in pivots:
+                    heappush(heap, (pivots[s][0], s))
+                col[s] = w
+            else:
+                col.pop(s, None)
 
+
+def snf_diagonal(columns, n_rows) -> list:
+    """Invariant factors of an integer matrix given as sparse columns
+    (nonnegative, divisibility ordered, padded with zeros to min(r, c)).
+
+    ``columns`` holds one {row index: value} dict per column.  Each column is
+    cleared on the existing unit pivots and then pivots on one of its ±1
+    entries; these are unimodular column operations, and each unit pivot is
+    one invariant factor 1.  The columns without a unit are cleared on every
+    pivot and the rest, on the rows no pivot owns, goes to the exact
+    big-integer reduction.
+    """
+    pivots = {}
+    residual = []
+    for col in columns:
+        col = {int(r): int(v) for r, v in col.items() if v}
+        _reduce_by_pivots(col, pivots)
+        # the last unit row: on boundary columns over lexicographically sorted
+        # faces this keeps fill-in low ((2,5) order complex: 0.8 s, 8.7 s
+        # with the first unit row)
+        unit = max((r for r, v in col.items() if v in (1, -1)), default=None)
+        if unit is not None:
+            pivots[unit] = (len(pivots), col)
+        elif col:
+            residual.append(col)
+    for col in residual:
+        _reduce_by_pivots(col, pivots)
+    residual = [col for col in residual if col]
+    rows = sorted({r for col in residual for r in col})
+    rest = _snf_exact_python([[col.get(r, 0) for col in residual] for r in rows])
+    diag = [1] * len(pivots) + [x for x in rest if x]
+    return diag + [0] * (min(n_rows, len(columns)) - len(diag))

@@ -160,8 +160,23 @@ def _homology_table(kom: SimplicialComplex, title: str, args=None):
 
 
 def _load_complex_file(path) -> SimplicialComplex:
+    """A complex in the shape ``enumerate --object ktree-complex`` writes;
+    any other shape raises ``ValueError``."""
     with open(path) as fh:
         data = json.load(fh)
+
+    def ints(x):
+        return isinstance(x, list) and all(type(v) is int for v in x)
+
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("vertices"), list)
+        and all(isinstance(v, list) and v and all(b and ints(b) for b in v)
+                for v in data["vertices"])
+        and isinstance(data.get("facets"), list)
+        and all(ints(f) for f in data["facets"])
+    ):
+        raise ValueError("expected vertices as lists of integer blocks and facets as index lists")
     return SimplicialComplex.from_json(
         data, label_fn=lambda lab: Partition(max(max(b) for b in lab), lab)
     )

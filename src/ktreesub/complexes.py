@@ -44,6 +44,9 @@ class SimplicialComplex:
                             raise ValueError("face family is not downward closed")
         if touched != set(range(len(self.vertices))):
             missing = set(range(len(self.vertices))) - touched
+            outside = touched - set(range(len(self.vertices)))
+            if outside:
+                raise ValueError(f"vertex indices {sorted(outside, key=repr)} are out of range")
             raise ValueError(f"vertices {sorted(missing)} appear in no face")
 
     @classmethod
@@ -145,20 +148,16 @@ class SimplicialComplex:
     # ------------------------------------------------------------------
 
     def boundary_matrix(self, d: int):
-        """Integer matrix of the boundary map from d-faces to (d-1)-faces;
-        d = 0 gives the augmentation row."""
+        """Boundary map from d-faces to (d-1)-faces as sparse columns: one
+        {row index: ±1} dict per d-face; d = 0 gives the augmentation, one
+        {0: 1} per vertex."""
         if d == 0:
-            return [[1] * len(self._by_dim.get(0, ()))]
-        rows = self._by_dim.get(d - 1, [])
-        cols = self._by_dim.get(d, [])
-        rpos = {f: i for i, f in enumerate(rows)}
-        mat = [[0] * len(cols) for _ in rows]
-        for j, f in enumerate(cols):
-            vs = sorted(f)
-            for t, x in enumerate(vs):
-                sub = frozenset(vs[:t] + vs[t + 1 :])
-                mat[rpos[sub]][j] = (-1) ** t
-        return mat
+            return [{0: 1} for _ in self._by_dim.get(0, ())]
+        rpos = {f: i for i, f in enumerate(self._by_dim.get(d - 1, ()))}
+        return [
+            {rpos[f - {x}]: (-1) ** t for t, x in enumerate(sorted(f))}
+            for f in self._by_dim.get(d, ())
+        ]
 
     def reduced_homology(self):
         """Per-degree reduced integer homology: list of (betti, torsion
@@ -166,24 +165,17 @@ class SimplicialComplex:
         dim = self.dimension()
         if dim < 0:
             return []
-        ranks = {}
+        ranks = {dim + 1: 0}
         torsion_by_deg = {}
-        for d in range(dim + 2):
-            if d > dim:
-                ranks[d] = 0
-                continue
-            mat = self.boundary_matrix(d)
-            if not mat or not mat[0]:
-                ranks[d] = 0
-                torsion_by_deg[d - 1] = []
-                continue
-            diag = kernels.snf_diagonal(np.array(mat, dtype=np.int64))
+        for d in range(dim + 1):
+            n_rows = len(self._by_dim.get(d - 1, ())) if d else 1
+            diag = kernels.snf_diagonal(self.boundary_matrix(d), n_rows)
             ranks[d] = sum(1 for x in diag if x != 0)
-            torsion_by_deg[d - 1] = [int(x) for x in diag if x > 1]
+            torsion_by_deg[d - 1] = [x for x in diag if x > 1]
         out = []
         for d in range(dim + 1):
             n_d = len(self._by_dim.get(d, ()))
-            betti = n_d - ranks[d] - ranks.get(d + 1, 0)
+            betti = n_d - ranks[d] - ranks[d + 1]
             out.append((betti, tuple(torsion_by_deg.get(d, ()))))
         return out
 
@@ -369,8 +361,12 @@ def _label_key(label):
 def check_boundary_squares_to_zero(K: SimplicialComplex) -> bool:
     """d∘d = 0 for every consecutive boundary pair (test oracle hook)."""
     for d in range(0, K.dimension()):
-        a = np.array(K.boundary_matrix(d), dtype=np.int64)
-        b = np.array(K.boundary_matrix(d + 1), dtype=np.int64)
-        if a.size and b.size and np.any(a @ b):
-            return False
+        a = K.boundary_matrix(d)
+        for col in K.boundary_matrix(d + 1):
+            image = {}
+            for r, v in col.items():
+                for s, w in a[r].items():
+                    image[s] = image.get(s, 0) + v * w
+            if any(image.values()):
+                return False
     return True

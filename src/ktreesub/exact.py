@@ -113,9 +113,6 @@ def _solve_equalities(eqs, nvars):
         r += 1
         if r == len(rows):
             break
-    for i in range(r, len(rows)):
-        if rows[i][nvars] != 0 and all(x == 0 for x in rows[i][:nvars]):
-            return None
     for i in range(len(rows)):
         if all(x == 0 for x in rows[i][:nvars]) and rows[i][nvars] != 0:
             return None

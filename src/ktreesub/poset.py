@@ -32,8 +32,8 @@ def _validate_partial_order(arr: np.ndarray) -> None:
     if sym.any():
         i, j = np.argwhere(sym)[0]
         raise CycleDetected(f"antisymmetry violated between elements {i} and {j}")
-    u8 = arr.astype(np.uint8)
-    if ((u8 @ u8 > 0) & ~arr).any():
+    # boolean product: a uint8 product would count 2-paths modulo 256
+    if ((arr @ arr) & ~arr).any():
         raise ValueError("order relation is not transitive")
 
 
@@ -103,12 +103,14 @@ class Poset:
     def is_less(self, i: int, j: int) -> bool:
         return i != j and bool(self.leq[i, j])
 
+    def _cover_matrix(self) -> np.ndarray:
+        """Boolean matrix: out[i, j] iff j covers i."""
+        lt = self.leq & ~np.eye(self.n, dtype=bool)
+        return lt & ~(lt @ lt)
+
     def covers(self):
         """Cover pairs (i, j) with j covering i."""
-        lt = self.leq & ~np.eye(self.n, dtype=bool)
-        u8 = lt.astype(np.uint8)
-        cov = lt & ~((u8 @ u8) > 0)
-        return [(int(i), int(j)) for i, j in np.argwhere(cov)]
+        return [(int(i), int(j)) for i, j in np.argwhere(self._cover_matrix())]
 
     def heights(self) -> np.ndarray:
         """Length of the longest chain below each element (minimal elements
@@ -304,9 +306,7 @@ class Poset:
     # ------------------------------------------------------------------
 
     def _iso_colors(self):
-        lt = self.leq & ~np.eye(self.n, dtype=bool)
-        u8 = lt.astype(np.uint8)
-        cov = lt & ~((u8 @ u8) > 0)
+        cov = self._cover_matrix()
         h = self.heights()
         colors = [
             (

@@ -626,7 +626,8 @@ def _homology_json(groups):
 
 
 def _distinct_extensions(poset: Poset, subset, count, seed):
-    """The canonical extension plus seeded variants, distinct when possible."""
+    """The canonical extension plus seeded variants, all distinct: at most
+    ``count``, fewer when the seeded draws find no more."""
     exts = [tuple(poset.linear_extension(subset))]
     attempt = 0
     while len(exts) < count and attempt < 50 * count:
@@ -636,8 +637,6 @@ def _distinct_extensions(poset: Poset, subset, count, seed):
         )
         if cand not in exts:
             exts.append(cand)
-    while len(exts) < count:
-        exts.append(exts[0])
     return exts
 
 
@@ -655,8 +654,8 @@ def verify_theorem(
     Builds both complexes and records the three checks the verdict rests on:
 
     * ``stellar_sequence_matches_order_complex[t]``: the stellar sequence
-      along the t-th of the requested distinct linear extensions ends at the
-      order complex, label by label;
+      along the t-th distinct linear extension (at most ``extensions`` of
+      them) ends at the order complex, label by label;
     * ``carrier_map_partition``: the global carrier map partitions every
       target face, in exact arithmetic (``verify_carrier_map``);
     * ``homology_equal_all_degrees``: the reduced homology groups agree.

@@ -164,3 +164,36 @@ def finite_geometric_overlap_1d(a0, a1, b0, b1):
     lo = max(min(a0, a1), min(b0, b1))
     hi = min(max(a0, a1), max(b0, b1))
     return lo < hi
+
+
+def dense_to_columns(mat):
+    """A dense integer matrix (a list of rows) as the sparse form
+    ``snf_diagonal`` takes: ({row: value} per column, row count)."""
+    rows = [[int(x) for x in row] for row in mat]
+    n_cols = len(rows[0]) if rows else 0
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n_cols)], len(rows)
+
+
+def dense_reduced_homology(K, snf):
+    """Reduced homology of K as (betti, torsion) per degree, from dense
+    boundary matrices built off the face lists and a dense Smith normal form
+    ``snf`` (list of rows -> invariant factors)."""
+    dim = K.dimension()
+    ranks, torsion = {dim + 1: 0}, {}
+    for d in range(dim + 1):
+        cols = [sorted(f) for f in K.faces_of_dim(d)]
+        if d == 0:
+            mat = [[1] * len(cols)]
+        else:
+            rpos = {tuple(sorted(f)): i for i, f in enumerate(K.faces_of_dim(d - 1))}
+            mat = [[0] * len(cols) for _ in rpos]
+            for j, vs in enumerate(cols):
+                for t in range(len(vs)):
+                    mat[rpos[tuple(vs[:t] + vs[t + 1 :])]][j] = (-1) ** t
+        diag = snf(mat)
+        ranks[d] = sum(1 for x in diag if x)
+        torsion[d - 1] = tuple(x for x in diag if x > 1)
+    return [
+        (len(K.faces_of_dim(d)) - ranks[d] - ranks[d + 1], torsion.get(d, ()))
+        for d in range(dim + 1)
+    ]

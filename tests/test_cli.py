@@ -74,6 +74,18 @@ def test_verify_multiple_extensions(tmp_path):
     assert all(c["pass"] for c in data["checks"])
 
 
+def test_verify_counts_only_distinct_extensions(tmp_path):
+    # (1,3) has a single linear extension, the empty one
+    code, out = run(["verify", "--k", "1", "--n", "3", "--extensions", "3"], tmp_path)
+    assert code == 0
+    data = json.loads(out.read_text())
+    assert data["extensions_checked"] == 1
+    names = [c["name"] for c in data["checks"]]
+    assert [n for n in names if n.startswith("stellar")] == [
+        "stellar_sequence_matches_order_complex[0]"
+    ]
+
+
 def test_verify_resource_limit(tmp_path, capsys):
     code = main(["verify", "--k", "1", "--n", "99"])
     assert code == 3
@@ -130,6 +142,23 @@ def test_equivariance_corrupt_file(tmp_path):
     bad.write_text('{"vertices": [')
     code = main(["equivariance", "--in", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["homology", "equivariance"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"vertices": [1, 2], "facets": [[0, 1]]}',
+        "[1, 2]",
+        '{"vertices": [[[1]], [[1, 2]]], "facets": [[0, 5]]}',
+    ],
+    ids=["labels-not-partitions", "top-level-list", "facet-index-out-of-range"],
+)
+def test_malformed_complex_file_is_usage_error(tmp_path, capsys, command, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    assert main([command, "--in", str(bad)]) == 2
+    assert "cannot load complex" in capsys.readouterr().err
 
 
 def test_equivariance_file_roundtrip(tmp_path, capsys):

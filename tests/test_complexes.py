@@ -3,9 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktreesub import FaceNotPresent, SimplicialComplex
+from ktreesub import (
+    FaceNotPresent,
+    SimplicialComplex,
+    enumerate_ktree_complex,
+    enumerate_partitions,
+)
 from ktreesub._kernels import _snf_exact_python, snf_diagonal
 from ktreesub.complexes import check_boundary_squares_to_zero
+from oracles import dense_reduced_homology, dense_to_columns
 
 
 def triangle_boundary():
@@ -112,6 +118,7 @@ def test_homology_cone_is_trivial():
 def test_homology_torsion_projective_plane():
     rp2 = SimplicialComplex.from_label_faces(RP2_FACETS)
     assert rp2.reduced_homology() == [(0, ()), (0, (2,)), (0, ())]
+    assert dense_reduced_homology(rp2, _snf_exact_python) == [(0, ()), (0, (2,)), (0, ())]
 
 
 def test_boundary_squares_to_zero(delta41, t24):
@@ -139,20 +146,47 @@ def test_snf_against_sympy():
     for _ in range(12):
         r, c = rng.integers(1, 7, size=2)
         mat = rng.integers(-4, 5, size=(int(r), int(c)))
-        ours = [x for x in snf_diagonal(mat) if x != 0]
+        ours = [x for x in snf_diagonal(*dense_to_columns(mat)) if x != 0]
         theirs = smith_normal_form(sympy.Matrix(mat.tolist()))
         ref = [abs(theirs[i, i]) for i in range(min(theirs.shape)) if theirs[i, i] != 0]
         assert ours == ref
 
 
 def test_snf_fast_matches_exact():
+    # entries drawn from each set: small ones (unit pivots on most columns),
+    # no units at all (every column goes to the exact residual), and a mix
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        r, c = rng.integers(1, 9, size=2)
-        mat = rng.integers(-3, 4, size=(int(r), int(c)))
-        fast = snf_diagonal(mat)
-        exact = _snf_exact_python([[int(x) for x in row] for row in mat])
-        assert fast == exact
+    entry_sets = [
+        range(-3, 4),
+        range(-5, 6),
+        [0, 2, -2, 3, -3, 4, -4],
+        [0, 0, 1, -1, 2, -3, 4, 6],
+    ]
+    for values in entry_sets:
+        for _ in range(25):
+            r, c = rng.integers(1, 9, size=2)
+            mat = rng.choice(list(values), size=(int(r), int(c)))
+            exact = _snf_exact_python([[int(x) for x in row] for row in mat])
+            assert snf_diagonal(*dense_to_columns(mat)) == exact
+    assert snf_diagonal([], 3) == []
+    assert snf_diagonal([{}, {1: 0}], 3) == [0, 0]
+
+
+@pytest.mark.parametrize("k,n", [(1, 4), (2, 4), (1, 5)])
+def test_sparse_homology_matches_dense_exact(k, n):
+    delta = enumerate_partitions((n - 1) * k + 1, k).poset.order_complex()
+    for K in (delta, enumerate_ktree_complex(n, k)):
+        assert K.reduced_homology() == dense_reduced_homology(K, _snf_exact_python)
+
+
+def test_top_betti_numbers_past_dense_reach():
+    assert enumerate_ktree_complex(6, 1).reduced_homology()[-1] == (120, ())
+    assert enumerate_ktree_complex(4, 3).reduced_homology()[-1] == (5446, ())
+
+
+def test_out_of_range_vertex_index_rejected():
+    with pytest.raises(ValueError, match=r"vertex indices \[2\] are out of range"):
+        SimplicialComplex(["a", "b"], [frozenset({0, 2})], close_downward=True)
 
 
 def test_isomorphism_examples(t14):

@@ -2,7 +2,7 @@ import numpy as np
 
 from ktreesub import Partition
 from ktreesub import _kernels as K
-from oracles import brute_modk_partitions, closure_oracle
+from oracles import brute_modk_partitions, closure_oracle, dense_to_columns
 
 
 def test_count_matches_bruteforce():
@@ -63,32 +63,16 @@ def test_block_compat_paths_agree():
             assert a[i, j] == expect
 
 
-def test_snf_paths_agree():
-    # the int64 pass may bail out on coefficient growth (ok=False); when it
-    # completes it must agree with the exact big-integer reference, and
-    # snf_diagonal must always return the exact answer
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        r, c = rng.integers(1, 10, size=2)
-        mat = rng.integers(-5, 6, size=(int(r), int(c))).astype(np.int64)
-        exact = K._snf_exact_python([[int(x) for x in row] for row in mat])
-        assert K.snf_diagonal(mat) == exact
-        diag, ok = K._snf_int64(mat.copy(), K._SNF_INT64_BOUND)
-        if ok:
-            assert list(diag) == exact
-
-
 def test_snf_divisibility_chain():
     rng = np.random.default_rng(4)
     for _ in range(10):
         mat = rng.integers(-6, 7, size=(6, 8))
-        diag = [d for d in K.snf_diagonal(mat) if d != 0]
+        diag = [d for d in K.snf_diagonal(*dense_to_columns(mat)) if d != 0]
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
 
 
-def test_snf_overflow_guard_falls_back_exact():
-    big = np.array([[2**40, 1], [1, 2**40]], dtype=object)
-    diag = K.snf_diagonal(big)
+def test_snf_big_entries_stay_exact():
+    big = [[2**40, 1], [1, 2**40]]
+    diag = K.snf_diagonal(*dense_to_columns(big))
     assert diag == [1, 2**80 - 1]
-

@@ -216,3 +216,24 @@ def test_mub_properties(n, data):
         assert [j] == mubs
     except (NotUnique, NoUpperBound):
         assert len(mubs) != 1
+
+
+def _fan_through_256():
+    """0 < t < 257 for the 256 middle elements t: 256 two-step paths from 0
+    to 257, a count that wraps to 0 in 8-bit arithmetic."""
+    return [(0, t) for t in range(1, 257)] + [(t, 257) for t in range(1, 257)]
+
+
+def test_covers_ignore_long_path_counts():
+    data = {"elements": list(range(258)), "covers": [list(c) for c in _fan_through_256()]}
+    out = poset_to_json(poset_from_json(data))
+    assert [0, 257] not in out["covers"]
+    assert sorted(map(tuple, out["covers"])) == sorted(_fan_through_256())
+
+
+def test_non_transitive_relation_rejected_past_256_paths():
+    leq = np.eye(258, dtype=bool)
+    for i, j in _fan_through_256():
+        leq[i, j] = True
+    with pytest.raises(ValueError, match="not transitive"):
+        Poset(list(range(258)), leq)
