@@ -63,6 +63,17 @@ def test_block_compat_paths_agree():
             assert a[i, j] == expect
 
 
+def test_snf_paths_agree():
+    # the sparse column path (unit-pivot elimination, then the exact residual)
+    # must agree with the dense big-integer reference on every matrix
+    rng = np.random.default_rng(2)
+    for _ in range(25):
+        r, c = rng.integers(1, 10, size=2)
+        mat = rng.integers(-5, 6, size=(int(r), int(c)))
+        exact = K._snf_exact_python([[int(x) for x in row] for row in mat])
+        assert K.snf_diagonal(*dense_to_columns(mat)) == exact
+
+
 def test_snf_divisibility_chain():
     rng = np.random.default_rng(4)
     for _ in range(10):
