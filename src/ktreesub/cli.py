@@ -178,7 +178,7 @@ def _load_complex_file(path) -> SimplicialComplex:
     ):
         raise ValueError("expected vertices as lists of integer blocks and facets as index lists")
     return SimplicialComplex.from_json(
-        data, label_fn=lambda lab: Partition(max(max(b) for b in lab), lab)
+        data, label_fn=lambda lab: Partition(sum(len(b) for b in lab), lab)
     )
 
 

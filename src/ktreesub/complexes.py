@@ -122,26 +122,10 @@ class SimplicialComplex:
         ``new_label`` (default: the tuple of the face's labels in sorted
         order).
         """
-        sigma = frozenset(self._index[l] for l in face_labels)
-        if sigma not in self.faces:
-            raise FaceNotPresent(f"face {sorted(face_labels, key=_label_key)} not in complex")
-        if len(sigma) == 1:
+        state = MutableComplex(self)
+        if not state.stellar_subdivide(face_labels, new_label):
             return self
-        if new_label is None:
-            new_label = tuple(sorted((self.vertices[i] for i in sigma), key=_label_key))
-        if new_label in self._index:
-            raise ValueError(f"label {new_label!r} already names a vertex")
-        labels = self.vertices + [new_label]
-        v = len(self.vertices)
-        keep = [f for f in self.faces if not sigma <= f]
-        added = []
-        proper_subsets = _all_subsets(sigma) - {sigma}
-        for gamma in self.faces:
-            if sigma <= gamma:
-                rest = gamma - sigma
-                for delta in proper_subsets:
-                    added.append(rest | delta | {v})
-        return SimplicialComplex(labels, keep + added)
+        return state.freeze()
 
     # ------------------------------------------------------------------
     # homology
@@ -327,6 +311,60 @@ class SimplicialComplex:
 
     def __repr__(self):
         return f"SimplicialComplex(f={self.f_vector()})"
+
+
+class MutableComplex:
+    """A complex under a sequence of stellar subdivisions, edited in place.
+
+    Keeps the face set, the vertex labels and, per vertex, the faces through
+    it, so that a subdivision rewrites only the star of the subdivided face.
+    Nothing is validated until :meth:`freeze` builds a
+    :class:`SimplicialComplex`.
+    """
+
+    def __init__(self, K: SimplicialComplex):
+        self.vertices = list(K.vertices)
+        self._index = dict(K._index)
+        self.faces = set(K.faces)
+        self._incident = [set() for _ in self.vertices]
+        for f in self.faces:
+            for v in f:
+                self._incident[v].add(f)
+
+    def stellar_subdivide(self, face_labels, new_label=None) -> bool:
+        """Subdivide at the face with the given vertex labels, as
+        :meth:`SimplicialComplex.stellar_subdivide` does; False (and no
+        change) when the face is a vertex."""
+        sigma = frozenset(self._index[l] for l in face_labels)
+        if sigma not in self.faces:
+            raise FaceNotPresent(f"face {sorted(face_labels, key=_label_key)} not in complex")
+        if len(sigma) == 1:
+            return False
+        if new_label is None:
+            new_label = tuple(sorted((self.vertices[i] for i in sigma), key=_label_key))
+        if new_label in self._index:
+            raise ValueError(f"label {new_label!r} already names a vertex")
+        v = len(self.vertices)
+        self.vertices.append(new_label)
+        self._index[new_label] = v
+        self._incident.append(set())
+        star = [f for f in min((self._incident[u] for u in sigma), key=len) if sigma <= f]
+        for gamma in star:
+            self.faces.remove(gamma)
+            for u in gamma:
+                self._incident[u].remove(gamma)
+        proper_subsets = _all_subsets(sigma) - {sigma}
+        for gamma in star:
+            rest = gamma - sigma
+            for delta in proper_subsets:
+                f = rest | delta | {v}
+                self.faces.add(f)
+                for u in f:
+                    self._incident[u].add(f)
+        return True
+
+    def freeze(self) -> SimplicialComplex:
+        return SimplicialComplex(self.vertices, self.faces)
 
 
 def _downward_closure(faces):

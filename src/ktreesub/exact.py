@@ -72,18 +72,17 @@ def affine_dim(points) -> int:
 
 def simplex_volume_ratio(points) -> Fraction:
     """Volume of the simplex spanned by d+1 points with barycentric
-    coordinates in a d-face, relative to the volume of that face.
+    coordinates in a d-face, relative to the volume of that face, with the
+    sign of the orientation of the points in the order given.
 
     Points are tuples of d+1 coordinates summing to 1; dropping the first
-    coordinate maps the face to the standard simplex, where the ratio is the
-    absolute determinant of the difference matrix."""
+    coordinate maps the face to the standard simplex, where the signed ratio
+    is the determinant of the difference matrix."""
     d = len(points) - 1
     if d == 0:
         return Fraction(1)
     base = points[0][1:]
-    rows = [[a - b for a, b in zip(p[1:], base)] for p in points[1:]]
-    value = det(rows)
-    return value if value >= 0 else -value
+    return det([[a - b for a, b in zip(p[1:], base)] for p in points[1:]])
 
 
 def _solve_equalities(eqs, nvars):

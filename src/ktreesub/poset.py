@@ -229,8 +229,9 @@ class Poset:
         vpos = {g: p for p, g in enumerate(proper)}
         h = self.heights()
         by_height = sorted(proper, key=lambda i: (int(h[i]), i))
+        ranked = np.array(by_height, dtype=np.intp)
         above = {
-            v: [w for w in by_height if w != v and self.leq[v, w]] for v in by_height
+            v: [w for w in ranked[self.leq[v, ranked]].tolist() if w != v] for v in by_height
         }
         faces = []
         limit = max_faces
@@ -259,13 +260,16 @@ class Poset:
     # ------------------------------------------------------------------
 
     def is_linear_extension(self, seq) -> bool:
-        """True iff ``seq`` never lists an element after something above it."""
-        seen = set()
-        for i in seq:
-            above_earlier = any(self.is_less(i, j) for j in seen)
-            if above_earlier:
+        """True iff ``seq`` never lists an element after something above it
+        (repeats of one element are allowed)."""
+        idx = np.asarray(list(seq), dtype=np.intp)
+        # blocks of 128 rows keep the temporaries at 128 x len(seq) booleans
+        for start in range(0, len(idx), 128):
+            rows, earlier = idx[start : start + 128], idx[: start + 128]
+            later_below_earlier = np.tril(self.leq[np.ix_(rows, earlier)], start - 1)
+            later_below_earlier &= rows[:, None] != earlier[None, :]
+            if later_below_earlier.any():
                 return False
-            seen.add(i)
         return True
 
     def linear_extension(self, subset=None, policy="rank-then-canonical", seed=None):

@@ -16,8 +16,10 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
+import numpy as np
+
 from . import exact
-from .complexes import SimplicialComplex
+from .complexes import MutableComplex, SimplicialComplex
 from .errors import NotLinearExtension, NotNested, ResourceLimit
 from .partitions import Partition, PartitionPoset, enumerate_partitions
 from .poset import Poset, product
@@ -233,36 +235,42 @@ def run_blowup(order: Poset, initial: SimplicialComplex, ext_indices, record_int
     downward, so that each step subdivides the face spanned by the maximal
     current vertices below the new element.  Processing the extension upward
     instead provably breaks the intermediate building sets.
+
+    The steps edit one face set in place, rewriting only the star of each
+    subdivided face; the final complex is built (and validated) once, and
+    with ``record_intermediate`` one complex is built after every step.
     """
-    if not order.is_linear_extension(ext_indices):
+    ext = list(ext_indices)
+    if not order.is_linear_extension(ext):
         raise NotLinearExtension("supplied sequence is not a linear extension")
     initial_idx = [order.index(lab) for lab in initial.vertices]
+    in_initial = np.zeros(order.n, dtype=bool)
+    in_initial[initial_idx] = True
     factor_map = {lab: frozenset([lab]) for lab in initial.vertices}
-    for h in ext_indices:
-        below = [v for v in initial_idx if order.leq[v, h]]
+    for h in ext:
+        below = np.flatnonzero(in_initial & order.leq[:, h])
         factor_map[order.labels[h]] = frozenset(
             order.labels[v] for v in order.maximal_in(below)
         )
-    current = initial
+    current = MutableComplex(initial)
+    in_current = in_initial.copy()
     complexes = [initial]
     steps = []
-    current_idx = list(initial_idx)
-    for h in reversed(list(ext_indices)):
+    for h in reversed(ext):
         h_label = order.labels[h]
-        below = [v for v in current_idx if order.leq[v, h]]
+        below = np.flatnonzero(in_current & order.leq[:, h])
         sigma = frozenset(order.labels[v] for v in order.maximal_in(below))
         steps.append(BlowupStep(h_label, sigma))
-        if len(sigma) == 1:
+        if not current.stellar_subdivide(sigma, new_label=h_label):
             continue
-        current = current.stellar_subdivide(sigma, new_label=h_label)
-        current_idx.append(h)
+        in_current[h] = True
         if record_intermediate:
-            complexes.append(current)
+            complexes.append(current.freeze())
     if not record_intermediate:
-        complexes = [initial, current]
+        complexes.append(current.freeze())
     return BlowupResult(
         initial=initial,
-        final=current,
+        final=complexes[-1],
         steps=steps,
         complexes=complexes,
         factor_map=factor_map,
@@ -397,13 +405,40 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     Checks, in arbitrary-precision rational arithmetic: well-formedness
     (order preservation, vertex supports, injectivity), nondegeneracy of
     every cell image, pairwise disjointness of open cell images inside each
-    target face (linear feasibility), and the volume identity per target
-    face.  Failures are collected, not raised.
+    target face, and the volume identity per target face.  Failures are
+    collected, not raised.
+
+    Disjointness is decided by a ridge certificate where it holds, and by
+    one linear feasibility test per pair of cells (Fourier-Motzkin, which
+    also gives the ``interiors_disjoint`` witness point) where it does not.
+    For a target face qf of dimension d with cells C (phi = qf), the
+    certificate needs: no well-formedness failure anywhere and a source
+    closed under taking faces, every cell of C nondegenerate, the d-cells'
+    volumes summing to that of qf, every ridge r of a d-cell with
+    phi(r) = qf in exactly two d-cells of C whose apexes lie on opposite
+    sides of r, every other ridge (phi(r) a proper face of qf) in exactly
+    one, and every lower cell of C a face of some d-cell of C.
+
+    Why it suffices: well-formedness puts every vertex of a cell in the
+    relative interior of its carrier, a face of qf, so the d-cells are
+    simplices in the closed target simplex P and a ridge with phi(r) < qf
+    lies in the boundary of P.  Count the open d-cells over a generic point
+    of P.  Along a generic path in the interior of P the count changes only
+    where the path crosses a ridge, and every ridge there has one cell on
+    each side, so the count is a constant: the degree.  Integrating, the
+    volumes sum to the degree times the volume of P, so the degree is 1.
+    A set of full-dimensional simplices with this pseudomanifold property
+    and degree one is a triangulation (De Loera, Rambau and Santos,
+    *Triangulations*, 2010, ch. 4): the cells meet in common faces.  The
+    cells of C are distinct faces of that triangulation (the vertex map is
+    injective), so their open images are pairwise disjoint, which is what
+    the pairwise test would have found.
     """
     failures = []
     p, q = cm.p_complex, cm.q_complex
     label = _face_label_fn(q)
 
+    closed = True
     for face in cm.p_faces:
         if face not in cm.phi:
             failures.append(CheckFailure("phi_total", f"no image for face {sorted(face)}"))
@@ -416,6 +451,8 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
         if len(face) > 1:
             for v in face:
                 sub = face - {v}
+                if sub not in cm.p_faces:
+                    closed = False
                 if sub in cm.phi and not cm.phi[sub] <= img:
                     failures.append(
                         CheckFailure("phi_order", f"phi not order-preserving at {sorted(face)}")
@@ -448,6 +485,7 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
                 CheckFailure("vertex_map_injective", f"vertices {seen_points[key]} and {v} coincide")
             )
         seen_points[key] = v
+    certifiable = closed and not failures
 
     cells_by_image = {}
     for face in cm.p_faces:
@@ -479,25 +517,32 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
                         label(qf),
                     )
                 )
-        for c1, c2 in combinations(sorted(cells, key=lambda f: (len(f), tuple(sorted(f)))), 2):
-            if c1 in degenerate or c2 in degenerate:
-                continue
-            witness = exact.open_simplices_intersect(local_points[c1], local_points[c2])
-            if witness is not None:
-                failures.append(
-                    CheckFailure(
-                        "interiors_disjoint",
-                        f"open images of cells {sorted(c1)} and {sorted(c2)} overlap",
-                        {
-                            "target_face": label(qf),
-                            "point": [str(x) for x in witness],
-                        },
+        volumes = {  # signed, of the nondegenerate full-dimensional cells
+            cell: exact.simplex_volume_ratio(local_points[cell])
+            for cell in cells
+            if len(cell) - 1 == qdim and cell not in degenerate
+        }
+        total = sum((abs(x) for x in volumes.values()), Fraction(0))
+        certified = (
+            certifiable and not degenerate and total == 1
+            and _ridge_certificate(cm.phi, qf, cells, volumes)
+        )
+        if not certified:
+            for c1, c2 in combinations(sorted(cells, key=lambda f: (len(f), tuple(sorted(f)))), 2):
+                if c1 in degenerate or c2 in degenerate:
+                    continue
+                witness = exact.open_simplices_intersect(local_points[c1], local_points[c2])
+                if witness is not None:
+                    failures.append(
+                        CheckFailure(
+                            "interiors_disjoint",
+                            f"open images of cells {sorted(c1)} and {sorted(c2)} overlap",
+                            {
+                                "target_face": label(qf),
+                                "point": [str(x) for x in witness],
+                            },
+                        )
                     )
-                )
-        total = Fraction(0)
-        for cell in cells:
-            if len(cell) - 1 == qdim and cell not in degenerate:
-                total += exact.simplex_volume_ratio(local_points[cell])
         facet_volumes[qf] = total
         if total != 1:
             failures.append(
@@ -515,21 +560,52 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     )
 
 
+def _ridge_certificate(phi, qf, cells, volumes) -> bool:
+    """The pseudomanifold part of the certificate in
+    :func:`verify_carrier_map`.  ``volumes`` holds the signed volume of each
+    full-dimensional cell over ``qf``, its vertices in sorted order."""
+    d = len(qf) - 1
+    sides = {}
+    through = {}
+    for cell, vol in volumes.items():
+        for j, apex in enumerate(sorted(cell)):
+            through.setdefault(apex, []).append(cell)
+            if d:
+                # the ridge in sorted order, then the apex: moving the apex
+                # from place j to the end takes d - j transpositions
+                sides.setdefault(cell - {apex}, []).append((vol > 0) == ((d - j) % 2 == 0))
+    for ridge, signs in sides.items():
+        if phi[ridge] == qf:
+            if len(signs) != 2 or signs[0] == signs[1]:
+                return False
+        elif len(signs) != 1:
+            return False
+    return all(
+        cell in volumes or any(cell < top for top in through.get(min(cell), ()))
+        for cell in cells
+    )
+
+
+_ZERO = Fraction(0)
+
+
 def _localize_point(coords, q_sorted):
-    return tuple(coords.get(i, Fraction(0)) for i in q_sorted)
+    return tuple(coords.get(i, _ZERO) for i in q_sorted)
 
 
 def _face_label_fn(q: SimplicialComplex):
+    names = {}  # vertex index -> (sort key, text), filled on first use
+
+    def name(i):
+        if i not in names:
+            lab = q.vertices[i]
+            names[i] = (lab.sort_key(), lab.text()) if isinstance(lab, Partition) else (str(lab),) * 2
+        return names[i]
+
     def fn(face):
         if face is None:
             return None
-        return "+".join(
-            lab.text() if isinstance(lab, Partition) else str(lab)
-            for lab in sorted(
-                (q.vertices[i] for i in face),
-                key=lambda l: l.sort_key() if isinstance(l, Partition) else str(l),
-            )
-        )
+        return "+".join(text for _, text in sorted(name(i) for i in face))
 
     return fn
 

@@ -197,3 +197,165 @@ def dense_reduced_homology(K, snf):
         (len(K.faces_of_dim(d)) - ranks[d] - ranks[d + 1], torsion.get(d, ()))
         for d in range(dim + 1)
     ]
+
+
+def is_linear_extension_loop(poset, seq):
+    """Whether ``seq`` never lists an element after something above it, by
+    the double loop over each element and the elements listed before it."""
+    seen = set()
+    for i in seq:
+        if any(i != j and bool(poset.leq[i, j]) for j in seen):
+            return False
+        seen.add(i)
+    return True
+
+
+def stellar_subdivision_oracle(K, face_labels, new_label):
+    """Stellar subdivision of K at a face of two or more vertices by the
+    textbook formula, over the whole face set: keep every face not
+    containing sigma, and replace each face gamma containing it by
+    (gamma - sigma) + delta + {new vertex} for every proper subset delta of
+    sigma.  Returns the vertex labels and the faces as index sets."""
+    index = {lab: i for i, lab in enumerate(K.vertices)}
+    sigma = frozenset(index[lab] for lab in face_labels)
+    v = len(K.vertices)
+    members = sorted(sigma)
+    proper = [
+        frozenset(sub) for r in range(len(members)) for sub in combinations(members, r)
+    ]
+    faces = {f for f in K.faces if not sigma <= f}
+    for gamma in K.faces:
+        if sigma <= gamma:
+            faces |= {(gamma - sigma) | delta | {v} for delta in proper}
+    return K.vertices + [new_label], faces
+
+
+def pairwise_carrier_oracle(cm):
+    """The carrier-map check with one Fourier-Motzkin disjointness test per
+    pair of cells over every target face (no certificate).  Returns the
+    failures as JSON dicts, in order, and the per-face volume sums as
+    strings keyed by face label."""
+    from ktreesub import exact
+
+    p, q = cm.p_complex, cm.q_complex
+
+    def name(x):
+        return (x.sort_key(), x.text()) if hasattr(x, "text") else (str(x), str(x))
+
+    def label(face):
+        if face is None:
+            return None
+        return "+".join(text for _, text in sorted(name(q.vertices[i]) for i in face))
+
+    def fail(check, detail, witness=None):
+        out = {"check": check, "detail": detail}
+        if witness is not None:
+            out["witness"] = witness
+        failures.append(out)
+
+    def by_size(f):
+        return (len(f), tuple(sorted(f)))
+
+    failures = []
+    for face in cm.p_faces:
+        if face not in cm.phi:
+            fail("phi_total", f"no image for face {sorted(face)}")
+            continue
+        img = cm.phi[face]
+        if img not in cm.q_faces:
+            fail("phi_into_target", f"image of {sorted(face)} is not a target face", label(img))
+        for v in face if len(face) > 1 else ():
+            sub = face - {v}
+            if sub in cm.phi and not cm.phi[sub] <= img:
+                fail("phi_order", f"phi not order-preserving at {sorted(face)}")
+                break
+    seen = {}
+    for v in cm.p_vertices():
+        coords = cm.f0.get(v)
+        if coords is None:
+            fail("vertex_map_total", f"no coordinates for vertex {v}")
+            continue
+        carrier = cm.phi.get(frozenset([v]))
+        support = frozenset(i for i, c in coords.items() if c != 0)
+        if any(c <= 0 for c in coords.values()) or support != carrier:
+            fail("vertex_in_carrier_interior",
+                 f"vertex {p.vertices[v]!r} not strictly inside its carrier",
+                 label(carrier) if carrier else None)
+        if sum(coords.values(), Fraction(0)) != 1:
+            fail("vertex_coordinates_sum", f"coordinates of vertex {v} do not sum to 1")
+        key = tuple(sorted(coords.items()))
+        if key in seen:
+            fail("vertex_map_injective", f"vertices {seen[key]} and {v} coincide")
+        seen[key] = v
+    cells_by_image = {}
+    for face in cm.p_faces:
+        if cm.phi.get(face) in cm.q_faces:
+            cells_by_image.setdefault(cm.phi[face], []).append(face)
+    volumes = {}
+    for qf in sorted(cm.q_faces, key=by_size):
+        cells = cells_by_image.get(qf, [])
+        if not cells:
+            fail("carrier_surjective", "target face has no preimage cell", label(qf))
+            continue
+        qs = sorted(qf)
+        points = {
+            c: [tuple(cm.f0[v].get(i, Fraction(0)) for i in qs) for v in sorted(c)] for c in cells
+        }
+        degenerate = set()
+        for c in cells:
+            if exact.affine_dim(points[c]) != len(c) - 1:
+                degenerate.add(c)
+                fail("cell_nondegenerate", f"cell {sorted(c)} maps to a degenerate simplex", label(qf))
+        for c1, c2 in combinations(sorted(cells, key=by_size), 2):
+            if c1 in degenerate or c2 in degenerate:
+                continue
+            point = exact.open_simplices_intersect(points[c1], points[c2])
+            if point is not None:
+                fail("interiors_disjoint", f"open images of cells {sorted(c1)} and {sorted(c2)} overlap",
+                     {"target_face": label(qf), "point": [str(x) for x in point]})
+        total = sum(
+            (abs(exact.simplex_volume_ratio(points[c])) for c in cells
+             if len(c) == len(qf) and c not in degenerate),
+            Fraction(0),
+        )
+        volumes[label(qf)] = str(total)
+        if total != 1:
+            fail("volume_partition", f"cell volumes sum to {total} of the target face", label(qf))
+    return failures, volumes
+
+
+def stellar_chain_oracle(order, initial, ext):
+    """The complexes of the stellar sequence along the linear extension
+    ``ext`` (subdivided from its top end down), one complete complex per
+    subdividing step: a chain of ``SimplicialComplex.stellar_subdivide``
+    calls, each on the complex the last one returned."""
+    current = initial
+    current_idx = [order.index(lab) for lab in initial.vertices]
+    out = [initial]
+    for h in reversed(ext):
+        below = [v for v in current_idx if order.leq[v, h]]
+        sigma = frozenset(order.labels[v] for v in order.maximal_in(below))
+        if len(sigma) == 1:
+            continue
+        current = current.stellar_subdivide(sigma, new_label=order.labels[h])
+        current_idx.append(h)
+        out.append(current)
+    return out
+
+
+def chains_oracle(poset):
+    """Nonempty chains of the proper part of ``poset`` as sets of element
+    indices, by testing every subset of each size until a size has none."""
+    proper = poset.proper_indices()
+    leq = poset.leq.tolist()
+    out = set()
+    for r in range(1, len(proper) + 1):
+        found = {
+            frozenset(sub)
+            for sub in combinations(proper, r)
+            if all(leq[a][b] or leq[b][a] for a, b in combinations(sub, 2))
+        }
+        if not found:
+            break
+        out |= found
+    return out

@@ -11,7 +11,7 @@ from ktreesub import (
 )
 from ktreesub._kernels import _snf_exact_python, snf_diagonal
 from ktreesub.complexes import check_boundary_squares_to_zero
-from oracles import dense_reduced_homology, dense_to_columns
+from oracles import dense_reduced_homology, dense_to_columns, stellar_subdivision_oracle
 
 
 def triangle_boundary():
@@ -85,6 +85,21 @@ def test_stellar_preserves_downward_closure_and_avoids_sigma():
         if len(f) > 1:
             for v in f:
                 assert f - {v} in k.faces
+
+
+def test_stellar_label_collision():
+    with pytest.raises(ValueError, match="already names a vertex"):
+        solid_triangle().stellar_subdivide([1, 2], new_label=3)
+
+
+def test_stellar_matches_textbook_formula(t14):
+    cases = [(tetra_boundary(), f) for f in ([1, 2], [1, 2, 3], [3, 4])]
+    cases += [(solid_tetrahedron(), f) for f in ([1, 2, 3, 4], [2, 4], [1, 3, 4])]
+    cases += [(t14, [t14.vertices[v] for v in f]) for f in t14.faces_of_dim(1)[:5]]
+    for K, face in cases:
+        got = K.stellar_subdivide(face, new_label="new")
+        vertices, faces = stellar_subdivision_oracle(K, face, "new")
+        assert got.vertices == vertices and got.faces == faces
 
 
 def test_stellar_facet_count_rule():

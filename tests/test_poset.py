@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from ktreesub import (
     poset_to_json,
     product,
 )
-from oracles import closure_oracle
+from oracles import chains_oracle, closure_oracle, is_linear_extension_loop
 
 
 def chain_poset(n):
@@ -171,6 +173,39 @@ def test_order_complex_face_cap(pk41):
 
     with pytest.raises(ResourceLimit):
         pk41.poset.order_complex(max_faces=5)
+    total = len(pk41.poset.order_complex().faces)
+    assert len(pk41.poset.order_complex(max_faces=total).faces) == total
+    with pytest.raises(ResourceLimit):
+        pk41.poset.order_complex(max_faces=total - 1)
+
+
+def test_order_complex_faces_are_the_chains(pk41, pk51, pk52):
+    for pk in (pk41, pk51, pk52):
+        p = pk.poset
+        delta = p.order_complex()
+        proper = p.proper_indices()
+        assert delta.vertices == [p.labels[i] for i in proper]
+        assert {frozenset(proper[v] for v in f) for f in delta.faces} == chains_oracle(p)
+
+
+def test_is_linear_extension_matches_loop(pk41, pk72):
+    # seeded random sequences with repeats, and seeded linear extensions
+    # with one element repeated somewhere: the same answer as the loop
+    for p in (pk41.poset, pk72.poset, chain_poset(6), Poset.from_covers([0, 1, 2], [])):
+        rng = random.Random(p.n)
+        for _ in range(300):
+            seq = [rng.randrange(p.n) for _ in range(rng.randrange(0, 10))]
+            assert p.is_linear_extension(seq) == is_linear_extension_loop(p, seq)
+        answers = set()
+        for seed in range(40):
+            ext = p.linear_extension(policy="seeded-random", seed=seed)
+            seq = list(ext)
+            seq.insert(rng.randrange(len(seq) + 1), rng.choice(ext))
+            want = is_linear_extension_loop(p, seq)
+            assert p.is_linear_extension(seq) == want
+            assert p.is_linear_extension(ext)
+            answers.add(want)
+        assert answers == {True, False} or p.n == 3
 
 
 def test_json_round_trip(pk52):

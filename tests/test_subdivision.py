@@ -7,10 +7,12 @@ import pytest
 
 from ktreesub import (
     CarrierMap,
+    FaceNotPresent,
     NotLinearExtension,
     NotNested,
     Partition,
     Poset,
+    SimplicialComplex,
     blowup_sequence,
     build_local_carrier_maps,
     carrier_map_from_parts,
@@ -30,6 +32,7 @@ from ktreesub import (
     verify_theorem,
 )
 from ktreesub.subdivision import _distinct_extensions, sample_permutations
+from oracles import pairwise_carrier_oracle, stellar_chain_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +234,68 @@ def test_extension_independence(pk72, t24):
     assert finals[0] == finals[1] == finals[2]
 
 
+def _added_pool(pk):
+    g = set(pk.g_indices())
+    return [i for i in pk.poset.proper_indices() if i not in g]
+
+
+@pytest.mark.parametrize("kn", [(1, 4), (2, 4), (1, 5)])
+def test_incremental_blowup_matches_stellar_chain(kn):
+    # one face set edited in place must reach, step by step, the complexes
+    # that a chain of whole-complex subdivisions builds
+    k, n = kn
+    pk = enumerate_partitions((n - 1) * k + 1, k)
+    q = enumerate_ktree_complex(n, k)
+    for seed in (0, 1, 2):
+        ext = pk.poset.linear_extension(_added_pool(pk), policy="seeded-random", seed=seed)
+        chain = stellar_chain_oracle(pk.poset, q, ext)
+        recorded = run_blowup(pk.poset, q, ext)
+        assert len(recorded.complexes) == len(chain)
+        for got, want in zip(recorded.complexes, chain):
+            assert got.vertices == want.vertices and got.faces == want.faces
+        assert recorded.final.faces == chain[-1].faces
+        assert len(recorded.steps) == len(ext)
+        last = run_blowup(pk.poset, q, ext, record_intermediate=False)
+        assert last.complexes[0] is q
+        assert last.final.vertices == chain[-1].vertices and last.final.faces == chain[-1].faces
+        assert last.complexes[-1] is last.final
+        assert last.steps == recorded.steps and last.factor_map == recorded.factor_map
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_blowup_missing_face_raises_at_its_step(pk41, t14, record):
+    # drop the edge the (12)(34) step subdivides: that step, and no other,
+    # must raise, with the chain's message, whether or not steps are recorded
+    ext = pk41.poset.linear_extension(_added_pool(pk41))
+    edge = t14.face_from_labels([parse_partition("(12)34", 4), parse_partition("12(34)", 4)])
+    broken = t14.restrict_to_faces(f for f in t14.faces if f != edge)
+    with pytest.raises(FaceNotPresent) as want:
+        stellar_chain_oracle(pk41.poset, broken, ext)
+    with pytest.raises(FaceNotPresent) as got:
+        run_blowup(pk41.poset, broken, ext, record_intermediate=record)
+    assert str(got.value) == str(want.value)
+    assert "(12)34" in str(got.value) or "12(34)" in str(got.value)
+
+
+def test_blowup_empty_face_raises(pk41):
+    # an initial complex with no vertex below an added element
+    start = SimplicialComplex([parse_partition("(123)4", 4)], [frozenset([0])])
+    ext = [pk41.index(parse_partition("(12)(34)", 4))]
+    with pytest.raises(FaceNotPresent, match=r"face \[\] not in complex"):
+        run_blowup(pk41.poset, start, ext)
+
+
+def test_full_stellar_sequence_34_ends_at_order_complex():
+    pk = enumerate_partitions(10, 3)
+    q = enumerate_ktree_complex(4, 3)
+    delta = pk.poset.order_complex()
+    ext = pk.poset.linear_extension(_added_pool(pk))
+    res = run_blowup(pk.poset, q, ext, record_intermediate=False)
+    assert len(res.steps) == 1575
+    assert res.final.f_vector() == delta.f_vector() == (1905, 7350)
+    assert res.final == delta
+
+
 # ---------------------------------------------------------------------------
 # carrier maps
 # ---------------------------------------------------------------------------
@@ -291,6 +356,158 @@ def test_perturbed_vertex_map_fails_with_overlap(pk41, t14, delta41):
     overlaps = [f for f in res.failures if f.check == "interiors_disjoint"]
     assert overlaps, "expected an explicit overlap witness"
     assert "point" in overlaps[0].witness
+
+
+def _swap_placements(cm, k, n, texts):
+    a, b = (cm.p_complex.vertex_index(parse_partition(t, (n - 1) * k + 1)) for t in texts)
+    cm.f0[a], cm.f0[b] = cm.f0[b], cm.f0[a]
+
+
+def _move_along_carrier(cm, k, n):
+    v = cm.p_complex.vertex_index(parse_partition("(12)(34)5", 5))
+    lo, hi = sorted(cm.f0[v])
+    cm.f0[v] = {lo: Fraction(1, 10), hi: Fraction(9, 10)}
+
+
+def _move_off_carrier(cm, k, n):
+    v = cm.p_complex.vertex_index(parse_partition("(12)(34)5", 5))
+    edge = frozenset(cm.f0[v])
+    tri = min((f for f in cm.q_complex.faces if len(f) == 3 and edge < f), key=sorted)
+    cm.f0[v] = {i: Fraction(1, 3) for i in tri}
+
+
+def _drop_cells(size):
+    def edit(cm, k, n):
+        drop = min((f for f in cm.p_faces if len(f) == size), key=sorted)
+        cm.p_faces = cm.p_faces - {drop}
+
+    return edit
+
+
+def _hand_map(target_facets, points, cells, carriers=()):
+    """A carrier map onto the complex with the given facets (vertex labels
+    "A", "B", "C"): source vertex ``name`` sits at ``points[name]`` (a
+    {target label: weight} dict, or a number t for (1 - t)·A + t·B); its
+    carrier is the support of that point unless ``carriers`` names another;
+    a face maps to the union of its vertices' carriers."""
+    q = SimplicialComplex.from_label_faces(target_facets)
+    p = SimplicialComplex.from_label_faces(cells)
+    coords = {
+        name: {"A": 1 - pt, "B": pt} if isinstance(pt, Fraction) else pt
+        for name, pt in points.items()
+    }
+    coords = {name: {lab: w for lab, w in c.items() if w} for name, c in coords.items()}
+    carrier = {name: set(dict(carriers).get(name, c)) for name, c in coords.items()}
+    return CarrierMap(
+        p_complex=p,
+        q_complex=q,
+        phi={f: q.face_from_labels(set().union(*(carrier[p.vertices[v]] for v in f))) for f in p.faces},
+        f0={v: {q.vertex_index(lab): Fraction(w) for lab, w in coords[name].items()}
+            for v, name in enumerate(p.vertices)},
+    )
+
+
+ENDS = {"A": Fraction(0), "B": Fraction(1)}
+CORNERS = {"A": {"A": 1}, "B": {"B": 1}, "C": {"C": 1}}
+F = Fraction
+
+
+def _gap_and_overlap():
+    # [A,x] and [y,z] overlap, [z,w] is a gap, and the lengths still sum to
+    # 1: only the ridge counts (x, y, z, w in one cell each) refuse it
+    pts = {**ENDS, "x": F(1, 2), "y": F(1, 4), "z": F(5, 8), "w": F(7, 8)}
+    return _hand_map([("A", "B")], pts, [("A", "x"), ("y", "z"), ("w", "B")])
+
+
+def _stray_vertex():
+    # a triangulated edge plus a vertex of the source inside it that is a
+    # face of no edge over it
+    pts = {**ENDS, "x": F(1, 2), "y": F(1, 4)}
+    return _hand_map([("A", "B")], pts, [("A", "x"), ("x", "B"), ("y",)])
+
+
+def _double_cover():
+    # two fans over the triangle, around c1 and around c2, with the edges
+    # halved in the second: every ridge count and side is right, the
+    # volumes sum to 2
+    pts = {**CORNERS, "c1": {"A": F(1, 3), "B": F(1, 3), "C": F(1, 3)},
+           "c2": {"A": F(1, 4), "B": F(1, 4), "C": F(1, 2)},
+           "m1": {"A": F(1, 2), "B": F(1, 2)}, "m2": {"B": F(1, 2), "C": F(1, 2)},
+           "m3": {"C": F(1, 2), "A": F(1, 2)}}
+    ring = ["A", "m1", "B", "m2", "C", "m3"]
+    cells = [("c1", "A", "B"), ("c1", "B", "C"), ("c1", "C", "A")]
+    cells += [("c2", a, b) for a, b in zip(ring, ring[1:] + ring[:1])]
+    return _hand_map([("A", "B", "C")], pts, cells)
+
+
+def _misplaced_carriers():
+    # y and w lie inside the edge but claim a vertex carrier, so their
+    # ridges pass for boundary ones; only well-formedness refuses this
+    pts = {**ENDS, "y": F(1, 2), "z": F(1, 4), "w": F(3, 4)}
+    return _hand_map([("A", "B")], pts, [("A", "y"), ("z", "w"), ("B",)],
+                     carriers={"y": "B", "z": "A", "w": "B"})
+
+
+def _folded_cycle():
+    # x, y, z inside the edge, cells [x,y], [y,z], [x,z]: every ridge is in
+    # two cells and the lengths sum to 1, but x and z see both their cells
+    # on one side
+    pts = {**ENDS, "x": F(1, 4), "y": F(1, 2), "z": F(3, 4)}
+    return _hand_map([("A", "B")], pts, [("x", "y"), ("y", "z"), ("x", "z"), ("A",), ("B",)])
+
+
+def _unchecked_vertices():
+    # the misplaced vertices of _misplaced_carriers left out of the source
+    # faces, so that no vertex check sees them; the source is not closed
+    # under taking faces, and that alone refuses the certificate
+    cm = _misplaced_carriers()
+    names = {cm.p_complex.vertex_index(x) for x in ("y", "z", "w")}
+    cm.p_faces = frozenset(f for f in cm.p_faces if not (len(f) == 1 and f <= names))
+    return cm
+
+
+def _ladder(k, n, edit=None):
+    def build():
+        cm, _ = global_carrier_map(k, n)
+        if edit is not None:
+            edit(cm, k, n)
+        return cm
+
+    return build
+
+
+# name -> (builder, whether the map is a subdivision)
+CARRIER_CASES = {
+    **{f"ladder-{k}-{n}": (_ladder(k, n), True) for k, n in
+       [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5), (4, 3)]},
+    "negative-control": (
+        _ladder(1, 5, lambda cm, k, n: _swap_placements(cm, k, n, ["(12)345", "(12)(34)5"])), False),
+    "moved-along-carrier": (_ladder(1, 5, _move_along_carrier), True),
+    "moved-off-carrier": (_ladder(1, 5, _move_off_carrier), False),
+    "dropped-facet-cell": (_ladder(1, 5, _drop_cells(3)), False),
+    "dropped-ridge-cell": (_ladder(2, 4, _drop_cells(1)), False),
+    "gap-and-overlap": (_gap_and_overlap, False),
+    "stray-vertex": (_stray_vertex, False),
+    "double-cover": (_double_cover, False),
+    "misplaced-carriers": (_misplaced_carriers, False),
+    "folded-cycle": (_folded_cycle, False),
+    "unchecked-vertices": (_unchecked_vertices, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CARRIER_CASES))
+def test_verify_carrier_map_matches_pairwise_oracle(case):
+    # the ridge certificate may only skip pairwise tests that find nothing:
+    # same failures, in the same order, and the same volumes
+    build, subdivision = CARRIER_CASES[case]
+    cm = build()
+    res = verify_carrier_map(cm)
+    failures, volumes = pairwise_carrier_oracle(cm)
+    assert [f.to_json() for f in res.failures] == failures
+    assert res.facet_volumes == volumes
+    assert res.passed == subdivision
+    if not subdivision and case not in ("dropped-facet-cell", "dropped-ridge-cell"):
+        assert any(f["check"] == "interiors_disjoint" and "point" in f["witness"] for f in failures)
 
 
 def test_compatibility_family_passes(pk41, t14, delta41):
