@@ -253,7 +253,7 @@ def test_incremental_blowup_matches_stellar_chain(kn):
         assert len(recorded.complexes) == len(chain)
         for got, want in zip(recorded.complexes, chain):
             assert got.vertices == want.vertices and got.faces == want.faces
-        assert recorded.final.faces == chain[-1].faces
+        assert recorded.final is recorded.complexes[-1]
         assert len(recorded.steps) == len(ext)
         last = run_blowup(pk.poset, q, ext, record_intermediate=False)
         assert last.complexes[0] is q
@@ -476,7 +476,7 @@ def _ladder(k, n, edit=None):
     return build
 
 
-# name -> (builder, whether the map is a subdivision)
+# name -> (function making the carrier map, whether the map is a subdivision)
 CARRIER_CASES = {
     **{f"ladder-{k}-{n}": (_ladder(k, n), True) for k, n in
        [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5), (4, 3)]},
