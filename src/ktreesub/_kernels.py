@@ -42,34 +42,41 @@ def count_partitions_modk(m: int, k: int) -> int:
 
 def rgs_filtered(m: int, k: int) -> np.ndarray:
     """All restricted growth strings on m symbols whose block sizes are
-    ≡ 1 (mod k), as an (N, m) int8 array in lexicographic order."""
+    ≡ 1 (mod k), as an (N, m) int8 array in lexicographic order.
+
+    Only these strings are generated.  A block of size s needs
+    ``(1 - s) % k`` more elements; a prefix is extended only while the sum of
+    these deficits fits in the positions left.  Every such prefix completes
+    (fill the deficits, then open singleton blocks), so the search never
+    backtracks out of a dead end.
+    """
     n = count_partitions_modk(m, k)
-    out = np.zeros((n, m), dtype=np.int8)
-    if m == 0:
-        return out
+    rows = []
     a = [0] * m
-    bmax = [0] * (m + 1)  # bmax[j] = max(a[:j])
-    idx = 0
-    while True:
-        sizes = [0] * (max(a) + 1)
-        for v in a:
-            sizes[v] += 1
-        if all((s - 1) % k == 0 for s in sizes):
-            out[idx, :] = a
-            idx += 1
-        j = m - 1
-        while j > 0 and a[j] > bmax[j]:
-            j -= 1
-        if j == 0:
-            break
-        a[j] += 1
-        for i in range(j + 1, m):
-            a[i] = 0
-        for i in range(j, m):
-            bmax[i + 1] = max(bmax[i], a[i])
-    if idx != n:
-        raise AssertionError(f"rgs enumeration produced {idx} rows, expected {n}")
-    return out
+    sizes = []  # sizes[c]: elements placed in block c so far
+
+    def extend(i, deficit):
+        if i == m:
+            rows.append(tuple(a))
+            return
+        left = m - i - 1
+        for c, s in enumerate(sizes):
+            d = deficit - (1 - s) % k + (-s) % k
+            if d <= left:
+                a[i] = c
+                sizes[c] = s + 1
+                extend(i + 1, d)
+                sizes[c] = s
+        if deficit <= left:
+            a[i] = len(sizes)
+            sizes.append(1)
+            extend(i + 1, deficit)
+            sizes.pop()
+
+    extend(0, 0)
+    if len(rows) != n:
+        raise AssertionError(f"rgs enumeration produced {len(rows)} rows, expected {n}")
+    return np.array(rows, dtype=np.int8).reshape(n, m)
 
 
 # ---------------------------------------------------------------------------

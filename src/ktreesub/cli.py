@@ -14,7 +14,7 @@ from itertools import permutations
 
 from .complexes import SimplicialComplex
 from .errors import KTreeSubError, ResourceLimit
-from .partitions import Partition, enumerate_partitions, parse_partition
+from .partitions import Partition, enumerate_partitions, g_set, g_set_count, parse_partition
 from .poset import poset_to_json
 from .subdivision import check_equivariance, sample_permutations, verify_theorem
 from .trees import enumerate_ktree_complex
@@ -63,18 +63,27 @@ def _emit(args, text_lines, json_payload):
             print(line)
 
 
-def cmd_enumerate(args) -> int:
-    obj = args.object
-    if obj in ("pi-k", "order-complex", "g-set"):
-        if not _require(args, ["m", "k"]):
-            return _usage_error(f"--object {obj} needs --m and --k")
-        if args.m < 1 or args.k < 1:
-            return _usage_error("m and k must be positive")
+def _object_args_error(args, obj):
+    """The usage error for missing or out-of-range numbers of ``--object obj``,
+    or None."""
     if obj == "ktree-complex":
         if not _require(args, ["n", "k"]):
-            return _usage_error("--object ktree-complex needs --n and --k")
+            return "--object ktree-complex needs --n and --k"
         if args.n < 3 or args.k < 1:
-            return _usage_error("need n >= 3 and k >= 1")
+            return "need n >= 3 and k >= 1"
+    else:
+        if not _require(args, ["m", "k"]):
+            return f"--object {obj} needs --m and --k"
+        if args.m < 1 or args.k < 1:
+            return "m and k must be positive"
+    return None
+
+
+def cmd_enumerate(args) -> int:
+    obj = args.object
+    error = _object_args_error(args, obj)
+    if error:
+        return _usage_error(error)
 
     if obj == "pi-k":
         pk = enumerate_partitions(args.m, args.k, max_elements=args.max_poset_elements)
@@ -84,7 +93,7 @@ def cmd_enumerate(args) -> int:
         if args.element:
             try:
                 x = parse_partition(args.element, args.m)
-            except (ValueError, IndexError) as e:
+            except ValueError as e:
                 return _usage_error(f"cannot parse partition {args.element!r}: {e}")
             member = x.is_mod_k(args.k)
             factors = sorted(pk.factors(x), key=Partition.sort_key) if member else []
@@ -100,8 +109,9 @@ def cmd_enumerate(args) -> int:
         _emit(args, lines, summary)
         name = f"pi-{args.k}-m{args.m}.json"
     elif obj == "g-set":
-        from .partitions import g_set
-
+        count = g_set_count(args.m, args.k)
+        if count > args.max_poset_elements:
+            raise ResourceLimit(f"g-set would have {count} elements (cap {args.max_poset_elements})")
         gs = g_set(args.m, args.k)
         payload = [x.to_json() for x in gs]
         _emit(args, [f"elements: {len(gs)}"], {"elements": len(gs)})
@@ -209,16 +219,15 @@ def cmd_homology(args) -> int:
         _homology_table(kom, args.infile, args)
         return EXIT_PASS
 
+    error = args.object and _object_args_error(args, args.object)
+    if error:
+        return _usage_error(error)
     if args.object == "order-complex":
-        if not _require(args, ["m", "k"]):
-            return _usage_error("--object order-complex needs --m and --k")
         pk = enumerate_partitions(args.m, args.k, max_elements=args.max_poset_elements)
         kom = pk.poset.order_complex(max_faces=args.max_faces)
         _homology_table(kom, f"order complex (m={args.m}, k={args.k})", args)
         return EXIT_PASS
     if args.object == "ktree-complex":
-        if not _require(args, ["n", "k"]):
-            return _usage_error("--object ktree-complex needs --n and --k")
         kom = enumerate_ktree_complex(args.n, args.k, max_faces=args.max_faces)
         _homology_table(kom, f"k-tree complex (n={args.n}, k={args.k})", args)
         return EXIT_PASS

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -30,7 +31,10 @@ class Partition:
             raise ValueError("ground set must be nonempty")
         if m > MAX_GROUND_SET:
             raise ResourceLimit(f"ground sets beyond {MAX_GROUND_SET} elements are out of scope")
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+        canon = [tuple(sorted(b)) for b in blocks]
+        if not all(canon):
+            raise ValueError(f"blocks do not partition 1..{m}")
+        canon = tuple(sorted(canon, key=lambda b: b[0]))
         seen = set()
         for b in canon:
             for x in b:
@@ -66,7 +70,8 @@ class Partition:
     def atom(cls, m: int, block) -> "Partition":
         """Partition with the given block and singletons elsewhere."""
         block = tuple(sorted(block))
-        rest = [(i,) for i in range(1, m + 1) if i not in set(block)]
+        inside = set(block)
+        rest = [(i,) for i in range(1, m + 1) if i not in inside]
         return cls(m, [block] + rest)
 
     # basic data -----------------------------------------------------------
@@ -318,19 +323,24 @@ def join_all(parts) -> Partition:
 
 def building_set_I(m: int) -> list:
     """All partitions of {1..m} with exactly one block of size > 1 (the
-    minimal building set of the full partition lattice), canonically sorted."""
-    out = []
-    universe = range(1, m + 1)
-    for size in range(2, m + 1):
-        for c in combinations(universe, size):
-            out.append(Partition.atom(m, c))
-    return sorted(out, key=Partition.sort_key)
+    minimal building set of the full partition lattice), canonically sorted:
+    G for k = 1."""
+    return g_set(m, 1)
+
+
+def g_set_count(m: int, k: int) -> int:
+    """``len(g_set(m, k))`` in closed form: C(m, s) summed over the block
+    sizes s = 1 + jk, j >= 1."""
+    return sum(comb(m, s) for s in range(1 + k, m + 1, k))
 
 
 def g_set(m: int, k: int) -> list:
     """Members of the minimal building set whose rank is divisible by k,
-    i.e. whose non-singleton block has size ≡ 1 (mod k)."""
-    return [x for x in building_set_I(m) if x.rank % k == 0]
+    i.e. whose non-singleton block has size ≡ 1 (mod k), canonically sorted.
+    Only blocks of those sizes are built."""
+    universe = range(1, m + 1)
+    out = [Partition.atom(m, c) for s in range(1 + k, m + 1, k) for c in combinations(universe, s)]
+    return sorted(out, key=Partition.sort_key)
 
 
 def factors_I(x: Partition) -> frozenset:

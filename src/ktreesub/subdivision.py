@@ -367,15 +367,18 @@ def global_carrier_map(k: int, n: int, max_poset_elements=100_000, max_faces=200
 
 
 def carrier_map_from_parts(pk: PartitionPoset, p: SimplicialComplex, q: SimplicialComplex) -> CarrierMap:
-    phi = {}
-    for face in p.faces:
-        factors = pk.chain_factors([p.vertices[v] for v in face])
-        phi[face] = q.face_from_labels(factors)
+    """The carrier map from the order complex ``p`` of ``pk`` onto ``q``.
+
+    Each source vertex's factors are looked up in ``q`` once: they are its
+    carrier face, and it sits at their barycenter.  φ of a chain is the
+    union of its vertices' carrier faces."""
     f0 = {}
     for v, x in enumerate(p.vertices):
         factors = sorted(pk.factors(x), key=Partition.sort_key)
         w = Fraction(1, len(factors))
         f0[v] = {q.vertex_index(g): w for g in factors}
+    carriers = [frozenset(f0[v]) for v in range(len(p.vertices))]
+    phi = {face: frozenset().union(*(carriers[v] for v in face)) for face in p.faces}
     return CarrierMap(p_complex=p, q_complex=q, phi=phi, f0=f0)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels as kernels
 from .errors import FaceNotPresent, NotNested, ResourceLimit
 from .complexes import SimplicialComplex
-from .partitions import Partition, PartitionPoset, g_set
+from .partitions import Partition, PartitionPoset, g_set, g_set_count
 
 
 def _leafset(node) -> frozenset:
@@ -208,32 +208,41 @@ def enumerate_ktree_complex(n: int, k: int, max_faces: int = 200_000) -> Simplic
     """The complex of k-trees on m = (n-1)k+1 leaves: vertices are the
     building-set elements below the top, faces are the nested families.
 
-    Faces are generated as subsets whose blocks are pairwise disjoint or
-    nested, which coincides with the minimal-upper-bound condition (the
-    content of the structural lemma on G, checked exhaustively in the test
-    suite)."""
+    Faces are generated as the cliques of the graph of blocks that are
+    pairwise disjoint or nested, which coincides with the
+    minimal-upper-bound condition (the content of the structural lemma on
+    G, checked exhaustively in the test suite).  A face grows by the
+    vertices of its candidate bitset, which it intersects with each new
+    vertex's bitset of later compatible vertices.  Every vertex is a face,
+    so a vertex count past ``max_faces`` is refused before any partition is
+    built."""
     if n < 3 or k < 1:
         raise ValueError("need n >= 3 and k >= 1")
     m = (n - 1) * k + 1
+    if g_set_count(m, k) - 1 > max_faces:
+        raise ResourceLimit(f"k-tree complex exceeds {max_faces} faces")
     verts = [x for x in g_set(m, k) if x != Partition.one(m)]
     masks = np.array(
         [_mask_of(x) for x in verts],
         dtype=np.uint64,
     )
-    compat = kernels.block_compat(masks)
-    nv = len(verts)
+    # later[i]: bit j set iff j > i and blocks i and j are compatible
+    rows = np.packbits(np.triu(kernels.block_compat(masks), 1), axis=1, bitorder="little")
+    later = [int.from_bytes(row.tobytes(), "little") for row in rows]
     faces = []
 
-    def grow(face, start):
-        for j in range(start, nv):
-            if all(compat[i, j] for i in face):
-                new = face + (j,)
-                faces.append(frozenset(new))
-                if len(faces) > max_faces:
-                    raise ResourceLimit(f"k-tree complex exceeds {max_faces} faces")
-                grow(new, j + 1)
+    def grow(face, cand):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            j = low.bit_length() - 1
+            new = face + (j,)
+            faces.append(frozenset(new))
+            if len(faces) > max_faces:
+                raise ResourceLimit(f"k-tree complex exceeds {max_faces} faces")
+            grow(new, cand & later[j])
 
-    grow((), 0)
+    grow((), (1 << len(verts)) - 1)
     return SimplicialComplex(verts, faces)
 
 

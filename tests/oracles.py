@@ -359,3 +359,88 @@ def chains_oracle(poset):
             break
         out |= found
     return out
+
+
+def rgs_filter_oracle(m, k):
+    """Every restricted growth string on m symbols, walked in lexicographic
+    order and kept when its block sizes are ≡ 1 (mod k), as an (N, m) int8
+    array."""
+    import numpy as np
+
+    rows = []
+    if m == 0:
+        return np.zeros((1, 0), dtype=np.int8)
+    a = [0] * m
+    bmax = [0] * (m + 1)  # bmax[j] = max(a[:j])
+    while True:
+        sizes = [0] * (max(a) + 1)
+        for v in a:
+            sizes[v] += 1
+        if all((s - 1) % k == 0 for s in sizes):
+            rows.append(list(a))
+        j = m - 1
+        while j > 0 and a[j] > bmax[j]:
+            j -= 1
+        if j == 0:
+            break
+        a[j] += 1
+        for i in range(j + 1, m):
+            a[i] = 0
+        for i in range(j, m):
+            bmax[i + 1] = max(bmax[i], a[i])
+    return np.array(rows, dtype=np.int8).reshape(len(rows), m)
+
+
+def g_set_oracle(m, k):
+    """Every single-block partition of {1..m}, canonically sorted, kept when
+    its rank is divisible by k."""
+    from ktreesub import Partition
+
+    singles = sorted(
+        (Partition.atom(m, c) for s in range(2, m + 1) for c in combinations(range(1, m + 1), s)),
+        key=Partition.sort_key,
+    )
+    return [x for x in singles if x.rank % k == 0]
+
+
+def ktree_faces_oracle(n, k, max_faces=200_000):
+    """Vertices and faces of T^k_n by testing each later vertex against every
+    member of a face: the G-elements below the top in canonical order, and
+    the faces as frozensets of vertex indices in the order they are found.
+    Raises ResourceLimit with the library's message past ``max_faces``."""
+    from ktreesub import Partition, ResourceLimit
+
+    m = (n - 1) * k + 1
+    verts = [x for x in g_set_oracle(m, k) if x != Partition.one(m)]
+    blocks = [set(x.nonsingleton_blocks()[0]) for x in verts]
+    nv = len(verts)
+    compat = [[not (a & b) or a <= b or b <= a for b in blocks] for a in blocks]
+    faces = []
+
+    def grow(face, start):
+        for j in range(start, nv):
+            if all(compat[i][j] for i in face):
+                new = face + (j,)
+                faces.append(frozenset(new))
+                if len(faces) > max_faces:
+                    raise ResourceLimit(f"k-tree complex exceeds {max_faces} faces")
+                grow(new, j + 1)
+
+    grow((), 0)
+    return verts, faces
+
+
+def carrier_phi_oracle(pk, p, q):
+    """The carrier map's φ and f0 face by face: each chain maps to the target
+    face of the union of its members' factors, each vertex to the barycenter
+    of its factors."""
+    phi = {}
+    for face in p.faces:
+        factors = pk.chain_factors([p.vertices[v] for v in face])
+        phi[face] = q.face_from_labels(factors)
+    f0 = {}
+    for v, x in enumerate(p.vertices):
+        factors = sorted(pk.factors(x), key=lambda g: g.sort_key())
+        w = Fraction(1, len(factors))
+        f0[v] = {q.vertex_index(g): w for g in factors}
+    return phi, f0

@@ -1,7 +1,12 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import ktreesub
 from ktreesub.cli import main
 
 
@@ -112,6 +117,48 @@ def test_negative_count_flag_is_usage_error(args, capsys):
     assert "usage:" in stderr and "must be a nonnegative integer" in stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--object", "order-complex", "--m", "0", "--k", "1"],
+        ["--object", "ktree-complex", "--n", "2", "--k", "1"],
+        ["--object", "ktree-complex", "--n", "4", "--k", "0"],
+    ],
+    ids=["m-zero", "n-below-3", "k-zero"],
+)
+def test_homology_object_bad_numbers_are_usage_errors(args, capsys):
+    assert main(["homology"] + args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_enumerate_gset_over_cap_exits_3(capsys):
+    # g-set (7, 2) has 57 elements
+    code = main(["enumerate", "--object", "g-set", "--m", "7", "--k", "2",
+                 "--max-poset-elements", "56"])
+    assert code == 3
+    assert "g-set would have 57 elements (cap 56)" in capsys.readouterr().err
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_ktree_complex_past_cap_exits_3_before_allocating(tmp_path):
+    # in a child with 1 GiB of address space, so a regression that builds
+    # the 2^25 blocks fails here instead of exhausting the host's memory
+    src = os.path.dirname(os.path.dirname(ktreesub.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ktreesub.cli", "enumerate", "--object", "ktree-complex",
+         "--n", "25", "--k", "1", "--out", str(tmp_path / "t.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "resource limit: k-tree complex exceeds 200000 faces" in proc.stderr
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_homology_order_complex(capsys):
     code = main(["homology", "--object", "order-complex", "--m", "4", "--k", "1"])
     assert code == 0
@@ -187,6 +234,9 @@ def test_element_lookup_shorthand(tmp_path, capsys):
     assert "(123)4567" in out
     code = main(["enumerate", "--object", "pi-k", "--m", "7", "--k", "2", "--element", "(xy"])
     assert code == 2
+    code = main(["enumerate", "--object", "pi-k", "--m", "3", "--k", "1", "--element", "()"])
+    assert code == 2
+    assert "blocks do not partition" in capsys.readouterr().err
 
 
 def test_format_json_summary(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 
 from ktreesub import Partition
 from ktreesub import _kernels as K
-from oracles import brute_modk_partitions, closure_oracle, dense_to_columns
+from oracles import brute_modk_partitions, closure_oracle, dense_to_columns, rgs_filter_oracle
 
 
 def test_count_matches_bruteforce():
@@ -21,6 +21,16 @@ def test_rgs_enumeration_matches_bruteforce():
                 groups.setdefault(int(c), []).append(pos + 1)
             blocks.add(tuple(tuple(b) for b in sorted(groups.values(), key=lambda b: b[0])))
         assert blocks == set(brute_modk_partitions(m, k))
+
+
+def test_rgs_filtered_matches_walk_and_filter_oracle():
+    # same dtype, shape and row order as walking every growth string
+    for m in range(11):
+        for k in (1, 2, 3, 4):
+            ours, walked = K.rgs_filtered(m, k), rgs_filter_oracle(m, k)
+            assert ours.dtype == walked.dtype == np.int8
+            assert ours.shape == walked.shape
+            assert (ours == walked).all()
 
 
 def test_rgs_rows_are_valid_growth_strings():

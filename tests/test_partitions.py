@@ -12,11 +12,13 @@ from ktreesub import (
     g_set,
     parse_partition,
 )
+from ktreesub.partitions import g_set_count
 from oracles import (
     brute_modk_partitions,
     brute_set_partitions,
     common_refinement_oracle,
     factors_search_oracle,
+    g_set_oracle,
     join_oracle,
     refinement_oracle,
 )
@@ -27,6 +29,13 @@ def test_canonical_form():
     assert p.blocks == ((1, 2, 3), (4,), (5,))
     assert p.rank == 2
     assert p.text() == "(123)45"
+
+
+def test_empty_block_is_not_a_partition():
+    with pytest.raises(ValueError, match="blocks do not partition"):
+        Partition(3, [[], [1, 2, 3]])
+    with pytest.raises(ValueError, match="blocks do not partition"):
+        parse_partition("()", 3)
 
 
 def test_parse_forms():
@@ -114,6 +123,14 @@ def test_g_set_counts():
     for x in g_set(7, 2):
         assert (len(x.nonsingleton_blocks()[0]) - 1) % 2 == 0
         assert x.rank % 2 == 0
+
+
+def test_g_set_matches_filter_oracle_and_closed_form_count():
+    for m in range(1, 10):
+        for k in (1, 2, 3, 4):
+            gs = g_set(m, k)
+            assert gs == g_set_oracle(m, k)
+            assert g_set_count(m, k) == len(gs)
 
 
 def test_factors_I_examples():

@@ -32,7 +32,7 @@ from ktreesub import (
     verify_theorem,
 )
 from ktreesub.subdivision import _distinct_extensions, sample_permutations
-from oracles import pairwise_carrier_oracle, stellar_chain_oracle
+from oracles import carrier_phi_oracle, pairwise_carrier_oracle, stellar_chain_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -646,3 +646,14 @@ def test_equivariance_small_all():
     rep = check_equivariance(1, 4, perms="all")
     assert rep.passed and rep.permutations_checked == 24
     assert rep.top_rank_source == rep.top_rank_target == 6
+
+
+@pytest.mark.parametrize(
+    "kn", [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5), (4, 3), (3, 4)]
+)
+def test_carrier_map_matches_per_face_oracle(kn):
+    k, n = kn
+    cm, pk = global_carrier_map(k, n)
+    phi, f0 = carrier_phi_oracle(pk, cm.p_complex, cm.q_complex)
+    assert list(cm.phi.items()) == list(phi.items())
+    assert list(cm.f0.items()) == list(f0.items())

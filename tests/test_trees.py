@@ -5,6 +5,7 @@ from ktreesub import (
     KTree,
     NotNested,
     Partition,
+    ResourceLimit,
     contract,
     enumerate_ktree_complex,
     is_k_nested,
@@ -13,7 +14,7 @@ from ktreesub import (
     star_tree,
     tree_to_nested,
 )
-from oracles import brute_ktree_structures, leafsets_below_internals
+from oracles import brute_ktree_structures, ktree_faces_oracle, leafsets_below_internals
 
 
 def test_star_tree_has_empty_family():
@@ -90,6 +91,32 @@ def test_complex_matches_bruteforce_tree_enumeration(nk):
     kom = enumerate_ktree_complex(n, k)
     ours = {frozenset(kom.vertices[v] for v in f) for f in kom.faces}
     assert ours | {frozenset()} == families
+
+
+@pytest.mark.parametrize(
+    "kn", [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5), (4, 3), (1, 6), (3, 4)]
+)
+def test_ktree_faces_match_oracle(kn):
+    k, n = kn
+    kom = enumerate_ktree_complex(n, k)
+    verts, faces = ktree_faces_oracle(n, k)
+    assert kom.vertices == verts
+    assert len(faces) == len(kom.faces)
+    assert kom.faces == frozenset(faces)
+
+
+@pytest.mark.parametrize("kn", [(3, 3), (1, 4), (2, 4), (4, 3)])
+def test_ktree_face_cap_boundary(kn):
+    # on (3,3) every face is a vertex, so one face less trips the up-front
+    # vertex count
+    k, n = kn
+    count = len(ktree_faces_oracle(n, k)[1])
+    assert len(enumerate_ktree_complex(n, k, max_faces=count).faces) == count
+    with pytest.raises(ResourceLimit) as ours:
+        enumerate_ktree_complex(n, k, max_faces=count - 1)
+    with pytest.raises(ResourceLimit) as walked:
+        ktree_faces_oracle(n, k, max_faces=count - 1)
+    assert str(ours.value) == str(walked.value) == f"k-tree complex exceeds {count - 1} faces"
 
 
 @pytest.mark.parametrize("nk,dim", [((3, 1), 0), ((4, 1), 1), ((3, 2), 0), ((4, 2), 1), ((3, 3), 0)])
