@@ -33,9 +33,7 @@ from .subdivision import (
     SigmaLattice,
     SubdivisionReport,
     blowup_sequence,
-    build_local_carrier_maps,
     carrier_map_from_parts,
-    check_compatibility,
     check_equivariance,
     global_carrier_map,
     is_building_set,
@@ -78,10 +76,8 @@ __all__ = [
     "SimplicialComplex",
     "SubdivisionReport",
     "blowup_sequence",
-    "build_local_carrier_maps",
     "building_set_I",
     "carrier_map_from_parts",
-    "check_compatibility",
     "check_equivariance",
     "contract",
     "count_partitions_modk",

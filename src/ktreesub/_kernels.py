@@ -117,18 +117,6 @@ def closure(adj: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# pairwise disjoint-or-comparable test over block bitmasks
-# ---------------------------------------------------------------------------
-
-
-def block_compat(masks: np.ndarray) -> np.ndarray:
-    """out[i, j] iff block masks i and j are disjoint or nested."""
-    masks = np.asarray(masks, dtype=np.uint64)
-    inter = masks[:, None] & masks[None, :]
-    return (inter == 0) | (inter == masks[:, None]) | (inter == masks[None, :])
-
-
-# ---------------------------------------------------------------------------
 # Smith normal form diagonal (invariant factors)
 # ---------------------------------------------------------------------------
 

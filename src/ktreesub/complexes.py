@@ -1,14 +1,11 @@
 """Abstract simplicial complexes on labelled vertices: f-vectors, stellar
-subdivision, reduced integer homology via Smith normal form, isomorphism,
-and label-level group actions."""
+subdivision, reduced integer homology via Smith normal form, and
+label-level group actions."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import _kernels as kernels
-from .errors import FaceNotPresent, ResourceLimit
-from .poset import Poset
+from .errors import FaceNotPresent
 
 
 class SimplicialComplex:
@@ -77,11 +74,10 @@ class SimplicialComplex:
         return sum((-1) ** i * fi for i, fi in enumerate(self.f_vector()))
 
     def facets(self):
-        maximal = []
-        for f in sorted(self.faces, key=lambda f: (-len(f), tuple(sorted(f)))):
-            if not any(f < g for g in maximal):
-                maximal.append(f)
-        return sorted(maximal, key=lambda f: tuple(sorted(f)))
+        """Maximal faces in lexicographic order.  The face set is downward
+        closed, so a face is maximal iff it is ``f - {v}`` for no face f."""
+        covered = {f - {v} for f in self.faces if len(f) > 1 for v in f}
+        return sorted((f for f in self.faces if f not in covered), key=lambda f: tuple(sorted(f)))
 
     def is_pure(self) -> bool:
         if not self.faces:
@@ -91,9 +87,6 @@ class SimplicialComplex:
 
     def faces_of_dim(self, d: int):
         return list(self._by_dim.get(d, ()))
-
-    def n_vertices(self) -> int:
-        return len(self.vertices)
 
     def has_face_labels(self, labels) -> bool:
         try:
@@ -107,9 +100,6 @@ class SimplicialComplex:
 
     def vertex_index(self, label) -> int:
         return self._index[label]
-
-    def labels_of(self, face):
-        return frozenset(self.vertices[i] for i in face)
 
     # ------------------------------------------------------------------
     # stellar subdivision
@@ -186,111 +176,6 @@ class SimplicialComplex:
         along vertex by vertex."""
         new_labels = [relabel(l) for l in self.vertices]
         return SimplicialComplex(new_labels, self.faces)
-
-    def restrict_to_faces(self, faces) -> "SimplicialComplex":
-        """Subcomplex on a downward-closed subset of faces (vertex labels are
-        kept; unused vertices are dropped)."""
-        faces = {frozenset(f) for f in faces}
-        used = sorted({v for f in faces for v in f})
-        remap = {v: i for i, v in enumerate(used)}
-        return SimplicialComplex(
-            [self.vertices[v] for v in used],
-            [frozenset(remap[v] for v in f) for f in faces],
-        )
-
-    def face_poset(self) -> Poset:
-        """Poset of nonempty faces ordered by inclusion (labels are frozensets
-        of vertex labels)."""
-        faces = sorted(self.faces, key=lambda f: (len(f), tuple(sorted(f))))
-        n = len(faces)
-        leq = np.zeros((n, n), dtype=bool)
-        for i, f in enumerate(faces):
-            for j, g in enumerate(faces):
-                leq[i, j] = f <= g
-        return Poset([self.labels_of(f) for f in faces], leq, validate=False)
-
-    # ------------------------------------------------------------------
-    # isomorphism
-    # ------------------------------------------------------------------
-
-    def _vertex_colors(self):
-        n = len(self.vertices)
-        incident = [[] for _ in range(n)]
-        for f in self.faces:
-            for v in f:
-                incident[v].append(f)
-        base = []
-        for v in range(n):
-            counts = {}
-            for f in incident[v]:
-                counts[len(f) - 1] = counts.get(len(f) - 1, 0) + 1
-            base.append(tuple(sorted(counts.items())))
-        colors = base
-        edges = [f for f in self.faces if len(f) == 2]
-        nbrs = [[] for _ in range(n)]
-        for e in edges:
-            a, b = sorted(e)
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        for _ in range(2):
-            sigs = [
-                (colors[v], tuple(sorted(colors[w] for w in nbrs[v]))) for v in range(n)
-            ]
-            # rank signatures so that colors stay comparable across complexes
-            rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
-            colors = [rank[s] for s in sigs]
-        return colors, incident
-
-    def is_isomorphic(self, other: "SimplicialComplex"):
-        """A vertex bijection carrying faces to faces bijectively, as a
-        label-to-label dict, or None."""
-        if len(self.vertices) != len(other.vertices):
-            return None
-        if self.f_vector() != other.f_vector():
-            return None
-        ca, inca = self._vertex_colors()
-        cb, _ = other._vertex_colors()
-        if sorted(ca) != sorted(cb):
-            return None
-        by_color = {}
-        for j, c in enumerate(cb):
-            by_color.setdefault(c, []).append(j)
-        n = len(self.vertices)
-        mapping = [-1] * n
-        used = [False] * len(other.vertices)
-        order = sorted(range(n), key=lambda v: (len(by_color.get(ca[v], ())), v))
-
-        def consistent(v, w):
-            for f in inca[v]:
-                img = set()
-                complete = True
-                for x in f:
-                    y = w if x == v else mapping[x]
-                    if y == -1:
-                        complete = False
-                        break
-                    img.add(y)
-                if complete and frozenset(img) not in other.faces:
-                    return False
-            return True
-
-        def search(pos):
-            if pos == n:
-                return True
-            v = order[pos]
-            for w in by_color.get(ca[v], ()):
-                if not used[w] and consistent(v, w):
-                    mapping[v] = w
-                    used[w] = True
-                    if search(pos + 1):
-                        return True
-                    mapping[v] = -1
-                    used[w] = False
-            return False
-
-        if not search(0):
-            return None
-        return {self.vertices[v]: other.vertices[mapping[v]] for v in range(n)}
 
     # ------------------------------------------------------------------
     # serialization

@@ -81,16 +81,6 @@ class Partition:
         """m minus the number of blocks."""
         return self.m - len(self.blocks)
 
-    @property
-    def masks(self):
-        return self._masks
-
-    def block_of(self, x: int):
-        for b, msk in zip(self.blocks, self._masks):
-            if msk >> (x - 1) & 1:
-                return b
-        raise ValueError(f"{x} not in ground set")
-
     def nonsingleton_blocks(self):
         return tuple(b for b in self.blocks if len(b) > 1)
 
@@ -220,10 +210,7 @@ class PartitionPoset:
         self.poset = poset
         self._factors_cache = {}
         self._g_indices = None
-
-    @property
-    def kind(self) -> str:
-        return "full" if self.k == 1 else "restricted"
+        self._g_by_block = None
 
     def index(self, x: Partition) -> int:
         return self.poset.index(x)
@@ -257,13 +244,17 @@ class PartitionPoset:
         """Maximal G-elements below x.
 
         Every block of x has size ≡ 1 (mod k), so these are the single-block
-        partitions of its non-singleton blocks: ``factors_I(x)``.
+        partitions of its non-singleton blocks: ``factors_I(x)``, as the
+        poset's own label objects (looked up by block, not built afresh).
         """
         i = self.index(x)
         got = self._factors_cache.get(i)
         if got is None:
-            # the poset's own label objects, not fresh copies, to share memory
-            got = frozenset(self.partition(self.index(g)) for g in factors_I(x))
+            if self._g_by_block is None:
+                self._g_by_block = {
+                    g.nonsingleton_blocks()[0]: g for g in self.g_partitions()
+                }
+            got = frozenset(self._g_by_block[b] for b in x.nonsingleton_blocks())
             self._factors_cache[i] = got
         return got
 

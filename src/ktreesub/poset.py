@@ -94,14 +94,8 @@ class Poset:
     def index(self, label):
         return self._index[label]
 
-    def label(self, i):
-        return self.labels[i]
-
     def is_leq(self, i: int, j: int) -> bool:
         return bool(self.leq[i, j])
-
-    def is_less(self, i: int, j: int) -> bool:
-        return i != j and bool(self.leq[i, j])
 
     def _cover_matrix(self) -> np.ndarray:
         """Boolean matrix: out[i, j] iff j covers i."""

@@ -316,8 +316,9 @@ class CarrierMap:
     ``phi`` maps faces of the source (frozensets of source vertex indices)
     to faces of the target; ``f0`` places each source vertex inside the
     realization of the target, as a sparse dict of barycentric coordinates
-    over target vertex indices.  ``p_faces``/``q_faces`` restrict the domain
-    for localized maps.
+    over target vertex indices.  ``p_faces``/``q_faces`` are the faces the
+    checks read as source and target, all faces of the two complexes unless
+    given.
     """
 
     p_complex: SimplicialComplex
@@ -335,22 +336,6 @@ class CarrierMap:
 
     def p_vertices(self):
         return sorted({v for f in self.p_faces if len(f) == 1 for v in f})
-
-    def localize(self, q_face) -> "CarrierMap":
-        """Restriction to the part of the source mapping into one target
-        face (the local subdivision of that closed simplex)."""
-        q_face = frozenset(q_face)
-        p_faces = frozenset(p for p in self.p_faces if self.phi[p] <= q_face)
-        q_faces = frozenset(q for q in self.q_faces if q <= q_face)
-        verts = {v for f in p_faces for v in f}
-        return CarrierMap(
-            p_complex=self.p_complex,
-            q_complex=self.q_complex,
-            phi={p: self.phi[p] for p in p_faces},
-            f0={v: dict(self.f0[v]) for v in verts},
-            p_faces=p_faces,
-            q_faces=q_faces,
-        )
 
 
 def global_carrier_map(k: int, n: int, max_poset_elements=100_000, max_faces=200_000):
@@ -408,8 +393,9 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     Checks, in arbitrary-precision rational arithmetic: well-formedness
     (order preservation, vertex supports, injectivity), nondegeneracy of
     every cell image, pairwise disjointness of open cell images inside each
-    target face, and the volume identity per target face.  Failures are
-    collected, not raised.
+    target face, and the volume identity per target face: a global pass,
+    then :func:`check_target_face` on each target face, smallest first.
+    Failures are collected, not raised.
 
     Disjointness is decided by a ridge certificate where it holds, and by
     one linear feasibility test per pair of cells (Fourier-Motzkin, which
@@ -437,10 +423,29 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     injective), so their open images are pairwise disjoint, which is what
     the pairwise test would have found.
     """
-    failures = []
-    p, q = cm.p_complex, cm.q_complex
-    label = _face_label_fn(q)
+    label = _face_label_fn(cm.q_complex)
+    failures, certifiable = _check_well_formed(cm, label)
+    cells_by_image = {}
+    for face in cm.p_faces:
+        img = cm.phi.get(face)
+        if img in cm.q_faces:
+            cells_by_image.setdefault(img, []).append(face)
+    facet_volumes = {}
+    for qf in sorted(cm.q_faces, key=_by_size):
+        face_failures, total = check_target_face(cm, qf, cells_by_image.get(qf, []), certifiable, label)
+        failures += face_failures
+        if total is not None:
+            facet_volumes[label(qf)] = str(total)
+    return CarrierCheckResult(passed=not failures, failures=failures, facet_volumes=facet_volumes)
 
+
+def _check_well_formed(cm: CarrierMap, label):
+    """The global pass of :func:`verify_carrier_map`: φ total, into the
+    target and order-preserving; every vertex strictly inside its carrier,
+    with coordinates summing to one, at a point of its own.  Returns the
+    failures and whether the ridge certificate may be used (no failure and
+    a source closed under taking faces)."""
+    failures = []
     closed = True
     for face in cm.p_faces:
         if face not in cm.phi:
@@ -474,7 +479,7 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
             failures.append(
                 CheckFailure(
                     "vertex_in_carrier_interior",
-                    f"vertex {p.vertices[v]!r} not strictly inside its carrier",
+                    f"vertex {cm.p_complex.vertices[v]!r} not strictly inside its carrier",
                     label(carrier) if carrier else None,
                 )
             )
@@ -488,79 +493,70 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
                 CheckFailure("vertex_map_injective", f"vertices {seen_points[key]} and {v} coincide")
             )
         seen_points[key] = v
-    certifiable = closed and not failures
+    return failures, closed and not failures
 
-    cells_by_image = {}
-    for face in cm.p_faces:
-        img = cm.phi.get(face)
-        if img in cm.q_faces:
-            cells_by_image.setdefault(img, []).append(face)
 
-    facet_volumes = {}
-    for qf in sorted(cm.q_faces, key=lambda f: (len(f), tuple(sorted(f)))):
-        cells = cells_by_image.get(qf, [])
-        if not cells:
-            failures.append(
-                CheckFailure("carrier_surjective", "target face has no preimage cell", label(qf))
-            )
-            continue
-        qs = sorted(qf)
-        qdim = len(qs) - 1
-        local_points = {}
-        degenerate = set()
-        for cell in cells:
-            pts = [_localize_point(cm.f0[v], qs) for v in sorted(cell)]
-            local_points[cell] = pts
-            if exact.affine_dim(pts) != len(cell) - 1:
-                degenerate.add(cell)
-                failures.append(
-                    CheckFailure(
-                        "cell_nondegenerate",
-                        f"cell {sorted(cell)} maps to a degenerate simplex",
-                        label(qf),
-                    )
-                )
-        volumes = {  # signed, of the nondegenerate full-dimensional cells
-            cell: exact.simplex_volume_ratio(local_points[cell])
-            for cell in cells
-            if len(cell) - 1 == qdim and cell not in degenerate
-        }
-        total = sum((abs(x) for x in volumes.values()), Fraction(0))
-        certified = (
-            certifiable and not degenerate and total == 1
-            and _ridge_certificate(cm.phi, qf, cells, volumes)
-        )
-        if not certified:
-            for c1, c2 in combinations(sorted(cells, key=lambda f: (len(f), tuple(sorted(f)))), 2):
-                if c1 in degenerate or c2 in degenerate:
-                    continue
-                witness = exact.open_simplices_intersect(local_points[c1], local_points[c2])
-                if witness is not None:
-                    failures.append(
-                        CheckFailure(
-                            "interiors_disjoint",
-                            f"open images of cells {sorted(c1)} and {sorted(c2)} overlap",
-                            {
-                                "target_face": label(qf),
-                                "point": [str(x) for x in witness],
-                            },
-                        )
-                    )
-        facet_volumes[qf] = total
-        if total != 1:
+def check_target_face(cm: CarrierMap, qf, cells, certifiable, label):
+    """The checks of :func:`verify_carrier_map` on one target face ``qf``
+    whose preimage cells are ``cells``: surjectivity, nondegeneracy, disjoint
+    open images (the ridge certificate when ``certifiable``, else one
+    Fourier-Motzkin test per pair of cells) and the volume identity.
+    Returns the face's failures and the total volume of its full-dimensional
+    cells (None when it has no cell)."""
+    if not cells:
+        return [CheckFailure("carrier_surjective", "target face has no preimage cell", label(qf))], None
+    failures = []
+    qs = sorted(qf)
+    qdim = len(qs) - 1
+    local_points = {}
+    degenerate = set()
+    for cell in cells:
+        pts = [_localize_point(cm.f0[v], qs) for v in sorted(cell)]
+        local_points[cell] = pts
+        if exact.affine_dim(pts) != len(cell) - 1:
+            degenerate.add(cell)
             failures.append(
                 CheckFailure(
-                    "volume_partition",
-                    f"cell volumes sum to {total} of the target face",
+                    "cell_nondegenerate",
+                    f"cell {sorted(cell)} maps to a degenerate simplex",
                     label(qf),
                 )
             )
-
-    return CarrierCheckResult(
-        passed=not failures,
-        failures=failures,
-        facet_volumes={label(f): str(v) for f, v in facet_volumes.items()},
+    volumes = {  # signed, of the nondegenerate full-dimensional cells
+        cell: exact.simplex_volume_ratio(local_points[cell])
+        for cell in cells
+        if len(cell) - 1 == qdim and cell not in degenerate
+    }
+    total = sum((abs(x) for x in volumes.values()), Fraction(0))
+    certified = (
+        certifiable and not degenerate and total == 1
+        and _ridge_certificate(cm.phi, qf, cells, volumes)
     )
+    if not certified:
+        for c1, c2 in combinations(sorted(cells, key=_by_size), 2):
+            if c1 in degenerate or c2 in degenerate:
+                continue
+            witness = exact.open_simplices_intersect(local_points[c1], local_points[c2])
+            if witness is not None:
+                failures.append(
+                    CheckFailure(
+                        "interiors_disjoint",
+                        f"open images of cells {sorted(c1)} and {sorted(c2)} overlap",
+                        {
+                            "target_face": label(qf),
+                            "point": [str(x) for x in witness],
+                        },
+                    )
+                )
+    if total != 1:
+        failures.append(
+            CheckFailure(
+                "volume_partition",
+                f"cell volumes sum to {total} of the target face",
+                label(qf),
+            )
+        )
+    return failures, total
 
 
 def _ridge_certificate(phi, qf, cells, volumes) -> bool:
@@ -592,6 +588,10 @@ def _ridge_certificate(phi, qf, cells, volumes) -> bool:
 _ZERO = Fraction(0)
 
 
+def _by_size(face):
+    return (len(face), tuple(sorted(face)))
+
+
 def _localize_point(coords, q_sorted):
     return tuple(coords.get(i, _ZERO) for i in q_sorted)
 
@@ -613,56 +613,6 @@ def _face_label_fn(q: SimplicialComplex):
     return fn
 
 
-def build_local_carrier_maps(cm: CarrierMap) -> dict:
-    """One localized carrier map per target face."""
-    return {qf: cm.localize(qf) for qf in sorted(cm.q_faces, key=lambda f: (len(f), tuple(sorted(f))))}
-
-
-def check_compatibility(family: dict) -> CarrierCheckResult:
-    """Compatibility of a family of local carrier maps indexed by target
-    faces: each local map must verify, the local sources must intersect in
-    the source attached to the intersection face, and the vertex maps must
-    agree on shared vertices."""
-    failures = []
-    for qf, cm in family.items():
-        res = verify_carrier_map(cm)
-        if not res.passed:
-            failures.append(
-                CheckFailure(
-                    "local_carrier_map",
-                    f"local map at {sorted(qf)} fails verification",
-                    [f.to_json() for f in res.failures[:3]],
-                )
-            )
-    keys = sorted(family, key=lambda f: (len(f), tuple(sorted(f))))
-    for q1, q2 in combinations(keys, 2):
-        cm1, cm2 = family[q1], family[q2]
-        v1 = set(cm1.p_vertices())
-        v2 = set(cm2.p_vertices())
-        for v in sorted(v1 & v2):
-            if cm1.f0[v] != cm2.f0[v]:
-                failures.append(
-                    CheckFailure(
-                        "vertex_maps_agree",
-                        f"vertex {v} placed differently under faces {sorted(q1)} and {sorted(q2)}",
-                    )
-                )
-        inter = frozenset(q1 & q2)
-        shared_faces = cm1.p_faces & cm2.p_faces
-        if inter in family:
-            expected = family[inter].p_faces
-        else:
-            expected = frozenset()
-        if shared_faces != expected:
-            failures.append(
-                CheckFailure(
-                    "intersection_identity",
-                    f"sources over {sorted(q1)} and {sorted(q2)} do not intersect in the source over {sorted(inter)}",
-                )
-            )
-    return CarrierCheckResult(passed=not failures, failures=failures)
-
-
 # ---------------------------------------------------------------------------
 # end-to-end pipeline
 # ---------------------------------------------------------------------------
@@ -681,10 +631,9 @@ class SubdivisionReport:
     homology: dict
     facet_volumes: dict
     verdict: str
-    equivariance: dict = None
 
     def to_json(self):
-        out = {
+        return {
             "instance": self.instance,
             "sizes": self.sizes,
             "f_vectors": self.f_vectors,
@@ -695,9 +644,6 @@ class SubdivisionReport:
             "facet_volumes": self.facet_volumes,
             "verdict": self.verdict,
         }
-        if self.equivariance is not None:
-            out["equivariance"] = self.equivariance
-        return out
 
 
 def _homology_json(groups):
@@ -740,8 +686,7 @@ def verify_theorem(
     * ``homology_equal_all_degrees``: the reduced homology groups agree.
 
     Linear-extension independence, abstract isomorphism and equal Euler
-    characteristics follow from these.  So does the compatibility of the
-    localized carrier maps, which are all restrictions of the one global map.
+    characteristics follow from these.
     """
     if k < 1 or n < 3:
         raise ValueError("need k >= 1 and n >= 3")
@@ -857,23 +802,23 @@ def check_equivariance(k: int, n: int, perms="all", seed: int = 0,
     else:
         chosen = sample_permutations(m, int(perms), seed)
         count = len(chosen)
-    phi_cache = {face: pk.chain_factors([delta.vertices[v] for v in face]) for face in delta.faces}
+    phi = carrier_map_from_parts(pk, delta, q).phi
     failures = []
     for pi in chosen:
         relabel = lambda x: x.permute(pi)
-        if delta.apply_permutation(relabel) != delta:
+        delta_pi = delta.apply_permutation(relabel)
+        if delta_pi != delta:
             failures.append({"perm": list(pi), "detail": "order complex not invariant"})
             continue
-        if q.apply_permutation(relabel) != q:
+        q_pi = q.apply_permutation(relabel)
+        if q_pi != q:
             failures.append({"perm": list(pi), "detail": "k-tree complex not invariant"})
             continue
-        for face, factors in phi_cache.items():
-            image_chain = frozenset(
-                delta.vertex_index(delta.vertices[v].permute(pi)) for v in face
-            )
-            lhs = phi_cache[image_chain]
-            rhs = frozenset(x.permute(pi) for x in factors)
-            if lhs != rhs:
+        # vertex index -> index of its image under pi, in source and target
+        src = [delta.vertex_index(x) for x in delta_pi.vertices]
+        tgt = [q.vertex_index(g) for g in q_pi.vertices]
+        for face, img in phi.items():
+            if phi[frozenset(src[v] for v in face)] != frozenset(tgt[w] for w in img):
                 failures.append(
                     {
                         "perm": list(pi),

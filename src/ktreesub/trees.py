@@ -13,7 +13,6 @@ from itertools import combinations
 
 import numpy as np
 
-from . import _kernels as kernels
 from .errors import FaceNotPresent, NotNested, ResourceLimit
 from .complexes import SimplicialComplex
 from .partitions import Partition, PartitionPoset, g_set, g_set_count
@@ -222,13 +221,16 @@ def enumerate_ktree_complex(n: int, k: int, max_faces: int = 200_000) -> Simplic
     if g_set_count(m, k) - 1 > max_faces:
         raise ResourceLimit(f"k-tree complex exceeds {max_faces} faces")
     verts = [x for x in g_set(m, k) if x != Partition.one(m)]
-    masks = np.array(
-        [_mask_of(x) for x in verts],
-        dtype=np.uint64,
-    )
-    # later[i]: bit j set iff j > i and blocks i and j are compatible
-    rows = np.packbits(np.triu(kernels.block_compat(masks), 1), axis=1, bitorder="little")
-    later = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    masks = np.array([_mask_of(x) for x in verts], dtype=np.uint64)
+    # later[i]: bit j set iff j > i and blocks i and j are disjoint or
+    # nested; built one row at a time, never as an nv x nv matrix
+    later = []
+    for i, a in enumerate(masks):
+        rest = masks[i + 1 :]
+        inter = rest & a
+        row = (inter == 0) | (inter == a) | (inter == rest)
+        bits = np.packbits(row, bitorder="little").tobytes()
+        later.append(int.from_bytes(bits, "little") << (i + 1))
     faces = []
 
     def grow(face, cand):

@@ -444,3 +444,13 @@ def carrier_phi_oracle(pk, p, q):
         w = Fraction(1, len(factors))
         f0[v] = {q.vertex_index(g): w for g in factors}
     return phi, f0
+
+
+def facets_oracle(K):
+    """Maximal faces of K in lexicographic order, by testing each face,
+    largest first, against every maximal face found so far."""
+    maximal = []
+    for f in sorted(K.faces, key=lambda f: (-len(f), tuple(sorted(f)))):
+        if not any(f < g for g in maximal):
+            maximal.append(f)
+    return sorted(maximal, key=lambda f: tuple(sorted(f)))

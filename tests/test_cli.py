@@ -159,6 +159,22 @@ def test_ktree_complex_past_cap_exits_3_before_allocating(tmp_path):
     assert not (tmp_path / "t.json").exists()
 
 
+def test_ktree_complex_8_3_within_1gib(tmp_path):
+    # T^8_3 has 24,310 vertices and no edges; its compatibility bitsets are
+    # built row by row, where a dense 24,310^2 matrix would not fit in 1 GiB
+    src = os.path.dirname(os.path.dirname(ktreesub.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ktreesub.cli", "enumerate", "--object", "ktree-complex",
+         "--n", "3", "--k", "8", "--out", str(tmp_path / "t.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "f_vector: (24310,)" in proc.stdout
+    assert len(json.loads((tmp_path / "t.json").read_text())["facets"]) == 24310
+
+
 def test_homology_order_complex(capsys):
     code = main(["homology", "--object", "order-complex", "--m", "4", "--k", "1"])
     assert code == 0

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,12 @@ from ktreesub import (
 )
 from ktreesub._kernels import _snf_exact_python, snf_diagonal
 from ktreesub.complexes import check_boundary_squares_to_zero
-from oracles import dense_reduced_homology, dense_to_columns, stellar_subdivision_oracle
+from oracles import (
+    dense_reduced_homology,
+    dense_to_columns,
+    facets_oracle,
+    stellar_subdivision_oracle,
+)
 
 
 def triangle_boundary():
@@ -204,21 +211,6 @@ def test_out_of_range_vertex_index_rejected():
         SimplicialComplex(["a", "b"], [frozenset({0, 2})], close_downward=True)
 
 
-def test_isomorphism_examples(t14):
-    assert t14.is_isomorphic(t14) is not None
-    path = SimplicialComplex.from_label_faces([(1, 2), (2, 3)])
-    tri = triangle_boundary()
-    assert path.is_isomorphic(tri) is None
-    relabeled = tri.apply_permutation(lambda v: v * 10)
-    mapping = tri.is_isomorphic(relabeled)
-    assert mapping is not None
-    for f in tri.faces:
-        img = frozenset(
-            relabeled.vertex_index(mapping[tri.vertices[v]]) for v in f
-        )
-        assert img in relabeled.faces
-
-
 def test_apply_permutation_preserves_f_vector(t24):
     perm = (3, 1, 2, 4, 5, 7, 6)
     img = t24.apply_permutation(lambda x: x.permute(perm))
@@ -226,13 +218,18 @@ def test_apply_permutation_preserves_f_vector(t24):
     assert img == t24  # setwise invariance of the k-tree complex
 
 
-def test_face_poset():
-    fp = triangle_boundary().face_poset()
-    assert fp.n == 6
-    covers = fp.covers()
-    assert len(covers) == 6  # each edge covers its two endpoints
-    for i, j in covers:
-        assert len(fp.labels[j]) == len(fp.labels[i]) + 1
+def test_facets_match_oracle():
+    ladder = [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5), (4, 3)]
+    complexes = [SimplicialComplex.from_label_faces(RP2_FACETS)]
+    for k, n in ladder:
+        complexes.append(enumerate_partitions((n - 1) * k + 1, k).poset.order_complex())
+        complexes.append(enumerate_ktree_complex(n, k))
+    rng = random.Random(5)
+    for _ in range(40):
+        faces = [rng.sample(range(8), rng.randint(1, 5)) for _ in range(rng.randint(1, 8))]
+        complexes.append(SimplicialComplex.from_label_faces(faces))
+    for K in complexes:
+        assert K.facets() == facets_oracle(K)
 
 
 def test_json_round_trip(t14):

@@ -62,17 +62,6 @@ def test_closure_paths_agree_and_match_oracle():
     assert K.closure(adj)[0, 257]
 
 
-def test_block_compat_paths_agree():
-    rng = np.random.default_rng(1)
-    masks = rng.integers(1, 2**20, size=50).astype(np.uint64)
-    a = K.block_compat(masks)
-    for i in range(len(masks)):
-        for j in range(len(masks)):
-            inter = int(masks[i]) & int(masks[j])
-            expect = inter == 0 or inter == int(masks[i]) or inter == int(masks[j])
-            assert a[i, j] == expect
-
-
 def test_snf_paths_agree():
     # the sparse column path (unit-pivot elimination, then the exact residual)
     # must agree with the dense big-integer reference on every matrix

@@ -14,9 +14,7 @@ from ktreesub import (
     Poset,
     SimplicialComplex,
     blowup_sequence,
-    build_local_carrier_maps,
     carrier_map_from_parts,
-    check_compatibility,
     check_equivariance,
     enumerate_ktree_complex,
     enumerate_partitions,
@@ -83,7 +81,6 @@ def test_nested_complex_minimal_building_set_is_tree_complex(pk41, t14):
     ]
     nc = nested_set_complex(pk41.poset, I4)
     assert nc.f_vector() == (10, 15)
-    assert nc.is_isomorphic(t14) is not None
     assert nc == t14  # same partition labels and faces
 
 
@@ -268,7 +265,7 @@ def test_blowup_missing_face_raises_at_its_step(pk41, t14, record):
     # must raise, with the chain's message, whether or not steps are recorded
     ext = pk41.poset.linear_extension(_added_pool(pk41))
     edge = t14.face_from_labels([parse_partition("(12)34", 4), parse_partition("12(34)", 4)])
-    broken = t14.restrict_to_faces(f for f in t14.faces if f != edge)
+    broken = SimplicialComplex(t14.vertices, t14.faces - {edge})
     with pytest.raises(FaceNotPresent) as want:
         stellar_chain_oracle(pk41.poset, broken, ext)
     with pytest.raises(FaceNotPresent) as got:
@@ -510,59 +507,6 @@ def test_verify_carrier_map_matches_pairwise_oracle(case):
         assert any(f["check"] == "interiors_disjoint" and "point" in f["witness"] for f in failures)
 
 
-def test_compatibility_family_passes(pk41, t14, delta41):
-    cm = carrier_map_from_parts(pk41, delta41, t14)
-    fam = build_local_carrier_maps(cm)
-    assert len(fam) == len(t14.faces)
-    res = check_compatibility(fam)
-    assert res.passed, [f.to_json() for f in res.failures]
-
-
-@pytest.mark.parametrize("kn", [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4)])
-def test_global_carrier_map_implies_compatibility(kn):
-    # verify_theorem checks only the global map: its localizations are
-    # restrictions of it, so they must be compatible whenever it passes
-    cm, _ = global_carrier_map(*kn)
-    assert verify_carrier_map(cm).passed
-    res = check_compatibility(build_local_carrier_maps(cm))
-    assert res.passed, [f.to_json() for f in res.failures]
-
-
-def test_compatibility_disjoint_faces_vacuous(pk41, t14, delta41):
-    cm = carrier_map_from_parts(pk41, delta41, t14)
-    two_pts = [f for f in t14.faces if len(f) == 1][:2]
-    fam = {qf: cm.localize(qf) for qf in two_pts}
-    assert check_compatibility(fam).passed
-
-
-def test_compatibility_rejects_inconsistent_barycenter(pk51):
-    q = enumerate_ktree_complex(5, 1)
-    delta = pk51.poset.order_complex()
-    cm = carrier_map_from_parts(pk51, delta, q)
-    fam = build_local_carrier_maps(cm)
-    tri = next(qf for qf in fam if len(qf) == 3)
-    local = fam[tri]
-    shared = next(v for v in local.p_vertices() if len(local.f0[v]) == 2)
-    ks = sorted(local.f0[shared])
-    local.f0[shared] = {ks[0]: Fraction(1, 3), ks[1]: Fraction(2, 3)}
-    res = check_compatibility(fam)
-    assert not res.passed
-    assert any(f.check == "vertex_maps_agree" for f in res.failures)
-
-
-def test_compatibility_rejects_support_violation(pk41, t14, delta41):
-    cm = carrier_map_from_parts(pk41, delta41, t14)
-    fam = build_local_carrier_maps(cm)
-    edge = next(qf for qf in fam if len(qf) == 2 and len(fam[qf].p_vertices()) == 3)
-    local = fam[edge]
-    qa, qb = sorted(edge)
-    orig = next(v for v in local.p_vertices() if local.f0[v] == {qa: Fraction(1)})
-    local.f0[orig] = {qa: Fraction(2, 3), qb: Fraction(1, 3)}
-    res = check_compatibility(fam)
-    assert not res.passed
-    assert any(f.check == "local_carrier_map" for f in res.failures)
-
-
 def test_factor_union_of_comparable_pair_is_nested(pk72, t24):
     # for every comparable pair in the proper part, the union of factor sets
     # is again a face of the k-tree complex
@@ -646,6 +590,31 @@ def test_equivariance_small_all():
     rep = check_equivariance(1, 4, perms="all")
     assert rep.passed and rep.permutations_checked == 24
     assert rep.top_rank_source == rep.top_rank_target == 6
+
+
+def test_equivariance_reports_non_commuting_map(monkeypatch):
+    # φ emptied on the vertex (12)34: one permutation that moves it must
+    # report one non-commuting chain, (12)34 or its preimage
+    from ktreesub import subdivision
+
+    real = subdivision.carrier_map_from_parts
+    x = parse_partition("(12)34", 4)
+
+    def corrupted(pk, p, q):
+        cm = real(pk, p, q)
+        cm.phi[p.face_from_labels([x])] = frozenset()
+        return cm
+
+    monkeypatch.setattr(subdivision, "carrier_map_from_parts", corrupted)
+    (pi,) = sample_permutations(4, 1, 0)
+    assert x.permute(pi) != x
+    inverse = tuple(pi.index(i) + 1 for i in range(1, 5))
+    rep = check_equivariance(1, 4, perms=1, seed=0)
+    assert rep.passed is False and rep.permutations_checked == 1
+    (failure,) = rep.failures
+    assert failure["perm"] == list(pi)
+    assert failure["detail"] == "carrier map does not commute with the relabelling"
+    assert failure["chain"] in ([x.text()], [x.permute(inverse).text()])
 
 
 @pytest.mark.parametrize(
