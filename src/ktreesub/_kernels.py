@@ -85,17 +85,37 @@ def rgs_filtered(m: int, k: int) -> np.ndarray:
 
 
 def refinement_leq(rgs: np.ndarray) -> np.ndarray:
-    """Boolean matrix: out[p, q] iff partition row p refines row q."""
+    """Boolean matrix: out[p, q] iff partition row p refines row q.
+
+    Each row becomes a bitmask with one bit per pair i < j of positions, set
+    when i and j share a block; p refines q iff the pairs of p are pairs of
+    q, i.e. ``P[p] & ~P[q] == 0`` over ceil(C(m, 2) / 64) uint64 words.  The
+    rows are compared in blocks, through 256 kB buffers made once: fresh
+    temporaries per block, or 2 MB buffers, raised the peak RSS of a run
+    that builds the (3,4) poset again and again by about 1 MB.
+    """
     n, m = rgs.shape
-    # fo[p, c]: first position of block c in row p
-    fo = np.zeros((n, m), dtype=np.int32)
-    for c in range(m):
-        eq = rgs == c
-        fo[:, c] = np.where(eq.any(axis=1), eq.argmax(axis=1), 0)
+    iu, ju = np.triu_indices(m, 1)
+    words = max(1, -(-len(iu) // 64))
+    same = np.zeros((n, 64 * words), dtype=bool)
+    same[:, : len(iu)] = rgs[:, iu] == rgs[:, ju]
+    bits = np.packbits(same, axis=1, bitorder="little").view(np.uint64).T.copy()
+    del same
+    notbits = ~bits
     out = np.empty((n, n), dtype=bool)
-    for p in range(n):
-        cols = fo[p][rgs[p]]
-        out[p] = (rgs == rgs[:, cols]).all(axis=1)
+    rows = max(1, (1 << 18) // (8 * max(n, 1)))
+    # extra[p, q]: the pairs of p that q does not have, word by word
+    extra = np.empty((min(rows, n), n), dtype=np.uint64)
+    word = np.empty_like(extra) if words > 1 else None
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        e = extra[: hi - lo]
+        np.bitwise_and(bits[0, lo:hi, None], notbits[0], out=e)
+        for w in range(1, words):
+            t = word[: hi - lo]
+            np.bitwise_and(bits[w, lo:hi, None], notbits[w], out=t)
+            e |= t
+        np.equal(e, 0, out=out[lo:hi])
     return out
 
 

@@ -16,7 +16,7 @@ from .complexes import SimplicialComplex
 from .errors import KTreeSubError, ResourceLimit
 from .partitions import Partition, enumerate_partitions, g_set, g_set_count, parse_partition
 from .poset import poset_to_json
-from .subdivision import check_equivariance, sample_permutations, verify_theorem
+from .subdivision import check_equivariance, invariant_index_map, sample_permutations, verify_theorem
 from .trees import enumerate_ktree_complex
 
 EXIT_PASS = 0
@@ -245,14 +245,12 @@ def cmd_equivariance(args) -> int:
             perms = sample_permutations(m, args.sample, args.seed)
         else:
             perms = list(permutations(range(1, m + 1)))
-        try:
-            bad = [
-                pi
-                for pi in perms
-                if kom.apply_permutation(lambda x: x.permute(pi)) != kom
-            ]
-        except (ValueError, KeyError) as e:
-            return _usage_error(f"complex labels are not partitions of a common ground set: {e}")
+        if perms and any(x.m != m for x in kom.vertices):
+            return _usage_error(
+                "complex labels are not partitions of a common ground set: "
+                "permutation length does not match ground set"
+            )
+        bad = [pi for pi in perms if invariant_index_map(kom, pi) is None]
         print(f"checked {len(perms)} permutations, {len(bad)} break invariance")
         return EXIT_PASS if not bad else EXIT_FAIL
 

@@ -422,6 +422,23 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     cells of C are distinct faces of that triangulation (the vertex map is
     injective), so their open images are pairwise disjoint, which is what
     the pairwise test would have found.
+
+    The target faces are checked one per S_m-orbit where a generator
+    certificate allows it.  With no well-formedness failure and partition
+    labels on both sides, let σ be (1 2) or (1 2 ... m), which generate
+    S_m.  The certificate asks that σ map the source faces and the target
+    faces into themselves, that φ(σc) = σφ(c) for every source face c and
+    that f0(σv) = σf0(v) for every source vertex v.  Then the cells over
+    σ·qf are the images σc of the cells over qf, and the points of σc are
+    those of c with their barycentric coordinates permuted: an affine
+    isomorphism of the target simplex.  It keeps affine dimensions, volume
+    ratios and the ridge counts, and flips the sides of both cells at a
+    ridge together, so the check of σ·qf finds exactly what the check of
+    qf finds, with its cells relabelled.  Each orbit is rooted at its
+    first face in check order; a face copies its root's volume when the
+    root passed with no failure, and is checked itself otherwise.  When
+    the certificate fails, every orbit is a single face.  The failures,
+    their order and the volumes are those of checking every face.
     """
     label = _face_label_fn(cm.q_complex)
     failures, certifiable = _check_well_formed(cm, label)
@@ -430,13 +447,96 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
         img = cm.phi.get(face)
         if img in cm.q_faces:
             cells_by_image.setdefault(img, []).append(face)
+    order = sorted(cm.q_faces, key=_by_size)
+    roots = _orbit_roots(cm, order) if certifiable else range(len(order))
+    clean = {}  # position in order -> total volume, for faces checked with no failure
     facet_volumes = {}
-    for qf in sorted(cm.q_faces, key=_by_size):
-        face_failures, total = check_target_face(cm, qf, cells_by_image.get(qf, []), certifiable, label)
-        failures += face_failures
+    for i, qf in enumerate(order):
+        total = clean.get(roots[i])
+        if total is None:
+            face_failures, total = check_target_face(cm, qf, cells_by_image.get(qf, []), certifiable, label)
+            failures += face_failures
+            if not face_failures:
+                clean[i] = total
         if total is not None:
             facet_volumes[label(qf)] = str(total)
     return CarrierCheckResult(passed=not failures, failures=failures, facet_volumes=facet_volumes)
+
+
+def _index_map(K: SimplicialComplex, perm):
+    """The vertex index map of relabelling ``K`` by ``perm`` (``perm[i-1]``
+    is the image of i): ``out[v]`` is the index of the image of vertex v.
+    None when a label is not a :class:`Partition` of 1..len(perm) or an
+    image is not a vertex of ``K``."""
+    m = len(perm)
+    index = {}
+    for i, lab in enumerate(K.vertices):
+        if not isinstance(lab, Partition) or lab.m != m:
+            return None
+        index[lab.blocks] = i
+    image = (0, *perm).__getitem__
+    out = []
+    for lab in K.vertices:
+        j = index.get(tuple(sorted(tuple(sorted(map(image, b))) for b in lab.blocks)))
+        if j is None:
+            return None
+        out.append(j)
+    return out
+
+
+def invariant_index_map(K: SimplicialComplex, perm):
+    """:func:`_index_map` when it sends every face of ``K`` to a face, hence
+    (being injective) the face set onto itself; else None."""
+    idx = _index_map(K, perm)
+    if idx is None or not all(frozenset(map(idx.__getitem__, f)) in K.faces for f in K.faces):
+        return None
+    return idx
+
+
+def _orbit_roots(cm: CarrierMap, order):
+    """For each position i in ``order`` (the target faces in
+    :func:`_by_size` order), the position of the first face of the S_m-orbit
+    of ``order[i]``.  Every face is its own root unless the map commutes
+    with (1 2) and (1 2 ... m), which generate S_m: each maps the source and
+    target faces into themselves, φ(σc) = σφ(c) on every source face and
+    f0(σv) = σf0(v) on every source vertex.  Assumes the well-formedness
+    pass found nothing (φ is total on the source faces)."""
+    singletons = range(len(order))
+    labels = cm.q_complex.vertices
+    m = labels[0].m if labels and isinstance(labels[0], Partition) else 0
+    if m < 2:
+        return singletons
+    vertices = cm.p_vertices()
+    images = []  # per generator: target vertex -> its image
+    for perm in ((2, 1, *range(3, m + 1)), (*range(2, m + 1), 1)):
+        src = _index_map(cm.p_complex, perm)
+        tgt = _index_map(cm.q_complex, perm)
+        if src is None or tgt is None:
+            return singletons
+        for c in cm.p_faces:
+            sc = frozenset(map(src.__getitem__, c))
+            if sc not in cm.p_faces or cm.phi[sc] != frozenset(map(tgt.__getitem__, cm.phi[c])):
+                return singletons
+        for v in vertices:
+            if cm.f0[src[v]] != {tgt[w]: x for w, x in cm.f0[v].items()}:
+                return singletons
+        images.append(tgt.__getitem__)
+    pos = {qf: i for i, qf in enumerate(order)}
+    parent = list(singletons)  # union-find; a root is its class's first face
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, qf in enumerate(order):
+        for image in images:
+            j = pos.get(frozenset(map(image, qf)))
+            if j is None:
+                return singletons
+            a, b = find(i), find(j)
+            parent[max(a, b)] = min(a, b)
+    return [find(i) for i in singletons]
 
 
 def _check_well_formed(cm: CarrierMap, label):
@@ -652,10 +752,12 @@ def _homology_json(groups):
 
 def _distinct_extensions(poset: Poset, subset, count, seed):
     """The canonical extension plus seeded variants, all distinct: at most
-    ``count``, fewer when the seeded draws find no more."""
+    ``count``, fewer when the seeded draws find no more.  The draws stop
+    once every linear extension of ``subset`` is found."""
     exts = [tuple(poset.linear_extension(subset))]
+    wanted = _count_extensions(poset, subset, count) if count > 1 else count
     attempt = 0
-    while len(exts) < count and attempt < 50 * count:
+    while len(exts) < wanted and attempt < 50 * count:
         attempt += 1
         cand = tuple(
             poset.linear_extension(subset, policy="seeded-random", seed=seed + attempt)
@@ -663,6 +765,37 @@ def _distinct_extensions(poset: Poset, subset, count, seed):
         if cand not in exts:
             exts.append(cand)
     return exts
+
+
+def _count_extensions(poset: Poset, subset, limit) -> int:
+    """The number of linear extensions of ``subset`` under the order of
+    ``poset``, or ``limit`` if there are more: a depth-first enumeration
+    that stops at the ``limit``-th."""
+    items = list(subset)
+    strict = poset.leq[np.ix_(items, items)]
+    np.fill_diagonal(strict, False)
+    below = strict.sum(axis=0)  # unplaced elements below; -1 once placed
+    path = []
+    stack = [list(np.flatnonzero(below == 0))]  # untried choices per depth
+    found = 0
+    while stack:
+        if stack[-1]:
+            i = stack[-1].pop()
+            below[strict[i]] -= 1
+            below[i] = -1
+            path.append(i)
+            stack.append(list(np.flatnonzero(below == 0)))
+            continue
+        stack.pop()
+        if len(path) == len(items):
+            found += 1
+            if found >= limit:
+                return found
+        if path:
+            i = path.pop()
+            below[i] = 0
+            below[strict[i]] += 1
+    return found
 
 
 def verify_theorem(
@@ -805,18 +938,15 @@ def check_equivariance(k: int, n: int, perms="all", seed: int = 0,
     phi = carrier_map_from_parts(pk, delta, q).phi
     failures = []
     for pi in chosen:
-        relabel = lambda x: x.permute(pi)
-        delta_pi = delta.apply_permutation(relabel)
-        if delta_pi != delta:
+        # vertex index -> index of its image under pi, in source and target
+        src = invariant_index_map(delta, pi)
+        if src is None:
             failures.append({"perm": list(pi), "detail": "order complex not invariant"})
             continue
-        q_pi = q.apply_permutation(relabel)
-        if q_pi != q:
+        tgt = invariant_index_map(q, pi)
+        if tgt is None:
             failures.append({"perm": list(pi), "detail": "k-tree complex not invariant"})
             continue
-        # vertex index -> index of its image under pi, in source and target
-        src = [delta.vertex_index(x) for x in delta_pi.vertices]
-        tgt = [q.vertex_index(g) for g in q_pi.vertices]
         for face, img in phi.items():
             if phi[frozenset(src[v] for v in face)] != frozenset(tgt[w] for w in img):
                 failures.append(

@@ -454,3 +454,22 @@ def facets_oracle(K):
         if not any(f < g for g in maximal):
             maximal.append(f)
     return sorted(maximal, key=lambda f: tuple(sorted(f)))
+
+
+def refinement_loop_oracle(rgs):
+    """The refinement matrix of RGS rows, one numpy row comparison per
+    partition: p refines q iff each position's block in p sits inside one
+    block of q, read off at the first position of that block."""
+    import numpy as np
+
+    n, m = rgs.shape
+    # fo[p, c]: first position of block c in row p
+    fo = np.zeros((n, m), dtype=np.int32)
+    for c in range(m):
+        eq = rgs == c
+        fo[:, c] = np.where(eq.any(axis=1), eq.argmax(axis=1), 0)
+    out = np.empty((n, n), dtype=bool)
+    for p in range(n):
+        cols = fo[p][rgs[p]]
+        out[p] = (rgs == rgs[:, cols]).all(axis=1)
+    return out

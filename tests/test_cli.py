@@ -175,6 +175,20 @@ def test_ktree_complex_8_3_within_1gib(tmp_path):
     assert len(json.loads((tmp_path / "t.json").read_text())["facets"]) == 24310
 
 
+def test_verify_more_extensions_than_exist_stops_drawing(tmp_path):
+    # Π_3 has no proper element outside G: one (empty) linear extension, so
+    # no seeded draw is made for the other 99,999 asked for
+    src = os.path.dirname(os.path.dirname(ktreesub.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ktreesub.cli", "verify", "--k", "1", "--n", "3",
+         "--extensions", "100000", "--out", str(tmp_path / "v.json")],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "v.json").read_text())["extensions_checked"] == 1
+
+
 def test_homology_order_complex(capsys):
     code = main(["homology", "--object", "order-complex", "--m", "4", "--k", "1"])
     assert code == 0
@@ -264,6 +278,16 @@ def test_format_json_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     payload = json.loads(out[: out.rindex("}") + 1])
     assert payload["elements"] == 12
+
+
+def test_equivariance_mixed_ground_sets_is_usage_error(tmp_path, capsys):
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"vertices": [[[1, 2], [3]], [[1], [2]]], "facets": [[0], [1]]}))
+    assert main(["equivariance", "--in", str(mixed)]) == 2
+    assert capsys.readouterr().err == (
+        "error: complex labels are not partitions of a common ground set: "
+        "permutation length does not match ground set\n"
+    )
 
 
 def test_equivariance_exit_1_on_broken_symmetry(tmp_path):

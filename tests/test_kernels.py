@@ -2,7 +2,13 @@ import numpy as np
 
 from ktreesub import Partition
 from ktreesub import _kernels as K
-from oracles import brute_modk_partitions, closure_oracle, dense_to_columns, rgs_filter_oracle
+from oracles import (
+    brute_modk_partitions,
+    closure_oracle,
+    dense_to_columns,
+    refinement_loop_oracle,
+    rgs_filter_oracle,
+)
 
 
 def test_count_matches_bruteforce():
@@ -48,6 +54,17 @@ def test_refinement_paths_agree():
     for p, a in enumerate(parts):
         for q, b in enumerate(parts):
             assert leq[p, q] == a.refines(b)
+
+
+def test_refinement_matches_loop_oracle():
+    # one uint64 word of pair bits up to m = 11; (12, 5) and (13, 6) need
+    # two words and (17, 16) three
+    cases = [(m, k) for m in range(11) for k in (1, 2, 3, 4) if K.count_partitions_modk(m, k) <= 5000]
+    for m, k in cases + [(12, 5), (13, 6), (17, 16)]:
+        rgs = K.rgs_filtered(m, k)
+        leq = K.refinement_leq(rgs)
+        assert leq.dtype == bool
+        assert (leq == refinement_loop_oracle(rgs)).all(), (m, k)
 
 
 def test_closure_paths_agree_and_match_oracle():

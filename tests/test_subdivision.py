@@ -29,6 +29,7 @@ from ktreesub import (
     verify_carrier_map,
     verify_theorem,
 )
+from ktreesub import subdivision
 from ktreesub.subdivision import _distinct_extensions, sample_permutations
 from oracles import carrier_phi_oracle, pairwise_carrier_oracle, stellar_chain_oracle
 
@@ -381,6 +382,20 @@ def _drop_cells(size):
     return edit
 
 
+def _drop_facet_orbit(cm, k, n):
+    # every top cell of the S_m-orbit of one top cell removed: the map still
+    # commutes with S_m, and each face over a removed cell fails its volume
+    # check
+    p = cm.p_complex
+    top = max(len(f) for f in cm.p_faces)
+    facet = min((f for f in cm.p_faces if len(f) == top), key=sorted)
+    orbit = {
+        frozenset(p.vertex_index(p.vertices[v].permute(pi)) for v in facet)
+        for pi in permutations(range(1, (n - 1) * k + 2))
+    }
+    cm.p_faces = cm.p_faces - orbit
+
+
 def _hand_map(target_facets, points, cells, carriers=()):
     """A carrier map onto the complex with the given facets (vertex labels
     "A", "B", "C"): source vertex ``name`` sits at ``points[name]`` (a
@@ -483,6 +498,7 @@ CARRIER_CASES = {
     "moved-off-carrier": (_ladder(1, 5, _move_off_carrier), False),
     "dropped-facet-cell": (_ladder(1, 5, _drop_cells(3)), False),
     "dropped-ridge-cell": (_ladder(2, 4, _drop_cells(1)), False),
+    "dropped-facet-orbit": (_ladder(1, 5, _drop_facet_orbit), False),
     "gap-and-overlap": (_gap_and_overlap, False),
     "stray-vertex": (_stray_vertex, False),
     "double-cover": (_double_cover, False),
@@ -496,15 +512,91 @@ CARRIER_CASES = {
 def test_verify_carrier_map_matches_pairwise_oracle(case):
     # the ridge certificate may only skip pairwise tests that find nothing:
     # same failures, in the same order, and the same volumes
-    build, subdivision = CARRIER_CASES[case]
+    build, is_subdivision = CARRIER_CASES[case]
     cm = build()
     res = verify_carrier_map(cm)
     failures, volumes = pairwise_carrier_oracle(cm)
     assert [f.to_json() for f in res.failures] == failures
     assert res.facet_volumes == volumes
-    assert res.passed == subdivision
-    if not subdivision and case not in ("dropped-facet-cell", "dropped-ridge-cell"):
+    assert res.passed == is_subdivision
+    if not is_subdivision and case not in ("dropped-facet-cell", "dropped-ridge-cell", "dropped-facet-orbit"):
         assert any(f["check"] == "interiors_disjoint" and "point" in f["witness"] for f in failures)
+
+
+def _count_face_checks(monkeypatch):
+    calls = []
+    real = subdivision.check_target_face
+
+    def counting(cm, qf, *rest):
+        calls.append(qf)
+        return real(cm, qf, *rest)
+
+    monkeypatch.setattr(subdivision, "check_target_face", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build, checked",
+    [
+        (_ladder(3, 4), 4),
+        (_ladder(1, 6), 32),
+        (_ladder(2, 4), 4),
+        # not well-formed: no certificate, every face
+        (CARRIER_CASES["negative-control"][0], 235),
+        # well-formed but not equivariant: every face
+        (CARRIER_CASES["moved-along-carrier"][0], 235),
+    ],
+    ids=["3-4", "1-6", "2-4", "negative-control", "moved-along-carrier"],
+)
+def test_one_target_face_checked_per_orbit(monkeypatch, build, checked):
+    cm = build()
+    calls = _count_face_checks(monkeypatch)
+    verify_carrier_map(cm)
+    assert len(calls) == checked
+    assert len(set(calls)) == checked
+
+
+def _orbits(cm):
+    """The target faces' S_m-orbits found by the generator certificate, as
+    {root face: set of faces}."""
+    order = sorted(cm.q_faces, key=subdivision._by_size)
+    roots = subdivision._orbit_roots(cm, order)
+    assert all(roots[roots[i]] == roots[i] <= i for i in range(len(order)))
+    orbits = {}
+    for qf, r in zip(order, roots):
+        orbits.setdefault(order[r], set()).add(qf)
+    return orbits
+
+
+def test_generator_certificate_refuses_non_equivariant_map():
+    # moving one vertex along its carrier keeps a subdivision, but its orbit
+    # is not moved with it
+    cm = CARRIER_CASES["moved-along-carrier"][0]()
+    assert subdivision._check_well_formed(cm, subdivision._face_label_fn(cm.q_complex))[1]
+    assert len(_orbits(cm)) == len(cm.q_faces)
+
+
+def test_failing_roots_check_every_member(monkeypatch):
+    # the certificate holds on the map with one facet orbit removed; an
+    # orbit whose root fails has every member checked, any other its root
+    cm = CARRIER_CASES["dropped-facet-orbit"][0]()
+    orbits = _orbits(cm)
+    assert len(orbits) == 11
+    calls = _count_face_checks(monkeypatch)
+    assert not verify_carrier_map(cm).passed
+    checked = set(calls)
+    assert len(calls) == len(checked)
+    full = [root for root, orbit in orbits.items() if orbit <= checked]
+    assert any(len(orbits[root]) > 1 for root in full)
+    assert all(orbit & checked == {root} for root, orbit in orbits.items() if root not in full)
+
+
+@pytest.mark.parametrize("kn, count", [((1, 6), 32), ((3, 4), 4), ((2, 5), 12)])
+def test_target_face_orbits_match_forest_shapes(kn, count):
+    # the S_m-orbits of faces of T^k_n, one per unlabelled forest shape of a
+    # nested family, as tabulated in ROADMAP.md
+    cm, _ = global_carrier_map(*kn)
+    assert len(_orbits(cm)) == count
 
 
 def test_factor_union_of_comparable_pair_is_nested(pk72, t24):
@@ -595,8 +687,6 @@ def test_equivariance_small_all():
 def test_equivariance_reports_non_commuting_map(monkeypatch):
     # φ emptied on the vertex (12)34: one permutation that moves it must
     # report one non-commuting chain, (12)34 or its preimage
-    from ktreesub import subdivision
-
     real = subdivision.carrier_map_from_parts
     x = parse_partition("(12)34", 4)
 
@@ -615,6 +705,34 @@ def test_equivariance_reports_non_commuting_map(monkeypatch):
     assert failure["perm"] == list(pi)
     assert failure["detail"] == "carrier map does not commute with the relabelling"
     assert failure["chain"] in ([x.text()], [x.permute(inverse).text()])
+
+
+def _without_first_facet(K):
+    facet = min(K.facets(), key=sorted)
+    return SimplicialComplex(K.vertices, K.faces - {facet})
+
+
+@pytest.mark.parametrize("side", ["order complex", "k-tree complex"])
+def test_equivariance_reports_non_invariant_complex(monkeypatch, side):
+    # one facet removed from one side: the permutations that move it are
+    # reported, in order, as by comparing the relabelled complexes
+    if side == "order complex":
+        real = Poset.order_complex
+        monkeypatch.setattr(Poset, "order_complex", lambda self, **kw: _without_first_facet(real(self, **kw)))
+        broken = enumerate_partitions(4, 1).poset.order_complex()
+    else:
+        real = subdivision.enumerate_ktree_complex
+        monkeypatch.setattr(subdivision, "enumerate_ktree_complex",
+                            lambda n, k, **kw: _without_first_facet(real(n, k, **kw)))
+        broken = subdivision.enumerate_ktree_complex(4, 1)
+    want = [
+        {"perm": list(pi), "detail": f"{side} not invariant"}
+        for pi in permutations(range(1, 5))
+        if broken.apply_permutation(lambda x: x.permute(pi)) != broken
+    ]
+    rep = check_equivariance(1, 4, perms="all")
+    assert want and rep.failures == want
+    assert rep.permutations_checked == 24
 
 
 @pytest.mark.parametrize(
