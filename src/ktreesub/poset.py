@@ -6,6 +6,7 @@ payloads.  Posets are immutable after construction.
 
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import product as _iterproduct
 
@@ -274,25 +275,30 @@ class Poset:
         priority), so every seed yields a valid extension.
         """
         idx = list(range(self.n)) if subset is None else list(subset)
-        h = self.heights()
         if policy == "rank-then-canonical":
+            h = self.heights()
             out = sorted(idx, key=lambda i: (int(h[i]), i))
         elif policy == "seeded-random":
-            rng = random.Random(seed)
             shuffled = list(idx)
-            rng.shuffle(shuffled)
+            random.Random(seed).shuffle(shuffled)
             priority = {v: p for p, v in enumerate(shuffled)}
-            members = set(idx)
-            preds = {
-                i: {j for j in idx if j != i and self.leq[j, i]} for i in idx
-            }
+            # Kahn's algorithm over positions in idx: strict[a, b] when idx[a]
+            # is below idx[b]; waiting[b] counts the unplaced elements below
+            strict = self.leq[np.ix_(idx, idx)]
+            np.fill_diagonal(strict, False)
+            waiting = strict.sum(axis=0).tolist()
+            ready = [(priority[idx[b]], b) for b, w in enumerate(waiting) if not w]
+            heapq.heapify(ready)
             out = []
-            placed = set()
-            while len(out) < len(idx):
-                ready = [i for i in members - placed if preds[i] <= placed]
-                pick = min(ready, key=lambda i: priority[i])
-                out.append(pick)
-                placed.add(pick)
+            while ready:
+                _, a = heapq.heappop(ready)
+                out.append(idx[a])
+                for b in np.flatnonzero(strict[a]).tolist():
+                    waiting[b] -= 1
+                    if not waiting[b]:
+                        heapq.heappush(ready, (priority[idx[b]], b))
+            if len(out) < len(idx):
+                raise ValueError("the subset repeats an element")
         else:
             raise ValueError(f"unknown linear extension policy {policy!r}")
         if not self.is_linear_extension(out):

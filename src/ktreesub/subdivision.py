@@ -401,60 +401,67 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     one linear feasibility test per pair of cells (Fourier-Motzkin, which
     also gives the ``interiors_disjoint`` witness point) where it does not.
     For a target face qf of dimension d with cells C (phi = qf), the
-    certificate needs: no well-formedness failure anywhere and a source
-    closed under taking faces, every cell of C nondegenerate, the d-cells'
-    volumes summing to that of qf, every ridge r of a d-cell with
-    phi(r) = qf in exactly two d-cells of C whose apexes lie on opposite
-    sides of r, every other ridge (phi(r) a proper face of qf) in exactly
-    one, and every lower cell of C a face of some d-cell of C.
+    certificate needs: no cell of C meeting the source vertices that the
+    well-formedness pass marks (those of a face with a φ failure or a
+    missing sub-face, those failing a vertex check, both vertices of a
+    coincidence), every cell of C nondegenerate, the d-cells' volumes
+    summing to that of qf, every ridge r of a d-cell with phi(r) = qf in
+    exactly two d-cells of C whose apexes lie on opposite sides of r, every
+    other ridge (phi(r) a proper face of qf) in exactly one, and every lower
+    cell of C a face of some d-cell of C.  A malformed vertex thus costs the
+    pairwise tests only on the target faces with a cell through it.
 
-    Why it suffices: well-formedness puts every vertex of a cell in the
-    relative interior of its carrier, a face of qf, so the d-cells are
-    simplices in the closed target simplex P and a ridge with phi(r) < qf
-    lies in the boundary of P.  Count the open d-cells over a generic point
-    of P.  Along a generic path in the interior of P the count changes only
-    where the path crosses a ridge, and every ridge there has one cell on
-    each side, so the count is a constant: the degree.  Integrating, the
-    volumes sum to the degree times the volume of P, so the degree is 1.
-    A set of full-dimensional simplices with this pseudomanifold property
-    and degree one is a triangulation (De Loera, Rambau and Santos,
-    *Triangulations*, 2010, ch. 4): the cells meet in common faces.  The
-    cells of C are distinct faces of that triangulation (the vertex map is
-    injective), so their open images are pairwise disjoint, which is what
-    the pairwise test would have found.
+    Why it suffices: when no cell of C meets a marked vertex, every face of
+    a cell of C is a source face with an image in the target, φ is
+    order-preserving on them, and their vertices sit at distinct points,
+    each in the relative interior of its carrier, a face of qf.  So the
+    d-cells are simplices in the closed target simplex P and a ridge with
+    phi(r) < qf lies in the boundary of P.  Count the open d-cells over a
+    generic point of P.  Along a generic path in the interior of P the count
+    changes only where the path crosses a ridge, and every ridge there has
+    one cell on each side, so the count is a constant: the degree.
+    Integrating, the volumes sum to the degree times the volume of P, so the
+    degree is 1.  A set of full-dimensional simplices with this
+    pseudomanifold property and degree one is a triangulation (De Loera,
+    Rambau and Santos, *Triangulations*, 2010, ch. 4): the cells meet in
+    common faces.  The cells of C are distinct faces of that triangulation
+    (their vertices sit at distinct points), so their open images are
+    pairwise disjoint, which is what the pairwise test would have found.
+    Nothing outside C enters the argument.
 
     The target faces are checked one per S_m-orbit where a generator
-    certificate allows it.  With no well-formedness failure and partition
-    labels on both sides, let σ be (1 2) or (1 2 ... m), which generate
-    S_m.  The certificate asks that σ map the source faces and the target
-    faces into themselves, that φ(σc) = σφ(c) for every source face c and
-    that f0(σv) = σf0(v) for every source vertex v.  Then the cells over
-    σ·qf are the images σc of the cells over qf, and the points of σc are
-    those of c with their barycentric coordinates permuted: an affine
-    isomorphism of the target simplex.  It keeps affine dimensions, volume
-    ratios and the ridge counts, and flips the sides of both cells at a
-    ridge together, so the check of σ·qf finds exactly what the check of
-    qf finds, with its cells relabelled.  Each orbit is rooted at its
-    first face in check order; a face copies its root's volume when the
-    root passed with no failure, and is checked itself otherwise.  When
-    the certificate fails, every orbit is a single face.  The failures,
-    their order and the volumes are those of checking every face.
+    certificate allows it.  With no marked vertex (so no well-formedness
+    failure) and partition labels on both sides, let σ be (1 2) or
+    (1 2 ... m), which generate S_m.  The certificate asks that σ map the
+    source faces and the target faces into themselves, that φ(σc) = σφ(c)
+    for every source face c and that f0(σv) = σf0(v) for every source
+    vertex v.  Then the cells over σ·qf are the images σc of the cells over
+    qf, and the points of σc are those of c with their barycentric
+    coordinates permuted: an affine isomorphism of the target simplex.  It
+    keeps affine dimensions, volume ratios and the ridge counts, and flips
+    the sides of both cells at a ridge together, so the check of σ·qf finds
+    exactly what the check of qf finds, with its cells relabelled.  Each
+    orbit is rooted at its first face in check order; a face copies its
+    root's volume when the root passed with no failure, and is checked
+    itself otherwise.  When the certificate fails, every orbit is a single
+    face.  The failures, their order and the volumes are those of checking
+    every face.
     """
     label = _face_label_fn(cm.q_complex)
-    failures, certifiable = _check_well_formed(cm, label)
+    failures, bad = _check_well_formed(cm, label)
     cells_by_image = {}
     for face in cm.p_faces:
         img = cm.phi.get(face)
         if img in cm.q_faces:
             cells_by_image.setdefault(img, []).append(face)
     order = sorted(cm.q_faces, key=_by_size)
-    roots = _orbit_roots(cm, order) if certifiable else range(len(order))
+    roots = range(len(order)) if bad else _orbit_roots(cm, order)
     clean = {}  # position in order -> total volume, for faces checked with no failure
     facet_volumes = {}
     for i, qf in enumerate(order):
         total = clean.get(roots[i])
         if total is None:
-            face_failures, total = check_target_face(cm, qf, cells_by_image.get(qf, []), certifiable, label)
+            face_failures, total = check_target_face(cm, qf, cells_by_image.get(qf, []), bad, label)
             failures += face_failures
             if not face_failures:
                 clean[i] = total
@@ -500,7 +507,7 @@ def _orbit_roots(cm: CarrierMap, order):
     with (1 2) and (1 2 ... m), which generate S_m: each maps the source and
     target faces into themselves, φ(σc) = σφ(c) on every source face and
     f0(σv) = σf0(v) on every source vertex.  Assumes the well-formedness
-    pass found nothing (φ is total on the source faces)."""
+    pass marked no vertex (φ is total on the source faces)."""
     singletons = range(len(order))
     labels = cm.q_complex.vertices
     m = labels[0].m if labels and isinstance(labels[0], Partition) else 0
@@ -541,30 +548,36 @@ def _orbit_roots(cm: CarrierMap, order):
 
 def _check_well_formed(cm: CarrierMap, label):
     """The global pass of :func:`verify_carrier_map`: φ total, into the
-    target and order-preserving; every vertex strictly inside its carrier,
-    with coordinates summing to one, at a point of its own.  Returns the
-    failures and whether the ridge certificate may be used (no failure and
-    a source closed under taking faces)."""
+    target and order-preserving; the source closed under taking faces; every
+    vertex strictly inside its carrier, with coordinates summing to one, at
+    a point of its own.  Returns the failures and the set of source vertices
+    they touch: those of a face that fails a φ check or misses a sub-face,
+    each vertex that fails a vertex check, and both vertices of a
+    coincidence.  The ridge certificate may be used on the cells that avoid
+    this set."""
     failures = []
-    closed = True
+    bad = set()
     for face in cm.p_faces:
         if face not in cm.phi:
             failures.append(CheckFailure("phi_total", f"no image for face {sorted(face)}"))
+            bad |= face
             continue
         img = cm.phi[face]
         if img not in cm.q_faces:
             failures.append(
                 CheckFailure("phi_into_target", f"image of {sorted(face)} is not a target face", label(img))
             )
+            bad |= face
         if len(face) > 1:
             for v in face:
                 sub = face - {v}
                 if sub not in cm.p_faces:
-                    closed = False
+                    bad |= face
                 if sub in cm.phi and not cm.phi[sub] <= img:
                     failures.append(
                         CheckFailure("phi_order", f"phi not order-preserving at {sorted(face)}")
                     )
+                    bad |= face
                     break
 
     seen_points = {}
@@ -572,6 +585,7 @@ def _check_well_formed(cm: CarrierMap, label):
         coords = cm.f0.get(v)
         if coords is None:
             failures.append(CheckFailure("vertex_map_total", f"no coordinates for vertex {v}"))
+            bad.add(v)
             continue
         support = frozenset(i for i, c in coords.items() if c != 0)
         carrier = cm.phi.get(frozenset([v]))
@@ -583,24 +597,28 @@ def _check_well_formed(cm: CarrierMap, label):
                     label(carrier) if carrier else None,
                 )
             )
+            bad.add(v)
         if sum(coords.values(), Fraction(0)) != 1:
             failures.append(
                 CheckFailure("vertex_coordinates_sum", f"coordinates of vertex {v} do not sum to 1")
             )
+            bad.add(v)
         key = tuple(sorted(coords.items()))
         if key in seen_points:
             failures.append(
                 CheckFailure("vertex_map_injective", f"vertices {seen_points[key]} and {v} coincide")
             )
+            bad |= {seen_points[key], v}
         seen_points[key] = v
-    return failures, closed and not failures
+    return failures, bad
 
 
-def check_target_face(cm: CarrierMap, qf, cells, certifiable, label):
+def check_target_face(cm: CarrierMap, qf, cells, bad, label):
     """The checks of :func:`verify_carrier_map` on one target face ``qf``
     whose preimage cells are ``cells``: surjectivity, nondegeneracy, disjoint
-    open images (the ridge certificate when ``certifiable``, else one
-    Fourier-Motzkin test per pair of cells) and the volume identity.
+    open images (the ridge certificate when no cell meets the source
+    vertices ``bad`` that failed well-formedness, else one Fourier-Motzkin
+    test per pair of cells) and the volume identity.
     Returns the face's failures and the total volume of its full-dimensional
     cells (None when it has no cell)."""
     if not cells:
@@ -629,7 +647,8 @@ def check_target_face(cm: CarrierMap, qf, cells, certifiable, label):
     }
     total = sum((abs(x) for x in volumes.values()), Fraction(0))
     certified = (
-        certifiable and not degenerate and total == 1
+        not degenerate and total == 1
+        and all(bad.isdisjoint(cell) for cell in cells)
         and _ridge_certificate(cm.phi, qf, cells, volumes)
     )
     if not certified:

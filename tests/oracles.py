@@ -1,6 +1,7 @@
 """Independent brute-force oracles, written against the definitions and kept
 free of the production code paths they check."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -208,6 +209,24 @@ def is_linear_extension_loop(poset, seq):
             return False
         seen.add(i)
     return True
+
+
+def seeded_linear_extension_loop(poset, subset, seed):
+    """The seeded-random linear extension by rescanning: shuffle ``subset``
+    with ``random.Random(seed)``, then at every step place the unplaced
+    element of smallest shuffled position whose predecessors are placed."""
+    idx = list(subset)
+    shuffled = list(idx)
+    random.Random(seed).shuffle(shuffled)
+    priority = {v: p for p, v in enumerate(shuffled)}
+    preds = {i: {j for j in idx if j != i and poset.leq[j, i]} for i in idx}
+    out, placed = [], set()
+    while len(out) < len(idx):
+        ready = [i for i in set(idx) - placed if preds[i] <= placed]
+        pick = min(ready, key=lambda i: priority[i])
+        out.append(pick)
+        placed.add(pick)
+    return out
 
 
 def stellar_subdivision_oracle(K, face_labels, new_label):

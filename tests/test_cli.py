@@ -189,6 +189,24 @@ def test_verify_more_extensions_than_exist_stops_drawing(tmp_path):
     assert json.loads((tmp_path / "v.json").read_text())["extensions_checked"] == 1
 
 
+def test_python_m_ktreesub_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(ktreesub.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+
+    def run(k):
+        return subprocess.run(
+            [sys.executable, "-m", "ktreesub", "verify", "--k", k, "--n", "4"],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        )
+
+    ok = run("1")
+    assert ok.returncode == 0, ok.stderr
+    assert "verdict: pass" in ok.stdout
+    bad = run("0")
+    assert bad.returncode == 2
+    assert "need k >= 1" in bad.stderr
+
+
 def test_homology_order_complex(capsys):
     code = main(["homology", "--object", "order-complex", "--m", "4", "--k", "1"])
     assert code == 0

@@ -11,12 +11,18 @@ from ktreesub import (
     NotUnique,
     NoUpperBound,
     Poset,
+    enumerate_partitions,
     parse_partition,
     poset_from_json,
     poset_to_json,
     product,
 )
-from oracles import chains_oracle, closure_oracle, is_linear_extension_loop
+from oracles import (
+    chains_oracle,
+    closure_oracle,
+    is_linear_extension_loop,
+    seeded_linear_extension_loop,
+)
 
 
 def chain_poset(n):
@@ -159,6 +165,32 @@ def test_linear_extension_policies(pk72):
     seeded = pk72.poset.linear_extension(pool, policy="seeded-random", seed=5)
     assert pk72.poset.is_linear_extension(seeded)
     assert sorted(seeded) == sorted(default)
+
+
+def _added_pool(pk):
+    g = set(pk.g_indices())
+    return [i for i in pk.poset.proper_indices() if i not in g]
+
+
+def test_seeded_linear_extension_matches_rescan(pk51, pk72):
+    # Kahn's algorithm keyed by shuffled position draws what the rescan of
+    # the unplaced elements draws, seed for seed
+    for pk in (pk51, pk72):
+        pool = _added_pool(pk)
+        for seed in range(20):
+            got = pk.poset.linear_extension(pool, policy="seeded-random", seed=seed)
+            assert got == seeded_linear_extension_loop(pk.poset, pool, seed)
+    pk = enumerate_partitions(10, 3)
+    pool = _added_pool(pk)
+    assert len(pool) == 1575
+    for seed in (0, 1):
+        got = pk.poset.linear_extension(pool, policy="seeded-random", seed=seed)
+        assert got == seeded_linear_extension_loop(pk.poset, pool, seed)
+
+
+def test_seeded_linear_extension_refuses_repeats():
+    with pytest.raises(ValueError):
+        chain_poset(3).linear_extension([0, 1, 1], policy="seeded-random", seed=0)
 
 
 def test_linear_extension_total_order():

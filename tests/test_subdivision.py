@@ -29,7 +29,7 @@ from ktreesub import (
     verify_carrier_map,
     verify_theorem,
 )
-from ktreesub import subdivision
+from ktreesub import exact, subdivision
 from ktreesub.subdivision import _distinct_extensions, sample_permutations
 from oracles import carrier_phi_oracle, pairwise_carrier_oracle, stellar_chain_oracle
 
@@ -541,7 +541,7 @@ def _count_face_checks(monkeypatch):
         (_ladder(3, 4), 4),
         (_ladder(1, 6), 32),
         (_ladder(2, 4), 4),
-        # not well-formed: no certificate, every face
+        # not well-formed: no generator certificate, every face
         (CARRIER_CASES["negative-control"][0], 235),
         # well-formed but not equivariant: every face
         (CARRIER_CASES["moved-along-carrier"][0], 235),
@@ -554,6 +554,78 @@ def test_one_target_face_checked_per_orbit(monkeypatch, build, checked):
     verify_carrier_map(cm)
     assert len(calls) == checked
     assert len(set(calls)) == checked
+
+
+def _count_fm_solves(monkeypatch):
+    calls = []
+    real = exact.open_simplices_intersect
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exact, "open_simplices_intersect", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "case, solves",
+    [
+        # a malformed vertex costs the pairwise tests only on the target
+        # faces with a cell through it: 420, 416 and 210 with one global
+        # switch
+        ("negative-control", 81),
+        ("moved-off-carrier", 22),
+        ("dropped-ridge-cell", 12),
+        ("double-cover", 208),
+        ("gap-and-overlap", 21),
+        ("folded-cycle", 15),
+        ("stray-vertex", 6),
+        ("misplaced-carriers", 5),
+        ("unchecked-vertices", 1),
+    ],
+)
+def test_fourier_motzkin_solves_per_broken_map(monkeypatch, case, solves):
+    cm = CARRIER_CASES[case][0]()
+    calls = _count_fm_solves(monkeypatch)
+    assert not verify_carrier_map(cm).passed
+    assert len(calls) == solves
+
+
+def _well_formed(cm):
+    return subdivision._check_well_formed(cm, subdivision._face_label_fn(cm.q_complex))
+
+
+def _vertices(cm, names):
+    p = cm.p_complex
+    return {p.vertex_index(parse_partition(x, p.vertices[0].m) if "(" in x else x) for x in names}
+
+
+@pytest.mark.parametrize(
+    "case, names",
+    [
+        ("negative-control", ["(12)345", "(12)(34)5"]),
+        ("moved-off-carrier", ["(12)(34)5"]),
+        ("misplaced-carriers", ["y", "z", "w"]),
+    ],
+)
+def test_well_formedness_marks_failing_vertices(case, names):
+    cm = CARRIER_CASES[case][0]()
+    failures, bad = _well_formed(cm)
+    assert failures
+    assert bad == _vertices(cm, names)
+
+
+def test_missing_sub_faces_mark_their_faces():
+    # no well-formedness failure: the cells [A,y] and [z,w] lack the vertices
+    # y, z and w, and only that marks them
+    cm = CARRIER_CASES["unchecked-vertices"][0]()
+    assert _well_formed(cm) == ([], _vertices(cm, ["A", "y", "z", "w"]))
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CARRIER_CASES if c.startswith("ladder-")))
+def test_well_formed_ladder_marks_nothing(case):
+    assert _well_formed(CARRIER_CASES[case][0]()) == ([], set())
 
 
 def _orbits(cm):
@@ -572,7 +644,7 @@ def test_generator_certificate_refuses_non_equivariant_map():
     # moving one vertex along its carrier keeps a subdivision, but its orbit
     # is not moved with it
     cm = CARRIER_CASES["moved-along-carrier"][0]()
-    assert subdivision._check_well_formed(cm, subdivision._face_label_fn(cm.q_complex))[1]
+    assert _well_formed(cm) == ([], set())
     assert len(_orbits(cm)) == len(cm.q_faces)
 
 
