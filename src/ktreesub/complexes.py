@@ -162,11 +162,16 @@ class SimplicialComplex:
         return frozenset(frozenset(self.vertices[i] for i in f) for f in self.faces)
 
     def __eq__(self, other):
-        return (
+        """Same vertex labels and same faces as sets of labels, compared
+        through the map from ``other``'s vertex indices to this one's."""
+        if not (
             isinstance(other, SimplicialComplex)
-            and set(self.vertices) == set(other.vertices)
-            and self.label_faces() == other.label_faces()
-        )
+            and self._index.keys() == other._index.keys()
+            and len(self.faces) == len(other.faces)
+        ):
+            return False
+        idx = [self._index[lab] for lab in other.vertices]
+        return all(frozenset(map(idx.__getitem__, f)) in self.faces for f in other.faces)
 
     def __hash__(self):
         return hash(self.label_faces())

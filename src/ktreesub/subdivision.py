@@ -434,18 +434,18 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     failure) and partition labels on both sides, let σ be (1 2) or
     (1 2 ... m), which generate S_m.  The certificate asks that σ map the
     source faces and the target faces into themselves, that φ(σc) = σφ(c)
-    for every source face c and that f0(σv) = σf0(v) for every source
-    vertex v.  Then the cells over σ·qf are the images σc of the cells over
-    qf, and the points of σc are those of c with their barycentric
-    coordinates permuted: an affine isomorphism of the target simplex.  It
-    keeps affine dimensions, volume ratios and the ridge counts, and flips
-    the sides of both cells at a ridge together, so the check of σ·qf finds
-    exactly what the check of qf finds, with its cells relabelled.  Each
-    orbit is rooted at its first face in check order; a face copies its
-    root's volume when the root passed with no failure, and is checked
-    itself otherwise.  When the certificate fails, every orbit is a single
-    face.  The failures, their order and the volumes are those of checking
-    every face.
+    for every source face c (:func:`generator_certificate`) and that
+    f0(σv) = σf0(v) for every source vertex v.  Then the cells over σ·qf
+    are the images σc of the cells over qf, and the points of σc are those
+    of c with their barycentric coordinates permuted: an affine isomorphism
+    of the target simplex.  It keeps affine dimensions, volume ratios and
+    the ridge counts, and flips the sides of both cells at a ridge together,
+    so the check of σ·qf finds exactly what the check of qf finds, with its
+    cells relabelled.  Each orbit is rooted at its first face in check
+    order; a face copies its root's volume when the root passed with no
+    failure, and is checked itself otherwise.  When the certificate fails,
+    every orbit is a single face.  The failures, their order and the
+    volumes are those of checking every face.
     """
     label = _face_label_fn(cm.q_complex)
     failures, bad = _check_well_formed(cm, label)
@@ -470,64 +470,99 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     return CarrierCheckResult(passed=not failures, failures=failures, facet_volumes=facet_volumes)
 
 
-def _index_map(K: SimplicialComplex, perm):
-    """The vertex index map of relabelling ``K`` by ``perm`` (``perm[i-1]``
-    is the image of i): ``out[v]`` is the index of the image of vertex v.
-    None when a label is not a :class:`Partition` of 1..len(perm) or an
-    image is not a vertex of ``K``."""
-    m = len(perm)
-    index = {}
-    for i, lab in enumerate(K.vertices):
-        if not isinstance(lab, Partition) or lab.m != m:
+class PermutationAction:
+    """S_m acting on a complex whose vertex labels are partitions of 1..m.
+
+    The distinct blocks of the labels are numbered once, and each label is
+    kept as its set of block numbers, so a permutation moves each distinct
+    block once, not once per label.  ``faces`` are the faces the invariance
+    test reads, all faces of ``K`` unless given; ``m`` is None when the
+    labels are not all :class:`Partition` objects of one ground set."""
+
+    def __init__(self, K: SimplicialComplex, faces=None):
+        self.faces = K.faces if faces is None else faces
+        ms = {lab.m if isinstance(lab, Partition) else None for lab in K.vertices}
+        self.m = ms.pop() if len(ms) == 1 else None
+        self._blocks = {}  # block -> its number
+        self._vertex_blocks = [
+            frozenset(self._blocks.setdefault(b, len(self._blocks)) for b in lab.blocks)
+            for lab in (K.vertices if self.m else ())
+        ]
+        self._index = {blocks: v for v, blocks in enumerate(self._vertex_blocks)}
+
+    def index_map(self, perm):
+        """The vertex index map of relabelling by ``perm`` (``perm[i-1]`` is
+        the image of i): entry v is the index of the image of vertex v.  None
+        when ``perm`` does not act on the labels' ground set or an image is
+        not a vertex."""
+        if len(perm) != self.m:
             return None
-        index[lab.blocks] = i
-    image = (0, *perm).__getitem__
-    out = []
-    for lab in K.vertices:
-        j = index.get(tuple(sorted(tuple(sorted(map(image, b))) for b in lab.blocks)))
-        if j is None:
+        image = (0, *perm).__getitem__
+        # block number -> number of its image, None when no label has it
+        moved = {i: self._blocks.get(tuple(sorted(map(image, b)))) for b, i in self._blocks.items()}
+        out = [self._index.get(frozenset(map(moved.__getitem__, bs))) for bs in self._vertex_blocks]
+        return None if None in out else out
+
+    def invariant_index_map(self, perm):
+        """:meth:`index_map` when it sends every face to a face, hence (being
+        injective) the face set onto itself; else None."""
+        idx = self.index_map(perm)
+        if idx is None:
             return None
-        out.append(j)
-    return out
+        faces, image = self.faces, idx.__getitem__
+        return idx if all(frozenset(map(image, f)) in faces for f in faces) else None
 
 
-def invariant_index_map(K: SimplicialComplex, perm):
-    """:func:`_index_map` when it sends every face of ``K`` to a face, hence
-    (being injective) the face set onto itself; else None."""
-    idx = _index_map(K, perm)
-    if idx is None or not all(frozenset(map(idx.__getitem__, f)) in K.faces for f in K.faces):
+def generators(m: int):
+    """(1 2) and (1 2 ... m), which generate S_m; none for m < 2, where S_m
+    is trivial."""
+    return ((2, 1, *range(3, m + 1)), (*range(2, m + 1), 1)) if m >= 2 else ()
+
+
+def generator_certificate(source: PermutationAction, target: PermutationAction, phi):
+    """The (source, target) vertex index maps of each of :func:`generators`
+    when each generator σ maps the source faces and the target faces into
+    themselves and φ(σc) = σφ(c) for every source face c; else None.  One
+    pass over the source faces per generator.
+
+    The permutations that leave a face set invariant form a subgroup, and so
+    do those that also commute with φ, so when the generators pass, every
+    permutation of 1..m does.  φ must be defined on every source face."""
+    if target.m is None:
         return None
-    return idx
+    faces = source.faces
+    maps = []
+    for perm in generators(target.m):
+        src, tgt = source.index_map(perm), target.invariant_index_map(perm)
+        if src is None or tgt is None:
+            return None
+        s, t = src.__getitem__, tgt.__getitem__
+        for c in faces:
+            sc = frozenset(map(s, c))
+            if sc not in faces or phi[sc] != frozenset(map(t, phi[c])):
+                return None
+        maps.append((src, tgt))
+    return maps
 
 
 def _orbit_roots(cm: CarrierMap, order):
     """For each position i in ``order`` (the target faces in
     :func:`_by_size` order), the position of the first face of the S_m-orbit
-    of ``order[i]``.  Every face is its own root unless the map commutes
-    with (1 2) and (1 2 ... m), which generate S_m: each maps the source and
-    target faces into themselves, φ(σc) = σφ(c) on every source face and
-    f0(σv) = σf0(v) on every source vertex.  Assumes the well-formedness
-    pass marked no vertex (φ is total on the source faces)."""
+    of ``order[i]``.  Every face is its own root unless the map passes
+    :func:`generator_certificate` and f0(σv) = σf0(v) on every source vertex
+    v for both generators σ.  Assumes the well-formedness pass marked no
+    vertex (φ is total on the source faces)."""
     singletons = range(len(order))
-    labels = cm.q_complex.vertices
-    m = labels[0].m if labels and isinstance(labels[0], Partition) else 0
-    if m < 2:
+    maps = generator_certificate(
+        PermutationAction(cm.p_complex, cm.p_faces), PermutationAction(cm.q_complex, cm.q_faces), cm.phi
+    )
+    if not maps:
         return singletons
     vertices = cm.p_vertices()
-    images = []  # per generator: target vertex -> its image
-    for perm in ((2, 1, *range(3, m + 1)), (*range(2, m + 1), 1)):
-        src = _index_map(cm.p_complex, perm)
-        tgt = _index_map(cm.q_complex, perm)
-        if src is None or tgt is None:
-            return singletons
-        for c in cm.p_faces:
-            sc = frozenset(map(src.__getitem__, c))
-            if sc not in cm.p_faces or cm.phi[sc] != frozenset(map(tgt.__getitem__, cm.phi[c])):
-                return singletons
+    for src, tgt in maps:
         for v in vertices:
             if cm.f0[src[v]] != {tgt[w]: x for w, x in cm.f0[v].items()}:
                 return singletons
-        images.append(tgt.__getitem__)
     pos = {qf: i for i, qf in enumerate(order)}
     parent = list(singletons)  # union-find; a root is its class's first face
 
@@ -537,11 +572,8 @@ def _orbit_roots(cm: CarrierMap, order):
         return i
 
     for i, qf in enumerate(order):
-        for image in images:
-            j = pos.get(frozenset(map(image, qf)))
-            if j is None:
-                return singletons
-            a, b = find(i), find(j)
+        for _, tgt in maps:
+            a, b = find(i), find(pos[frozenset(map(tgt.__getitem__, qf))])
             parent[max(a, b)] = min(a, b)
     return [find(i) for i in singletons]
 
@@ -941,28 +973,42 @@ def check_equivariance(k: int, n: int, perms="all", seed: int = 0,
                        max_poset_elements: int = 5_000, max_faces: int = 200_000) -> EquivarianceReport:
     """Leaf-relabelling equivariance of the whole carrier map.
 
-    For each tested permutation both complexes must be setwise invariant and
+    For each tested permutation (all of S_m, or ``perms`` of them drawn by
+    :func:`sample_permutations`) both complexes must be setwise invariant and
     the factor map must commute with the relabelling on every chain.  Top
     reduced homology ranks of the two complexes are compared as well.
+
+    The permutations with both properties form a subgroup of S_m, so it is
+    enough that the generators (1 2) and (1 2 ... m) have them
+    (:func:`generator_certificate`).  When they do, no permutation can fail,
+    the sample is not drawn, and ``permutations_checked`` is the number the
+    loop would have checked: m!, or ``min(perms, m!)``.  Otherwise every
+    tested permutation is checked in turn and the failures are reported in
+    order, at most one non-commuting chain per permutation.
     """
     m = (n - 1) * k + 1
     pk = enumerate_partitions(m, k, max_elements=max_poset_elements)
     q = enumerate_ktree_complex(n, k, max_faces=max_faces)
     delta = pk.poset.order_complex(max_faces=max_faces)
-    if perms == "all":
-        chosen, count = permutations(range(1, m + 1)), factorial(m)
-    else:
-        chosen = sample_permutations(m, int(perms), seed)
-        count = len(chosen)
+    count = factorial(m) if perms == "all" else min(int(perms), factorial(m))
+    if count < 0:
+        raise ValueError("perms must be 'all' or a nonnegative count")
     phi = carrier_map_from_parts(pk, delta, q).phi
+    source, target = PermutationAction(delta), PermutationAction(q)
     failures = []
+    if generator_certificate(source, target, phi) is not None:
+        chosen = ()  # no permutation can fail
+    elif perms == "all":
+        chosen = permutations(range(1, m + 1))
+    else:
+        chosen = sample_permutations(m, count, seed)
     for pi in chosen:
         # vertex index -> index of its image under pi, in source and target
-        src = invariant_index_map(delta, pi)
+        src = source.invariant_index_map(pi)
         if src is None:
             failures.append({"perm": list(pi), "detail": "order complex not invariant"})
             continue
-        tgt = invariant_index_map(q, pi)
+        tgt = target.invariant_index_map(pi)
         if tgt is None:
             failures.append({"perm": list(pi), "detail": "k-tree complex not invariant"})
             continue

@@ -492,3 +492,62 @@ def refinement_loop_oracle(rgs):
         cols = fo[p][rgs[p]]
         out[p] = (rgs == rgs[:, cols]).all(axis=1)
     return out
+
+
+def equivariance_oracle(k, n, perms="all", seed=0):
+    """``check_equivariance(k, n, perms, seed).to_json()`` with no generator
+    certificate: every tested permutation relabels both complexes and φ, and
+    they are compared as sets of labels.  The complexes and φ come from the
+    library's constructors, looked up on ``subdivision`` so that a test's
+    patches reach them."""
+    from itertools import permutations
+
+    from ktreesub import subdivision
+
+    m = (n - 1) * k + 1
+    pk = subdivision.enumerate_partitions(m, k)
+    q = subdivision.enumerate_ktree_complex(n, k)
+    delta = pk.poset.order_complex()
+    phi = subdivision.carrier_map_from_parts(pk, delta, q).phi
+    sides = [("order complex", delta.label_faces()), ("k-tree complex", q.label_faces())]
+    phi_labels = {
+        frozenset(delta.vertices[v] for v in c): frozenset(q.vertices[w] for w in img)
+        for c, img in phi.items()
+    }
+    if perms == "all":
+        chosen = list(permutations(range(1, m + 1)))
+    else:
+        chosen = subdivision.sample_permutations(m, perms, seed)
+    failures = []
+    for pi in chosen:
+        image = {x: x.permute(pi) for x in delta.vertices + q.vertices}
+
+        def act(labels):
+            return frozenset(image[x] for x in labels)
+
+        broken = [side for side, faces in sides if any(act(f) not in faces for f in faces)]
+        if broken:
+            failures.append({"perm": list(pi), "detail": f"{broken[0]} not invariant"})
+            continue
+        for c in phi:
+            labels = frozenset(delta.vertices[v] for v in c)
+            if phi_labels[act(labels)] != act(phi_labels[labels]):
+                failures.append(
+                    {
+                        "perm": list(pi),
+                        "detail": "carrier map does not commute with the relabelling",
+                        "chain": [delta.vertices[v].text() for v in sorted(c)],
+                    }
+                )
+                break
+    top = n - 3
+    ranks = []
+    for K in (delta, q):
+        h = K.reduced_homology()
+        ranks.append(h[top][0] if 0 <= top < len(h) else 0)
+    return {
+        "passed": not failures and ranks[0] == ranks[1],
+        "permutations_checked": len(chosen),
+        "top_rank": {"source": ranks[0], "target": ranks[1]},
+        "failures": failures[:10],
+    }

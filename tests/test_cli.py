@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ktreesub
 from ktreesub.cli import main
@@ -317,3 +319,103 @@ def test_equivariance_exit_1_on_broken_symmetry(tmp_path):
     f.write_text(json.dumps(lopsided))
     code = main(["equivariance", "--in", str(f)])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "vertices, flags, line, code",
+    [
+        ([[[1]]], [], "checked 1 permutations, 0 break invariance", 0),
+        ([[[1], [2]], [[1, 2]]], [], "checked 2 permutations, 0 break invariance", 0),
+        ([[[1, 2], [3], [4], [5]]], [], "checked 120 permutations, 108 break invariance", 1),
+        ([[[1, 2], [3], [4], [5], [6], [7]], [[1], [2, 3], [4], [5], [6], [7]]],
+         ["--sample", "30", "--seed", "5"], "checked 30 permutations, 29 break invariance", 1),
+        ([[[1, 2], [3], [4], [5], [6], [7]], [[1], [2]]],
+         ["--sample", "0"], "checked 0 permutations, 0 break invariance", 0),
+    ],
+    ids=["m1", "m2", "m5-broken", "m7-sampled", "m7-mixed-empty-sample"],
+)
+def test_equivariance_in_output(tmp_path, capsys, vertices, flags, line, code):
+    # m = 1 and m = 2, where the two generators of S_m degenerate, and
+    # complexes that no generator certificate covers
+    f = tmp_path / "complex.json"
+    f.write_text(json.dumps({"vertices": vertices, "facets": [list(range(len(vertices)))]}))
+    assert main(["equivariance", "--in", str(f)] + flags) == code
+    assert capsys.readouterr().out == line + "\n"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["vertices", "facets", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _complex_file(draw):
+    """The shape ``enumerate`` writes, with vertices drawn as partitions of
+    1..m (their blocks named by a block id per element) and facets as index
+    lists, both sometimes out of range."""
+    m = draw(st.integers(1, 4))
+    vertices = []
+    for ids in draw(st.lists(st.lists(st.integers(0, 2), min_size=m, max_size=m), max_size=5)):
+        blocks = {}
+        for x, b in enumerate(ids, 1):
+            blocks.setdefault(b, []).append(x)
+        vertices.append(list(blocks.values()))
+    facets = draw(st.lists(st.lists(st.integers(0, len(vertices)), max_size=3), max_size=4))
+    return {"vertices": vertices, "facets": facets}
+
+
+@st.composite
+def _cli_call(draw):
+    """An argument list for one subcommand, with small or negative numbers
+    and small caps, and the JSON to put in its ``--in`` file, if any."""
+    command = draw(st.sampled_from(["enumerate", "verify", "homology", "equivariance"]))
+    argv = [command]
+
+    def maybe(flag, values):
+        if draw(st.sampled_from([True, True, False])):
+            argv.extend([flag, str(draw(values))])
+
+    if command == "enumerate":
+        argv += ["--object", draw(st.sampled_from(["pi-k", "ktree-complex", "order-complex", "g-set"]))]
+        maybe("--element", st.text(max_size=10))
+    if command == "homology":
+        maybe("--object", st.sampled_from(["order-complex", "ktree-complex"]))
+        if draw(st.booleans()):
+            argv.append("--compare")
+    maybe("--k", st.integers(1, 3) | st.integers(-1, 0))
+    maybe("--n", st.integers(3, 5) | st.integers(-1, 2))
+    if command in ("enumerate", "homology"):
+        maybe("--m", st.integers(1, 6) | st.integers(-1, 0))
+    if command == "verify":
+        maybe("--extensions", st.integers(0, 3))
+    if command == "equivariance":
+        maybe("--sample", st.integers(0, 30))
+    maybe("--format", st.sampled_from(["json", "text"]))
+    maybe("--seed", st.integers(-3, 3))
+    argv += ["--max-poset-elements", str(draw(st.integers(0, 150))),
+             "--max-faces", str(draw(st.integers(0, 400)))]
+    payload = None
+    if command in ("homology", "equivariance") and draw(st.booleans()):
+        payload = draw(_JSON | _complex_file())
+    return argv, payload
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(_cli_call())
+def test_cli_fuzz_exit_codes(tmp_path, monkeypatch, call):
+    # every subcommand ends in a documented exit code, never an exception
+    argv, payload = call
+    monkeypatch.setenv("KTREESUB_OUT_DIR", str(tmp_path))
+    if payload is not None:
+        infile = tmp_path / "in.json"
+        infile.write_text(json.dumps(payload))
+        argv = argv + ["--in", str(infile)]
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse rejects the arguments
+        code = e.code
+    assert code in (0, 1, 2, 3)

@@ -218,6 +218,37 @@ def test_apply_permutation_preserves_f_vector(t24):
     assert img == t24  # setwise invariance of the k-tree complex
 
 
+def test_equality_reads_labels_not_indices():
+    faces = [{0}, {1}, {2}, {0, 1}, {1, 2}]
+    K = SimplicialComplex(["a", "b", "c"], faces)
+    # the same faces over the vertex list in another order
+    reordered = SimplicialComplex(["c", "a", "b"], [{1}, {2}, {0}, {1, 2}, {2, 0}])
+    assert K == reordered and reordered == K and hash(K) == hash(reordered)
+    assert K != SimplicialComplex(["a", "b", "d"], faces)
+    # the same number of faces, one face different
+    assert K != SimplicialComplex(["a", "b", "c"], [{0}, {1}, {2}, {0, 1}, {0, 2}])
+    missing = SimplicialComplex(["a", "b", "c"], faces[:-1])
+    assert K != missing and missing != K
+    assert K != faces
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_equality_matches_label_faces(data):
+    def draw_complex():
+        faces = data.draw(
+            st.lists(st.frozensets(st.integers(0, 4), min_size=1, max_size=3), min_size=1, max_size=4)
+        )
+        K = SimplicialComplex.from_label_faces([tuple(f) for f in faces])
+        order = data.draw(st.permutations(range(len(K.vertices))))
+        return SimplicialComplex(
+            [K.vertices[i] for i in order], [frozenset(order.index(v) for v in f) for f in K.faces]
+        )
+
+    A, B = draw_complex(), draw_complex()
+    assert (A == B) == (set(A.vertices) == set(B.vertices) and A.label_faces() == B.label_faces())
+
+
 def test_facets_match_oracle():
     ladder = [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5), (4, 3)]
     complexes = [SimplicialComplex.from_label_faces(RP2_FACETS)]

@@ -31,7 +31,12 @@ from ktreesub import (
 )
 from ktreesub import exact, subdivision
 from ktreesub.subdivision import _distinct_extensions, sample_permutations
-from oracles import carrier_phi_oracle, pairwise_carrier_oracle, stellar_chain_oracle
+from oracles import (
+    carrier_phi_oracle,
+    equivariance_oracle,
+    pairwise_carrier_oracle,
+    stellar_chain_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +782,7 @@ def test_equivariance_reports_non_commuting_map(monkeypatch):
     assert failure["perm"] == list(pi)
     assert failure["detail"] == "carrier map does not commute with the relabelling"
     assert failure["chain"] in ([x.text()], [x.permute(inverse).text()])
+    assert rep.to_json() == equivariance_oracle(1, 4, perms=1, seed=0)
 
 
 def _without_first_facet(K):
@@ -805,6 +811,68 @@ def test_equivariance_reports_non_invariant_complex(monkeypatch, side):
     rep = check_equivariance(1, 4, perms="all")
     assert want and rep.failures == want
     assert rep.permutations_checked == 24
+    assert rep.to_json() == equivariance_oracle(1, 4)
+
+
+@pytest.mark.parametrize(
+    "k, n, perms, seed",
+    [(2, 3, "all", 0), (1, 4, "all", 0), (1, 5, "all", 0),
+     (2, 4, 20, 0), (2, 4, 20, 3), (4, 3, 20, 0), (4, 3, 20, 3)],
+)
+def test_equivariance_matches_per_permutation_oracle(k, n, perms, seed):
+    assert check_equivariance(k, n, perms=perms, seed=seed).to_json() == equivariance_oracle(
+        k, n, perms=perms, seed=seed
+    )
+
+
+def _count_index_maps(monkeypatch):
+    """The permutations each :class:`PermutationAction` is asked to map, one
+    list per action, in order of construction."""
+    action = subdivision.PermutationAction
+    real_init, real_map = action.__init__, action.index_map
+    calls = {}
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        calls[self] = []
+
+    def index_map(self, perm):
+        calls[self].append(perm)
+        return real_map(self, perm)
+
+    monkeypatch.setattr(action, "__init__", init)
+    monkeypatch.setattr(action, "index_map", index_map)
+    return calls
+
+
+def test_passing_equivariance_maps_only_the_generators(monkeypatch):
+    calls = _count_index_maps(monkeypatch)
+
+    def no_sample(*args):
+        raise AssertionError("the sample is drawn")
+
+    monkeypatch.setattr(subdivision, "sample_permutations", no_sample)
+    rep = check_equivariance(2, 4, perms=20, seed=0)
+    assert rep.passed and rep.permutations_checked == 20 and not rep.failures
+    assert list(calls.values()) == [list(subdivision.generators(7))] * 2
+
+
+def test_failing_certificate_reuses_each_block_table(monkeypatch):
+    # one facet removed from the k-tree complex: the certificate fails and
+    # all 24 permutations are checked, each through the two actions built
+    # for the certificate
+    real = subdivision.enumerate_ktree_complex
+    monkeypatch.setattr(subdivision, "enumerate_ktree_complex",
+                        lambda n, k, **kw: _without_first_facet(real(n, k, **kw)))
+    calls = _count_index_maps(monkeypatch)
+    assert check_equivariance(1, 4, perms="all").failures
+    assert len(calls) == 2
+    assert all(perms[-24:] == list(permutations(range(1, 5))) for perms in calls.values())
+
+
+def test_equivariance_rejects_negative_count():
+    with pytest.raises(ValueError):
+        check_equivariance(1, 4, perms=-1)
 
 
 @pytest.mark.parametrize(
