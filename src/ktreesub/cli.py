@@ -248,12 +248,12 @@ def cmd_equivariance(args) -> int:
             m = kom.vertices[0].m
         except (OSError, ValueError, KeyError, IndexError, json.JSONDecodeError) as e:
             return _usage_error(f"cannot load complex from {args.infile}: {e}")
-        count = min(args.sample, factorial(m)) if m > 5 else factorial(m)
-        if count and any(x.m != m for x in kom.vertices):
+        if any(x.m != m for x in kom.vertices):
             return _usage_error(
                 "complex labels are not partitions of a common ground set: "
                 "permutation length does not match ground set"
             )
+        count = min(args.sample, factorial(m)) if m > 5 else factorial(m)
         # the permutations that leave the complex invariant form a subgroup:
         # when the generators of S_m are in it, no permutation breaks invariance
         action = PermutationAction(kom)

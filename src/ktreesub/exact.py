@@ -1,73 +1,71 @@
-"""Exact rational linear algebra for the subdivision verifier: affine rank,
-simplex volumes in barycentric charts, and open-interior intersection tests
-by Fourier-Motzkin elimination.  No floating point anywhere."""
+"""Exact linear algebra for the subdivision verifier: affine rank, simplex
+volumes in barycentric charts, and open-interior intersection tests by
+Fourier-Motzkin elimination.  No floating point anywhere.
+
+Points are tuples of rationals (``Fraction`` or ``int``).  Each point set is
+scaled to integers by one common multiple L of its denominators, and every
+elimination runs on those integers.  Rank and determinant use Bareiss'
+fraction-free elimination (*Sylvester's identity and multistep
+integer-preserving Gaussian elimination*, Math. Comp. 1968): each entry is a
+minor of the matrix, so every division by the previous pivot is exact.  The
+intersection test reduces its equalities and runs Fourier-Motzkin on integer
+rows, each new row divided by the positive gcd of its entries.  Only the
+back-substitution and the witness point are ``Fraction`` arithmetic.
+
+The witness is the point the same elimination finds over the rationals.
+The reduced row echelon form of a matrix is unique, so the pivot and free
+variables and the solved form of each pivot variable are the same rationals.
+Scaling an inequality by a positive number changes neither which side of a
+variable it bounds nor the bound -val/c it gives, so Fourier-Motzkin meets
+the same rows, up to positive multiples, in the same order, and
+back-substitution picks the same values."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
-def mat_rank(rows) -> int:
-    """Rank of a matrix of Fractions/ints by Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    col = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][col] != 0:
-                piv = i
-                break
+def _scaled(points):
+    """The points times one common multiple L of their denominators, as
+    integer tuples, and L."""
+    L = lcm(*(x.denominator for p in points for x in p))
+    return [tuple(x.numerator * (L // x.denominator) for x in p) for p in points], L
+
+
+def _bareiss(m):
+    """Bareiss elimination of the integer matrix ``m`` (a list of row lists,
+    reduced in place).  Returns its rank and the last pivot signed by the row
+    swaps, which is the determinant when ``m`` is square of full rank."""
+    rank, prev, sign = 0, 1, 1
+    nrows = len(m)
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, nrows) if m[i][col]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def det(rows) -> Fraction:
-    """Determinant of a square matrix of Fractions."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
             sign = -sign
-        pv = m[col][col]
-        out *= pv
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return out * sign
+        top = m[rank]
+        p = top[col]
+        for i in range(rank + 1, nrows):
+            row = m[i]
+            f = row[col]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, sign * prev
 
 
 def affine_dim(points) -> int:
     """Dimension of the affine hull of a list of coordinate tuples."""
     if not points:
         return -1
-    base = points[0]
-    diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    return mat_rank(diffs)
+    ints, _ = _scaled(points)
+    base = ints[0]
+    return _bareiss([[a - b for a, b in zip(p, base)] for p in ints[1:]])[0]
 
 
 def simplex_volume_ratio(points) -> Fraction:
@@ -81,60 +79,52 @@ def simplex_volume_ratio(points) -> Fraction:
     d = len(points) - 1
     if d == 0:
         return Fraction(1)
-    base = points[0][1:]
-    return det([[a - b for a, b in zip(p[1:], base)] for p in points[1:]])
+    ints, L = _scaled([p[1:] for p in points])
+    base = ints[0]
+    rank, det = _bareiss([[a - b for a, b in zip(p, base)] for p in ints[1:]])
+    return Fraction(det if rank == d else 0, L**d)
 
 
-def _solve_equalities(eqs, nvars):
-    """Row reduce [A | b] rows meaning sum(A[i]*x) = b[i].
+def _reduce(row):
+    """An integer row divided by the positive gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
-    Returns (expr, free) with expr[v] = (coeffs over free vars, constant) for
-    every variable, or None when inconsistent."""
-    rows = [[Fraction(x) for x in r] for r in eqs]
+
+def _solve_equalities(rows, nvars):
+    """Gauss-Jordan reduction of integer rows [A | b], meaning
+    sum(A[i]*x) = b[i], in place and without division: each row is combined
+    with a multiple of the pivot row and divided by its gcd.
+
+    Returns ({pivot variable: its row}, free variables), or None when the
+    system is inconsistent."""
     pivots = {}
     r = 0
     for col in range(nvars):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        top = rows[r]
+        p = top[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and f:
+                rows[i] = _reduce([p * x - f * y for x, y in zip(row, top)])
         pivots[col] = r
         r += 1
         if r == len(rows):
             break
-    for i in range(len(rows)):
-        if all(x == 0 for x in rows[i][:nvars]) and rows[i][nvars] != 0:
-            return None
-    free = [v for v in range(nvars) if v not in pivots]
-    fpos = {v: t for t, v in enumerate(free)}
-    expr = {}
-    for v in range(nvars):
-        if v in free:
-            coeffs = [Fraction(0)] * len(free)
-            coeffs[fpos[v]] = Fraction(1)
-            expr[v] = (coeffs, Fraction(0))
-        else:
-            row = rows[pivots[v]]
-            coeffs = [-row[f] for f in free]
-            expr[v] = (coeffs, row[nvars])
-    return expr, free
+    if any(row[nvars] and not any(row[:nvars]) for row in rows):
+        return None
+    return {v: rows[i] for v, i in pivots.items()}, [v for v in range(nvars) if v not in pivots]
 
 
-def _fourier_motzkin(ineqs, nfree):
-    """Feasibility of strict inequalities sum(c*x) + d > 0 over the reals.
+def _fourier_motzkin(system, nfree):
+    """Feasibility of strict inequalities sum(c*x) + d > 0 over the reals,
+    given as integer rows [c..., d].
 
     Returns a satisfying assignment (list of Fractions) or None."""
-    system = [list(map(Fraction, c)) + [Fraction(d)] for c, d in ineqs]
     stack = []
     for v in range(nfree - 1, -1, -1):
         lowers, uppers, rest = [], [], []
@@ -143,36 +133,33 @@ def _fourier_motzkin(ineqs, nfree):
             if c > 0:
                 lowers.append(row)  # x_v > -(rest)/c
             elif c < 0:
-                uppers.append(row)  # x_v < -(rest)/(-c) i.e. bound above
+                uppers.append(row)  # x_v < -(rest)/c
             else:
                 rest.append(row)
         stack.append((v, lowers, uppers))
-        new = list(rest)
+        # lo: c1*x + r1 > 0 (c1 > 0), up: c2*x + r2 > 0 (c2 < 0); the
+        # positive combination c1*up - c2*lo eliminates x
         for lo in lowers:
+            c1 = lo[v]
             for up in uppers:
-                # lo: c1*x + r1 > 0 (c1>0); up: c2*x + r2 > 0 (c2<0)
-                # combine: c1*r2 - c2*r1 ... eliminate x
-                c1, c2 = lo[v], up[v]
-                row = [c1 * b - c2 * a for a, b in zip(lo, up)]
-                row[v] = Fraction(0)
-                new.append(row)
-        system = new
+                c2 = up[v]
+                rest.append(_reduce([c1 * y - c2 * x for x, y in zip(lo, up)]))
+        system = rest
     for row in system:
-        if row[-1] <= 0 and all(c == 0 for c in row[:-1]):
+        if row[-1] <= 0 and not any(row[:-1]):
             return None
+
     # back-substitute, last-eliminated first
     assign = [Fraction(0)] * nfree
+
+    def bound(row, v):
+        # rows met at x_v mention only x_0..x_v, and x_0..x_{v-1} are set
+        val = row[-1] + sum(row[i] * assign[i] for i in range(v) if row[i])
+        return Fraction(-val, row[v])
+
     for v, lowers, uppers in reversed(stack):
-        lo_vals = []
-        up_vals = []
-        for row in lowers:
-            val = row[-1] + sum(row[i] * assign[i] for i in range(nfree) if i != v)
-            lo_vals.append(-val / row[v])
-        for row in uppers:
-            val = row[-1] + sum(row[i] * assign[i] for i in range(nfree) if i != v)
-            up_vals.append(-val / row[v])
-        lo = max(lo_vals) if lo_vals else None
-        up = min(up_vals) if up_vals else None
+        lo = max((bound(row, v) for row in lowers), default=None)
+        up = min((bound(row, v) for row in uppers), default=None)
         if lo is None and up is None:
             assign[v] = Fraction(0)
         elif lo is None:
@@ -190,40 +177,37 @@ def open_simplices_intersect(pts_a, pts_b):
     Each simplex is a list of coordinate tuples (exact rationals); the
     interiors are the strictly positive convex combinations."""
     a, b = len(pts_a), len(pts_b)
-    dim = len(pts_a[0])
     nvars = a + b
-    eqs = []
-    row = [Fraction(1)] * a + [Fraction(0)] * b + [Fraction(1)]
-    eqs.append(row)
-    row = [Fraction(0)] * a + [Fraction(1)] * b + [Fraction(1)]
-    eqs.append(row)
-    for c in range(dim):
-        row = [Fraction(pts_a[i][c]) for i in range(a)]
-        row += [-Fraction(pts_b[j][c]) for j in range(b)]
-        row.append(Fraction(0))
-        eqs.append(row)
+    ints, L = _scaled(list(pts_a) + list(pts_b))
+    eqs = [[1] * a + [0] * b + [1], [0] * a + [1] * b + [1]]
+    for col in zip(*ints):
+        eqs.append(list(col[:a]) + [-x for x in col[a:]] + [0])
     solved = _solve_equalities(eqs, nvars)
     if solved is None:
         return None
-    expr, free = solved
+    pivots, free = solved
+    # x_v > 0 for every variable: a unit row for a free one, and for a pivot
+    # one x_v = (b - sum(row[f]*x_f)) / p, multiplied by the sign of p
     ineqs = []
     for v in range(nvars):
-        coeffs, const = expr[v]
-        ineqs.append((coeffs, const))
-    if not free:
-        if all(const > 0 for _, const in ineqs):
-            weights = [expr[i][1] for i in range(a)]
+        if v in pivots:
+            row = pivots[v]
+            s = 1 if row[v] > 0 else -1
+            ineqs.append([-s * row[f] for f in free] + [s * row[nvars]])
         else:
+            ineqs.append([int(f == v) for f in free] + [0])
+    if not free:
+        if any(row[-1] <= 0 for row in ineqs):
             return None
+        weights = [Fraction(pivots[i][nvars], pivots[i][i]) for i in range(a)]
     else:
         assign = _fourier_motzkin(ineqs, len(free))
         if assign is None:
             return None
+        at = dict(zip(free, assign))
         weights = [
-            expr[i][1] + sum(c * x for c, x in zip(expr[i][0], assign)) for i in range(a)
+            at[i] if i in at
+            else (pivots[i][nvars] - sum(pivots[i][f] * at[f] for f in free)) / pivots[i][i]
+            for i in range(a)
         ]
-    point = tuple(
-        sum(w * Fraction(pts_a[i][c]) for i, w in enumerate(weights))
-        for c in range(dim)
-    )
-    return point
+    return tuple(sum(w * x for w, x in zip(weights, col)) / L for col in zip(*ints[:a]))

@@ -300,14 +300,17 @@ def test_format_json_summary(tmp_path, capsys):
     assert payload["elements"] == 12
 
 
+MIXED_GROUND_SETS = (
+    "error: complex labels are not partitions of a common ground set: "
+    "permutation length does not match ground set"
+)
+
+
 def test_equivariance_mixed_ground_sets_is_usage_error(tmp_path, capsys):
     mixed = tmp_path / "mixed.json"
     mixed.write_text(json.dumps({"vertices": [[[1, 2], [3]], [[1], [2]]], "facets": [[0], [1]]}))
     assert main(["equivariance", "--in", str(mixed)]) == 2
-    assert capsys.readouterr().err == (
-        "error: complex labels are not partitions of a common ground set: "
-        "permutation length does not match ground set\n"
-    )
+    assert capsys.readouterr().err == MIXED_GROUND_SETS + "\n"
 
 
 def test_equivariance_exit_1_on_broken_symmetry(tmp_path):
@@ -329,18 +332,20 @@ def test_equivariance_exit_1_on_broken_symmetry(tmp_path):
         ([[[1, 2], [3], [4], [5]]], [], "checked 120 permutations, 108 break invariance", 1),
         ([[[1, 2], [3], [4], [5], [6], [7]], [[1], [2, 3], [4], [5], [6], [7]]],
          ["--sample", "30", "--seed", "5"], "checked 30 permutations, 29 break invariance", 1),
-        ([[[1, 2], [3], [4], [5], [6], [7]], [[1], [2]]],
-         ["--sample", "0"], "checked 0 permutations, 0 break invariance", 0),
+        ([[[1, 2], [3], [4], [5], [6], [7]], [[1], [2]]], ["--sample", "0"], MIXED_GROUND_SETS, 2),
+        ([[[1, 2], [3], [4], [5], [6], [7]], [[1], [2]]], ["--sample", "1"], MIXED_GROUND_SETS, 2),
     ],
-    ids=["m1", "m2", "m5-broken", "m7-sampled", "m7-mixed-empty-sample"],
+    ids=["m1", "m2", "m5-broken", "m7-sampled", "m7-mixed-empty-sample", "m7-mixed-sample-1"],
 )
 def test_equivariance_in_output(tmp_path, capsys, vertices, flags, line, code):
     # m = 1 and m = 2, where the two generators of S_m degenerate, and
-    # complexes that no generator certificate covers
+    # complexes that no generator certificate covers; labels on two ground
+    # sets are a usage error however many permutations are sampled
     f = tmp_path / "complex.json"
     f.write_text(json.dumps({"vertices": vertices, "facets": [list(range(len(vertices)))]}))
     assert main(["equivariance", "--in", str(f)] + flags) == code
-    assert capsys.readouterr().out == line + "\n"
+    out, err = capsys.readouterr()
+    assert (out, err) == ((line + "\n", "") if code < 2 else ("", line + "\n"))
 
 
 _JSON = st.recursive(

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -379,6 +381,28 @@ def _move_off_carrier(cm, k, n):
     cm.f0[v] = {i: Fraction(1, 3) for i in tri}
 
 
+PRIMES = (999_999_937, 1_000_000_007, 1_000_000_009)
+PRIME_MOVED = ["(12)(34)5", "(13)(245)", "(15)(234)"]
+
+
+def _move_to_primes(cm, k, n):
+    # each vertex of PRIME_MOVED moved inside its carrier, off the barycenter
+    # by less than 1/p, to a point whose coordinates have denominator p, a
+    # prime near 10^9: still a subdivision
+    for text, p in zip(PRIME_MOVED, PRIMES):
+        v = cm.p_complex.vertex_index(parse_partition(text, (n - 1) * k + 1))
+        carrier = sorted(cm.f0[v])
+        nums = [p // len(carrier)] * (len(carrier) - 1)
+        cm.f0[v] = {i: Fraction(a, p) for i, a in zip(carrier, nums + [p - sum(nums)])}
+
+
+def _swap_prime_placements(cm, k, n):
+    # the negative control's swap after _move_to_primes, so that the
+    # overlap witnesses carry the primes in their denominators
+    _move_to_primes(cm, k, n)
+    _swap_placements(cm, k, n, ["(12)345", "(12)(34)5"])
+
+
 def _drop_cells(size):
     def edit(cm, k, n):
         drop = min((f for f in cm.p_faces if len(f) == size), key=sorted)
@@ -501,6 +525,8 @@ CARRIER_CASES = {
         _ladder(1, 5, lambda cm, k, n: _swap_placements(cm, k, n, ["(12)345", "(12)(34)5"])), False),
     "moved-along-carrier": (_ladder(1, 5, _move_along_carrier), True),
     "moved-off-carrier": (_ladder(1, 5, _move_off_carrier), False),
+    "moved-to-primes": (_ladder(1, 5, _move_to_primes), True),
+    "swapped-prime-placements": (_ladder(1, 5, _swap_prime_placements), False),
     "dropped-facet-cell": (_ladder(1, 5, _drop_cells(3)), False),
     "dropped-ridge-cell": (_ladder(2, 4, _drop_cells(1)), False),
     "dropped-facet-orbit": (_ladder(1, 5, _drop_facet_orbit), False),
@@ -526,6 +552,27 @@ def test_verify_carrier_map_matches_pairwise_oracle(case):
     assert res.passed == is_subdivision
     if not is_subdivision and case not in ("dropped-facet-cell", "dropped-ridge-cell", "dropped-facet-orbit"):
         assert any(f["check"] == "interiors_disjoint" and "point" in f["witness"] for f in failures)
+
+
+# SHA-256 of the negative control's failures and face volumes, as
+# json.dumps([[f.to_json() for f in failures], facet_volumes], sort_keys=True),
+# computed with the Fraction elimination the integer kernels replaced: the
+# witness strings must stay byte for byte what they were
+NEGATIVE_CONTROL_SHA256 = "5598bb463f492f5dbddfbb0d860018a53b2ad700cb7812a433beba1b81c3a086"
+
+
+def test_negative_control_results_are_pinned():
+    res = verify_carrier_map(CARRIER_CASES["negative-control"][0]())
+    blob = json.dumps([[f.to_json() for f in res.failures], res.facet_volumes], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == NEGATIVE_CONTROL_SHA256
+
+
+def test_overlap_witnesses_carry_large_primes():
+    # the witnesses of the broken map carry the prime of the swapped vertex,
+    # (12)(34)5, in their denominators
+    swapped = verify_carrier_map(CARRIER_CASES["swapped-prime-placements"][0]())
+    points = [x for f in swapped.failures if f.check == "interiors_disjoint" for x in f.witness["point"]]
+    assert points and any(Fraction(x).denominator % PRIMES[0] == 0 for x in points)
 
 
 def _count_face_checks(monkeypatch):
