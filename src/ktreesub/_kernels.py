@@ -1,8 +1,12 @@
 """Hot numeric kernels in numpy and plain Python.
 
-Everything here is exact integer/boolean work.  The Smith normal form works
-on sparse columns: unit pivots are eliminated first and only the columns
-without one go through the exact big-integer reduction.
+Everything here is exact integer/boolean work.  The one Smith normal form,
+:func:`smith_reduce`, works on sparse columns: unit pivots are eliminated
+first, each on the smallest ±1 row of its column, and only the columns
+without one go through the exact big-integer reduction.  It returns the
+unit pivots by row, which ``SimplicialComplex.reduced_homology`` clears from
+the coboundary of the next degree; :func:`snf_diagonal` gives the padded
+diagonal of invariant factors.
 """
 
 from __future__ import annotations
@@ -209,61 +213,78 @@ def _snf_exact_python(rows):
     return diag
 
 
-def _reduce_by_pivots(col, pivots):
+def _reduce_by_pivots(col, pivots, order):
     """Clear ``col`` (a {row: value} dict, updated in place) on every pivot
     row by subtracting multiples of the pivot columns.
 
-    ``pivots[row]`` is ``(order, column)`` with a ±1 entry at ``row``.  A
-    pivot column is zero on the rows of the pivots made before it, so taking
-    the pivot rows in creation order never brings back a cleared one.
+    ``pivots[row]`` is a column with a ±1 entry at ``row``, the
+    ``order[row]``-th pivot made.  A pivot column is zero on the rows of the
+    pivots made before it, so taking the pivot rows in creation order never
+    brings back a cleared one.
     """
-    heap = [(pivots[r][0], r) for r in col if r in pivots]
+    heap = [(order[r], r) for r in col if r in pivots]
     heapify(heap)
     while heap:
         _, r = heappop(heap)
         a = col.get(r)
         if not a:
             continue
-        p = pivots[r][1]
+        p = pivots[r]
         f = a * p[r]  # p[r] is ±1
         for s, v in p.items():
             w = col.get(s, 0) - f * v
             if w:
                 if s not in col and s in pivots:
-                    heappush(heap, (pivots[s][0], s))
+                    heappush(heap, (order[s], s))
                 col[s] = w
             else:
                 col.pop(s, None)
 
 
-def snf_diagonal(columns, n_rows) -> list:
-    """Invariant factors of an integer matrix given as sparse columns
-    (nonnegative, divisibility ordered, padded with zeros to min(r, c)).
+def smith_reduce(columns):
+    """Smith normal form of an integer matrix given as sparse columns, as
+    ``(pivots, factors)``.
 
-    ``columns`` holds one {row index: value} dict per column.  Each column is
-    cleared on the existing unit pivots and then pivots on one of its ±1
-    entries; these are unimodular column operations, and each unit pivot is
-    one invariant factor 1.  The columns without a unit are cleared on every
-    pivot and the rest, on the rows no pivot owns, goes to the exact
-    big-integer reduction.
+    ``columns`` holds one {row index: nonzero int} dict per column; the dicts
+    are reduced in place.  Each column is cleared on the existing unit pivots
+    and then pivots on one of its ±1 entries; these are unimodular column
+    operations, and each unit pivot is one invariant factor 1.  ``pivots``
+    maps each unit pivot's row to its reduced column, in the order the
+    pivots were made; a pivot column is zero on the rows of the pivots made
+    before it.  The columns without a unit are cleared on every pivot and
+    the rest, on the rows no pivot owns, goes to the exact big-integer
+    reduction, whose nonzero invariant factors are ``factors``
+    (divisibility ordered).
     """
-    pivots = {}
+    # two dicts, not an (order, column) tuple per pivot: the tuples are
+    # garbage-collected containers that live long, and enough of them set
+    # off a full collection over every live object (on (1,7), 0.5 s of the
+    # next homology call, with the order complex alive)
+    pivots, order = {}, {}
     residual = []
     for col in columns:
-        col = {int(r): int(v) for r, v in col.items() if v}
-        _reduce_by_pivots(col, pivots)
-        # the last unit row: on boundary columns over lexicographically sorted
-        # faces this keeps fill-in low ((2,5) order complex: 0.8 s, 8.7 s
-        # with the first unit row)
-        unit = max((r for r, v in col.items() if v in (1, -1)), default=None)
+        _reduce_by_pivots(col, pivots, order)
+        # the smallest unit row: on coboundary columns over lexicographically
+        # sorted faces this keeps fill-in low ((2,5) order complex: 0.17 s,
+        # 0.51 s with the largest unit row)
+        unit = min((r for r, v in col.items() if v in (1, -1)), default=None)
         if unit is not None:
-            pivots[unit] = (len(pivots), col)
+            order[unit] = len(order)
+            pivots[unit] = col
         elif col:
             residual.append(col)
     for col in residual:
-        _reduce_by_pivots(col, pivots)
+        _reduce_by_pivots(col, pivots, order)
     residual = [col for col in residual if col]
     rows = sorted({r for col in residual for r in col})
     rest = _snf_exact_python([[col.get(r, 0) for col in residual] for r in rows])
-    diag = [1] * len(pivots) + [x for x in rest if x]
+    return pivots, [x for x in rest if x]
+
+
+def snf_diagonal(columns, n_rows) -> list:
+    """Invariant factors of an integer matrix given as sparse columns
+    (nonnegative, divisibility ordered, padded with zeros to min(r, c)),
+    by :func:`smith_reduce` on a copy of the columns without their zeros."""
+    pivots, factors = smith_reduce([{int(r): int(v) for r, v in col.items() if v} for col in columns])
+    diag = [1] * len(pivots) + factors
     return diag + [0] * (min(n_rows, len(columns)) - len(diag))

@@ -121,37 +121,61 @@ class SimplicialComplex:
     # homology
     # ------------------------------------------------------------------
 
-    def boundary_matrix(self, d: int):
-        """Boundary map from d-faces to (d-1)-faces as sparse columns: one
-        {row index: ±1} dict per d-face; d = 0 gives the augmentation, one
-        {0: 1} per vertex."""
-        if d == 0:
-            return [{0: 1} for _ in self._by_dim.get(0, ())]
-        rpos = {f: i for i, f in enumerate(self._by_dim.get(d - 1, ()))}
-        return [
-            {rpos[f - {x}]: (-1) ** t for t, x in enumerate(sorted(f))}
-            for f in self._by_dim.get(d, ())
-        ]
-
     def reduced_homology(self):
         """Per-degree reduced integer homology: list of (betti, torsion
-        coefficients) for degrees 0..dim."""
+        coefficients) for degrees 0..dim.
+
+        Betti number d is n_d - rank ∂_d - rank ∂_{d+1}, and the torsion of
+        H̃_d is the invariant factors > 1 of ∂_{d+1}.  rank ∂_0 = 1.  A
+        graph's incidence matrix is totally unimodular, so ∂_1 has no
+        factor > 1, and its rank is #vertices - #components, from a union-find
+        over the edges.  For d = 1 .. dim-1 the invariant factors of ∂_{d+1}
+        are those of the coboundary δ_d = ∂_{d+1}ᵀ, reduced by
+        :func:`~ktreesub._kernels.smith_reduce` over the d-faces that are not
+        *cleared* (Chen and Kerber's twist, run on coboundaries as de Silva,
+        Morozov and Vejdemo-Johansson recommend).
+
+        Why clearing is exact over ℤ: each unit-pivot column z that the
+        reduction of δ_{d-1} makes is a combination of its columns, so it is
+        a coboundary and δ_d z = 0.  z is ±1 at its pivot row r, a d-face,
+        and 0 on the pivot rows of the pivot columns made before it.  So
+        these cocycles, against their pivot rows, form a triangular block
+        with ±1 on the diagonal, and replacing the basis cochain of each
+        pivot row r by its z is a unimodular change of basis of C^d.  In the
+        new basis the column of δ_d at r is δ_d z = 0: dropping the pivot
+        rows of δ_{d-1} from the columns of δ_d changes neither its rank nor
+        its invariant factors.  In degree 1 the spanning-forest edges are
+        the cleared faces: with each tree rooted, the indicator of the
+        subtree below a vertex v has coboundary ±1 on the edge from v to its
+        parent and 0 on every other forest edge.
+        """
         dim = self.dimension()
         if dim < 0:
             return []
-        ranks = {dim + 1: 0}
-        torsion_by_deg = {}
-        for d in range(dim + 1):
-            n_rows = len(self._by_dim.get(d - 1, ())) if d else 1
-            diag = kernels.snf_diagonal(self.boundary_matrix(d), n_rows)
-            ranks[d] = sum(1 for x in diag if x != 0)
-            torsion_by_deg[d - 1] = [x for x in diag if x > 1]
-        out = []
-        for d in range(dim + 1):
-            n_d = len(self._by_dim.get(d, ()))
-            betti = n_d - ranks[d] - ranks[d + 1]
-            out.append((betti, tuple(torsion_by_deg.get(d, ()))))
-        return out
+        sizes = [len(self._by_dim[d]) for d in range(dim + 1)]
+        forest = _spanning_forest(self._by_dim.get(1, ()), sizes[0])
+        # ranks[d] = rank ∂_d, d = 0 .. dim+1
+        ranks = [1, len(forest)] + [0] * dim
+        torsion = [()] * (dim + 1)
+        cleared = set(forest)
+        for d in range(1, dim):
+            pivots, factors = kernels.smith_reduce(self._coboundary_columns(d, cleared))
+            ranks[d + 1] = len(pivots) + len(factors)
+            torsion[d] = tuple(x for x in factors if x > 1)
+            cleared = set(pivots)
+        return [(sizes[d] - ranks[d] - ranks[d + 1], torsion[d]) for d in range(dim + 1)]
+
+    def _coboundary_columns(self, d: int, cleared):
+        """δ_d as sparse columns: one {row: ±1} dict per d-face whose
+        position is not in ``cleared``, in face order; row r is the r-th
+        (d+1)-face."""
+        cols = {f: {} for i, f in enumerate(self._by_dim[d]) if i not in cleared}
+        for r, g in enumerate(self._by_dim.get(d + 1, ())):
+            for t, x in enumerate(sorted(g)):
+                col = cols.get(g - {x})
+                if col is not None:
+                    col[r] = -1 if t & 1 else 1
+        return list(cols.values())
 
     # ------------------------------------------------------------------
     # comparisons and actions
@@ -195,8 +219,24 @@ class SimplicialComplex:
 
     @classmethod
     def from_json(cls, data, label_fn=None):
+        """Inverse of :meth:`to_json`.  Any other shape raises
+        ``ValueError``: a missing key, ``vertices`` or ``facets`` not a list,
+        a facet not a list of ``int`` vertex indices (bools and floats are
+        not indices) or one out of range, labels unhashable or repeated, or
+        a vertex in no facet."""
+        if not (
+            isinstance(data, dict)
+            and isinstance(data.get("vertices"), list)
+            and isinstance(data.get("facets"), list)
+            and all(isinstance(f, list) and all(type(v) is int for v in f) for f in data["facets"])
+        ):
+            raise ValueError("expected a list of vertices and facets as lists of integer indices")
         fn = label_fn if label_fn is not None else (lambda x: x)
         labels = [fn(l) for l in data["vertices"]]
+        try:
+            hash(tuple(labels))
+        except TypeError:
+            raise ValueError("vertex labels must be hashable") from None
         return cls(labels, [frozenset(f) for f in data["facets"]], close_downward=True)
 
     def __repr__(self):
@@ -257,6 +297,23 @@ class MutableComplex:
         return SimplicialComplex(self.vertices, self.faces)
 
 
+def _spanning_forest(edges, n_vertices):
+    """Positions of the edges, taken in order, that join two components: a
+    spanning forest, found by union-find with path halving."""
+    parent = list(range(n_vertices))
+    forest = []
+    for i, edge in enumerate(edges):
+        a, b = edge
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            forest.append(i)
+    return forest
+
+
 def _downward_closure(faces):
     out = set()
     stack = list(faces)
@@ -284,17 +341,3 @@ def _all_subsets(s):
 def _label_key(label):
     """Deterministic sort key for mixed label types."""
     return (type(label).__name__, repr(label) if not isinstance(label, (int, str)) else label)
-
-
-def check_boundary_squares_to_zero(K: SimplicialComplex) -> bool:
-    """d∘d = 0 for every consecutive boundary pair (test oracle hook)."""
-    for d in range(0, K.dimension()):
-        a = K.boundary_matrix(d)
-        for col in K.boundary_matrix(d + 1):
-            image = {}
-            for r, v in col.items():
-                for s, w in a[r].items():
-                    image[s] = image.get(s, 0) + v * w
-            if any(image.values()):
-                return False
-    return True

@@ -27,10 +27,7 @@ class Partition:
     __slots__ = ("m", "blocks", "_masks", "_hash")
 
     def __init__(self, m: int, blocks):
-        if m < 1:
-            raise ValueError("ground set must be nonempty")
-        if m > MAX_GROUND_SET:
-            raise ResourceLimit(f"ground sets beyond {MAX_GROUND_SET} elements are out of scope")
+        _check_ground_set(m)
         canon = [tuple(sorted(b)) for b in blocks]
         if not all(canon):
             raise ValueError(f"blocks do not partition 1..{m}")
@@ -158,6 +155,13 @@ class Partition:
         return [list(b) for b in self.blocks]
 
 
+def _check_ground_set(m: int):
+    if m < 1:
+        raise ValueError("ground set must be nonempty")
+    if m > MAX_GROUND_SET:
+        raise ResourceLimit(f"ground sets beyond {MAX_GROUND_SET} elements are out of scope")
+
+
 def _mask(block) -> int:
     msk = 0
     for x in block:
@@ -168,6 +172,7 @@ def _mask(block) -> int:
 def parse_partition(text: str, m: int) -> Partition:
     """Parse CLI shorthand: ``(123)4567`` or ``(1,2,3)(4)(5)``; elements not
     mentioned are taken as singletons."""
+    _check_ground_set(m)  # before up to m singletons are filled in
     text = text.strip()
     blocks = []
     seen = set()

@@ -249,9 +249,11 @@ def test_equivariance_corrupt_file(tmp_path):
         "[1, 2]",
         '{"vertices": [[[1]], [[1, 2]]], "facets": [[0, 5]]}',
         '{"vertices": [[[99]]], "facets": [[0]]}',
+        '{"vertices": [[[1]]], "facets": [[0.0]]}',
+        '{"vertices": [[[1]]]}',
     ],
     ids=["labels-not-partitions", "top-level-list", "facet-index-out-of-range",
-         "label-element-beyond-its-size"],
+         "label-element-beyond-its-size", "facet-index-float", "facets-missing"],
 )
 def test_malformed_complex_file_is_usage_error(tmp_path, capsys, command, payload):
     bad = tmp_path / "bad.json"

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from ktreesub import (
     FaceNotPresent,
+    KTreeSubError,
     SimplicialComplex,
     enumerate_ktree_complex,
     enumerate_partitions,
 )
 from ktreesub._kernels import _snf_exact_python, snf_diagonal
-from ktreesub.complexes import check_boundary_squares_to_zero
 from oracles import (
+    boundary_reduced_homology,
+    check_boundary_squares_to_zero,
     dense_reduced_homology,
     dense_to_columns,
     facets_oracle,
@@ -43,6 +45,61 @@ RP2_FACETS = [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
     (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
 ]
+
+
+def suspension(facets):
+    """Facets of the suspension: each facet joined with either of two new
+    apexes."""
+    return [tuple(f) + (apex,) for f in facets for apex in ("north", "south")]
+
+
+# small complexes with known homology tables
+HOMOLOGY_CASES = {
+    "rp2": (RP2_FACETS, [(0, ()), (0, (2,)), (0, ())]),
+    "rp2-suspension": (suspension(RP2_FACETS), [(0, ()), (0, ()), (0, (2,)), (0, ())]),
+    "rp2-and-point": (RP2_FACETS + [("point",)], [(1, ()), (0, (2,)), (0, ())]),
+    "rp2-cone": ([f + ("apex",) for f in RP2_FACETS], [(0, ()), (0, ()), (0, ()), (0, ())]),
+    "points": ([(i,) for i in range(7)], [(6, ())]),
+}
+LADDER = [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5), (4, 3)]
+
+
+def homology_case(name):
+    if name in HOMOLOGY_CASES:
+        return SimplicialComplex.from_label_faces(HOMOLOGY_CASES[name][0])
+    side, k, n = name.split("-")
+    k, n = int(k), int(n)
+    if side == "delta":
+        return enumerate_partitions((n - 1) * k + 1, k).poset.order_complex()
+    return enumerate_ktree_complex(n, k)
+
+
+@pytest.mark.parametrize(
+    "name",
+    list(HOMOLOGY_CASES)
+    + [f"{side}-{k}-{n}" for k, n in LADDER for side in ("delta", "ktree")]
+    + ["delta-1-6", "ktree-1-6", "ktree-3-4"],
+)
+def test_reduced_homology_matches_oracles(name):
+    # union-find in degree 0 and clearing on coboundaries against the
+    # boundary columns of every degree, and against dense matrices where
+    # the dense reduction finishes in well under a second
+    K = homology_case(name)
+    got = K.reduced_homology()
+    assert got == boundary_reduced_homology(K, snf_diagonal)
+    if len(K.faces) <= 1000:
+        assert got == dense_reduced_homology(K, _snf_exact_python)
+    if name in HOMOLOGY_CASES:
+        assert got == HOMOLOGY_CASES[name][1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.frozensets(st.integers(0, 7), min_size=1, max_size=4), min_size=1, max_size=12))
+def test_reduced_homology_matches_oracles_random(facets):
+    K = SimplicialComplex.from_label_faces([tuple(sorted(f)) for f in facets])
+    got = K.reduced_homology()
+    assert got == boundary_reduced_homology(K, snf_diagonal)
+    assert got == dense_reduced_homology(K, _snf_exact_python)
 
 
 def test_f_vector_examples(t14):
@@ -271,6 +328,76 @@ def test_json_round_trip(t14):
         data, label_fn=lambda b: Partition(sum(len(x) for x in b), b)
     )
     assert back == t14
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vertices": [1, 2], "facets": [[0.0, 1]]},
+        {"vertices": [1, 2], "facets": [[True, 1]]},
+        {"vertices": [1, 2]},
+        {"facets": [[0]]},
+        {"vertices": [1, 2], "facets": 5},
+        {"vertices": [[1]], "facets": [[0]]},
+        {"vertices": 3, "facets": []},
+        {"vertices": [1, 2], "facets": [[0, 2]]},
+        {"vertices": [1, 2], "facets": [[0]]},
+        {"vertices": [1, 1], "facets": [[0, 1]]},
+        {"vertices": [1], "facets": [0]},
+        [[1], [[0]]],
+        None,
+    ],
+)
+def test_from_json_rejects_malformed(data):
+    with pytest.raises(ValueError):
+        SimplicialComplex.from_json(data)
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 6), st.floats(-1, 6, width=16), st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=12,
+)
+INDICES = st.one_of(st.integers(-1, 6), st.booleans(), st.floats(0, 6, width=16), st.text(max_size=1))
+
+
+@st.composite
+def complex_like(draw):
+    """A valid complex in the ``to_json`` shape, then, four times in five,
+    one index, the vertices or the facets replaced by random values, or a
+    key dropped."""
+    facets = draw(st.lists(st.lists(st.integers(0, 6), max_size=3), max_size=5))
+    rank = {v: i for i, v in enumerate(sorted({v for f in facets for v in f}))}
+    data = {"vertices": [f"v{i}" for i in range(len(rank))],
+            "facets": [[rank[v] for v in f] for f in facets]}
+    corruption = draw(st.sampled_from([None, "index", "vertices", "facets", "drop"]))
+    if corruption == "index" and data["facets"] and data["facets"][0]:
+        data["facets"][0][0] = draw(INDICES | JSON_VALUES)
+    elif corruption == "vertices":
+        data["vertices"] = draw(
+            st.lists(JSON_SCALARS | st.lists(st.integers(0, 3), max_size=2), max_size=7) | JSON_VALUES
+        )
+    elif corruption == "facets":
+        data["facets"] = draw(st.lists(st.lists(INDICES, max_size=4) | JSON_VALUES, max_size=5) | JSON_VALUES)
+    elif corruption == "drop":
+        del data[draw(st.sampled_from(sorted(data)))]
+    return data
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(complex_like() | JSON_VALUES)
+def test_from_json_fuzz(data):
+    # a valid complex, or ValueError / KTreeSubError, and nothing else
+    try:
+        K = SimplicialComplex.from_json(data)
+    except (ValueError, KTreeSubError):
+        return
+    out = K.to_json()
+    assert all(type(i) is int for f in out["facets"] for i in f)
+    assert SimplicialComplex.from_json(out) == K
 
 
 @settings(max_examples=25, deadline=None)

@@ -103,3 +103,20 @@ def test_snf_big_entries_stay_exact():
     big = [[2**40, 1], [1, 2**40]]
     diag = K.snf_diagonal(*dense_to_columns(big))
     assert diag == [1, 2**80 - 1]
+
+
+def test_smith_reduce_pivots_are_triangular():
+    # the premise of clearing: each unit pivot column is ±1 at its own row
+    # and 0 on the rows of the pivots made before it
+    rng = np.random.default_rng(5)
+    for _ in range(25):
+        r, c = rng.integers(1, 10, size=2)
+        mat = rng.integers(-2, 3, size=(int(r), int(c)))
+        pivots, factors = K.smith_reduce(dense_to_columns(mat)[0])
+        earlier = []
+        for row, col in pivots.items():
+            assert col[row] in (1, -1)
+            assert not any(col.get(s) for s in earlier)
+            earlier.append(row)
+        exact = K._snf_exact_python([[int(x) for x in row] for row in mat])
+        assert [1] * len(pivots) + factors == [x for x in exact if x]

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktreesub import (
+    KTreeSubError,
     Partition,
     ResourceLimit,
     building_set_I,
@@ -36,6 +37,22 @@ def test_empty_block_is_not_a_partition():
         Partition(3, [[], [1, 2, 3]])
     with pytest.raises(ValueError, match="blocks do not partition"):
         parse_partition("()", 3)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.text(alphabet="()0123456789, -x\t²٣", max_size=16) | st.text(max_size=8),
+    st.integers(-2, 70) | st.just(10**9),
+)
+def test_parse_partition_fuzz(text, m):
+    # a partition of 1..m, or ValueError / KTreeSubError, and nothing else
+    try:
+        p = parse_partition(text, m)
+    except (ValueError, KTreeSubError):
+        return
+    assert p.m == m
+    assert sorted(x for b in p.blocks for x in b) == list(range(1, m + 1))
+    assert parse_partition(p.text(), m) == p
 
 
 def test_parse_forms():
