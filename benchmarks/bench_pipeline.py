@@ -3,14 +3,15 @@
 Each instance runs in its own child process, so each peak is that
 instance's own.  The child runs the stages of ``verify_theorem`` with one
 linear extension, one call each, and prints one JSON line as each stage
-starts and ends.  The parent waits for the child up to ``--timeout``
+starts and ends.  The parent waits for the child up to ``TIMEOUT_S``
 seconds; a stage still running then is recorded as ``"timeout"`` and the
-stages after it as ``null``.  The peak RSS is the child's ``ru_maxrss``,
+stages after it as ``null``.  A line the killed child left half written is
+skipped.  The peak RSS is the child's ``ru_maxrss``,
 read from ``wait4``, so it holds for a child that was killed too.
 
     # from the root of a checkout
     python3 benchmarks/bench_pipeline.py --label change
-    python3 benchmarks/bench_pipeline.py --label base --src ../base/src --instances 1,7 4,4
+    python3 benchmarks/bench_pipeline.py --label base --src ../base/src
 
 The results go under ``runs[label]`` of ``--out`` (default
 ``BENCH_pipeline.json``); the other labels already in the file are kept, so
@@ -46,6 +47,8 @@ STAGES = (
 
 # address-space limit of each child: (4,4) peaks at 2.8 GB resident
 MEMORY_LIMIT = 4 * 2**30
+# seconds per instance: (1,7) and (4,4) take about a minute each
+TIMEOUT_S = 600
 
 DEFAULT_CAPS = {"max_poset_elements": 5_000, "max_faces": 200_000}
 # (k, n) -> caps; (1,7) and (4,4) need raised caps
@@ -118,14 +121,14 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def run_instance(k, n, caps, src, timeout) -> dict:
+def run_instance(k, n, caps, src) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child", str(k), str(n),
            str(caps["max_poset_elements"]), str(caps["max_faces"])]
     with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
         proc = subprocess.Popen(cmd, stdout=out, stderr=err, env=env,
                                 preexec_fn=_limit_memory)
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + TIMEOUT_S
         timed_out = False
         while True:
             pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
@@ -140,7 +143,14 @@ def run_instance(k, n, caps, src, timeout) -> dict:
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
-        events = [json.loads(line) for line in out if line.startswith("{")]
+        events = []
+        for line in out:
+            if not line.startswith("{"):
+                continue
+            try:
+                events.append(json.loads(line))
+            except json.JSONDecodeError:
+                pass
         stderr = err.read().strip()
     stages = dict.fromkeys(STAGES)
     result = {"caps": caps, "stages_s": stages, "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
@@ -162,8 +172,6 @@ def main(argv=None):
     parser.add_argument("--label", help="key of this run under runs[] in the output (required)")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory that holds ktreesub")
     parser.add_argument("--out", default=str(ROOT / "BENCH_pipeline.json"))
-    parser.add_argument("--instances", nargs="*", help="k,n pairs (default: all)")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per instance")
     parser.add_argument("--child", nargs=4, type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -171,13 +179,6 @@ def main(argv=None):
         return 0
     if not args.label:
         parser.error("--label is required")
-    if args.instances:
-        chosen = [tuple(int(x) for x in text.split(",")) for text in args.instances]
-        unknown = [kn for kn in chosen if kn not in INSTANCES]
-        if unknown:
-            parser.error(f"unknown instances {unknown}; known: {sorted(INSTANCES)}")
-    else:
-        chosen = list(INSTANCES)
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data.setdefault("stages", list(STAGES))
@@ -188,8 +189,8 @@ def main(argv=None):
         "numpy": __import__("numpy").__version__,
     }
     instances = run.setdefault("instances", {})
-    for k, n in chosen:
-        result = run_instance(k, n, INSTANCES[(k, n)], Path(args.src), args.timeout)
+    for (k, n), caps in INSTANCES.items():
+        result = run_instance(k, n, caps, Path(args.src))
         instances[f"{k},{n}"] = result
         print(json.dumps({f"{k},{n}": result}), flush=True)
         out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
