@@ -45,31 +45,32 @@ STAGES = (
     "homology_target",
 )
 
-# address-space limit of each child: (4,4) peaks at 2.8 GB resident
+# address-space limit of each child: (4,4) peaked at 2.8 GB resident while
+# the order was a dense n x n matrix
 MEMORY_LIMIT = 4 * 2**30
 # seconds per instance: (1,7) and (4,4) take about a minute each
 TIMEOUT_S = 600
 
-DEFAULT_CAPS = {"max_poset_elements": 5_000, "max_faces": 200_000}
-# (k, n) -> caps; (1,7) and (4,4) need raised caps
-INSTANCES = {
-    (1, 3): DEFAULT_CAPS,
-    (2, 3): DEFAULT_CAPS,
-    (3, 3): DEFAULT_CAPS,
-    (1, 4): DEFAULT_CAPS,
-    (2, 4): DEFAULT_CAPS,
-    (1, 5): DEFAULT_CAPS,
-    (1, 6): DEFAULT_CAPS,
-    (3, 4): DEFAULT_CAPS,
-    (2, 5): DEFAULT_CAPS,
-    (1, 7): {"max_poset_elements": 5_000, "max_faces": 300_000},
-    (4, 4): {"max_poset_elements": 40_000, "max_faces": 300_000},
-}
+# the library's default caps, passed explicitly so that a tree with lower
+# defaults runs the same instances: they admit (1,7) and (4,4)
+CAPS = {"max_poset_elements": 40_000, "max_faces": 300_000}
+INSTANCES = ((1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5), (1, 6), (3, 4), (2, 5), (1, 7), (4, 4))
 
 
 # ---------------------------------------------------------------------------
 # child: one instance
 # ---------------------------------------------------------------------------
+
+
+def order_size(poset) -> dict:
+    """What the poset's order takes: the nonzeros and bytes of its CSR up-
+    and down-sets, or, in a tree that keeps a dense n x n matrix, its
+    entries and bytes."""
+    if hasattr(poset, "up_indices"):
+        arrays = (poset.up_indptr, poset.up_indices, poset.down_indptr, poset.down_indices)
+        return {"form": "csr", "nonzeros": int(poset.up_indices.size),
+                "bytes": sum(int(a.nbytes) for a in arrays)}
+    return {"form": "dense", "entries": poset.n ** 2, "bytes": int(poset.leq.nbytes)}
 
 
 def run_child(k: int, n: int, max_poset_elements: int, max_faces: int):
@@ -103,6 +104,7 @@ def run_child(k: int, n: int, max_poset_elements: int, max_faces: int):
     emit({
         "event": "counts",
         "poset_elements": pk.poset.n,
+        "order": order_size(pk.poset),
         "faces": {"delta": len(delta.faces), "target": len(q.faces)},
         "checks": {
             "stellar_sequence": bool(stellar),
@@ -189,8 +191,8 @@ def main(argv=None):
         "numpy": __import__("numpy").__version__,
     }
     instances = run.setdefault("instances", {})
-    for (k, n), caps in INSTANCES.items():
-        result = run_instance(k, n, caps, Path(args.src))
+    for k, n in INSTANCES:
+        result = run_instance(k, n, CAPS, Path(args.src))
         instances[f"{k},{n}"] = result
         print(json.dumps({f"{k},{n}": result}), flush=True)
         out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")

@@ -26,7 +26,7 @@ from .partitions import (
     join_all,
     parse_partition,
 )
-from .poset import Poset, poset_from_json, poset_to_json, product
+from .poset import Poset, poset_to_json, product
 from .subdivision import (
     BlowupResult,
     CarrierMap,
@@ -92,7 +92,6 @@ __all__ = [
     "nested_set_complex",
     "nested_to_tree",
     "parse_partition",
-    "poset_from_json",
     "poset_to_json",
     "product",
     "run_blowup",

@@ -84,60 +84,48 @@ def rgs_filtered(m: int, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# refinement order on partitions given as RGS rows
+# refinement order on partitions given as RGS rows, in closed form
 # ---------------------------------------------------------------------------
 
 
-def refinement_leq(rgs: np.ndarray) -> np.ndarray:
-    """Boolean matrix: out[p, q] iff partition row p refines row q.
+def coarsening_pairs(rgs: np.ndarray, k: int):
+    """The strict refinement order on all of Π^(k)_m, as two arrays
+    (below, above) of row numbers of ``rgs``, the (N, m) array of
+    :func:`rgs_filtered` in its lexicographic order.
 
-    Each row becomes a bitmask with one bit per pair i < j of positions, set
-    when i and j share a block; p refines q iff the pairs of p are pairs of
-    q, i.e. ``P[p] & ~P[q] == 0`` over ceil(C(m, 2) / 64) uint64 words.  The
-    rows are compared in blocks, through 256 kB buffers made once: fresh
-    temporaries per block, or 2 MB buffers, raised the peak RSS of a run
-    that builds the (3,4) poset again and again by about 1 MB.
+    A row x with b blocks is refined strictly by exactly the partitions that
+    merge its blocks into groups of sizes ≡ 1 (mod k), since a union of t
+    blocks of sizes ≡ 1 has size ≡ t.  So the rows above x are y[x] for the
+    rows y of ``rgs_filtered(b, k)`` other than the all-singletons one, and
+    these are again restricted growth strings (the blocks of x are numbered
+    by their least elements).  They are found by binary search on the rows
+    as byte strings, whose order is the lexicographic one.  No N × N array
+    is made: the work is one row per comparable pair.
     """
     n, m = rgs.shape
-    iu, ju = np.triu_indices(m, 1)
-    words = max(1, -(-len(iu) // 64))
-    same = np.zeros((n, 64 * words), dtype=bool)
-    same[:, : len(iu)] = rgs[:, iu] == rgs[:, ju]
-    bits = np.packbits(same, axis=1, bitorder="little").view(np.uint64).T.copy()
-    del same
-    notbits = ~bits
-    out = np.empty((n, n), dtype=bool)
-    rows = max(1, (1 << 18) // (8 * max(n, 1)))
-    # extra[p, q]: the pairs of p that q does not have, word by word
-    extra = np.empty((min(rows, n), n), dtype=np.uint64)
-    word = np.empty_like(extra) if words > 1 else None
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        e = extra[: hi - lo]
-        np.bitwise_and(bits[0, lo:hi, None], notbits[0], out=e)
-        for w in range(1, words):
-            t = word[: hi - lo]
-            np.bitwise_and(bits[w, lo:hi, None], notbits[w], out=t)
-            e |= t
-        np.equal(e, 0, out=out[lo:hi])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# reflexive-transitive closure of a relation
-# ---------------------------------------------------------------------------
-
-
-def closure(adj: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure of a boolean relation matrix."""
-    out = np.array(adj, dtype=bool)
-    np.fill_diagonal(out, True)
-    while True:
-        # boolean product: a uint8 product would count paths modulo 256
-        nxt = out | (out @ out)
-        if (nxt == out).all():
-            return out
-        out = nxt
+    rows = np.ascontiguousarray(rgs)
+    keys = rows.view(np.dtype((np.void, m))).ravel()
+    blocks = rows.max(axis=1).astype(np.intp) + 1
+    below, above = [], []
+    for b in sorted(set(blocks.tolist())):
+        xs = np.flatnonzero(blocks == b)
+        ys = rows if b == m else rgs_filtered(b, k)
+        ys = ys[ys.max(axis=1) + 1 < b]  # merges at least two blocks
+        if not len(ys):
+            continue
+        step = max(1, (1 << 20) // (len(ys) * m))
+        for lo in range(0, len(xs), step):
+            part = xs[lo : lo + step]
+            merged = np.ascontiguousarray(ys[:, rows[part]].transpose(1, 0, 2))
+            merged = merged.view(np.dtype((np.void, m))).ravel()
+            at = np.minimum(keys.searchsorted(merged), n - 1)
+            if not (keys[at] == merged).all():
+                raise AssertionError("a coarsening is missing from the rows")
+            below.append(np.repeat(part, len(ys)))
+            above.append(at)
+    if not below:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    return np.concatenate(below), np.concatenate(above)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from itertools import permutations
 from math import factorial
 
 from .complexes import SimplicialComplex
-from .errors import KTreeSubError, ResourceLimit
+from .errors import MAX_FACES, MAX_POSET_ELEMENTS, KTreeSubError, ResourceLimit
 from .partitions import Partition, enumerate_partitions, g_set, g_set_count, parse_partition
 from .poset import poset_to_json
 from .subdivision import (
@@ -176,9 +176,10 @@ def _homology_table(kom: SimplicialComplex, title: str, args=None):
     return rows
 
 
-def _load_complex_file(path) -> SimplicialComplex:
+def _load_complex_file(path, max_faces) -> SimplicialComplex:
     """A complex in the shape ``enumerate --object ktree-complex`` writes;
-    any other shape raises ``ValueError``."""
+    any other shape raises ``ValueError``, and one of more than
+    ``max_faces`` faces ``ResourceLimit``."""
     with open(path) as fh:
         data = json.load(fh)
     vertices = data.get("vertices") if isinstance(data, dict) else None
@@ -188,7 +189,7 @@ def _load_complex_file(path) -> SimplicialComplex:
     ):
         raise ValueError("expected vertices as lists of integer blocks")
     return SimplicialComplex.from_json(
-        data, label_fn=lambda lab: Partition(sum(len(b) for b in lab), lab)
+        data, label_fn=lambda lab: Partition(sum(len(b) for b in lab), lab), max_faces=max_faces
     )
 
 
@@ -213,7 +214,7 @@ def cmd_homology(args) -> int:
 
     if args.infile:
         try:
-            kom = _load_complex_file(args.infile)
+            kom = _load_complex_file(args.infile, args.max_faces)
         except (OSError, ValueError) as e:
             return _usage_error(f"cannot load complex from {args.infile}: {e}")
         _homology_table(kom, args.infile, args)
@@ -237,7 +238,7 @@ def cmd_homology(args) -> int:
 def cmd_equivariance(args) -> int:
     if args.infile:
         try:
-            kom = _load_complex_file(args.infile)
+            kom = _load_complex_file(args.infile, args.max_faces)
             m = kom.vertices[0].m
         except (OSError, ValueError, IndexError) as e:
             return _usage_error(f"cannot load complex from {args.infile}: {e}")
@@ -298,8 +299,8 @@ def _add_common(sub):
     sub.add_argument("--out", help="output artifact path")
     sub.add_argument("--format", choices=["json", "text"], default="text")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--max-poset-elements", type=_nonnegative_int, default=5_000)
-    sub.add_argument("--max-faces", type=_nonnegative_int, default=200_000)
+    sub.add_argument("--max-poset-elements", type=_nonnegative_int, default=MAX_POSET_ELEMENTS)
+    sub.add_argument("--max-faces", type=_nonnegative_int, default=MAX_FACES)
     sub.add_argument("-v", "--verbosity", type=int, default=1)
 
 

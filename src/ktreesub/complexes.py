@@ -5,17 +5,19 @@ label-level group actions."""
 from __future__ import annotations
 
 from . import _kernels as kernels
-from .errors import FaceNotPresent
+from .errors import MAX_FACES, FaceNotPresent, ResourceLimit
 
 
 class SimplicialComplex:
     """Family of nonempty faces over an indexed vertex list, downward closed.
 
     Faces are stored as frozensets of vertex indices; the empty face is
-    implicit.  Complexes are immutable.
+    implicit.  Complexes are immutable.  With ``close_downward`` the faces
+    are closed under taking sub-faces, and the closure raises
+    :class:`ResourceLimit` as it makes face ``max_faces + 1``.
     """
 
-    def __init__(self, vertex_labels, faces, close_downward=False):
+    def __init__(self, vertex_labels, faces, close_downward=False, max_faces=None):
         self.vertices = list(vertex_labels)
         self._index = {lab: i for i, lab in enumerate(self.vertices)}
         if len(self._index) != len(self.vertices):
@@ -23,7 +25,7 @@ class SimplicialComplex:
         fs = {frozenset(f) for f in faces}
         fs.discard(frozenset())
         if close_downward:
-            fs = _downward_closure(fs)
+            fs = _downward_closure(fs, max_faces)
         self.faces = frozenset(fs)
         by_dim = {}
         touched = set()
@@ -218,12 +220,17 @@ class SimplicialComplex:
         }
 
     @classmethod
-    def from_json(cls, data, label_fn=None):
+    def from_json(cls, data, label_fn=None, max_faces=MAX_FACES):
         """Inverse of :meth:`to_json`.  Any other shape raises
         ``ValueError``: a missing key, ``vertices`` or ``facets`` not a list,
         a facet not a list of ``int`` vertex indices (bools and floats are
         not indices) or one out of range, labels unhashable or repeated, or
-        a vertex in no facet."""
+        a vertex in no facet.
+
+        The facets are closed downward, and a facet of d vertices has
+        2^d - 1 faces: one with more than ``max_faces`` is refused before it
+        is expanded, and the closure stops at face ``max_faces + 1``, both
+        with :class:`ResourceLimit`."""
         if not (
             isinstance(data, dict)
             and isinstance(data.get("vertices"), list)
@@ -237,7 +244,11 @@ class SimplicialComplex:
             hash(tuple(labels))
         except TypeError:
             raise ValueError("vertex labels must be hashable") from None
-        return cls(labels, [frozenset(f) for f in data["facets"]], close_downward=True)
+        facets = [frozenset(f) for f in data["facets"]]
+        widest = max(map(len, facets), default=0)
+        if max_faces is not None and (1 << widest) - 1 > max_faces:
+            raise ResourceLimit(f"a facet of {widest} vertices has more than {max_faces} faces")
+        return cls(labels, facets, close_downward=True, max_faces=max_faces)
 
     def __repr__(self):
         return f"SimplicialComplex(f={self.f_vector()})"
@@ -314,7 +325,7 @@ def _spanning_forest(edges, n_vertices):
     return forest
 
 
-def _downward_closure(faces):
+def _downward_closure(faces, max_faces=None):
     out = set()
     stack = list(faces)
     while stack:
@@ -322,6 +333,8 @@ def _downward_closure(faces):
         if f in out or not f:
             continue
         out.add(f)
+        if max_faces is not None and len(out) > max_faces:
+            raise ResourceLimit(f"complex exceeds {max_faces} faces")
         if len(f) > 1:
             for v in f:
                 g = f - {v}

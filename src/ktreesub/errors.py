@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default resource caps."""
+
+# Default caps of every entry point that enumerates.  They admit (4,4), with
+# 38,040 poset elements, and (1,7), with 262,759 faces in its order complex;
+# (2,6), (1,8) and (3,5) exceed them.
+MAX_POSET_ELEMENTS = 40_000
+MAX_FACES = 300_000
 
 
 class KTreeSubError(Exception):
@@ -6,7 +12,7 @@ class KTreeSubError(Exception):
 
 
 class CycleDetected(KTreeSubError):
-    """The transitive closure of a cover relation violates antisymmetry."""
+    """An order relation violates antisymmetry."""
 
 
 class NotComparable(KTreeSubError):

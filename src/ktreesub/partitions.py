@@ -283,8 +283,10 @@ def enumerate_partitions(m: int, k: int, max_elements: int = 100_000) -> Partiti
     """All partitions of {1..m} with block sizes ≡ 1 (mod k), with refinement
     order, canonical element order, and designated bounds.
 
-    The element count is checked against ``max_elements`` before any
-    enumeration happens.
+    The order comes in closed form (:func:`_kernels.coarsening_pairs`): the
+    elements above x are Π^(k)_b read over the b blocks of x, and the height
+    of x is (m - b) / k.  The element count is checked against
+    ``max_elements`` before any enumeration happens.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive")
@@ -298,13 +300,18 @@ def enumerate_partitions(m: int, k: int, max_elements: int = 100_000) -> Partiti
     rgs = kernels.rgs_filtered(m, k)
     parts = [Partition.from_rgs(row) for row in rgs]
     order = sorted(range(len(parts)), key=lambda i: parts[i].sort_key())
-    leq = kernels.refinement_leq(rgs)
-    leq = leq[np.ix_(order, order)]
+    canonical = np.empty(len(order), dtype=np.intp)  # rgs row -> element index
+    canonical[order] = np.arange(len(order))
+    below, above = kernels.coarsening_pairs(rgs, k)
     labels = [parts[i] for i in order]
+    blocks = rgs[order].max(axis=1).astype(np.int64) + 1
     min_index = labels.index(Partition.zero(m))
     one = Partition.one(m)
     max_index = labels.index(one) if (m - 1) % k == 0 or m == 1 else None
-    poset = Poset(labels, leq, min_index=min_index, max_index=max_index, validate=False)
+    poset = Poset.from_pairs(
+        labels, canonical[below], canonical[above], min_index=min_index, max_index=max_index,
+        heights=(m - blocks) // k,
+    )
     return PartitionPoset(m, k, poset)
 
 

@@ -1,7 +1,14 @@
-"""Finite posets backed by dense boolean order matrices.
+"""Finite posets stored as sorted strict up-sets and down-sets in CSR form.
 
 Elements are referenced by integer indices; labels are opaque hashable
-payloads.  Posets are immutable after construction.
+payloads.  The order is kept as two CSR arrays, ``up_indptr``/``up_indices``
+(the elements strictly above each element, ascending) and
+``down_indptr``/``down_indices`` (those strictly below), both int32, so a
+poset costs memory in its number of comparable pairs, not in n².  Small
+posets may be given as a dense boolean matrix, which is converted; the dense
+view :attr:`Poset.leq` is built on first access, for the structural code on
+small intervals and for outside callers.  Posets are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from itertools import product as _iterproduct
 
 import numpy as np
 
-from . import _kernels as kernels
 from .errors import (
     CycleDetected,
     NoLowerBound,
@@ -38,55 +44,82 @@ def _validate_partial_order(arr: np.ndarray) -> None:
         raise ValueError("order relation is not transitive")
 
 
-class Poset:
-    """Finite poset with constant-time order queries.
+def _csr(rows, cols, n):
+    """CSR arrays (int32 indptr, indices) of the pairs (rows[t], cols[t]),
+    each row's entries ascending."""
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = np.asarray(cols, dtype=np.int32)[order]
+    for a in (indptr, indices):
+        a.setflags(write=False)
+    return indptr, indices
 
-    ``leq[i, j]`` iff element ``i`` is below element ``j``.  ``min_index`` and
-    ``max_index`` optionally designate a bottom/top element; these are the
-    elements stripped by :meth:`order_complex`.
+
+def _gather(indptr, indices, rows):
+    """The entries of the given CSR rows, concatenated, with the position in
+    ``rows`` each entry came from."""
+    rows = np.asarray(rows, dtype=np.intp)
+    starts = indptr[rows].astype(np.intp)
+    counts = indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(len(rows)), counts)
+    offset = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, indices[np.repeat(starts, counts) + offset]
+
+
+class Poset:
+    """Finite poset with sparse order queries.
+
+    ``Poset(labels, leq)`` takes a dense boolean matrix, ``leq[i, j]`` iff
+    element ``i`` is below element ``j``, and keeps only its strict part as
+    CSR up-sets and down-sets; :meth:`from_pairs` builds the same from the
+    strict pairs directly.  ``min_index`` and ``max_index`` optionally
+    designate a bottom/top element; these are the elements stripped by
+    :meth:`order_complex`.
     """
 
     def __init__(self, labels, leq, min_index=None, max_index=None, validate=True):
-        self.labels = list(labels)
-        self.n = len(self.labels)
         arr = np.array(leq, dtype=bool, copy=True)
-        if arr.shape != (self.n, self.n):
+        n = len(labels)
+        if arr.shape != (n, n):
             raise ValueError("leq matrix shape does not match label count")
         if validate:
             _validate_partial_order(arr)
-        arr.setflags(write=False)
-        self.leq = arr
+        np.fill_diagonal(arr, False)
+        below, above = np.nonzero(arr)
+        self._setup(labels, below, above, min_index, max_index)
+
+    @classmethod
+    def from_pairs(cls, labels, below, above, min_index=None, max_index=None, heights=None):
+        """The poset whose strict order is the pairs ``below[t] < above[t]``
+        (a transitive, irreflexive relation; not checked).  ``heights``, when
+        given, is the length of the longest chain below each element."""
+        self = cls.__new__(cls)
+        self._setup(labels, below, above, min_index, max_index)
+        if heights is not None:
+            self._heights = np.asarray(heights, dtype=np.int64)
+        return self
+
+    def _setup(self, labels, below, above, min_index, max_index):
+        self.labels = list(labels)
+        self.n = n = len(self.labels)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._index) != self.n:
+        if len(self._index) != n:
             raise ValueError("labels must be pairwise distinct")
-        if min_index is not None and not arr[min_index].all():
+        below, above = np.asarray(below, dtype=np.intp), np.asarray(above, dtype=np.intp)
+        self.up_indptr, self.up_indices = _csr(below, above, n)
+        self.down_indptr, self.down_indices = _csr(above, below, n)
+        # the same offsets as Python ints, for the per-element slices below
+        self._up_ptr = self.up_indptr.tolist()
+        self._down_ptr = self.down_indptr.tolist()
+        if min_index is not None and self._up_ptr[min_index + 1] - self._up_ptr[min_index] != n - 1:
             raise ValueError("designated minimum is not below every element")
-        if max_index is not None and not arr[:, max_index].all():
+        if max_index is not None and self._down_ptr[max_index + 1] - self._down_ptr[max_index] != n - 1:
             raise ValueError("designated maximum is not above every element")
         self.min_index = min_index
         self.max_index = max_index
         self._heights = None
-
-    @classmethod
-    def from_covers(cls, labels, covers, min_index=None, max_index=None):
-        """Build from a cover (or any generating) relation on element indices.
-
-        The order is the reflexive-transitive closure; a closure that merges
-        two elements raises :class:`CycleDetected`.
-        """
-        n = len(labels)
-        if n == 0:
-            return cls([], np.zeros((0, 0), dtype=bool), validate=False)
-        adj = np.zeros((n, n), dtype=bool)
-        for i, j in covers:
-            adj[i, j] = True
-        closed = kernels.closure(adj)
-        sym = closed & closed.T
-        np.fill_diagonal(sym, False)
-        if sym.any():
-            i, j = np.argwhere(sym)[0]
-            raise CycleDetected(f"cover relation creates a cycle through {i} and {j}")
-        return cls(labels, closed, min_index=min_index, max_index=max_index, validate=False)
+        self._leq = None
 
     # ------------------------------------------------------------------
     # basic queries
@@ -95,28 +128,54 @@ class Poset:
     def index(self, label):
         return self._index[label]
 
-    def is_leq(self, i: int, j: int) -> bool:
-        return bool(self.leq[i, j])
+    def up(self, i: int) -> list:
+        """The elements strictly above ``i``, ascending."""
+        p = self._up_ptr
+        return self.up_indices[p[i] : p[i + 1]].tolist()
 
-    def _cover_matrix(self) -> np.ndarray:
-        """Boolean matrix: out[i, j] iff j covers i."""
-        lt = self.leq & ~np.eye(self.n, dtype=bool)
-        return lt & ~(lt @ lt)
+    def down(self, i: int) -> list:
+        """The elements strictly below ``i``, ascending."""
+        p = self._down_ptr
+        return self.down_indices[p[i] : p[i + 1]].tolist()
+
+    def is_leq(self, i: int, j: int) -> bool:
+        if i == j:
+            return True
+        row = self.up_indices[self._up_ptr[i] : self._up_ptr[i + 1]]
+        at = int(row.searchsorted(j))
+        return at < row.size and int(row[at]) == j
+
+    @property
+    def leq(self) -> np.ndarray:
+        """Read-only dense boolean view, ``leq[i, j]`` iff ``i`` is below
+        ``j``, built on first access: n² bytes, for small posets."""
+        if self._leq is None:
+            arr = np.eye(self.n, dtype=bool)
+            rows = np.repeat(np.arange(self.n), np.diff(self.up_indptr))
+            arr[rows, self.up_indices] = True
+            arr.setflags(write=False)
+            self._leq = arr
+        return self._leq
 
     def covers(self):
-        """Cover pairs (i, j) with j covering i."""
-        return [(int(i), int(j)) for i, j in np.argwhere(self._cover_matrix())]
+        """Cover pairs (i, j) with j covering i, sorted: the strict pairs
+        i < j with no w such that i < w < j."""
+        counts = np.diff(self.up_indptr)
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), counts)
+        cols = self.up_indices.astype(np.int64)
+        owner, far = _gather(self.up_indptr, self.up_indices, cols)
+        two_step = np.unique(rows[owner] * self.n + far)
+        keep = ~np.isin(rows * self.n + cols, two_step)
+        return list(zip(rows[keep].tolist(), cols[keep].tolist()))
 
     def heights(self) -> np.ndarray:
         """Length of the longest chain below each element (minimal elements
         have height 0)."""
         if self._heights is None:
-            down = self.leq.sum(axis=0)
-            order = np.argsort(down, kind="stable")
+            # a strictly smaller element has strictly fewer elements below it
             h = np.zeros(self.n, dtype=np.int64)
-            for i in order:
-                below = np.flatnonzero(self.leq[:, i])
-                below = below[below != i]
+            for i in np.argsort(np.diff(self.down_indptr), kind="stable").tolist():
+                below = self.down_indices[self._down_ptr[i] : self._down_ptr[i + 1]]
                 if below.size:
                     h[i] = h[below].max() + 1
             self._heights = h
@@ -128,21 +187,36 @@ class Poset:
         return [i for i in range(self.n) if i not in skip]
 
     def maximal_in(self, subset):
-        """Maximal elements of an index subset."""
-        idx = sorted(set(subset))
-        if not idx:
-            return []
-        sub = self.leq[np.ix_(idx, idx)]
-        keep = ~(sub & ~np.eye(len(idx), dtype=bool)).any(axis=1)
-        return [idx[p] for p in np.flatnonzero(keep)]
+        """Maximal elements of an index subset, ascending: those below no
+        other member, read off the members' down-sets."""
+        members = set(subset)
+        dominated = set()
+        for w in members:
+            dominated.update(self.down(w))
+        return sorted(members - dominated)
 
     def minimal_in(self, subset):
-        idx = sorted(set(subset))
-        if not idx:
-            return []
-        sub = self.leq[np.ix_(idx, idx)]
-        keep = ~(sub & ~np.eye(len(idx), dtype=bool)).any(axis=0)
-        return [idx[p] for p in np.flatnonzero(keep)]
+        """Minimal elements of an index subset, ascending: those above no
+        other member, read off the members' up-sets."""
+        members = set(subset)
+        dominated = set()
+        for w in members:
+            dominated.update(self.up(w))
+        return sorted(members - dominated)
+
+    def induced_up(self, subset) -> list:
+        """The strict order induced on the distinct indices ``subset``: for
+        each position a, the positions b with ``subset[a]`` below
+        ``subset[b]``."""
+        idx = np.asarray(list(subset), dtype=np.intp)
+        where = np.full(self.n, -1, dtype=np.intp)
+        where[idx] = np.arange(idx.size)
+        owner, above = _gather(self.up_indptr, self.up_indices, idx)
+        b = where[above]
+        keep = b >= 0
+        bounds = np.searchsorted(owner[keep], np.arange(idx.size + 1)).tolist()
+        b = b[keep].tolist()
+        return [b[bounds[a] : bounds[a + 1]] for a in range(idx.size)]
 
     # ------------------------------------------------------------------
     # bounds, joins, meets
@@ -152,15 +226,21 @@ class Poset:
         idx = list(subset)
         if not idx:
             raise ValueError("upper bounds of an empty set are undefined")
-        mask = np.logical_and.reduce(self.leq[idx, :])
-        return [int(i) for i in np.flatnonzero(mask)]
+        common = set(self.up(idx[0]))
+        common.add(idx[0])
+        for i in idx[1:]:
+            common.intersection_update(self.up(i) + [i])
+        return sorted(common)
 
     def lower_bounds(self, subset):
         idx = list(subset)
         if not idx:
             raise ValueError("lower bounds of an empty set are undefined")
-        mask = np.logical_and.reduce(self.leq[:, idx], axis=1)
-        return [int(i) for i in np.flatnonzero(mask)]
+        common = set(self.down(idx[0]))
+        common.add(idx[0])
+        for i in idx[1:]:
+            common.intersection_update(self.down(i) + [i])
+        return sorted(common)
 
     def minimal_upper_bounds(self, subset):
         """Minimal elements of the set of common upper bounds (may be empty)."""
@@ -199,20 +279,20 @@ class Poset:
         """Induced subposet on the given element indices (order preserved)."""
         idx = list(indices)
         pos = {g: p for p, g in enumerate(idx)}
-        sub = self.leq[np.ix_(idx, idx)]
-        return Poset(
+        later = self.induced_up(idx)
+        return Poset.from_pairs(
             [self.labels[i] for i in idx],
-            sub,
+            [a for a, bs in enumerate(later) for _ in bs],
+            [b for bs in later for b in bs],
             min_index=None if min_index is None else pos[min_index],
             max_index=None if max_index is None else pos[max_index],
-            validate=False,
         )
 
     def interval(self, a: int, b: int) -> "Poset":
         """The induced subposet {x : a <= x <= b}."""
-        if not self.leq[a, b]:
+        if not self.is_leq(a, b):
             raise NotComparable(f"{self.labels[a]!r} is not below {self.labels[b]!r}")
-        idx = [int(i) for i in np.flatnonzero(self.leq[a, :] & self.leq[:, b])]
+        idx = sorted({a, *self.up(a)} & {b, *self.down(b)})
         return self.subposet(idx, min_index=a, max_index=b)
 
     def order_complex(self, max_faces=None):
@@ -222,12 +302,10 @@ class Poset:
 
         proper = self.proper_indices()
         vpos = {g: p for p, g in enumerate(proper)}
-        h = self.heights()
-        by_height = sorted(proper, key=lambda i: (int(h[i]), i))
-        ranked = np.array(by_height, dtype=np.intp)
-        above = {
-            v: [w for w in ranked[self.leq[v, ranked]].tolist() if w != v] for v in by_height
-        }
+        h = self.heights().tolist()
+        by_height = sorted(proper, key=lambda i: (h[i], i))
+        rank = dict(zip(by_height, range(len(by_height))))
+        above = {v: sorted((w for w in self.up(v) if w in rank), key=rank.__getitem__) for v in by_height}
         faces = []
         limit = max_faces
 
@@ -256,16 +334,19 @@ class Poset:
 
     def is_linear_extension(self, seq) -> bool:
         """True iff ``seq`` never lists an element after something above it
-        (repeats of one element are allowed)."""
+        (repeats of one element are allowed): no element strictly above f
+        is first listed before f is last listed."""
         idx = np.asarray(list(seq), dtype=np.intp)
-        # blocks of 128 rows keep the temporaries at 128 x len(seq) booleans
-        for start in range(0, len(idx), 128):
-            rows, earlier = idx[start : start + 128], idx[: start + 128]
-            later_below_earlier = np.tril(self.leq[np.ix_(rows, earlier)], start - 1)
-            later_below_earlier &= rows[:, None] != earlier[None, :]
-            if later_below_earlier.any():
-                return False
-        return True
+        if not idx.size:
+            return True
+        at = np.arange(idx.size)
+        first = np.full(self.n, idx.size)
+        last = np.full(self.n, -1)
+        np.minimum.at(first, idx, at)
+        np.maximum.at(last, idx, at)
+        listed = np.flatnonzero(last >= 0)
+        owner, above = _gather(self.up_indptr, self.up_indices, listed)
+        return not (first[above] < last[listed[owner]]).any()
 
     def linear_extension(self, subset=None, policy="rank-then-canonical", seed=None):
         """A total order on ``subset`` compatible with the poset order.
@@ -276,29 +357,32 @@ class Poset:
         """
         idx = list(range(self.n)) if subset is None else list(subset)
         if policy == "rank-then-canonical":
-            h = self.heights()
-            out = sorted(idx, key=lambda i: (int(h[i]), i))
+            h = self.heights().tolist()
+            out = sorted(idx, key=lambda i: (h[i], i))
         elif policy == "seeded-random":
             shuffled = list(idx)
             random.Random(seed).shuffle(shuffled)
             priority = {v: p for p, v in enumerate(shuffled)}
-            # Kahn's algorithm over positions in idx: strict[a, b] when idx[a]
-            # is below idx[b]; waiting[b] counts the unplaced elements below
-            strict = self.leq[np.ix_(idx, idx)]
-            np.fill_diagonal(strict, False)
-            waiting = strict.sum(axis=0).tolist()
+            if len(priority) < len(idx):
+                raise ValueError("the subset repeats an element")
+            # Kahn's algorithm over positions in idx: later[a] holds the
+            # positions above idx[a]; waiting[b] counts the unplaced
+            # elements below idx[b]
+            later = self.induced_up(idx)
+            waiting = [0] * len(idx)
+            for bs in later:
+                for b in bs:
+                    waiting[b] += 1
             ready = [(priority[idx[b]], b) for b, w in enumerate(waiting) if not w]
             heapq.heapify(ready)
             out = []
             while ready:
                 _, a = heapq.heappop(ready)
                 out.append(idx[a])
-                for b in np.flatnonzero(strict[a]).tolist():
+                for b in later[a]:
                     waiting[b] -= 1
                     if not waiting[b]:
                         heapq.heappush(ready, (priority[idx[b]], b))
-            if len(out) < len(idx):
-                raise ValueError("the subset repeats an element")
         else:
             raise ValueError(f"unknown linear extension policy {policy!r}")
         if not self.is_linear_extension(out):
@@ -310,24 +394,23 @@ class Poset:
     # ------------------------------------------------------------------
 
     def _iso_colors(self):
-        cov = self._cover_matrix()
+        lower = [[] for _ in range(self.n)]  # lower[j]: the elements j covers
+        upper = [[] for _ in range(self.n)]  # upper[i]: the elements covering i
+        for i, j in self.covers():
+            upper[i].append(j)
+            lower[j].append(i)
         h = self.heights()
+        down, up = np.diff(self.down_indptr), np.diff(self.up_indptr)
         colors = [
-            (
-                int(self.leq[:, i].sum()),
-                int(self.leq[i, :].sum()),
-                int(cov[:, i].sum()),
-                int(cov[i, :].sum()),
-                int(h[i]),
-            )
+            (int(down[i]) + 1, int(up[i]) + 1, len(lower[i]), len(upper[i]), int(h[i]))
             for i in range(self.n)
         ]
         for _ in range(2):
             sigs = [
                 (
                     colors[i],
-                    tuple(sorted(colors[j] for j in np.flatnonzero(cov[:, i]))),
-                    tuple(sorted(colors[j] for j in np.flatnonzero(cov[i, :]))),
+                    tuple(sorted(colors[j] for j in lower[i])),
+                    tuple(sorted(colors[j] for j in upper[i])),
                 )
                 for i in range(self.n)
             ]
@@ -432,11 +515,3 @@ def poset_to_json(p: Poset, label_fn=None):
         "min": p.min_index,
         "max": p.max_index,
     }
-
-
-def poset_from_json(data, label_fn=None) -> Poset:
-    fn = label_fn if label_fn is not None else (lambda x: x)
-    labels = [fn(lab) for lab in data["elements"]]
-    return Poset.from_covers(
-        labels, [tuple(c) for c in data["covers"]], min_index=data.get("min"), max_index=data.get("max")
-    )

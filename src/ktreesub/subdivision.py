@@ -20,7 +20,7 @@ import numpy as np
 
 from . import exact
 from .complexes import MutableComplex, SimplicialComplex
-from .errors import NotLinearExtension, NotNested, ResourceLimit
+from .errors import MAX_FACES, MAX_POSET_ELEMENTS, NotLinearExtension, NotNested, ResourceLimit
 from .partitions import Partition, PartitionPoset, enumerate_partitions
 from .poset import Poset, product
 from .trees import enumerate_ktree_complex
@@ -41,13 +41,13 @@ def is_building_set(p: Poset, g_indices):
     if p.min_index is None:
         raise ValueError("building sets need a designated minimum")
     zero = p.min_index
-    gset = sorted(set(g_indices))
+    gset = set(g_indices)
     if zero in gset:
         raise ValueError("the minimum cannot belong to a building set")
     for x in range(p.n):
         if x == zero:
             continue
-        factors = p.maximal_in([g for g in gset if p.leq[g, x]])
+        factors = p.maximal_in(gset.intersection(p.down(x) + [x]))
         if factors == [x]:
             continue
         if not factors:
@@ -72,7 +72,7 @@ def is_building_set(p: Poset, g_indices):
     return True, None
 
 
-def nested_set_complex(p: Poset, g_indices, keep_apex=False, max_faces=200_000) -> SimplicialComplex:
+def nested_set_complex(p: Poset, g_indices, keep_apex=False, max_faces=MAX_FACES) -> SimplicialComplex:
     """Complex of nonempty G-nested subsets: every antichain of size >= 2 must
     have a unique minimal upper bound lying outside G.
 
@@ -85,7 +85,7 @@ def nested_set_complex(p: Poset, g_indices, keep_apex=False, max_faces=200_000) 
     if p.max_index is not None and p.max_index in gset and not keep_apex:
         cand.remove(p.max_index)
     incomparable = {
-        v: {w for w in cand if w != v and not p.leq[v, w] and not p.leq[w, v]}
+        v: set(cand).difference(p.up(v), p.down(v), [v])
         for v in cand
     }
     faces = []
@@ -173,7 +173,7 @@ def _check_sigma(pk: PartitionPoset, sigma: SigmaLattice, fidx):
     n = sub.n
     pk_index = [pk.index(lab) for lab in sub.labels]
     for a in range(n):
-        below = [i for i in fidx if pk.poset.leq[i, pk_index[a]]]
+        below = [i for i in fidx if pk.poset.is_leq(i, pk_index[a])]
         expect = _unique_kjoin(pk, pk.poset.maximal_in(below))
         if expect != pk_index[a]:
             raise NotNested(
@@ -189,7 +189,7 @@ def _check_sigma(pk: PartitionPoset, sigma: SigmaLattice, fidx):
             shared = [
                 i
                 for i in fidx
-                if pk.poset.leq[i, pk_index[a]] and pk.poset.leq[i, pk_index[b]]
+                if pk.poset.is_leq(i, pk_index[a]) and pk.poset.is_leq(i, pk_index[b])
             ]
             formula = _unique_kjoin(pk, pk.poset.maximal_in(shared))
             if formula != pk_index[mlbs[0]]:
@@ -243,27 +243,25 @@ def run_blowup(order: Poset, initial: SimplicialComplex, ext_indices, record_int
     ext = list(ext_indices)
     if not order.is_linear_extension(ext):
         raise NotLinearExtension("supplied sequence is not a linear extension")
-    initial_idx = [order.index(lab) for lab in initial.vertices]
-    in_initial = np.zeros(order.n, dtype=bool)
-    in_initial[initial_idx] = True
+    in_initial = {order.index(lab) for lab in initial.vertices}
     factor_map = {lab: frozenset([lab]) for lab in initial.vertices}
     for h in ext:
-        below = np.flatnonzero(in_initial & order.leq[:, h])
+        below = in_initial.intersection(order.down(h))
         factor_map[order.labels[h]] = frozenset(
             order.labels[v] for v in order.maximal_in(below)
         )
     current = MutableComplex(initial)
-    in_current = in_initial.copy()
+    in_current = set(in_initial)
     complexes = [initial]
     steps = []
     for h in reversed(ext):
         h_label = order.labels[h]
-        below = np.flatnonzero(in_current & order.leq[:, h])
+        below = in_current.intersection(order.down(h))
         sigma = frozenset(order.labels[v] for v in order.maximal_in(below))
         steps.append(BlowupStep(h_label, sigma))
         if not current.stellar_subdivide(sigma, new_label=h_label):
             continue
-        in_current[h] = True
+        in_current.add(h)
         if record_intermediate:
             complexes.append(current.freeze())
     if not record_intermediate:
@@ -283,7 +281,7 @@ def blowup_sequence(
     g_indices,
     ext_indices=None,
     keep_apex=True,
-    max_faces=200_000,
+    max_faces=MAX_FACES,
 ) -> BlowupResult:
     """Stellar-subdivision sequence from the nested set complex of the smaller
     building set to that of the larger one.
@@ -338,7 +336,7 @@ class CarrierMap:
         return sorted({v for f in self.p_faces if len(f) == 1 for v in f})
 
 
-def global_carrier_map(k: int, n: int, max_poset_elements=100_000, max_faces=200_000):
+def global_carrier_map(k: int, n: int, max_poset_elements=100_000, max_faces=MAX_FACES):
     """The carrier map from the order complex of the restricted partition
     poset onto the k-tree complex: chains map to the union of their members'
     factors, vertices to exact barycenters of their factor faces.
@@ -823,16 +821,17 @@ def _count_extensions(poset: Poset, subset, limit) -> int:
     ``poset``, or ``limit`` if there are more: a depth-first enumeration
     that stops at the ``limit``-th."""
     items = list(subset)
-    strict = poset.leq[np.ix_(items, items)]
-    np.fill_diagonal(strict, False)
-    below = strict.sum(axis=0)  # unplaced elements below; -1 once placed
+    above = poset.induced_up(items)  # positions of the items above each item
+    below = np.zeros(len(items), dtype=np.int64)  # unplaced items below; -1 once placed
+    for bs in above:
+        below[bs] += 1
     path = []
     stack = [list(np.flatnonzero(below == 0))]  # untried choices per depth
     found = 0
     while stack:
         if stack[-1]:
             i = stack[-1].pop()
-            below[strict[i]] -= 1
+            below[above[i]] -= 1
             below[i] = -1
             path.append(i)
             stack.append(list(np.flatnonzero(below == 0)))
@@ -845,7 +844,7 @@ def _count_extensions(poset: Poset, subset, limit) -> int:
         if path:
             i = path.pop()
             below[i] = 0
-            below[strict[i]] += 1
+            below[above[i]] += 1
     return found
 
 
@@ -854,8 +853,8 @@ def verify_theorem(
     n: int,
     extensions: int = 1,
     seed: int = 0,
-    max_poset_elements: int = 5_000,
-    max_faces: int = 200_000,
+    max_poset_elements: int = MAX_POSET_ELEMENTS,
+    max_faces: int = MAX_FACES,
 ) -> SubdivisionReport:
     """Full verification that the order complex of the restricted partition
     poset subdivides the k-tree complex for one instance.
@@ -970,7 +969,7 @@ def sample_permutations(m: int, count: int, seed: int) -> list:
 
 
 def check_equivariance(k: int, n: int, perms="all", seed: int = 0,
-                       max_poset_elements: int = 5_000, max_faces: int = 200_000) -> EquivarianceReport:
+                       max_poset_elements: int = MAX_POSET_ELEMENTS, max_faces: int = MAX_FACES) -> EquivarianceReport:
     """Leaf-relabelling equivariance of the whole carrier map.
 
     For each tested permutation (all of S_m, or ``perms`` of them drawn by

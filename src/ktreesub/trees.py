@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import FaceNotPresent, NotNested, ResourceLimit
+from .errors import MAX_FACES, FaceNotPresent, NotNested, ResourceLimit
 from .complexes import SimplicialComplex
 from .partitions import Partition, PartitionPoset, g_set, g_set_count
 
@@ -187,12 +187,12 @@ def is_k_nested(pk: PartitionPoset, members) -> bool:
     if Partition.one(pk.m) in parts:
         return False
     idx = [pk.index(x) for x in parts]
-    leq = pk.poset.leq
+    leq = pk.poset.is_leq
     n = len(idx)
     for size in range(2, n + 1):
         for sub in combinations(range(n), size):
             antichain = all(
-                not leq[idx[a], idx[b]] and not leq[idx[b], idx[a]]
+                not leq(idx[a], idx[b]) and not leq(idx[b], idx[a])
                 for a, b in combinations(sub, 2)
             )
             if not antichain:
@@ -203,7 +203,7 @@ def is_k_nested(pk: PartitionPoset, members) -> bool:
     return True
 
 
-def enumerate_ktree_complex(n: int, k: int, max_faces: int = 200_000) -> SimplicialComplex:
+def enumerate_ktree_complex(n: int, k: int, max_faces: int = MAX_FACES) -> SimplicialComplex:
     """The complex of k-trees on m = (n-1)k+1 leaves: vertices are the
     building-set elements below the top, faces are the nested families.
 

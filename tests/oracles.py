@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
+
 
 def brute_set_partitions(m):
     """All set partitions of {1..m} by element-wise insertion (no restricted
@@ -73,6 +75,32 @@ def factors_search_oracle(pk, x):
     return frozenset(
         labels[g] for g in below if not any(h != g and leq[g, h] for h in below)
     )
+
+
+def closure_matrix(adj: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of a boolean relation matrix, by
+    repeated boolean squaring."""
+    out = np.array(adj, dtype=bool)
+    np.fill_diagonal(out, True)
+    while True:
+        # boolean product: a uint8 product would count paths modulo 256
+        nxt = out | (out @ out)
+        if (nxt == out).all():
+            return out
+        out = nxt
+
+
+def poset_from_covers(labels, covers, min_index=None, max_index=None):
+    """The poset generated by a cover (or any generating) relation on element
+    indices: its reflexive-transitive closure, which raises
+    ``CycleDetected`` when it merges two elements."""
+    from ktreesub import Poset
+
+    n = len(labels)
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in covers:
+        adj[i, j] = True
+    return Poset(labels, closure_matrix(adj), min_index=min_index, max_index=max_index)
 
 
 def closure_oracle(adj):
@@ -522,6 +550,40 @@ def facets_oracle(K):
     return sorted(maximal, key=lambda f: tuple(sorted(f)))
 
 
+def refinement_leq(rgs: np.ndarray) -> np.ndarray:
+    """Boolean matrix: out[p, q] iff partition row p refines row q, the
+    dense up-set oracle for ``enumerate_partitions``.
+
+    Each row becomes a bitmask with one bit per pair i < j of positions, set
+    when i and j share a block; p refines q iff the pairs of p are pairs of
+    q, i.e. ``P[p] & ~P[q] == 0`` over ceil(C(m, 2) / 64) uint64 words,
+    compared in blocks of rows.
+    """
+    n, m = rgs.shape
+    iu, ju = np.triu_indices(m, 1)
+    words = max(1, -(-len(iu) // 64))
+    same = np.zeros((n, 64 * words), dtype=bool)
+    same[:, : len(iu)] = rgs[:, iu] == rgs[:, ju]
+    bits = np.packbits(same, axis=1, bitorder="little").view(np.uint64).T.copy()
+    del same
+    notbits = ~bits
+    out = np.empty((n, n), dtype=bool)
+    rows = max(1, (1 << 18) // (8 * max(n, 1)))
+    # extra[p, q]: the pairs of p that q does not have, word by word
+    extra = np.empty((min(rows, n), n), dtype=np.uint64)
+    word = np.empty_like(extra) if words > 1 else None
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        e = extra[: hi - lo]
+        np.bitwise_and(bits[0, lo:hi, None], notbits[0], out=e)
+        for w in range(1, words):
+            t = word[: hi - lo]
+            np.bitwise_and(bits[w, lo:hi, None], notbits[w], out=t)
+            e |= t
+        np.equal(e, 0, out=out[lo:hi])
+    return out
+
+
 def refinement_loop_oracle(rgs):
     """The refinement matrix of RGS rows, one numpy row comparison per
     partition: p refines q iff each position's block in p sits inside one
@@ -825,3 +887,97 @@ def fraction_open_simplices_intersect(pts_a, pts_b):
         for c in range(dim)
     )
     return point
+
+
+# ---------------------------------------------------------------------------
+# dense order oracles: the poset code as it was on an n x n boolean matrix
+# ---------------------------------------------------------------------------
+
+
+def dense_partition_order(pk):
+    """The refinement matrix of ``pk``'s elements, in its element order, by
+    :func:`refinement_leq` on their restricted growth strings."""
+    rgs = np.array(
+        [[next(c for c, b in enumerate(x.blocks) if i in b) for i in range(1, pk.m + 1)]
+         for x in pk.poset.labels],
+        dtype=np.int8,
+    ).reshape(pk.poset.n, pk.m)
+    return refinement_leq(rgs)
+
+
+def dense_heights(leq):
+    """Longest chain below each element: each element, taken by the number
+    of elements below it, is one above the highest element strictly below."""
+    n = len(leq)
+    h = np.zeros(n, dtype=np.int64)
+    for i in np.argsort(leq.sum(axis=0), kind="stable"):
+        below = np.flatnonzero(leq[:, i])
+        below = below[below != i]
+        if below.size:
+            h[i] = h[below].max() + 1
+    return h
+
+
+def dense_covers(leq):
+    """Cover pairs, row by row: the elements above i that lie above no
+    other element above i."""
+    lt = leq & ~np.eye(len(leq), dtype=bool)
+    out = []
+    for i in range(len(leq)):
+        above = lt[i]
+        out += [(i, int(j)) for j in np.flatnonzero(above & ~lt[above].any(axis=0))]
+    return out
+
+
+def dense_maximal(leq, subset):
+    s = sorted(set(subset))
+    return [i for i in s if not any(j != i and leq[i, j] for j in s)]
+
+
+def dense_minimal(leq, subset):
+    s = sorted(set(subset))
+    return [i for i in s if not any(j != i and leq[j, i] for j in s)]
+
+
+def dense_upper_bounds(leq, subset):
+    return [int(i) for i in np.flatnonzero(leq[list(subset)].all(axis=0))]
+
+
+def dense_count_extensions(leq, subset, limit):
+    """Linear extensions of ``subset`` counted by depth-first search over
+    the dense order, stopping at ``limit``."""
+    items = list(subset)
+    found = 0
+
+    def grow(placed, left):
+        nonlocal found
+        if not left:
+            found += 1
+            return
+        for i in left:
+            if found >= limit:
+                return
+            if not any(j != i and leq[j, i] for j in left):
+                grow(placed + [i], [j for j in left if j != i])
+
+    grow([], items)
+    return min(found, limit)
+
+
+def dense_chain_count(leq, proper, limit):
+    """The chains of ``proper`` under the dense order, as sets, or None once
+    there are more than ``limit``."""
+    above = {v: [w for w in proper if w != v and leq[v, w]] for v in proper}
+    out = []
+
+    def grow(chain):
+        for w in above[chain[-1]]:
+            if len(out) > limit:
+                return
+            out.append(frozenset(chain + (w,)))
+            grow(chain + (w,))
+
+    for v in proper:
+        out.append(frozenset([v]))
+        grow((v,))
+    return None if len(out) > limit else set(out)

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -157,7 +159,7 @@ def test_ktree_complex_past_cap_exits_3_before_allocating(tmp_path):
         preexec_fn=_limit_address_space,
     )
     assert proc.returncode == 3, proc.stderr
-    assert "resource limit: k-tree complex exceeds 200000 faces" in proc.stderr
+    assert "resource limit: k-tree complex exceeds 300000 faces" in proc.stderr
     assert not (tmp_path / "t.json").exists()
 
 
@@ -262,6 +264,19 @@ def test_malformed_complex_file_is_usage_error(tmp_path, capsys, command, payloa
     assert "cannot load complex" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["homology", "equivariance"])
+def test_wide_facet_exits_3_before_closing(tmp_path, capsys, command):
+    # one facet of 40 vertices has 2^40 - 1 faces: refused before the
+    # closure starts, where the closure alone would never finish
+    labels = [x.to_json() for x in ktreesub.g_set(7, 1)[:40]]
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"vertices": labels, "facets": [list(range(40))]}))
+    start = time.perf_counter()
+    assert main([command, "--in", str(wide)]) == 3
+    assert time.perf_counter() - start < 1
+    assert "resource limit: a facet of 40 vertices" in capsys.readouterr().err
+
+
 def test_equivariance_file_roundtrip(tmp_path, capsys):
     code, out = run(["enumerate", "--object", "ktree-complex", "--n", "3", "--k", "2"], tmp_path)
     assert code == 0
@@ -273,6 +288,35 @@ def test_byte_identical_artifacts(tmp_path):
     _, a = run(["verify", "--k", "1", "--n", "4", "--extensions", "2"], tmp_path, "a.json")
     _, b = run(["verify", "--k", "1", "--n", "4", "--extensions", "2"], tmp_path, "b.json")
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of artifacts written by the code that kept the order as a dense
+# n x n matrix: a change of representation must not change a byte
+PINNED_ARTIFACTS = {
+    ("verify", "--k", "1", "--n", "3"): "050e9cfb580c7585557c15454593a17a5cbf178c7e6c57183dfe8ac193d59d61",
+    ("verify", "--k", "2", "--n", "3"): "e04f388eeba7971d9ca0777b44e26055d040ae830fd698b818f64edc3c074733",
+    ("verify", "--k", "3", "--n", "3"): "dfadda25c7781533a098fdf0bd894b26733ef1fd0cc3425b81b57649ca36347a",
+    ("verify", "--k", "1", "--n", "4"): "ec8de7fe2647541b20746f6b8c22759c819f24291f696c51e03c2d06844c8c5e",
+    ("verify", "--k", "2", "--n", "4"): "c928b7bf0e7fccea13688737feda078d85b66966109cb27570ad793a65791a42",
+    ("verify", "--k", "1", "--n", "5"): "0e57cfe1f9a284e1c716e22d4e603dc2d3c64e6c63f27f0d74d05ab30d2a2b5a",
+    ("verify", "--k", "4", "--n", "3"): "612d3a9afad2bd6b5e3b3d0b53d0556cf1c67af56c8578ade159a92bb7c1d851",
+    ("enumerate", "--object", "pi-k", "--m", "7", "--k", "2"):
+        "3f5acc234af498f0f011073aa3731da1c722706bc6202424ff773cdbee04a0aa",
+    ("enumerate", "--object", "pi-k", "--m", "10", "--k", "3"):
+        "51463ceb19a7ab00e92774b6937719c41b666a4229b54a5c4ab9a3812dc209bc",
+    ("enumerate", "--object", "order-complex", "--m", "7", "--k", "2"):
+        "321821874d516558c5f897b358e5cfb91f99b291329e16c3b6a4ede336c74290",
+    ("enumerate", "--object", "order-complex", "--m", "10", "--k", "3"):
+        "b1373aecea9130011631bebf02719bb24f5163e5863d7835ab077e3c44d14bbd",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_ARTIFACTS), ids=lambda a: "-".join(a[0:1] + a[2::2]))
+def test_artifacts_are_pinned(tmp_path, args):
+    extra = ["--extensions", "3", "--seed", "0"] if args[0] == "verify" else []
+    code, out = run(list(args) + extra, tmp_path)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_ARTIFACTS[args]
 
 
 def test_element_lookup_shorthand(tmp_path, capsys):

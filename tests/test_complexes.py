@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ktreesub import (
     FaceNotPresent,
     KTreeSubError,
+    ResourceLimit,
     SimplicialComplex,
     enumerate_ktree_complex,
     enumerate_partitions,
@@ -351,6 +352,17 @@ def test_json_round_trip(t14):
 def test_from_json_rejects_malformed(data):
     with pytest.raises(ValueError):
         SimplicialComplex.from_json(data)
+
+
+def test_from_json_face_cap():
+    # two triangles: 7 faces each, 13 in all (they share a vertex)
+    data = {"vertices": list(range(5)), "facets": [[0, 1, 2], [2, 3, 4]]}
+    assert len(SimplicialComplex.from_json(data, max_faces=13).faces) == 13
+    with pytest.raises(ResourceLimit, match="complex exceeds 12 faces"):
+        SimplicialComplex.from_json(data, max_faces=12)
+    # a facet whose 7 faces exceed the cap is refused before its closure
+    with pytest.raises(ResourceLimit, match="a facet of 3 vertices"):
+        SimplicialComplex.from_json(data, max_faces=6)
 
 
 JSON_SCALARS = st.one_of(

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,26 +8,37 @@ from hypothesis import strategies as st
 
 from ktreesub import (
     CycleDetected,
+    ResourceLimit,
     NotComparable,
     NotUnique,
     NoUpperBound,
     Poset,
     enumerate_partitions,
     parse_partition,
-    poset_from_json,
     poset_to_json,
     product,
 )
+from ktreesub import subdivision
+from ktreesub._kernels import count_partitions_modk
 from oracles import (
     chains_oracle,
     closure_oracle,
+    dense_chain_count,
+    dense_count_extensions,
+    dense_covers,
+    dense_heights,
+    dense_maximal,
+    dense_minimal,
+    dense_partition_order,
+    dense_upper_bounds,
     is_linear_extension_loop,
+    poset_from_covers,
     seeded_linear_extension_loop,
 )
 
 
 def chain_poset(n):
-    return Poset.from_covers(list(range(n)), [(i, i + 1) for i in range(n - 1)])
+    return poset_from_covers(list(range(n)), [(i, i + 1) for i in range(n - 1)])
 
 
 def test_build_chain():
@@ -36,13 +48,13 @@ def test_build_chain():
 
 
 def test_build_singleton():
-    p = Poset.from_covers(["a"], [])
+    p = poset_from_covers(["a"], [])
     assert p.n == 1 and p.is_leq(0, 0)
 
 
 def test_build_cycle_rejected():
     with pytest.raises(CycleDetected):
-        Poset.from_covers([0, 1], [(0, 1), (1, 0)])
+        poset_from_covers([0, 1], [(0, 1), (1, 0)])
 
 
 def test_minimal_upper_bounds_paper_example(pk72):
@@ -58,7 +70,7 @@ def test_minimal_upper_bounds_singleton(pk72):
 
 
 def test_minimal_upper_bounds_empty_result():
-    p = Poset.from_covers(["bot", "a", "b"], [(0, 1), (0, 2)], min_index=0)
+    p = poset_from_covers(["bot", "a", "b"], [(0, 1), (0, 2)], min_index=0)
     assert p.minimal_upper_bounds([1, 2]) == []
     with pytest.raises(NoUpperBound):
         p.join([1, 2])
@@ -101,7 +113,7 @@ def test_interval_examples(pk41):
 
 
 def test_product_identity_and_diamond():
-    c2 = Poset.from_covers([0, 1], [(0, 1)], min_index=0, max_index=1)
+    c2 = poset_from_covers([0, 1], [(0, 1)], min_index=0, max_index=1)
     single = product([c2])
     assert single.n == 2
     diamond = product([c2, c2])
@@ -124,7 +136,7 @@ def test_product_isomorphic_to_interval(pk41):
 
 def test_isomorphism_negative():
     chain = chain_poset(3)
-    anti = Poset.from_covers([0, 1, 2], [])
+    anti = poset_from_covers([0, 1, 2], [])
     assert chain.is_isomorphic(anti) is None
     assert chain.is_isomorphic(chain) is not None
 
@@ -135,7 +147,7 @@ def test_order_complex_antichain(pk31):
 
 
 def test_order_complex_chain():
-    p = Poset.from_covers(list("0ab1"), [(0, 1), (1, 2), (2, 3)], min_index=0, max_index=3)
+    p = poset_from_covers(list("0ab1"), [(0, 1), (1, 2), (2, 3)], min_index=0, max_index=3)
     oc = p.order_complex()
     assert oc.f_vector() == (2, 1)
 
@@ -196,7 +208,7 @@ def test_seeded_linear_extension_refuses_repeats():
 def test_linear_extension_total_order():
     p = chain_poset(4)
     assert p.linear_extension() == [0, 1, 2, 3]
-    anti = Poset.from_covers([0, 1, 2], [])
+    anti = poset_from_covers([0, 1, 2], [])
     assert anti.linear_extension() == [0, 1, 2]
 
 
@@ -223,7 +235,7 @@ def test_order_complex_faces_are_the_chains(pk41, pk51, pk52):
 def test_is_linear_extension_matches_loop(pk41, pk72):
     # seeded random sequences with repeats, and seeded linear extensions
     # with one element repeated somewhere: the same answer as the loop
-    for p in (pk41.poset, pk72.poset, chain_poset(6), Poset.from_covers([0, 1, 2], [])):
+    for p in (pk41.poset, pk72.poset, chain_poset(6), poset_from_covers([0, 1, 2], [])):
         rng = random.Random(p.n)
         for _ in range(300):
             seq = [rng.randrange(p.n) for _ in range(rng.randrange(0, 10))]
@@ -242,7 +254,9 @@ def test_is_linear_extension_matches_loop(pk41, pk72):
 
 def test_json_round_trip(pk52):
     data = poset_to_json(pk52.poset, label_fn=lambda x: x.to_json())
-    back = poset_from_json(data, label_fn=lambda b: tuple(map(tuple, b)))
+    back = poset_from_covers(
+        [tuple(map(tuple, b)) for b in data["elements"]], data["covers"], data["min"], data["max"]
+    )
     assert back.n == pk52.poset.n
     assert np.array_equal(back.leq, pk52.poset.leq)
 
@@ -256,7 +270,7 @@ def test_closure_matches_oracle(n, data):
             max_size=12,
         )
     )
-    p = Poset.from_covers(list(range(n)), edges)
+    p = poset_from_covers(list(range(n)), edges)
     assert p.leq.tolist() == closure_oracle(
         [[(i, j) in set(edges) for j in range(n)] for i in range(n)]
     )
@@ -271,7 +285,7 @@ def test_mub_properties(n, data):
             max_size=10,
         )
     )
-    p = Poset.from_covers(list(range(n)), edges)
+    p = poset_from_covers(list(range(n)), edges)
     subset = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
     mubs = p.minimal_upper_bounds(subset)
     for u in mubs:
@@ -293,7 +307,7 @@ def _fan_through_256():
 
 def test_covers_ignore_long_path_counts():
     data = {"elements": list(range(258)), "covers": [list(c) for c in _fan_through_256()]}
-    out = poset_to_json(poset_from_json(data))
+    out = poset_to_json(poset_from_covers(data["elements"], data["covers"]))
     assert [0, 257] not in out["covers"]
     assert sorted(map(tuple, out["covers"])) == sorted(_fan_through_256())
 
@@ -304,3 +318,64 @@ def test_non_transitive_relation_rejected_past_256_paths():
         leq[i, j] = True
     with pytest.raises(ValueError, match="not transitive"):
         Poset(list(range(258)), leq)
+
+
+DENSE_CASES = [(m, k) for m in range(1, 11) for k in (1, 2, 3, 4) if count_partitions_modk(m, k) <= 5000]
+
+
+@pytest.mark.parametrize("m, k", DENSE_CASES, ids=[f"{m}-{k}" for m, k in DENSE_CASES])
+def test_sparse_order_matches_dense_oracles(m, k):
+    # every query on the CSR up- and down-sets, against the same query on
+    # the refinement matrix of the elements
+    pk = enumerate_partitions(m, k)
+    p = pk.poset
+    leq = dense_partition_order(pk)
+    dense = SimpleNamespace(leq=leq)
+    ups = [np.flatnonzero(leq[i]) for i in range(p.n)]
+    assert all(p.up(i) == [j for j in row if j != i] for i, row in enumerate(ups))
+    assert all(p.down(j) == [i for i in np.flatnonzero(leq[:, j]) if i != j] for j in range(p.n))
+    assert np.array_equal(p.leq, leq)
+    assert p.heights().tolist() == dense_heights(leq).tolist()
+    assert p.covers() == dense_covers(leq)
+    rng = random.Random(100 * m + k)
+    for _ in range(40):
+        subset = rng.sample(range(p.n), rng.randint(1, min(p.n, 6)))
+        assert p.maximal_in(subset) == dense_maximal(leq, subset)
+        assert p.minimal_in(subset) == dense_minimal(leq, subset)
+        bounds = dense_upper_bounds(leq, subset)
+        assert p.upper_bounds(subset) == bounds
+        assert p.minimal_upper_bounds(subset) == dense_minimal(leq, bounds)
+    for _ in range(10):
+        small = rng.sample(range(p.n), min(p.n, 7))
+        assert subdivision._count_extensions(p, small, 100) == dense_count_extensions(leq, small, 100)
+    pool = _added_pool(pk)
+    h = dense_heights(leq)
+    assert p.linear_extension(pool) == sorted(pool, key=lambda i: (h[i], i))
+    if len(pool) <= 500:
+        for seed in range(3):
+            got = p.linear_extension(pool, policy="seeded-random", seed=seed)
+            assert got == seeded_linear_extension_loop(dense, pool, seed)
+    for _ in range(40):
+        seq = [rng.choice(range(p.n)) for _ in range(rng.randint(0, 12))]
+        assert p.is_linear_extension(seq) == is_linear_extension_loop(dense, seq)
+    proper = p.proper_indices()
+    chains = dense_chain_count(leq, proper, 30_000)
+    try:
+        delta = p.order_complex(max_faces=30_000)
+    except ResourceLimit:
+        assert chains is None
+    else:
+        assert {frozenset(proper[v] for v in f) for f in delta.faces} == chains
+
+
+def test_verify_builds_no_dense_order(monkeypatch):
+    # the verifier reads the order only from the CSR up- and down-sets
+    built = []
+
+    def keep(*args, **kwargs):
+        built.append(enumerate_partitions(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(subdivision, "enumerate_partitions", keep)
+    assert subdivision.verify_theorem(3, 4).verdict == "pass"
+    assert len(built) == 1 and built[0].poset._leq is None

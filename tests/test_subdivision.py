@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -507,6 +507,50 @@ def _unchecked_vertices():
     return cm
 
 
+def _matching_triangles(cm, k, n):
+    """The carrier map of (1,6) cut down to the 15 triangles of T^1_6 whose
+    vertices are three disjoint pairs, and their faces: an S_6-invariant
+    subcomplex, with the source faces that map into it.  Then, at each
+    corner a of such a triangle with centre c (the partition of the three
+    pairs) and mids M1, M2 (the two pairs through a), the edge [a, c] is
+    flipped to [M1, M2]: the cells [a, M1, c], [a, M2, c] become
+    [a, M1, M2], [c, M1, M2].  Every centre then needs to lie inside the
+    triangle of the three mids, which the barycentre does, and the map
+    still commutes with S_6."""
+    p, q = cm.p_complex, cm.q_complex
+    pairs = {i for i, x in enumerate(q.vertices) if len(x.nonsingleton_blocks()[0]) == 2}
+    triangles = [f for f in q.faces if len(f) == 3 and f <= pairs]
+    cm.q_faces = frozenset(g for f in triangles for g in q.faces if g <= f)
+    faces = {f for f in cm.p_faces if cm.phi[f] in cm.q_faces}
+    at = {frozenset(cm.f0[v]): v for v in range(len(p.vertices))}  # carrier -> vertex
+    for tri in triangles:
+        c = at[tri]
+        for corner in tri:
+            a = at[frozenset([corner])]
+            mids = [at[frozenset([corner, other])] for other in tri - {corner}]
+            faces -= {f for f in faces if {a, c} <= f}
+            for apex in (a, c):
+                cell = [apex, *mids]
+                faces |= {frozenset(sub) for r in (1, 2, 3) for sub in combinations(cell, r)}
+    cm.p_faces = frozenset(faces)
+    for f in faces:
+        cm.phi.setdefault(f, frozenset().union(*(cm.f0[v] for v in f)))
+
+
+def _move_centre_off_mids(cm, k, n):
+    # the centre of the last matching triangle in check order, which is not
+    # the first of its S_6-orbit, moved inside its carrier past the line of
+    # the two mids through one corner: the cell [c, M1, M2] folds over
+    # [a, M1, M2].  Well-formed, φ and the face sets still commute with
+    # S_6, and every other triangle is a subdivision: only the f0 test of
+    # the orbit shortcut tells this triangle from its orbit's first.
+    _matching_triangles(cm, k, n)
+    last = max((f for f in cm.q_faces if len(f) == 3), key=subdivision._by_size)
+    c = next(v for v, coords in cm.f0.items() if frozenset(coords) == last)
+    a, b, d = sorted(last)
+    cm.f0[c] = {a: Fraction(3, 5), b: Fraction(1, 5), d: Fraction(1, 5)}
+
+
 def _ladder(k, n, edit=None):
     def build():
         cm, _ = global_carrier_map(k, n)
@@ -536,6 +580,8 @@ CARRIER_CASES = {
     "misplaced-carriers": (_misplaced_carriers, False),
     "folded-cycle": (_folded_cycle, False),
     "unchecked-vertices": (_unchecked_vertices, False),
+    "flipped-matching-stars": (_ladder(1, 6, _matching_triangles), True),
+    "centre-moved-off-root": (_ladder(1, 6, _move_centre_off_mids), False),
 }
 
 
