@@ -1,20 +1,113 @@
 """Abstract simplicial complexes on labelled vertices: f-vectors, stellar
 subdivision, reduced integer homology via Smith normal form, and
-label-level group actions."""
+label-level group actions.
+
+A complex indexes its faces by :class:`FaceRows`: per dimension d, one
+lexicographically sorted big-endian int32 array of vertex-index rows, whose
+bytes are search keys.  Downward closure, facets, equality and the
+coboundary columns are binary searches on these keys; the faces themselves
+stay frozensets of vertex indices, kept in row order."""
 
 from __future__ import annotations
 
+from heapq import merge
+from itertools import chain
+from operator import itemgetter
+
+import numpy as np
+
 from . import _kernels as kernels
 from .errors import MAX_FACES, FaceNotPresent, ResourceLimit
+
+_ROW = np.dtype(">i4")
+
+
+class FaceRows:
+    """A family of faces as one sorted array of rows per dimension.
+
+    ``rows[d]`` has shape (n_d, d+1): the faces of d+1 vertices, each as its
+    vertex indices in increasing order, big-endian int32, with the rows in
+    lexicographic order.  A row's bytes are then a key whose byte order is
+    the rows' order, so a face is found by binary search on the keys (as in
+    :func:`~ktreesub._kernels.coarsening_pairs`).  ``faces[d]`` holds the
+    given face objects in row order.  A face's *position* is its place in
+    the concatenation of ``faces``: by size, then lexicographically;
+    ``offsets[d]`` is the position of the first face of dimension d.
+
+    The faces must be nonempty sets of integers in 0 .. 2**31 - 1.  The
+    family need not be downward closed, and a size below the largest may
+    have no face.
+    """
+
+    def __init__(self, faces):
+        groups = {}
+        for f in faces:
+            groups.setdefault(len(f), []).append(f)
+        self.rows, self.faces, self.offsets = [], [], [0]
+        for size in range(1, max(groups, default=0) + 1):
+            group = groups.get(size, [])
+            rows = np.fromiter(chain.from_iterable(group), dtype=_ROW, count=size * len(group)).reshape(-1, size)
+            rows.sort(axis=1)
+            order = _keys(rows).argsort()
+            self.rows.append(rows[order])
+            self.faces.append(list(map(group.__getitem__, order.tolist())))
+            self.offsets.append(self.offsets[-1] + len(group))
+
+    def find(self, d, rows):
+        """Position within dimension ``d`` of each row of ``rows`` (vertex
+        indices in increasing order, d+1 columns); -1 for a row that is no
+        face."""
+        keys = _keys(self.rows[d]) if d < len(self.rows) else ()
+        if not len(keys):
+            return np.full(len(rows), -1, dtype=np.intp)
+        query = _keys(rows)
+        at = np.minimum(keys.searchsorted(query), len(keys) - 1)
+        return np.where(keys[at] == query, at, -1)
+
+    def facet_positions(self, d):
+        """(n_d, d+1) array: entry (i, t) is the position within dimension
+        d-1 of the i-th face of dimension d without its t-th vertex, -1 when
+        that is no face."""
+        rows = self.rows[d]
+        return np.stack([self.find(d - 1, np.delete(rows, t, axis=1)) for t in range(d + 1)], axis=1)
+
+    def is_closed(self) -> bool:
+        """Whether every face's facets are faces, so that the family is
+        downward closed."""
+        return all((self.facet_positions(d) >= 0).all() for d in range(1, len(self.rows)))
+
+    def image(self, vertex_map, into=None):
+        """The position in ``into`` (these faces unless given) of the image
+        of every face, in position order, under the injective vertex map
+        ``vertex_map`` (an integer array, entry v the image of vertex v); -1
+        where the image is no face there."""
+        into = self if into is None else into
+        out = [np.zeros(0, dtype=np.intp)]
+        for d, rows in enumerate(self.rows):
+            img = vertex_map[rows]
+            img.sort(axis=1)
+            at = into.find(d, img)
+            out.append(np.where(at < 0, -1, at + into.offsets[d]))
+        return np.concatenate(out)
+
+
+def _keys(rows):
+    """The rows of a 2-d integer array as big-endian int32 byte strings, one
+    void scalar per row."""
+    rows = np.ascontiguousarray(rows, dtype=_ROW)
+    return rows.view(np.dtype((np.void, _ROW.itemsize * rows.shape[1]))).ravel()
 
 
 class SimplicialComplex:
     """Family of nonempty faces over an indexed vertex list, downward closed.
 
-    Faces are stored as frozensets of vertex indices; the empty face is
-    implicit.  Complexes are immutable.  With ``close_downward`` the faces
-    are closed under taking sub-faces, and the closure raises
-    :class:`ResourceLimit` as it makes face ``max_faces + 1``.
+    Faces are stored as frozensets of vertex indices, and indexed by
+    :class:`FaceRows`; the empty face is implicit.  Complexes are immutable.
+    With ``close_downward`` the faces are closed under taking sub-faces, and
+    the closure raises :class:`ResourceLimit` as it makes face
+    ``max_faces + 1``.  Otherwise a family that is not downward closed is
+    refused first; then one with a vertex index outside the vertex list;
+    then one with a vertex in no face, all with ``ValueError``.
     """
 
     def __init__(self, vertex_labels, faces, close_downward=False, max_faces=None):
@@ -26,27 +119,23 @@ class SimplicialComplex:
         fs.discard(frozenset())
         if close_downward:
             fs = _downward_closure(fs, max_faces)
+        n = len(self.vertices)
+        touched = set().union(*fs)
+        # the range is checked before any row is made: an index past int32
+        # would not fit a row, or would be truncated into one
+        outside = touched.difference(range(n))
+        if outside:
+            number = {v: i for i, v in enumerate(touched)}
+            if not (close_downward or FaceRows([frozenset(map(number.__getitem__, f)) for f in fs]).is_closed()):
+                raise ValueError("face family is not downward closed")
+            raise ValueError(f"vertex indices {sorted(outside, key=repr)} are out of range")
         self.faces = frozenset(fs)
-        by_dim = {}
-        touched = set()
-        for f in self.faces:
-            by_dim.setdefault(len(f) - 1, []).append(f)
-            touched |= f
-        for d in by_dim:
-            by_dim[d].sort(key=lambda f: tuple(sorted(f)))
-        self._by_dim = by_dim
-        if not close_downward:
-            for f in self.faces:
-                if len(f) > 1:
-                    for v in f:
-                        if f - {v} not in self.faces:
-                            raise ValueError("face family is not downward closed")
-        if touched != set(range(len(self.vertices))):
-            missing = set(range(len(self.vertices))) - touched
-            outside = touched - set(range(len(self.vertices)))
-            if outside:
-                raise ValueError(f"vertex indices {sorted(outside, key=repr)} are out of range")
-            raise ValueError(f"vertices {sorted(missing)} appear in no face")
+        self.face_rows = FaceRows(self.faces)
+        self._by_dim = self.face_rows.faces
+        if not (close_downward or self.face_rows.is_closed()):
+            raise ValueError("face family is not downward closed")
+        if len(touched) != n:
+            raise ValueError(f"vertices {sorted(set(range(n)) - touched)} appear in no face")
 
     @classmethod
     def from_label_faces(cls, faces, close_downward=True):
@@ -66,29 +155,41 @@ class SimplicialComplex:
     # ------------------------------------------------------------------
 
     def dimension(self) -> int:
-        return max(self._by_dim) if self._by_dim else -1
+        return len(self._by_dim) - 1
 
     def f_vector(self) -> tuple:
-        d = self.dimension()
-        return tuple(len(self._by_dim.get(i, ())) for i in range(d + 1))
+        return tuple(map(len, self._by_dim))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * fi for i, fi in enumerate(self.f_vector()))
 
     def facets(self):
-        """Maximal faces in lexicographic order.  The face set is downward
-        closed, so a face is maximal iff it is ``f - {v}`` for no face f."""
-        covered = {f - {v} for f in self.faces if len(f) > 1 for v in f}
-        return sorted((f for f in self.faces if f not in covered), key=lambda f: tuple(sorted(f)))
+        """Maximal faces in lexicographic order of their sorted vertices."""
+        return [f for _, f in self._facet_rows()]
+
+    def _facet_rows(self):
+        """(row as a list, face) of each maximal face, in lexicographic order
+        of the rows."""
+        per_dim = []
+        for d, faces in enumerate(self._by_dim):
+            top = self._maximal(d).tolist()
+            per_dim.append(zip(self.face_rows.rows[d][top].tolist(), map(faces.__getitem__, top)))
+        return merge(*per_dim, key=itemgetter(0))
+
+    def _maximal(self, d):
+        """Positions within dimension d of the maximal faces: the face set is
+        downward closed, so a face is maximal iff it is the facet of no face
+        of dimension d+1."""
+        covered = np.zeros(len(self._by_dim[d]), dtype=bool)
+        if d + 1 < len(self._by_dim):
+            covered[self.face_rows.facet_positions(d + 1).ravel()] = True
+        return np.flatnonzero(~covered)
 
     def is_pure(self) -> bool:
-        if not self.faces:
-            return True
-        d = self.dimension()
-        return all(len(f) - 1 == d for f in self.facets())
+        return all(not len(self._maximal(d)) for d in range(self.dimension()))
 
     def faces_of_dim(self, d: int):
-        return list(self._by_dim.get(d, ()))
+        return list(self._by_dim[d]) if 0 <= d < len(self._by_dim) else []
 
     def has_face_labels(self, labels) -> bool:
         try:
@@ -154,8 +255,11 @@ class SimplicialComplex:
         dim = self.dimension()
         if dim < 0:
             return []
-        sizes = [len(self._by_dim[d]) for d in range(dim + 1)]
-        forest = _spanning_forest(self._by_dim.get(1, ()), sizes[0])
+        sizes = self.f_vector()
+        # the edges as two lists of ints, not a list per edge: that many new
+        # containers set off full collections over every live object
+        ends = self.face_rows.rows[1].T.tolist() if dim else ((), ())
+        forest = _spanning_forest(zip(*ends), sizes[0])
         # ranks[d] = rank ∂_d, d = 0 .. dim+1
         ranks = [1, len(forest)] + [0] * dim
         torsion = [()] * (dim + 1)
@@ -170,14 +274,24 @@ class SimplicialComplex:
     def _coboundary_columns(self, d: int, cleared):
         """δ_d as sparse columns: one {row: ±1} dict per d-face whose
         position is not in ``cleared``, in face order; row r is the r-th
-        (d+1)-face."""
-        cols = {f: {} for i, f in enumerate(self._by_dim[d]) if i not in cleared}
-        for r, g in enumerate(self._by_dim.get(d + 1, ())):
-            for t, x in enumerate(sorted(g)):
-                col = cols.get(g - {x})
-                if col is not None:
-                    col[r] = -1 if t & 1 else 1
-        return list(cols.values())
+        (d+1)-face, with entry (-1)^t in the column of its facet without its
+        t-th vertex, and each column's rows are increasing.  Needs
+        d < dimension."""
+        keep = np.ones(len(self._by_dim[d]), dtype=bool)
+        keep[np.fromiter(cleared, dtype=np.intp, count=len(cleared))] = False
+        facets = self.face_rows.facet_positions(d + 1)
+        cols = facets.ravel()
+        live = keep[cols]
+        rows = np.repeat(np.arange(len(facets)), d + 2)[live]
+        signs = np.tile(1 - 2 * (np.arange(d + 2) & 1), len(facets))[live]
+        cols = cols[live]
+        by_col = cols.argsort(kind="stable")
+        rows, signs = rows[by_col].tolist(), signs[by_col].tolist()
+        counts = np.bincount(cols, minlength=len(keep))
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        kept = np.flatnonzero(keep)
+        return [dict(zip(rows[a:b], signs[a:b])) for a, b in zip(starts[kept].tolist(), ends[kept].tolist())]
 
     # ------------------------------------------------------------------
     # comparisons and actions
@@ -193,11 +307,11 @@ class SimplicialComplex:
         if not (
             isinstance(other, SimplicialComplex)
             and self._index.keys() == other._index.keys()
-            and len(self.faces) == len(other.faces)
+            and self.f_vector() == other.f_vector()
         ):
             return False
-        idx = [self._index[lab] for lab in other.vertices]
-        return all(frozenset(map(idx.__getitem__, f)) in self.faces for f in other.faces)
+        idx = np.array([self._index[lab] for lab in other.vertices], dtype=np.intp)
+        return not (other.face_rows.image(idx, self.face_rows) < 0).any()
 
     def __hash__(self):
         return hash(self.label_faces())
@@ -216,7 +330,7 @@ class SimplicialComplex:
         fn = label_fn if label_fn is not None else (lambda x: x)
         return {
             "vertices": [fn(l) for l in self.vertices],
-            "facets": sorted([sorted(f) for f in self.facets()]),
+            "facets": [row for row, _ in self._facet_rows()],
         }
 
     @classmethod

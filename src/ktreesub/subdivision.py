@@ -13,13 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, count, permutations
 from math import factorial
 
 import numpy as np
 
 from . import exact
-from .complexes import MutableComplex, SimplicialComplex
+from .complexes import FaceRows, MutableComplex, SimplicialComplex
 from .errors import MAX_FACES, MAX_POSET_ELEMENTS, NotLinearExtension, NotNested, ResourceLimit
 from .partitions import Partition, PartitionPoset, enumerate_partitions
 from .poset import Poset, product
@@ -444,6 +444,9 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     failure, and is checked itself otherwise.  When the certificate fails,
     every orbit is a single face.  The failures, their order and the
     volumes are those of checking every face.
+
+    The check order is the row order of the target faces' :class:`FaceRows`:
+    by size, then lexicographically by sorted vertex indices.
     """
     label = _face_label_fn(cm.q_complex)
     failures, bad = _check_well_formed(cm, label)
@@ -452,7 +455,7 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
         img = cm.phi.get(face)
         if img in cm.q_faces:
             cells_by_image.setdefault(img, []).append(face)
-    order = sorted(cm.q_faces, key=_by_size)
+    order = list(chain.from_iterable(_face_rows(cm.q_complex, cm.q_faces).faces))
     roots = range(len(order)) if bad else _orbit_roots(cm, order)
     clean = {}  # position in order -> total volume, for faces checked with no failure
     facet_volumes = {}
@@ -473,12 +476,13 @@ class PermutationAction:
 
     The distinct blocks of the labels are numbered once, and each label is
     kept as its set of block numbers, so a permutation moves each distinct
-    block once, not once per label.  ``faces`` are the faces the invariance
-    test reads, all faces of ``K`` unless given; ``m`` is None when the
-    labels are not all :class:`Partition` objects of one ground set."""
+    block once, not once per label.  The invariance test reads ``faces``,
+    all faces of ``K`` unless given, through their :class:`FaceRows`
+    ``rows``; ``m`` is None when the labels are not all :class:`Partition`
+    objects of one ground set."""
 
     def __init__(self, K: SimplicialComplex, faces=None):
-        self.faces = K.faces if faces is None else faces
+        self.rows = _face_rows(K, K.faces if faces is None else faces)
         ms = {lab.m if isinstance(lab, Partition) else None for lab in K.vertices}
         self.m = ms.pop() if len(ms) == 1 else None
         self._blocks = {}  # block -> its number
@@ -505,10 +509,15 @@ class PermutationAction:
         """:meth:`index_map` when it sends every face to a face, hence (being
         injective) the face set onto itself; else None."""
         idx = self.index_map(perm)
-        if idx is None:
+        if idx is None or (self.rows.image(np.asarray(idx)) < 0).any():
             return None
-        faces, image = self.faces, idx.__getitem__
-        return idx if all(frozenset(map(image, f)) in faces for f in faces) else None
+        return idx
+
+
+def _face_rows(K: SimplicialComplex, faces) -> FaceRows:
+    """The :class:`FaceRows` of ``faces``, a family of faces over the
+    vertices of ``K``: ``K``'s own when they are all its faces."""
+    return K.face_rows if faces is K.faces else FaceRows(faces)
 
 
 def generators(m: int):
@@ -518,38 +527,55 @@ def generators(m: int):
 
 
 def generator_certificate(source: PermutationAction, target: PermutationAction, phi):
-    """The (source, target) vertex index maps of each of :func:`generators`
-    when each generator σ maps the source faces and the target faces into
-    themselves and φ(σc) = σφ(c) for every source face c; else None.  One
-    pass over the source faces per generator.
+    """For each of :func:`generators` σ, the source and target vertex index
+    maps of σ and the position of the image under σ of every target face,
+    when σ maps the source faces and the target faces into themselves and
+    φ(σc) = σφ(c) for every source face c; else None.
+
+    Faces are read by position in their :class:`FaceRows`.  Per generator,
+    every face's image is mapped, its row sorted and found by binary search,
+    once; then φ(σc) = σφ(c) is one array comparison of the position of
+    φ(image of c) with the image of the position of φ(c).  φ must be defined
+    on every source face, and a φ image that is not a target face gives
+    None.
 
     The permutations that leave a face set invariant form a subgroup, and so
     do those that also commute with φ, so when the generators pass, every
-    permutation of 1..m does.  φ must be defined on every source face."""
+    permutation of 1..m does."""
     if target.m is None:
         return None
-    faces = source.faces
+    position = dict(zip(chain.from_iterable(target.rows.faces), count()))
+    phi_pos = np.fromiter(
+        (position.get(phi[c], -1) for c in chain.from_iterable(source.rows.faces)),
+        dtype=np.intp, count=source.rows.offsets[-1],
+    )
+    if (phi_pos < 0).any():
+        return None
     maps = []
     for perm in generators(target.m):
-        src, tgt = source.index_map(perm), target.invariant_index_map(perm)
+        src, tgt = source.index_map(perm), target.index_map(perm)
         if src is None or tgt is None:
             return None
-        s, t = src.__getitem__, tgt.__getitem__
-        for c in faces:
-            sc = frozenset(map(s, c))
-            if sc not in faces or phi[sc] != frozenset(map(t, phi[c])):
-                return None
-        maps.append((src, tgt))
+        src_img, tgt_img = source.rows.image(np.asarray(src)), target.rows.image(np.asarray(tgt))
+        if (src_img < 0).any():  # a source face maps outside the source
+            return None
+        if (tgt_img < 0).any():  # a target face maps outside the target
+            return None
+        if not (phi_pos[src_img] == tgt_img[phi_pos]).all():  # φ(σc) != σφ(c)
+            return None
+        maps.append((src, tgt, tgt_img))
     return maps
 
 
 def _orbit_roots(cm: CarrierMap, order):
-    """For each position i in ``order`` (the target faces in
-    :func:`_by_size` order), the position of the first face of the S_m-orbit
-    of ``order[i]``.  Every face is its own root unless the map passes
-    :func:`generator_certificate` and f0(σv) = σf0(v) on every source vertex
-    v for both generators σ.  Assumes the well-formedness pass marked no
-    vertex (φ is total on the source faces)."""
+    """For each position i in ``order`` (the target faces in check order,
+    as :func:`verify_carrier_map` makes it), the position of the first face
+    of the S_m-orbit of ``order[i]``.  Every face is its own root unless the
+    map passes :func:`generator_certificate` and f0(σv) = σf0(v) on every
+    source vertex v for both generators σ; the orbits are then joined by a
+    union-find over the certificate's target images.  Assumes the
+    well-formedness pass marked no vertex (φ is total on the source
+    faces)."""
     singletons = range(len(order))
     maps = generator_certificate(
         PermutationAction(cm.p_complex, cm.p_faces), PermutationAction(cm.q_complex, cm.q_faces), cm.phi
@@ -557,11 +583,10 @@ def _orbit_roots(cm: CarrierMap, order):
     if not maps:
         return singletons
     vertices = cm.p_vertices()
-    for src, tgt in maps:
+    for src, tgt, _ in maps:
         for v in vertices:
             if cm.f0[src[v]] != {tgt[w]: x for w, x in cm.f0[v].items()}:
                 return singletons
-    pos = {qf: i for i, qf in enumerate(order)}
     parent = list(singletons)  # union-find; a root is its class's first face
 
     def find(i):
@@ -569,9 +594,9 @@ def _orbit_roots(cm: CarrierMap, order):
             parent[i] = i = parent[parent[i]]
         return i
 
-    for i, qf in enumerate(order):
-        for _, tgt in maps:
-            a, b = find(i), find(pos[frozenset(map(tgt.__getitem__, qf))])
+    for _, _, image in maps:
+        for i, j in enumerate(image.tolist()):
+            a, b = find(i), find(j)
             parent[max(a, b)] = min(a, b)
     return [find(i) for i in singletons]
 

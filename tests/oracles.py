@@ -540,6 +540,126 @@ def carrier_phi_oracle(pk, p, q):
     return phi, f0
 
 
+def by_size_order(faces):
+    """Faces by size, then lexicographically by their sorted vertices: the
+    order of a complex's faces of one dimension and of the carrier check."""
+    return sorted(faces, key=lambda f: (len(f), tuple(sorted(f))))
+
+
+def downward_closed_oracle(faces):
+    """Whether ``f - {v}`` is in the family for every face f of two or more
+    vertices and every v in f."""
+    fs = set(faces)
+    return all(f - {v} in fs for f in fs if len(f) > 1 for v in f)
+
+
+def complex_eq_oracle(A, B):
+    """Equality of complexes as sets of label sets: every face of B, mapped
+    to A's vertex indices label by label, is a face of A, and the counts
+    agree."""
+    if not (
+        type(B) is type(A)
+        and set(A.vertices) == set(B.vertices)
+        and len(A.faces) == len(B.faces)
+    ):
+        return False
+    idx = [A.vertex_index(lab) for lab in B.vertices]
+    return all(frozenset(idx[v] for v in f) in A.faces for f in B.faces)
+
+
+def coboundary_columns_oracle(K, d, cleared):
+    """δ_d of K as one {row: ±1} dict per d-face whose position is not in
+    ``cleared``, in face order (:func:`by_size_order`); row r is the r-th
+    (d+1)-face, and the entry of the column of ``g - {x}`` for the t-th
+    smallest vertex x of g is (-1)^t."""
+    faces = by_size_order(f for f in K.faces if len(f) == d + 1)
+    cofaces = by_size_order(f for f in K.faces if len(f) == d + 2)
+    cols = {f: {} for i, f in enumerate(faces) if i not in cleared}
+    for r, g in enumerate(cofaces):
+        for t, x in enumerate(sorted(g)):
+            col = cols.get(g - {x})
+            if col is not None:
+                col[r] = -1 if t & 1 else 1
+    return list(cols.values())
+
+
+def _relabelling_maps(K, perm):
+    """Vertex index map of relabelling K's partition labels by ``perm``:
+    entry v is the index of the image of vertex v; None when an image is
+    not a vertex."""
+    out = []
+    for x in K.vertices:
+        try:
+            out.append(K.vertex_index(x.permute(perm)))
+        except KeyError:
+            return None
+    return out
+
+
+def _ground_set(K):
+    """The common ground-set size of K's labels, None unless they are all
+    partitions of one ground set."""
+    ms = {getattr(x, "m", None) if hasattr(x, "permute") else None for x in K.vertices}
+    return ms.pop() if len(ms) == 1 else None
+
+
+def generator_certificate_oracle(p, p_faces, q, q_faces, phi):
+    """For each generator σ of S_m, (1 2) then (1 2 ... m), the source and
+    target vertex maps when σ maps ``p_faces`` and ``q_faces`` into
+    themselves and φ(σc) = σφ(c) for every c in ``p_faces``, one face at a
+    time as frozensets; else None."""
+    m = _ground_set(q)
+    if m is None or _ground_set(p) != m:
+        return None
+    gens = [(2, 1, *range(3, m + 1)), (*range(2, m + 1), 1)] if m >= 2 else []
+    maps = []
+    for perm in gens:
+        src, tgt = _relabelling_maps(p, perm), _relabelling_maps(q, perm)
+        if src is None or tgt is None:
+            return None
+        if any(frozenset(tgt[v] for v in f) not in q_faces for f in q_faces):
+            return None
+        for c in p_faces:
+            sc = frozenset(src[v] for v in c)
+            if sc not in p_faces or phi[sc] != frozenset(tgt[w] for w in phi[c]):
+                return None
+        maps.append((src, tgt))
+    return maps
+
+
+def orbit_roots_oracle(cm):
+    """For each target face in :func:`by_size_order`, the position of the
+    first face of its orbit under the generators, when the map passes
+    :func:`generator_certificate_oracle` and f0(σv) = σf0(v) for every
+    source vertex v; each face its own root otherwise.  Orbits are grown
+    face by face from their first face."""
+    order = by_size_order(cm.q_faces)
+    singletons = list(range(len(order)))
+    maps = generator_certificate_oracle(cm.p_complex, cm.p_faces, cm.q_complex, cm.q_faces, cm.phi)
+    if not maps:
+        return singletons
+    vertices = sorted({v for f in cm.p_faces if len(f) == 1 for v in f})
+    for src, tgt in maps:
+        for v in vertices:
+            if cm.f0[src[v]] != {tgt[w]: x for w, x in cm.f0[v].items()}:
+                return singletons
+    pos = {qf: i for i, qf in enumerate(order)}
+    roots = [None] * len(order)
+    for i, qf in enumerate(order):
+        if roots[i] is not None:
+            continue
+        roots[i] = i
+        stack = [qf]
+        while stack:
+            f = stack.pop()
+            for _, tgt in maps:
+                g = frozenset(tgt[v] for v in f)
+                if roots[pos[g]] is None:
+                    roots[pos[g]] = i
+                    stack.append(g)
+    return roots
+
+
 def facets_oracle(K):
     """Maximal faces of K in lexicographic order, by testing each face,
     largest first, against every maximal face found so far."""

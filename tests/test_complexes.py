@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,11 +15,16 @@ from ktreesub import (
     enumerate_partitions,
 )
 from ktreesub._kernels import _snf_exact_python, snf_diagonal
+from ktreesub.complexes import FaceRows
 from oracles import (
     boundary_reduced_homology,
+    by_size_order,
     check_boundary_squares_to_zero,
+    coboundary_columns_oracle,
+    complex_eq_oracle,
     dense_reduced_homology,
     dense_to_columns,
+    downward_closed_oracle,
     facets_oracle,
     stellar_subdivision_oracle,
 )
@@ -265,8 +271,23 @@ def test_top_betti_numbers_past_dense_reach():
 
 
 def test_out_of_range_vertex_index_rejected():
-    with pytest.raises(ValueError, match=r"vertex indices \[2\] are out of range"):
-        SimplicialComplex(["a", "b"], [frozenset({0, 2})], close_downward=True)
+    # the range is checked before any face becomes an int32 row; a family
+    # that is not downward closed is refused as such first, and a vertex in
+    # no face only after the range
+    cases = [
+        (["a", "b"], [{0, 2}], True, r"vertex indices \[2\] are out of range"),
+        (["a"], [{0}, {2**70}], False, r"vertex indices \[%d\] are out of range" % 2**70),
+        (["a", "b"], [{0}, {1}, {0, 2**40}], False, "face family is not downward closed"),
+        (["a", "b"], [{0}, {1}, {0, 2**40}], True, r"vertex indices \[%d\] are out of range" % 2**40),
+        (["a"], [{"x"}], False, r"vertex indices \['x'\] are out of range"),
+        (["a"], [{0}, {-1}], False, r"vertex indices \[-1\] are out of range"),
+        (["a"], [{0}, {2**31}], False, r"vertex indices \[2147483648\] are out of range"),
+        (["a", "b"], [{0}, {1}, {2**31}, {1, 2**31}], False, r"vertex indices \[2147483648\] are out of range"),
+        (["a", "b", "c"], [{0}, {-1}], False, r"vertex indices \[-1\] are out of range"),
+    ]
+    for labels, faces, close, message in cases:
+        with pytest.raises(ValueError, match=message):
+            SimplicialComplex(labels, faces, close_downward=close)
 
 
 def test_apply_permutation_preserves_f_vector(t24):
@@ -319,6 +340,80 @@ def test_facets_match_oracle():
         complexes.append(SimplicialComplex.from_label_faces(faces))
     for K in complexes:
         assert K.facets() == facets_oracle(K)
+
+
+def _all_sub_faces(faces):
+    return {frozenset(sub) for f in faces for r in range(1, len(f) + 1) for sub in combinations(sorted(f), r)}
+
+
+def _columns(cols):
+    return [list(col.items()) for col in cols]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_face_rows_match_oracles(data):
+    # random families on at most 9 vertices, closed and not: the row order,
+    # the closure check, the facets, equality and the coboundary columns
+    # (with their rows in order) against the frozenset loops they replace
+    family = data.draw(st.lists(st.frozensets(st.integers(0, 8), min_size=1, max_size=5), min_size=1, max_size=8))
+    if data.draw(st.booleans()):
+        family = _all_sub_faces(family)
+        if data.draw(st.booleans()):
+            family -= {data.draw(st.sampled_from(sorted(family, key=sorted)))}
+    rows = FaceRows(family)
+    assert rows.is_closed() == downward_closed_oracle(family)
+    for d, faces in enumerate(rows.faces):
+        assert faces == by_size_order(f for f in family if len(f) == d + 1)
+        assert rows.rows[d].tolist() == [sorted(f) for f in faces]
+        assert rows.offsets[d + 1] - rows.offsets[d] == len(faces)
+    touched = sorted(set().union(*family))
+    names = [f"v{v}" for v in touched]
+    faces = [frozenset(touched.index(v) for v in f) for f in family]
+    if not downward_closed_oracle(family):
+        with pytest.raises(ValueError, match="not downward closed"):
+            SimplicialComplex(names, faces)
+        return
+    K = SimplicialComplex(names, faces)
+    if not K.faces:
+        assert K.f_vector() == () and K.facets() == [] and K.is_pure()
+        return
+    assert K.f_vector() == tuple(len(K.faces_of_dim(d)) for d in range(K.dimension() + 1))
+    assert K.facets() == facets_oracle(K)
+    assert K.is_pure() == (len({len(f) for f in facets_oracle(K)}) == 1)
+    assert K.to_json()["facets"] == sorted(sorted(f) for f in facets_oracle(K))
+    for d in range(K.dimension()):
+        n = len(K.faces_of_dim(d))
+        cleared = set(data.draw(st.lists(st.integers(0, n - 1), max_size=n)))
+        assert _columns(K._coboundary_columns(d, cleared)) == _columns(coboundary_columns_oracle(K, d, cleared))
+    order = data.draw(st.permutations(range(len(names))))
+    relabelled = SimplicialComplex([names[i] for i in order], [frozenset(order.index(v) for v in f) for f in K.faces])
+    other = SimplicialComplex.from_label_faces(
+        [[names[v] for v in f] for f in data.draw(st.lists(st.sampled_from(sorted(K.faces, key=sorted)), min_size=1))]
+    )
+    for A, B in [(K, relabelled), (relabelled, K), (K, other), (other, K)]:
+        assert (A == B) == complex_eq_oracle(A, B)
+    assert K == relabelled
+
+
+@pytest.mark.parametrize("name", ["delta-1-5", "target-1-5", "delta-2-4", "target-2-4", "target-1-6", "delta-3-4"])
+def test_smith_reduce_receives_oracle_columns(monkeypatch, name):
+    # the columns each homology call hands to smith_reduce, in order, with
+    # the cleared faces of the step before: those of the frozenset loop
+    K = homology_case(name)
+    real = SimplicialComplex._coboundary_columns
+    calls = []
+
+    def recording(self, d, cleared):
+        cols = real(self, d, cleared)
+        calls.append((d, set(cleared), _columns(cols)))
+        return cols
+
+    monkeypatch.setattr(SimplicialComplex, "_coboundary_columns", recording)
+    K.reduced_homology()
+    assert [d for d, _, _ in calls] == list(range(1, K.dimension()))
+    for d, cleared, cols in calls:
+        assert cols == _columns(coboundary_columns_oracle(K, d, cleared))
 
 
 def test_json_round_trip(t14):

@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import factorial
 
 import pytest
@@ -34,8 +34,11 @@ from ktreesub import (
 from ktreesub import exact, subdivision
 from ktreesub.subdivision import _distinct_extensions, sample_permutations
 from oracles import (
+    by_size_order,
     carrier_phi_oracle,
     equivariance_oracle,
+    generator_certificate_oracle,
+    orbit_roots_oracle,
     pairwise_carrier_oracle,
     stellar_chain_oracle,
 )
@@ -551,6 +554,47 @@ def _move_centre_off_mids(cm, k, n):
     cm.f0[c] = {a: Fraction(3, 5), b: Fraction(1, 5), d: Fraction(1, 5)}
 
 
+def _phi_off_orbit(cm, k, n):
+    # the matching triangles, and φ of one source edge [a, M] (a the corner
+    # vertex of a target edge G, M its mid) raised from G to the triangle
+    # over G: still order-preserving, since [a, M] lies in the one cell
+    # [a, M, M'] over that triangle, so the map is well-formed, and the face
+    # sets and f0 still commute with S_6.  Only φ does not, and G, the last
+    # edge in check order, loses a cell: only the φ test of the orbit
+    # shortcut tells G from its orbit's first edge.
+    _matching_triangles(cm, k, n)
+    edge = max((f for f in cm.q_faces if len(f) == 2), key=subdivision._by_size)
+    at = {frozenset(coords): v for v, coords in cm.f0.items()}
+    tri = next(f for f in cm.q_faces if len(f) == 3 and edge < f)
+    cm.phi[frozenset([at[frozenset([min(edge)])], at[edge]])] = tri
+
+
+def _drop_cell_beside_last(cm, k, n):
+    # a top cell dropped that lies over the same target face as the last
+    # source face in check order, so that σ maps some cell onto a missing
+    # one while φ of the missing cell is φ of the last: only the source
+    # invariance test of the orbit shortcut refuses the map
+    top = max(len(f) for f in cm.p_faces)
+    last = max(cm.p_faces, key=subdivision._by_size)
+    drop = min((f for f in cm.p_faces if len(f) == top and f != last and cm.phi[f] == cm.phi[last]), key=sorted)
+    cm.p_faces = cm.p_faces - {drop}
+
+
+def _stray_target_face(cm, k, n):
+    # a set of target vertices that is no face of the target, read as one
+    # more target face: it has no cell, and its S_m-images are not target
+    # faces.  It sits just before the last target face in check order, past
+    # the first face of that face's orbit: only the target invariance test
+    # of the orbit shortcut refuses the map
+    last = max(cm.q_faces, key=subdivision._by_size)
+    vertices = sorted(set().union(*cm.q_faces))
+    stray = next(
+        g for g in (frozenset([*sorted(last)[:-1], v]) for v in reversed(vertices))
+        if len(g) == len(last) and g not in cm.q_faces and subdivision._by_size(g) < subdivision._by_size(last)
+    )
+    cm.q_faces = cm.q_faces | {stray}
+
+
 def _ladder(k, n, edit=None):
     def build():
         cm, _ = global_carrier_map(k, n)
@@ -582,7 +626,16 @@ CARRIER_CASES = {
     "unchecked-vertices": (_unchecked_vertices, False),
     "flipped-matching-stars": (_ladder(1, 6, _matching_triangles), True),
     "centre-moved-off-root": (_ladder(1, 6, _move_centre_off_mids), False),
+    "phi-off-orbit": (_ladder(1, 6, _phi_off_orbit), False),
+    "dropped-cell-beside-last": (_ladder(1, 5, _drop_cell_beside_last), False),
+    "stray-target-face": (_ladder(1, 5, _stray_target_face), False),
 }
+
+
+# broken maps whose cells do not overlap: a cell is missing or lies over
+# the wrong face, and only a volume or surjectivity check fails
+NO_OVERLAP = {"dropped-facet-cell", "dropped-ridge-cell", "dropped-facet-orbit",
+              "phi-off-orbit", "dropped-cell-beside-last", "stray-target-face"}
 
 
 @pytest.mark.parametrize("case", sorted(CARRIER_CASES))
@@ -596,7 +649,7 @@ def test_verify_carrier_map_matches_pairwise_oracle(case):
     assert [f.to_json() for f in res.failures] == failures
     assert res.facet_volumes == volumes
     assert res.passed == is_subdivision
-    if not is_subdivision and case not in ("dropped-facet-cell", "dropped-ridge-cell", "dropped-facet-orbit"):
+    if not is_subdivision and case not in NO_OVERLAP:
         assert any(f["check"] == "interiors_disjoint" and "point" in f["witness"] for f in failures)
 
 
@@ -736,6 +789,32 @@ def _orbits(cm):
     for qf, r in zip(order, roots):
         orbits.setdefault(order[r], set()).add(qf)
     return orbits
+
+
+ORBIT_CASES = {
+    **{f"global-{k}-{n}": _ladder(k, n) for k, n in [(4, 3), (1, 6), (3, 4), (2, 5)]},
+    **{case: build for case, (build, _) in CARRIER_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbit_roots_match_oracle(case):
+    # the certificate's maps and target images, the check order and the
+    # orbit roots, against the frozenset loops they replace
+    cm = ORBIT_CASES[case]()
+    order = by_size_order(cm.q_faces)
+    assert list(chain.from_iterable(subdivision._face_rows(cm.q_complex, cm.q_faces).faces)) == order
+    source = subdivision.PermutationAction(cm.p_complex, cm.p_faces)
+    target = subdivision.PermutationAction(cm.q_complex, cm.q_faces)
+    got = subdivision.generator_certificate(source, target, cm.phi)
+    want = generator_certificate_oracle(cm.p_complex, cm.p_faces, cm.q_complex, cm.q_faces, cm.phi)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [(src, tgt) for src, tgt, _ in got] == want
+        pos = {qf: i for i, qf in enumerate(order)}
+        for _, tgt, image in got:
+            assert image.tolist() == [pos[frozenset(tgt[v] for v in qf)] for qf in order]
+    assert list(subdivision._orbit_roots(cm, order)) == orbit_roots_oracle(cm)
 
 
 def test_generator_certificate_refuses_non_equivariant_map():
