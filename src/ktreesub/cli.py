@@ -251,13 +251,13 @@ def cmd_equivariance(args) -> int:
         # the permutations that leave the complex invariant form a subgroup:
         # when the generators of S_m are in it, no permutation breaks invariance
         action = PermutationAction(kom)
-        if all(action.invariant_index_map(g) is not None for g in generators(m)):
+        if all(action.relabel(g) is not None for g in generators(m)):
             perms = ()
         elif m > 5:
             perms = sample_permutations(m, count, args.seed)
         else:
             perms = permutations(range(1, m + 1))
-        broken = sum(action.invariant_index_map(pi) is None for pi in perms)
+        broken = sum(action.relabel(pi) is None for pi in perms)
         print(f"checked {count} permutations, {broken} break invariance")
         return EXIT_PASS if not broken else EXIT_FAIL
 

@@ -316,12 +316,6 @@ class SimplicialComplex:
     def __hash__(self):
         return hash(self.label_faces())
 
-    def apply_permutation(self, relabel) -> "SimplicialComplex":
-        """Image under a label-level action; the face structure is carried
-        along vertex by vertex."""
-        new_labels = [relabel(l) for l in self.vertices]
-        return SimplicialComplex(new_labels, self.faces)
-
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------

@@ -332,8 +332,13 @@ class CarrierMap:
         if self.q_faces is None:
             self.q_faces = frozenset(self.q_complex.faces)
 
-    def p_vertices(self):
-        return sorted({v for f in self.p_faces if len(f) == 1 for v in f})
+
+def _instance(k: int, n: int, max_poset_elements, max_faces):
+    """m = (n-1)k + 1, Π^(k)_m, T^k_n and Δ(Π^(k)_m), built in that order."""
+    m = (n - 1) * k + 1
+    pk = enumerate_partitions(m, k, max_elements=max_poset_elements)
+    q = enumerate_ktree_complex(n, k, max_faces=max_faces)
+    return m, pk, q, pk.poset.order_complex(max_faces=max_faces)
 
 
 def global_carrier_map(k: int, n: int, max_poset_elements=100_000, max_faces=MAX_FACES):
@@ -342,10 +347,7 @@ def global_carrier_map(k: int, n: int, max_poset_elements=100_000, max_faces=MAX
     factors, vertices to exact barycenters of their factor faces.
 
     Returns (carrier_map, partition_poset)."""
-    m = (n - 1) * k + 1
-    pk = enumerate_partitions(m, k, max_elements=max_poset_elements)
-    q = enumerate_ktree_complex(n, k, max_faces=max_faces)
-    p = pk.poset.order_complex(max_faces=max_faces)
+    _, pk, q, p = _instance(k, n, max_poset_elements, max_faces)
     return carrier_map_from_parts(pk, p, q), pk
 
 
@@ -391,8 +393,9 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     Checks, in arbitrary-precision rational arithmetic: well-formedness
     (order preservation, vertex supports, injectivity), nondegeneracy of
     every cell image, pairwise disjointness of open cell images inside each
-    target face, and the volume identity per target face: a global pass,
-    then :func:`check_target_face` on each target face, smallest first.
+    target face, and the volume identity per target face: a global pass
+    (:func:`_check_well_formed`), then :func:`check_target_face` on each
+    target face, smallest first, all reading φ from one :class:`_PhiTable`.
     Failures are collected, not raised.
 
     Disjointness is decided by a ridge certificate where it holds, and by
@@ -445,24 +448,26 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     every orbit is a single face.  The failures, their order and the
     volumes are those of checking every face.
 
-    The check order is the row order of the target faces' :class:`FaceRows`:
-    by size, then lexicographically by sorted vertex indices.
+    Both sides are read in the row order of their :class:`FaceRows`, by
+    size, then lexicographically: the φ failures, the target faces and the
+    cells over each come in that order.
     """
     label = _face_label_fn(cm.q_complex)
-    failures, bad = _check_well_formed(cm, label)
-    cells_by_image = {}
-    for face in cm.p_faces:
-        img = cm.phi.get(face)
-        if img in cm.q_faces:
-            cells_by_image.setdefault(img, []).append(face)
-    order = list(chain.from_iterable(_face_rows(cm.q_complex, cm.q_faces).faces))
-    roots = range(len(order)) if bad else _orbit_roots(cm, order)
+    phi = _PhiTable(cm)
+    failures, bad = _check_well_formed(cm, label, phi)
+    order = phi.target_faces
+    # the source positions grouped by their image's target position: the cells over each target face
+    hit = np.flatnonzero(phi.pos >= 0)
+    cells = hit[phi.pos[hit].argsort(kind="stable")]
+    bounds = phi.pos[cells].searchsorted(np.arange(len(order) + 1))
+    roots = range(len(order)) if bad else _orbit_roots(cm, phi)
     clean = {}  # position in order -> total volume, for faces checked with no failure
     facet_volumes = {}
     for i, qf in enumerate(order):
         total = clean.get(roots[i])
         if total is None:
-            face_failures, total = check_target_face(cm, qf, cells_by_image.get(qf, []), bad, label)
+            over = [phi.source_faces[c] for c in cells[bounds[i]:bounds[i + 1]].tolist()]
+            face_failures, total = check_target_face(cm, qf, over, bad, label)
             failures += face_failures
             if not face_failures:
                 clean[i] = total
@@ -474,9 +479,10 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
 class PermutationAction:
     """S_m acting on a complex whose vertex labels are partitions of 1..m.
 
-    The distinct blocks of the labels are numbered once, and each label is
-    kept as its set of block numbers, so a permutation moves each distinct
-    block once, not once per label.  The invariance test reads ``faces``,
+    The distinct blocks of more than one element of the labels are numbered
+    once, and each label is kept as its set of such block numbers (which
+    determine it), so a permutation moves each distinct block once, not once
+    per label.  :meth:`relabel`, the one relabelling test, reads ``faces``,
     all faces of ``K`` unless given, through their :class:`FaceRows`
     ``rows``; ``m`` is None when the labels are not all :class:`Partition`
     objects of one ground set."""
@@ -487,7 +493,7 @@ class PermutationAction:
         self.m = ms.pop() if len(ms) == 1 else None
         self._blocks = {}  # block -> its number
         self._vertex_blocks = [
-            frozenset(self._blocks.setdefault(b, len(self._blocks)) for b in lab.blocks)
+            frozenset(self._blocks.setdefault(b, len(self._blocks)) for b in lab.nonsingleton_blocks())
             for lab in (K.vertices if self.m else ())
         ]
         self._index = {blocks: v for v, blocks in enumerate(self._vertex_blocks)}
@@ -505,19 +511,42 @@ class PermutationAction:
         out = [self._index.get(frozenset(map(moved.__getitem__, bs))) for bs in self._vertex_blocks]
         return None if None in out else out
 
-    def invariant_index_map(self, perm):
-        """:meth:`index_map` when it sends every face to a face, hence (being
-        injective) the face set onto itself; else None."""
+    def relabel(self, perm):
+        """The vertex index map of ``perm`` and the position of the image of
+        every face, in position order; None when a label or a face leaves
+        the family (so, being injective, it maps the faces onto themselves)."""
         idx = self.index_map(perm)
-        if idx is None or (self.rows.image(np.asarray(idx)) < 0).any():
+        if idx is None:
             return None
-        return idx
+        image = self.rows.image(np.asarray(idx))
+        return None if (image < 0).any() else (idx, image)
 
 
 def _face_rows(K: SimplicialComplex, faces) -> FaceRows:
     """The :class:`FaceRows` of ``faces``, a family of faces over the
     vertices of ``K``: ``K``'s own when they are all its faces."""
     return K.face_rows if faces is K.faces else FaceRows(faces)
+
+
+class _PhiTable:
+    """φ of a carrier map, read in one pass.  ``source`` and ``target`` act
+    on ``cm.p_faces`` and ``cm.q_faces``, listed by position in
+    ``source_faces`` and ``target_faces``.  For the source face at position
+    i, ``images[i]`` is its image (None when it has none) and ``pos[i]`` the
+    image's target position, -1 when it is no target face, -2 when there is
+    none.  ``vertices`` are the source's one-vertex rows, in order."""
+
+    def __init__(self, cm: CarrierMap):
+        self.source = PermutationAction(cm.p_complex, cm.p_faces)
+        self.target = PermutationAction(cm.q_complex, cm.q_faces)
+        self.source_faces = list(chain.from_iterable(self.source.rows.faces))
+        self.target_faces = list(chain.from_iterable(self.target.rows.faces))
+        position = dict(zip(self.target_faces, count()))
+        self.images = list(map(cm.phi.get, self.source_faces))
+        self.pos = np.fromiter((-2 if img is None else position.get(img, -1) for img in self.images),
+                               dtype=np.intp, count=len(self.images))
+        rows = self.source.rows.rows
+        self.vertices = rows[0][:, 0].tolist() if rows else []
 
 
 def generators(m: int):
@@ -530,78 +559,48 @@ def generator_certificate(source: PermutationAction, target: PermutationAction, 
     """For each of :func:`generators` σ, the source and target vertex index
     maps of σ and the position of the image under σ of every target face,
     when σ maps the source faces and the target faces into themselves and
-    φ(σc) = σφ(c) for every source face c; else None.
-
-    Faces are read by position in their :class:`FaceRows`.  Per generator,
-    every face's image is mapped, its row sorted and found by binary search,
-    once; then φ(σc) = σφ(c) is one array comparison of the position of
-    φ(image of c) with the image of the position of φ(c).  φ must be defined
-    on every source face, and a φ image that is not a target face gives
-    None.
+    φ(σc) = σφ(c) for every source face c; else None.  ``phi`` is the φ
+    table (:attr:`_PhiTable.pos`), and a negative entry gives None.  Per
+    generator, both sides are relabelled by :meth:`PermutationAction.relabel`,
+    and φ(σc) = σφ(c) is one array comparison of table positions.
 
     The permutations that leave a face set invariant form a subgroup, and so
     do those that also commute with φ, so when the generators pass, every
     permutation of 1..m does."""
-    if target.m is None:
-        return None
-    position = dict(zip(chain.from_iterable(target.rows.faces), count()))
-    phi_pos = np.fromiter(
-        (position.get(phi[c], -1) for c in chain.from_iterable(source.rows.faces)),
-        dtype=np.intp, count=source.rows.offsets[-1],
-    )
-    if (phi_pos < 0).any():
+    if target.m is None or (phi < 0).any():
         return None
     maps = []
     for perm in generators(target.m):
-        src, tgt = source.index_map(perm), target.index_map(perm)
-        if src is None or tgt is None:
+        src, tgt = source.relabel(perm), target.relabel(perm)
+        if src is None or tgt is None or not (phi[src[1]] == tgt[1][phi]).all():
             return None
-        src_img, tgt_img = source.rows.image(np.asarray(src)), target.rows.image(np.asarray(tgt))
-        if (src_img < 0).any():  # a source face maps outside the source
-            return None
-        if (tgt_img < 0).any():  # a target face maps outside the target
-            return None
-        if not (phi_pos[src_img] == tgt_img[phi_pos]).all():  # φ(σc) != σφ(c)
-            return None
-        maps.append((src, tgt, tgt_img))
+        maps.append((src[0], tgt[0], tgt[1]))
     return maps
 
 
-def _orbit_roots(cm: CarrierMap, order):
-    """For each position i in ``order`` (the target faces in check order,
-    as :func:`verify_carrier_map` makes it), the position of the first face
-    of the S_m-orbit of ``order[i]``.  Every face is its own root unless the
-    map passes :func:`generator_certificate` and f0(σv) = σf0(v) on every
-    source vertex v for both generators σ; the orbits are then joined by a
-    union-find over the certificate's target images.  Assumes the
-    well-formedness pass marked no vertex (φ is total on the source
-    faces)."""
-    singletons = range(len(order))
-    maps = generator_certificate(
-        PermutationAction(cm.p_complex, cm.p_faces), PermutationAction(cm.q_complex, cm.q_faces), cm.phi
-    )
-    if not maps:
-        return singletons
-    vertices = cm.p_vertices()
-    for src, tgt, _ in maps:
-        for v in vertices:
-            if cm.f0[src[v]] != {tgt[w]: x for w, x in cm.f0[v].items()}:
-                return singletons
-    parent = list(singletons)  # union-find; a root is its class's first face
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    for _, _, image in maps:
-        for i, j in enumerate(image.tolist()):
-            a, b = find(i), find(j)
-            parent[max(a, b)] = min(a, b)
-    return [find(i) for i in singletons]
+def _orbit_roots(cm: CarrierMap, phi: _PhiTable):
+    """For each target position i, the position of the first face of the
+    S_m-orbit of the i-th face.  Every face is its own root unless the map
+    passes :func:`generator_certificate` on the φ table ``phi`` and
+    f0(σv) = σf0(v) on every source vertex v for both generators σ.  Then
+    each face takes the least root of itself and its generator images until
+    nothing changes; as each generator permutes the faces, that is the least
+    face of its orbit.  Assumes the well-formedness pass marked no vertex
+    (φ is total on the source faces)."""
+    roots = np.arange(len(phi.target_faces))
+    maps = generator_certificate(phi.source, phi.target, phi.pos)
+    if maps and all(
+        cm.f0[src[v]] == {tgt[w]: x for w, x in cm.f0[v].items()} for src, tgt, _ in maps for v in phi.vertices
+    ):
+        while True:
+            least = np.minimum.reduce([roots] + [roots[image] for _, _, image in maps])
+            if (least == roots).all():
+                break
+            roots = least
+    return roots.tolist()
 
 
-def _check_well_formed(cm: CarrierMap, label):
+def _check_well_formed(cm: CarrierMap, label, phi: _PhiTable):
     """The global pass of :func:`verify_carrier_map`: φ total, into the
     target and order-preserving; the source closed under taking faces; every
     vertex strictly inside its carrier, with coordinates summing to one, at
@@ -609,41 +608,54 @@ def _check_well_formed(cm: CarrierMap, label):
     they touch: those of a face that fails a φ check or misses a sub-face,
     each vertex that fails a vertex check, and both vertices of a
     coincidence.  The ridge certificate may be used on the cells that avoid
-    this set."""
+    this set.  The φ checks read the table ``phi``, face by face in row
+    order, and the closure test the source's facet positions.  The order
+    test compares target rows, and the images only where one is no target
+    face; it reads ``cm.phi`` only for a sub-face that is no source face."""
+    rows, pos, target = phi.source.rows, phi.pos, phi.target.rows
+    padded = np.full((target.offsets[-1], len(target.rows)), -1, dtype=np.int32)  # target rows, padded with -1
+    for d, block in enumerate(target.rows):
+        padded[target.offsets[d]:target.offsets[d + 1], : d + 1] = block
+    flagged = pos < 0  # faces that fail a φ check or miss a sub-face
+    disorder = np.zeros(len(pos), dtype=bool)
+    for d in range(1, len(rows.rows)):
+        lo, hi = rows.offsets[d], rows.offsets[d + 1]
+        facets = rows.facet_positions(d)
+        missing = facets < 0
+        flagged[lo:hi] |= missing.any(axis=1)
+        img = np.broadcast_to(pos[lo:hi, None], facets.shape)
+        sub = np.where(missing, -3, pos[rows.offsets[d - 1] + facets])  # -3: not a source face
+        tested = (img != -2) & (sub != -2)
+        fast = tested & (img >= 0) & (sub >= 0)
+        a, b = padded[sub[fast]], padded[img[fast]]
+        out = np.zeros(facets.shape, dtype=bool)
+        out[fast] = ~((a[:, :, None] == b[:, None, :]).any(axis=2) | (a < 0)).all(axis=1)
+        for i, t in zip(*np.nonzero(tested & ~fast)):
+            below = (cm.phi.get(frozenset(np.delete(rows.rows[d][i], t).tolist())) if missing[i, t]
+                     else phi.images[rows.offsets[d - 1] + facets[i, t]])
+            out[i, t] = below is not None and not below <= phi.images[lo + i]
+        disorder[lo:hi] = out.any(axis=1)
     failures = []
-    bad = set()
-    for face in cm.p_faces:
-        if face not in cm.phi:
-            failures.append(CheckFailure("phi_total", f"no image for face {sorted(face)}"))
-            bad |= face
-            continue
-        img = cm.phi[face]
-        if img not in cm.q_faces:
+    for i in np.flatnonzero((pos < 0) | disorder).tolist():
+        face = sorted(phi.source_faces[i])
+        if pos[i] == -2:
+            failures.append(CheckFailure("phi_total", f"no image for face {face}"))
+        if pos[i] == -1:
             failures.append(
-                CheckFailure("phi_into_target", f"image of {sorted(face)} is not a target face", label(img))
+                CheckFailure("phi_into_target", f"image of {face} is not a target face", label(phi.images[i]))
             )
-            bad |= face
-        if len(face) > 1:
-            for v in face:
-                sub = face - {v}
-                if sub not in cm.p_faces:
-                    bad |= face
-                if sub in cm.phi and not cm.phi[sub] <= img:
-                    failures.append(
-                        CheckFailure("phi_order", f"phi not order-preserving at {sorted(face)}")
-                    )
-                    bad |= face
-                    break
+        if disorder[i]:
+            failures.append(CheckFailure("phi_order", f"phi not order-preserving at {face}"))
+    bad = set().union(*map(phi.source_faces.__getitem__, np.flatnonzero(flagged | disorder).tolist()))
 
     seen_points = {}
-    for v in cm.p_vertices():
+    for v, carrier in zip(phi.vertices, phi.images):  # the one-vertex faces come first
         coords = cm.f0.get(v)
         if coords is None:
             failures.append(CheckFailure("vertex_map_total", f"no coordinates for vertex {v}"))
             bad.add(v)
             continue
         support = frozenset(i for i, c in coords.items() if c != 0)
-        carrier = cm.phi.get(frozenset([v]))
         if any(c <= 0 for c in coords.values()) or support != carrier:
             failures.append(
                 CheckFailure(
@@ -898,10 +910,7 @@ def verify_theorem(
     """
     if k < 1 or n < 3:
         raise ValueError("need k >= 1 and n >= 3")
-    m = (n - 1) * k + 1
-    pk = enumerate_partitions(m, k, max_elements=max_poset_elements)
-    q = enumerate_ktree_complex(n, k, max_faces=max_faces)
-    delta = pk.poset.order_complex(max_faces=max_faces)
+    m, pk, q, delta = _instance(k, n, max_poset_elements, max_faces)
     checks = []
 
     def record(name, ok, witness=None):
@@ -1007,55 +1016,42 @@ def check_equivariance(k: int, n: int, perms="all", seed: int = 0,
     (:func:`generator_certificate`).  When they do, no permutation can fail,
     the sample is not drawn, and ``permutations_checked`` is the number the
     loop would have checked: m!, or ``min(perms, m!)``.  Otherwise every
-    tested permutation is checked in turn and the failures are reported in
-    order, at most one non-commuting chain per permutation.
+    tested permutation is checked in turn, by the certificate's relabelling
+    test and array comparison, and the failures are reported in order, at
+    most one non-commuting chain (the first in row order) per permutation.
+    A bad ``perms`` is refused before anything is built.
     """
-    m = (n - 1) * k + 1
-    pk = enumerate_partitions(m, k, max_elements=max_poset_elements)
-    q = enumerate_ktree_complex(n, k, max_faces=max_faces)
-    delta = pk.poset.order_complex(max_faces=max_faces)
-    count = factorial(m) if perms == "all" else min(int(perms), factorial(m))
-    if count < 0:
+    wanted = None if perms == "all" else int(perms)
+    if wanted is not None and wanted < 0:
         raise ValueError("perms must be 'all' or a nonnegative count")
-    phi = carrier_map_from_parts(pk, delta, q).phi
-    source, target = PermutationAction(delta), PermutationAction(q)
+    m, pk, q, delta = _instance(k, n, max_poset_elements, max_faces)
+    count = factorial(m) if wanted is None else min(wanted, factorial(m))
+    phi = _PhiTable(carrier_map_from_parts(pk, delta, q))
     failures = []
-    if generator_certificate(source, target, phi) is not None:
+    if generator_certificate(phi.source, phi.target, phi.pos) is not None:
         chosen = ()  # no permutation can fail
-    elif perms == "all":
+    elif wanted is None:
         chosen = permutations(range(1, m + 1))
     else:
         chosen = sample_permutations(m, count, seed)
     for pi in chosen:
-        # vertex index -> index of its image under pi, in source and target
-        src = source.invariant_index_map(pi)
+        src = phi.source.relabel(pi)
         if src is None:
             failures.append({"perm": list(pi), "detail": "order complex not invariant"})
             continue
-        tgt = target.invariant_index_map(pi)
+        tgt = phi.target.relabel(pi)
         if tgt is None:
             failures.append({"perm": list(pi), "detail": "k-tree complex not invariant"})
             continue
-        for face, img in phi.items():
-            if phi[frozenset(src[v] for v in face)] != frozenset(tgt[w] for w in img):
-                failures.append(
-                    {
-                        "perm": list(pi),
-                        "detail": "carrier map does not commute with the relabelling",
-                        "chain": [delta.vertices[v].text() for v in sorted(face)],
-                    }
-                )
-                break
+        # φ(σc) = σφ(c) by table positions, and by images where both are no target face
+        (_, src_img), (tgt_map, tgt_img) = src, tgt
+        differ = phi.pos[src_img] != np.where(phi.pos < 0, phi.pos, tgt_img[phi.pos])
+        for c in np.flatnonzero(~differ & (phi.pos == -1)).tolist():
+            differ[c] = phi.images[src_img[c]] != frozenset(tgt_map[w] for w in phi.images[c])
+        if differ.any():
+            face = phi.source_faces[differ.argmax()]
+            failures.append({"perm": list(pi), "detail": "carrier map does not commute with the relabelling",
+                             "chain": [delta.vertices[v].text() for v in sorted(face)]})
     top = n - 3
-    h_delta = delta.reduced_homology()
-    h_q = q.reduced_homology()
-    rank_d = h_delta[top][0] if 0 <= top < len(h_delta) else 0
-    rank_q = h_q[top][0] if 0 <= top < len(h_q) else 0
-    passed = not failures and rank_d == rank_q
-    return EquivarianceReport(
-        passed=passed,
-        permutations_checked=count,
-        top_rank_source=rank_d,
-        top_rank_target=rank_q,
-        failures=failures,
-    )
+    rank_d, rank_q = (h[top][0] if 0 <= top < len(h) else 0 for h in (delta.reduced_homology(), q.reduced_homology()))
+    return EquivarianceReport(not failures and rank_d == rank_q, count, rank_d, rank_q, failures)

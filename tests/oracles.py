@@ -329,8 +329,10 @@ def pairwise_carrier_oracle(cm):
     """The carrier-map check with one Fourier-Motzkin disjointness test per
     pair of cells over every target face (no certificate).  Returns the
     failures as JSON dicts, in order, and the per-face volume sums as
-    strings keyed by face label.  The geometry is the Fraction elimination
-    below, not the integer kernels of ``ktreesub.exact``."""
+    strings keyed by face label.  The source faces are read in
+    :func:`by_size_order`, one ``face - {v}`` per vertex, and the source
+    vertices are its faces of one vertex.  The geometry is the Fraction
+    elimination below, not the integer kernels of ``ktreesub.exact``."""
     p, q = cm.p_complex, cm.q_complex
 
     def name(x):
@@ -351,7 +353,8 @@ def pairwise_carrier_oracle(cm):
         return (len(f), tuple(sorted(f)))
 
     failures = []
-    for face in cm.p_faces:
+    source = by_size_order(cm.p_faces)
+    for face in source:
         if face not in cm.phi:
             fail("phi_total", f"no image for face {sorted(face)}")
             continue
@@ -364,7 +367,7 @@ def pairwise_carrier_oracle(cm):
                 fail("phi_order", f"phi not order-preserving at {sorted(face)}")
                 break
     seen = {}
-    for v in cm.p_vertices():
+    for v in sorted({v for f in source if len(f) == 1 for v in f}):
         coords = cm.f0.get(v)
         if coords is None:
             fail("vertex_map_total", f"no coordinates for vertex {v}")
@@ -382,7 +385,7 @@ def pairwise_carrier_oracle(cm):
             fail("vertex_map_injective", f"vertices {seen[key]} and {v} coincide")
         seen[key] = v
     cells_by_image = {}
-    for face in cm.p_faces:
+    for face in source:
         if cm.phi.get(face) in cm.q_faces:
             cells_by_image.setdefault(cm.phi[face], []).append(face)
     volumes = {}
@@ -553,6 +556,14 @@ def downward_closed_oracle(faces):
     return all(f - {v} in fs for f in fs if len(f) > 1 for v in f)
 
 
+def apply_permutation(K, relabel):
+    """The image of K under a label-level action: the same faces over the
+    relabelled vertex list."""
+    from ktreesub import SimplicialComplex
+
+    return SimplicialComplex([relabel(lab) for lab in K.vertices], K.faces)
+
+
 def complex_eq_oracle(A, B):
     """Equality of complexes as sets of label sets: every face of B, mapped
     to A's vertex indices label by label, is a face of A, and the counts
@@ -607,9 +618,10 @@ def generator_certificate_oracle(p, p_faces, q, q_faces, phi):
     """For each generator σ of S_m, (1 2) then (1 2 ... m), the source and
     target vertex maps when σ maps ``p_faces`` and ``q_faces`` into
     themselves and φ(σc) = σφ(c) for every c in ``p_faces``, one face at a
-    time as frozensets; else None."""
+    time as frozensets; else None.  None also when φ is undefined on a face
+    of ``p_faces`` or sends one outside ``q_faces``."""
     m = _ground_set(q)
-    if m is None or _ground_set(p) != m:
+    if m is None or _ground_set(p) != m or any(phi.get(c) not in q_faces for c in p_faces):
         return None
     gens = [(2, 1, *range(3, m + 1)), (*range(2, m + 1), 1)] if m >= 2 else []
     maps = []
@@ -726,7 +738,8 @@ def refinement_loop_oracle(rgs):
 def equivariance_oracle(k, n, perms="all", seed=0):
     """``check_equivariance(k, n, perms, seed).to_json()`` with no generator
     certificate: every tested permutation relabels both complexes and φ, and
-    they are compared as sets of labels.  The complexes and φ come from the
+    they are compared as sets of labels, the chains in
+    :func:`by_size_order`.  The complexes and φ come from the
     library's constructors, looked up on ``subdivision`` so that a test's
     patches reach them."""
     from itertools import permutations
@@ -758,7 +771,7 @@ def equivariance_oracle(k, n, perms="all", seed=0):
         if broken:
             failures.append({"perm": list(pi), "detail": f"{broken[0]} not invariant"})
             continue
-        for c in phi:
+        for c in by_size_order(phi):
             labels = frozenset(delta.vertices[v] for v in c)
             if phi_labels[act(labels)] != act(phi_labels[labels]):
                 failures.append(

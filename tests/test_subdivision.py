@@ -1,9 +1,11 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,7 @@ from ktreesub import (
 from ktreesub import exact, subdivision
 from ktreesub.subdivision import _distinct_extensions, sample_permutations
 from oracles import (
+    apply_permutation,
     by_size_order,
     carrier_phi_oracle,
     equivariance_oracle,
@@ -595,6 +598,55 @@ def _stray_target_face(cm, k, n):
     cm.q_faces = cm.q_faces | {stray}
 
 
+def _chain(cm, k, n, texts):
+    return frozenset(cm.p_complex.vertex_index(parse_partition(t, (n - 1) * k + 1)) for t in texts)
+
+
+def _phi_partial(cm, k, n):
+    # φ left undefined on two edges: the target edge under each loses a
+    # cell, and the two φ failures come in check order
+    for texts in (["(13)24", "(13)(24)"], ["(12)34", "(12)(34)"]):
+        del cm.phi[_chain(cm, k, n, texts)]
+
+
+def _phi_outside_target(cm, k, n):
+    # φ of the edge [(12)34, (123)4] sent to a pair of target vertices that
+    # is no target face, and that misses φ of (123)4: both the image test and
+    # the order test fail on it, the order test read from the images
+    edge = _chain(cm, k, n, ["(12)34", "(123)4"])
+    cm.phi[edge] = cm.q_complex.face_from_labels([parse_partition(t, 4) for t in ["(12)34", "1(234)"]])
+
+
+def _phi_out_of_order(cm, k, n):
+    # φ of the first triangle in check order lowered to φ of its facet
+    # without its last vertex, a target face that misses φ of that vertex
+    tri = min((f for f in cm.p_faces if len(f) == 3), key=sorted)
+    cm.phi[tri] = cm.phi[tri - {max(tri)}]
+
+
+def _unplaced_vertex():
+    # a source vertex y in no cell with neither an image nor coordinates
+    pts = {**ENDS, "x": F(1, 2), "y": F(1, 4)}
+    cm = _hand_map([("A", "B")], pts, [("A", "x"), ("x", "B"), ("y",)])
+    y = cm.p_complex.vertex_index("y")
+    del cm.phi[frozenset([y])], cm.f0[y]
+    return cm
+
+
+def _unnormalised_vertex(cm, k, n):
+    # (12)(34) strictly inside its carrier edge, with coordinates summing to 5/6
+    v = cm.p_complex.vertex_index(parse_partition("(12)(34)", 4))
+    lo, hi = sorted(cm.f0[v])
+    cm.f0[v] = {lo: Fraction(1, 2), hi: Fraction(1, 3)}
+
+
+def _coincident_vertices():
+    # x and y both at the midpoint of the edge, each in one cell: the cells
+    # meet only there, and the lengths sum to 1
+    pts = {**ENDS, "x": F(1, 2), "y": F(1, 2)}
+    return _hand_map([("A", "B")], pts, [("A", "x"), ("y", "B")])
+
+
 def _ladder(k, n, edit=None):
     def build():
         cm, _ = global_carrier_map(k, n)
@@ -629,13 +681,22 @@ CARRIER_CASES = {
     "phi-off-orbit": (_ladder(1, 6, _phi_off_orbit), False),
     "dropped-cell-beside-last": (_ladder(1, 5, _drop_cell_beside_last), False),
     "stray-target-face": (_ladder(1, 5, _stray_target_face), False),
+    "phi-total": (_ladder(1, 4, _phi_partial), False),
+    "phi-into-target": (_ladder(1, 4, _phi_outside_target), False),
+    "phi-order": (_ladder(1, 5, _phi_out_of_order), False),
+    "vertex-map-total": (_unplaced_vertex, False),
+    "vertex-coordinates-sum": (_ladder(1, 4, _unnormalised_vertex), False),
+    "vertex-map-injective": (_coincident_vertices, False),
 }
 
 
 # broken maps whose cells do not overlap: a cell is missing or lies over
-# the wrong face, and only a volume or surjectivity check fails
+# the wrong face, and only a volume or surjectivity check fails, or only a
+# well-formedness check
 NO_OVERLAP = {"dropped-facet-cell", "dropped-ridge-cell", "dropped-facet-orbit",
-              "phi-off-orbit", "dropped-cell-beside-last", "stray-target-face"}
+              "phi-off-orbit", "dropped-cell-beside-last", "stray-target-face",
+              "phi-total", "phi-into-target", "phi-order", "vertex-map-total",
+              "vertex-coordinates-sum"}
 
 
 @pytest.mark.parametrize("case", sorted(CARRIER_CASES))
@@ -651,6 +712,19 @@ def test_verify_carrier_map_matches_pairwise_oracle(case):
     assert res.passed == is_subdivision
     if not is_subdivision and case not in NO_OVERLAP:
         assert any(f["check"] == "interiors_disjoint" and "point" in f["witness"] for f in failures)
+
+
+def test_every_carrier_check_fires():
+    # each check of verify_carrier_map, read from its source, fails on some
+    # case, and a case named after a check fails that check
+    source = Path(subdivision.__file__).read_text()
+    checks = set(re.findall(r'CheckFailure\(\s*"(\w+)"', source))
+    fired = set()
+    for case, (build, _) in CARRIER_CASES.items():
+        names = {f.check for f in verify_carrier_map(build()).failures}
+        assert case.replace("-", "_") not in checks or case.replace("-", "_") in names, case
+        fired |= names
+    assert len(checks) == 11 and fired == checks
 
 
 # SHA-256 of the negative control's failures and face volumes, as
@@ -744,7 +818,7 @@ def test_fourier_motzkin_solves_per_broken_map(monkeypatch, case, solves):
 
 
 def _well_formed(cm):
-    return subdivision._check_well_formed(cm, subdivision._face_label_fn(cm.q_complex))
+    return subdivision._check_well_formed(cm, subdivision._face_label_fn(cm.q_complex), subdivision._PhiTable(cm))
 
 
 def _vertices(cm, names):
@@ -783,7 +857,7 @@ def _orbits(cm):
     """The target faces' S_m-orbits found by the generator certificate, as
     {root face: set of faces}."""
     order = sorted(cm.q_faces, key=subdivision._by_size)
-    roots = subdivision._orbit_roots(cm, order)
+    roots = subdivision._orbit_roots(cm, subdivision._PhiTable(cm))
     assert all(roots[roots[i]] == roots[i] <= i for i in range(len(order)))
     orbits = {}
     for qf, r in zip(order, roots):
@@ -806,7 +880,8 @@ def test_orbit_roots_match_oracle(case):
     assert list(chain.from_iterable(subdivision._face_rows(cm.q_complex, cm.q_faces).faces)) == order
     source = subdivision.PermutationAction(cm.p_complex, cm.p_faces)
     target = subdivision.PermutationAction(cm.q_complex, cm.q_faces)
-    got = subdivision.generator_certificate(source, target, cm.phi)
+    phi = subdivision._PhiTable(cm)
+    got = subdivision.generator_certificate(source, target, phi.pos)
     want = generator_certificate_oracle(cm.p_complex, cm.p_faces, cm.q_complex, cm.q_faces, cm.phi)
     assert (got is None) == (want is None)
     if got is not None:
@@ -814,7 +889,7 @@ def test_orbit_roots_match_oracle(case):
         pos = {qf: i for i, qf in enumerate(order)}
         for _, tgt, image in got:
             assert image.tolist() == [pos[frozenset(tgt[v] for v in qf)] for qf in order]
-    assert list(subdivision._orbit_roots(cm, order)) == orbit_roots_oracle(cm)
+    assert list(subdivision._orbit_roots(cm, phi)) == orbit_roots_oracle(cm)
 
 
 def test_generator_certificate_refuses_non_equivariant_map():
@@ -978,7 +1053,7 @@ def test_equivariance_reports_non_invariant_complex(monkeypatch, side):
     want = [
         {"perm": list(pi), "detail": f"{side} not invariant"}
         for pi in permutations(range(1, 5))
-        if broken.apply_permutation(lambda x: x.permute(pi)) != broken
+        if apply_permutation(broken, lambda x: x.permute(pi)) != broken
     ]
     rep = check_equivariance(1, 4, perms="all")
     assert want and rep.failures == want
@@ -1045,6 +1120,16 @@ def test_failing_certificate_reuses_each_block_table(monkeypatch):
 def test_equivariance_rejects_negative_count():
     with pytest.raises(ValueError):
         check_equivariance(1, 4, perms=-1)
+
+
+@pytest.mark.parametrize("perms", [-1, "many", None])
+def test_equivariance_refuses_bad_count_before_building(monkeypatch, perms):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the poset is built")
+
+    monkeypatch.setattr(subdivision, "enumerate_partitions", no_build)
+    with pytest.raises((ValueError, TypeError)):
+        check_equivariance(1, 4, perms=perms)
 
 
 @pytest.mark.parametrize(
