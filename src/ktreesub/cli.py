@@ -70,6 +70,11 @@ def _emit(args, text_lines, json_payload):
             print(line)
 
 
+def _emit_line(args, text, json_payload):
+    """Print one line: ``text``, or ``json_payload`` as one JSON line."""
+    print(json.dumps(json_payload, sort_keys=True) if args.format == "json" else text)
+
+
 def _object_args_error(args, obj):
     """The usage error for missing or out-of-range numbers of ``--object obj``,
     or None."""
@@ -209,7 +214,8 @@ def cmd_homology(args) -> int:
         rank_s = hs[top][0] if 0 <= top < len(hs) else 0
         rank_t = ht[top][0] if 0 <= top < len(ht) else 0
         equal = rank_s == rank_t
-        print(f"top-degree ranks: {rank_s} vs {rank_t} -> {'equal' if equal else 'DIFFERENT'}")
+        _emit_line(args, f"top-degree ranks: {rank_s} vs {rank_t} -> {'equal' if equal else 'DIFFERENT'}",
+                   {"top_degree_ranks": {"source": rank_s, "target": rank_t}, "equal": equal})
         return EXIT_PASS if equal else EXIT_FAIL
 
     if args.infile:
@@ -258,7 +264,8 @@ def cmd_equivariance(args) -> int:
         else:
             perms = permutations(range(1, m + 1))
         broken = sum(action.relabel(pi) is None for pi in perms)
-        print(f"checked {count} permutations, {broken} break invariance")
+        _emit_line(args, f"checked {count} permutations, {broken} break invariance",
+                   {"permutations_checked": count, "breaking_invariance": broken})
         return EXIT_PASS if not broken else EXIT_FAIL
 
     if not _require(args, ["k", "n"]):

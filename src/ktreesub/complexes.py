@@ -64,6 +64,17 @@ class FaceRows:
         at = np.minimum(keys.searchsorted(query), len(keys) - 1)
         return np.where(keys[at] == query, at, -1)
 
+    def positions(self, faces):
+        """The position of each of ``faces``, which must all be faces of the
+        family."""
+        out = np.empty(len(faces), dtype=np.intp)
+        sizes = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
+        for size in set(sizes.tolist()):
+            at = np.flatnonzero(sizes == size)
+            rows = np.array([sorted(faces[i]) for i in at.tolist()]).reshape(-1, size)
+            out[at] = self.find(size - 1, rows) + self.offsets[size - 1]
+        return out
+
     def facet_positions(self, d):
         """(n_d, d+1) array: entry (i, t) is the position within dimension
         d-1 of the i-th face of dimension d without its t-th vertex, -1 when

@@ -11,10 +11,12 @@ interior-partition criterion, run face by face in exact arithmetic.
 from __future__ import annotations
 
 import random
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from itertools import chain, combinations, count, permutations
-from math import factorial
+from itertools import chain, combinations, permutations
+from math import factorial, lcm
 
 import numpy as np
 
@@ -306,27 +308,98 @@ def blowup_sequence(
 # ---------------------------------------------------------------------------
 
 
+_DELETED = object()  # an override that removes a face's image
+_PAD = np.iinfo(np.int32).max  # past every vertex index: pads sort last
+
+
+class CarrierPhi(MutableMapping):
+    """φ of a carrier map, in closed form plus overrides.
+
+    A face of the complex ``source`` (a frozenset of its vertex indices)
+    maps to the union of its vertices' ``carriers`` (one frozenset of
+    target vertex indices per source vertex), computed when it is read.
+    Edits made through the mapping (``[]=``, ``del``, ``setdefault``) are
+    kept in ``overrides``, which are read first.  With no carriers the
+    mapping is its overrides alone: a plain dict given to
+    :class:`CarrierMap` becomes that."""
+
+    def __init__(self, source, carriers=None, overrides=None):
+        self.source = source
+        self.carriers = carriers
+        self.overrides = {} if overrides is None else overrides
+
+    def _closed(self, face) -> bool:
+        return self.carriers is not None and face in self.source.faces
+
+    def __getitem__(self, face):
+        if face in self.overrides:
+            image = self.overrides[face]
+            if image is _DELETED:
+                raise KeyError(face)
+            return image
+        if self._closed(face):
+            return frozenset().union(*map(self.carriers.__getitem__, face))
+        raise KeyError(face)
+
+    def __contains__(self, face):
+        if face in self.overrides:
+            return self.overrides[face] is not _DELETED
+        return self._closed(face)
+
+    def __setitem__(self, face, image):
+        self.overrides[face] = image
+
+    def __delitem__(self, face):
+        if face not in self:
+            raise KeyError(face)
+        if self._closed(face):
+            self.overrides[face] = _DELETED
+        else:
+            del self.overrides[face]
+
+    def __iter__(self):
+        if self.carriers is not None:
+            yield from (f for f in self.source.faces if self.overrides.get(f) is not _DELETED)
+        yield from (f for f in self.overrides if not self._closed(f))
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+    def carrier_rows(self):
+        """The carriers as one int32 array, a row of target vertex indices
+        per source vertex, padded with ``_PAD``."""
+        sizes = np.fromiter(map(len, self.carriers), dtype=np.intp, count=len(self.carriers))
+        rows = np.full((len(sizes), sizes.max(initial=1)), _PAD, dtype=np.int32)
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        rows[owner, np.arange(len(owner)) - np.repeat(sizes.cumsum() - sizes, sizes)] = np.fromiter(
+            chain.from_iterable(self.carriers), dtype=np.int32, count=len(owner))
+        return rows
+
+
 @dataclass
 class CarrierMap:
     """Face-poset map plus exact rational vertex placement witnessing a
     subdivision.
 
     ``phi`` maps faces of the source (frozensets of source vertex indices)
-    to faces of the target; ``f0`` places each source vertex inside the
-    realization of the target, as a sparse dict of barycentric coordinates
-    over target vertex indices.  ``p_faces``/``q_faces`` are the faces the
-    checks read as source and target, all faces of the two complexes unless
-    given.
+    to faces of the target, as a :class:`CarrierPhi` (a plain dict is read
+    as its overrides over no carriers); ``f0`` places each source vertex
+    inside the realization of the target, as a sparse dict of barycentric
+    coordinates over target vertex indices.  ``p_faces``/``q_faces`` are
+    the faces the checks read as source and target, all faces of the two
+    complexes unless given.
     """
 
     p_complex: SimplicialComplex
     q_complex: SimplicialComplex
-    phi: dict
+    phi: CarrierPhi
     f0: dict
     p_faces: frozenset = None
     q_faces: frozenset = None
 
     def __post_init__(self):
+        if not isinstance(self.phi, CarrierPhi):
+            self.phi = CarrierPhi(self.p_complex, overrides=self.phi)
         if self.p_faces is None:
             self.p_faces = frozenset(self.p_complex.faces)
         if self.q_faces is None:
@@ -356,14 +429,14 @@ def carrier_map_from_parts(pk: PartitionPoset, p: SimplicialComplex, q: Simplici
 
     Each source vertex's factors are looked up in ``q`` once: they are its
     carrier face, and it sits at their barycenter.  φ of a chain is the
-    union of its vertices' carrier faces."""
+    union of its vertices' carrier faces, computed when read
+    (:class:`CarrierPhi`)."""
     f0 = {}
     for v, x in enumerate(p.vertices):
         factors = sorted(pk.factors(x), key=Partition.sort_key)
         w = Fraction(1, len(factors))
         f0[v] = {q.vertex_index(g): w for g in factors}
-    carriers = [frozenset(f0[v]) for v in range(len(p.vertices))]
-    phi = {face: frozenset().union(*(carriers[v] for v in face)) for face in p.faces}
+    phi = CarrierPhi(p, tuple(map(frozenset, f0.values())))
     return CarrierMap(p_complex=p, q_complex=q, phi=phi, f0=f0)
 
 
@@ -452,27 +525,33 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     size, then lexicographically: the φ failures, the target faces and the
     cells over each come in that order.
     """
-    label = _face_label_fn(cm.q_complex)
+    label = _FaceLabels(cm.q_complex)
     phi = _PhiTable(cm)
     failures, bad = _check_well_formed(cm, label, phi)
-    order = phi.target_faces
+    n = len(phi.target_faces)
     # the source positions grouped by their image's target position: the cells over each target face
     hit = np.flatnonzero(phi.pos >= 0)
     cells = hit[phi.pos[hit].argsort(kind="stable")]
-    bounds = phi.pos[cells].searchsorted(np.arange(len(order) + 1))
-    roots = range(len(order)) if bad else _orbit_roots(cm, phi)
-    clean = {}  # position in order -> total volume, for faces checked with no failure
-    facet_volumes = {}
-    for i, qf in enumerate(order):
-        total = clean.get(roots[i])
-        if total is None:
-            over = [phi.source_faces[c] for c in cells[bounds[i]:bounds[i + 1]].tolist()]
-            face_failures, total = check_target_face(cm, qf, over, bad, label)
-            failures += face_failures
-            if not face_failures:
-                clean[i] = total
-        if total is not None:
-            facet_volumes[label(qf)] = str(total)
+    bounds = phi.pos[cells].searchsorted(np.arange(n + 1))
+    roots = np.arange(n) if bad else _orbit_roots(phi)
+    is_root = roots == np.arange(n)
+
+    def check(i):
+        over = cells[bounds[i]:bounds[i + 1]]
+        faces = [phi.source_faces[c] for c in over.tolist()]
+        face_failures, total = check_target_face(cm, phi.target_faces[i], faces, bad, label, phi.on_face(i, over))
+        return face_failures, None if total is None else str(total)
+
+    # the roots, then every face of an orbit whose root fails
+    checked = {i: check(i) for i in np.flatnonzero(is_root).tolist()}
+    failed = np.zeros(n, dtype=bool)
+    failed[[i for i, (face_failures, _) in checked.items() if face_failures]] = True
+    checked.update((i, check(i)) for i in np.flatnonzero(~is_root & failed[roots]).tolist())
+    for i in sorted(checked):
+        failures += checked[i][0]
+    totals = [checked.get(i, checked[r])[1] for i, r in enumerate(roots.tolist())]
+    labels = chain.from_iterable(map(label.rows, phi.target.rows.rows))
+    facet_volumes = {name: total for name, total in zip(labels, totals) if total is not None}
     return CarrierCheckResult(passed=not failures, failures=failures, facet_volumes=facet_volumes)
 
 
@@ -529,24 +608,140 @@ def _face_rows(K: SimplicialComplex, faces) -> FaceRows:
 
 
 class _PhiTable:
-    """φ of a carrier map, read in one pass.  ``source`` and ``target`` act
+    """φ of a carrier map as target positions.  ``source`` and ``target`` act
     on ``cm.p_faces`` and ``cm.q_faces``, listed by position in
     ``source_faces`` and ``target_faces``.  For the source face at position
-    i, ``images[i]`` is its image (None when it has none) and ``pos[i]`` the
-    image's target position, -1 when it is no target face, -2 when there is
-    none.  ``vertices`` are the source's one-vertex rows, in order."""
+    i, ``pos[i]`` is the target position of its image, -1 when the image is
+    no target face, -2 when there is none.  The positions come from the
+    carriers of ``cm.phi`` (:func:`_union_positions`, one dimension at a
+    time) on the faces of its complex, and from ``cm.phi`` itself on its
+    overrides; :meth:`image` reads one image from ``cm.phi``, where a
+    message needs it.  ``vertices`` are the source's one-vertex rows, in
+    order, ``facets[d]`` the source's :meth:`FaceRows.facet_positions` and
+    :attr:`f0` the :class:`_VertexTable` of ``cm.f0``, each made on first
+    use."""
 
     def __init__(self, cm: CarrierMap):
+        self._phi = phi = cm.phi
+        self._f0 = cm.f0
         self.source = PermutationAction(cm.p_complex, cm.p_faces)
         self.target = PermutationAction(cm.q_complex, cm.q_faces)
         self.source_faces = list(chain.from_iterable(self.source.rows.faces))
         self.target_faces = list(chain.from_iterable(self.target.rows.faces))
-        position = dict(zip(self.target_faces, count()))
-        self.images = list(map(cm.phi.get, self.source_faces))
-        self.pos = np.fromiter((-2 if img is None else position.get(img, -1) for img in self.images),
-                               dtype=np.intp, count=len(self.images))
-        rows = self.source.rows.rows
-        self.vertices = rows[0][:, 0].tolist() if rows else []
+        src, tgt = self.source.rows, self.target.rows
+        self.pos = np.full(src.offsets[-1], -2, dtype=np.intp)
+        if phi.carriers is not None:
+            carriers = phi.carrier_rows()
+            for d, rows in enumerate(src.rows):
+                closed = slice(None) if cm.p_faces is phi.source.faces else phi.source.face_rows.find(d, rows) >= 0
+                self.pos[src.offsets[d]:src.offsets[d + 1]][closed] = _union_positions(carriers[rows[closed]], tgt)
+        overridden = [f for f in phi.overrides if f in cm.p_faces]
+        if overridden:
+            images = list(map(phi.get, overridden))
+            known = [j for j, img in enumerate(images) if img in cm.q_faces]
+            at = np.array([-2 if img is None else -1 for img in images], dtype=np.intp)
+            at[known] = tgt.positions([images[j] for j in known])
+            self.pos[src.positions(overridden)] = at
+        self.vertices = src.rows[0][:, 0].tolist() if src.rows else []
+
+    def image(self, i):
+        """The image of the source face at position i, None when it has
+        none."""
+        return self._phi.get(self.source_faces[i])
+
+    @cached_property
+    def facets(self):
+        rows = self.source.rows
+        return [None] + [rows.facet_positions(d) for d in range(1, len(rows.rows))]
+
+    @cached_property
+    def f0(self):
+        return _VertexTable(self._f0, self.vertices)
+
+    def on_face(self, i, cells):
+        """For each cell (source positions) of as many vertices as the i-th
+        target face: its face -> per vertex, in sorted order, whether φ of
+        the cell without it is the i-th target face."""
+        src = self.source.rows
+        d = int(np.searchsorted(self.target.rows.offsets, i, side="right")) - 1
+        top = cells[(cells >= src.offsets[d]) & (cells < src.offsets[d + 1])] if d < len(src.rows) else cells[:0]
+        if d == 0:
+            on = np.zeros((len(top), 1), dtype=bool)
+        else:
+            ridges = self.facets[d][top - src.offsets[d]]
+            on = (ridges >= 0) & (self.pos[src.offsets[d - 1] + ridges] == i)
+        return dict(zip(map(self.source_faces.__getitem__, top.tolist()), on.tolist()))
+
+
+def _union_positions(carriers, into: FaceRows):
+    """For each (r, w) block of ``carriers``, an (n, r, w) int32 array of
+    target vertex indices padded with ``_PAD``, the position in ``into`` of
+    the union of its rows, -1 when that is no face there."""
+    union = carriers.reshape(len(carriers), carriers.shape[1] * carriers.shape[2])
+    union.sort(axis=1)
+    union[:, 1:][union[:, 1:] == union[:, :-1]] = _PAD
+    union.sort(axis=1)
+    sizes = (union != _PAD).sum(axis=1)
+    out = np.full(len(union), -1, dtype=np.intp)
+    for size in range(1, min(union.shape[1], len(into.rows)) + 1):
+        at = np.flatnonzero(sizes == size)
+        if len(at):
+            found = into.find(size - 1, union[at, :size])
+            out[at] = np.where(found < 0, -1, found + into.offsets[size - 1])
+    return out
+
+
+class _VertexTable:
+    """``f0`` at the source vertices ``vertices``, read once.  ``coords[v]``
+    is the coordinates dict of the v-th vertex, None when it has none.  A
+    vertex *fits* when its dict is not empty, its target indices and
+    denominators fit int64 and its numerators are below 2**62 / w in
+    magnitude (w the most coordinates of any vertex, so that no sum of them
+    overflows).  The coordinates of the vertices that fit are the rows
+    (``vertex``, ``target``, ``num``, ``den``) of int64 arrays, sorted by
+    vertex (its place in ``vertices``), then target index.  A ``Fraction``
+    is in lowest terms, so two coordinates are equal iff their rows are."""
+
+    def __init__(self, f0, vertices):
+        self.coords = list(map(f0.get, vertices))
+        given = [c for c in self.coords if c is not None]
+        counts = np.array([0 if c is None else len(c) for c in self.coords], dtype=np.intp)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        values = list(chain.from_iterable(c.values() for c in given))
+        target, wide = _as_int64(list(chain.from_iterable(given)))
+        num, wide_num = _as_int64([x.numerator for x in values], (1 << 62) // max(counts.max(initial=0), 1))
+        den, wide_den = _as_int64([x.denominator for x in values])
+        self.fits = (counts > 0) & (np.bincount(owner[wide | wide_num | wide_den], minlength=len(counts)) == 0)
+        keep = self.fits[owner]
+        order = np.lexsort((target[keep], owner[keep]))
+        self.vertex, self.target, self.num, self.den = (a[keep][order] for a in (owner, target, num, den))
+
+    def keys(self):
+        """The vertices that fit, and per vertex one int64 row: its number
+        of coordinates, then (target index, numerator, denominator) of each,
+        padded with zeros.  Two vertices that fit coincide iff their rows
+        are equal."""
+        fit = np.flatnonzero(self.fits)
+        ordinal = np.searchsorted(fit, self.vertex)
+        rank = np.arange(len(self.vertex)) - np.searchsorted(self.vertex, self.vertex)
+        counts = np.bincount(ordinal, minlength=len(fit))
+        out = np.zeros((len(fit), 1 + 3 * counts.max(initial=0)), dtype=np.int64)
+        out[:, 0] = counts
+        for j, column in enumerate((self.target, self.num, self.den)):
+            out[ordinal, 1 + 3 * rank + j] = column
+        return fit, out
+
+
+def _as_int64(values, bound=1 << 63):
+    """The Python ints ``values`` as an int64 array, 0 where one is not in
+    (-bound, bound), and the mask of those."""
+    try:
+        out = np.array(values, dtype=np.int64)
+    except OverflowError:
+        exact = np.array(values, dtype=object)
+        wide = ((exact <= -bound) | (exact >= bound)).astype(bool)
+        return np.where(wide, 0, exact).astype(np.int64), wide
+    return out, (out <= -bound) | (out >= bound)
 
 
 def generators(m: int):
@@ -578,26 +773,49 @@ def generator_certificate(source: PermutationAction, target: PermutationAction, 
     return maps
 
 
-def _orbit_roots(cm: CarrierMap, phi: _PhiTable):
+def _orbit_roots(phi: _PhiTable):
     """For each target position i, the position of the first face of the
     S_m-orbit of the i-th face.  Every face is its own root unless the map
     passes :func:`generator_certificate` on the φ table ``phi`` and
-    f0(σv) = σf0(v) on every source vertex v for both generators σ.  Then
-    each face takes the least root of itself and its generator images until
-    nothing changes; as each generator permutes the faces, that is the least
-    face of its orbit.  Assumes the well-formedness pass marked no vertex
-    (φ is total on the source faces)."""
+    f0(σv) = σf0(v) on every source vertex v for both generators σ
+    (:func:`_f0_commutes`).  Then each face takes the least root of itself
+    and its generator images until nothing changes; as each generator
+    permutes the faces, that is the least face of its orbit.  Assumes the
+    well-formedness pass marked no vertex (φ is total on the source
+    faces)."""
     roots = np.arange(len(phi.target_faces))
     maps = generator_certificate(phi.source, phi.target, phi.pos)
-    if maps and all(
-        cm.f0[src[v]] == {tgt[w]: x for w, x in cm.f0[v].items()} for src, tgt, _ in maps for v in phi.vertices
-    ):
+    if maps and all(_f0_commutes(phi, src, tgt) for src, tgt, _ in maps):
         while True:
             least = np.minimum.reduce([roots] + [roots[image] for _, _, image in maps])
             if (least == roots).all():
                 break
             roots = least
-    return roots.tolist()
+    return roots
+
+
+def _f0_commutes(phi: _PhiTable, src, tgt) -> bool:
+    """Whether f0(σv) = σf0(v) for every source vertex v, where σ has the
+    source and target vertex index maps ``src`` and ``tgt`` and maps the
+    source vertices onto themselves.  On the vertex table, σ moves each row
+    (v, w, x) to (σv, σw, x), and the rows moved and sorted must be the
+    rows; σ keeps the numbers, so it maps the vertices that fit the table
+    onto themselves, and the others are compared as dicts."""
+    table = phi.f0
+    vertices = np.asarray(phi.vertices, dtype=np.intp)
+    moved = np.searchsorted(vertices, np.asarray(src)[vertices])  # place of σv
+    if not (table.fits[moved] == table.fits).all():
+        return False
+    vertex, target = moved[table.vertex], np.asarray(tgt)[table.target]
+    order = np.lexsort((target, vertex))
+    if not all((a[order] == b).all() for a, b in
+               ((vertex, table.vertex), (target, table.target), (table.num, table.num), (table.den, table.den))):
+        return False
+    coords = table.coords
+    return all(
+        coords[moved[v]] == (None if coords[v] is None else {tgt[w]: x for w, x in coords[v].items()})
+        for v in np.flatnonzero(~table.fits).tolist()
+    )
 
 
 def _check_well_formed(cm: CarrierMap, label, phi: _PhiTable):
@@ -611,16 +829,18 @@ def _check_well_formed(cm: CarrierMap, label, phi: _PhiTable):
     this set.  The φ checks read the table ``phi``, face by face in row
     order, and the closure test the source's facet positions.  The order
     test compares target rows, and the images only where one is no target
-    face; it reads ``cm.phi`` only for a sub-face that is no source face."""
+    face; it reads ``cm.phi`` only for a sub-face that is no source face.
+    The vertex checks are :func:`_check_vertices`."""
     rows, pos, target = phi.source.rows, phi.pos, phi.target.rows
-    padded = np.full((target.offsets[-1], len(target.rows)), -1, dtype=np.int32)  # target rows, padded with -1
+    # the target rows padded with -1, and a last row of -1 alone
+    padded = np.full((target.offsets[-1] + 1, len(target.rows)), -1, dtype=np.int32)
     for d, block in enumerate(target.rows):
         padded[target.offsets[d]:target.offsets[d + 1], : d + 1] = block
     flagged = pos < 0  # faces that fail a φ check or miss a sub-face
     disorder = np.zeros(len(pos), dtype=bool)
     for d in range(1, len(rows.rows)):
         lo, hi = rows.offsets[d], rows.offsets[d + 1]
-        facets = rows.facet_positions(d)
+        facets = phi.facets[d]
         missing = facets < 0
         flagged[lo:hi] |= missing.any(axis=1)
         img = np.broadcast_to(pos[lo:hi, None], facets.shape)
@@ -632,8 +852,8 @@ def _check_well_formed(cm: CarrierMap, label, phi: _PhiTable):
         out[fast] = ~((a[:, :, None] == b[:, None, :]).any(axis=2) | (a < 0)).all(axis=1)
         for i, t in zip(*np.nonzero(tested & ~fast)):
             below = (cm.phi.get(frozenset(np.delete(rows.rows[d][i], t).tolist())) if missing[i, t]
-                     else phi.images[rows.offsets[d - 1] + facets[i, t]])
-            out[i, t] = below is not None and not below <= phi.images[lo + i]
+                     else phi.image(rows.offsets[d - 1] + facets[i, t]))
+            out[i, t] = below is not None and not below <= phi.image(lo + i)
         disorder[lo:hi] = out.any(axis=1)
     failures = []
     for i in np.flatnonzero((pos < 0) | disorder).tolist():
@@ -642,50 +862,96 @@ def _check_well_formed(cm: CarrierMap, label, phi: _PhiTable):
             failures.append(CheckFailure("phi_total", f"no image for face {face}"))
         if pos[i] == -1:
             failures.append(
-                CheckFailure("phi_into_target", f"image of {face} is not a target face", label(phi.images[i]))
+                CheckFailure("phi_into_target", f"image of {face} is not a target face", label(phi.image(i)))
             )
         if disorder[i]:
             failures.append(CheckFailure("phi_order", f"phi not order-preserving at {face}"))
     bad = set().union(*map(phi.source_faces.__getitem__, np.flatnonzero(flagged | disorder).tolist()))
+    vertex_failures, touched = _check_vertices(cm, label, phi, padded)
+    return failures + vertex_failures, bad | touched
 
-    seen_points = {}
-    for v, carrier in zip(phi.vertices, phi.images):  # the one-vertex faces come first
-        coords = cm.f0.get(v)
-        if coords is None:
-            failures.append(CheckFailure("vertex_map_total", f"no coordinates for vertex {v}"))
-            bad.add(v)
+
+def _check_vertices(cm: CarrierMap, label, phi: _PhiTable, padded):
+    """The vertex checks of :func:`_check_well_formed`, on the vertex table
+    ``phi.f0``: each source vertex has coordinates, they are positive with
+    its carrier (φ of the vertex) as support and sum to one, and no earlier
+    vertex has the same ones.  ``padded`` holds the target rows, padded
+    with -1 and ending in a row of -1 alone.  A vertex that fits the table,
+    has one denominator and a target face as its carrier is decided by
+    array tests: its numerators are positive and sum to that denominator,
+    and its target indices are its carrier's.  Any other is decided in
+    Python integers, on its own.  Coincidence is decided on the
+    table's key rows among the vertices that fit, and by dict among the
+    others: coinciding vertices have the same numbers, so both fit or
+    neither does.  Returns the failures, in vertex order, and the vertices
+    they touch."""
+    table = phi.f0
+    n = len(table.coords)
+    placed = np.array([c is not None for c in table.coords], dtype=bool)
+    carrier = phi.pos[:n]  # the one-vertex faces come first
+    vertex = table.vertex
+    total = np.zeros(n, dtype=np.int64)
+    np.add.at(total, vertex, table.num)
+    den = np.zeros(n, dtype=np.int64)
+    den[vertex] = table.den
+    rows = padded[np.where(carrier >= 0, carrier, -1)]  # each vertex's carrier, if a target face
+    on = (rows[vertex] == table.target[:, None]).any(axis=1) & (table.num > 0)
+    inside = (np.bincount(vertex[~on], minlength=n) == 0) & (np.bincount(vertex, minlength=n) == (rows >= 0).sum(axis=1))
+    normalised = total == den
+    mixed = np.bincount(vertex[table.den != den[vertex]], minlength=n) > 0
+    for v in np.flatnonzero(placed & ~(table.fits & ~mixed & (carrier >= 0))).tolist():
+        coords = table.coords[v]
+        inside[v] = all(x > 0 for x in coords.values()) and frozenset(coords) == phi.image(v)
+        common = lcm(*(x.denominator for x in coords.values()))
+        normalised[v] = sum(x.numerator * (common // x.denominator) for x in coords.values()) == common
+    previous = np.full(n, -1)  # the last earlier vertex at the same point
+    fit, keys = table.keys()
+    order = np.lexsort(keys.T[::-1])  # stable: equal rows stay in vertex order
+    same = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
+    previous[fit[order[1:][same]]] = fit[order[:-1][same]]
+    seen = {}
+    for v in np.flatnonzero(placed & ~table.fits).tolist():
+        key = frozenset(table.coords[v].items())
+        previous[v] = seen.get(key, -1)
+        seen[key] = v
+
+    failures, touched = [], set()
+    ids = phi.vertices
+    for v in np.flatnonzero(~(placed & inside & normalised) | (previous >= 0)).tolist():
+        if not placed[v]:
+            failures.append(CheckFailure("vertex_map_total", f"no coordinates for vertex {ids[v]}"))
+            touched.add(ids[v])
             continue
-        support = frozenset(i for i, c in coords.items() if c != 0)
-        if any(c <= 0 for c in coords.values()) or support != carrier:
+        if not inside[v]:
+            image = phi.image(v)
             failures.append(
                 CheckFailure(
                     "vertex_in_carrier_interior",
-                    f"vertex {cm.p_complex.vertices[v]!r} not strictly inside its carrier",
-                    label(carrier) if carrier else None,
+                    f"vertex {cm.p_complex.vertices[ids[v]]!r} not strictly inside its carrier",
+                    label(image) if image else None,
                 )
             )
-            bad.add(v)
-        if sum(coords.values(), Fraction(0)) != 1:
+            touched.add(ids[v])
+        if not normalised[v]:
             failures.append(
-                CheckFailure("vertex_coordinates_sum", f"coordinates of vertex {v} do not sum to 1")
+                CheckFailure("vertex_coordinates_sum", f"coordinates of vertex {ids[v]} do not sum to 1")
             )
-            bad.add(v)
-        key = tuple(sorted(coords.items()))
-        if key in seen_points:
+            touched.add(ids[v])
+        if previous[v] >= 0:
             failures.append(
-                CheckFailure("vertex_map_injective", f"vertices {seen_points[key]} and {v} coincide")
+                CheckFailure("vertex_map_injective", f"vertices {ids[previous[v]]} and {ids[v]} coincide")
             )
-            bad |= {seen_points[key], v}
-        seen_points[key] = v
-    return failures, bad
+            touched |= {ids[previous[v]], ids[v]}
+    return failures, touched
 
 
-def check_target_face(cm: CarrierMap, qf, cells, bad, label):
+def check_target_face(cm: CarrierMap, qf, cells, bad, label, on_face):
     """The checks of :func:`verify_carrier_map` on one target face ``qf``
     whose preimage cells are ``cells``: surjectivity, nondegeneracy, disjoint
     open images (the ridge certificate when no cell meets the source
     vertices ``bad`` that failed well-formedness, else one Fourier-Motzkin
-    test per pair of cells) and the volume identity.
+    test per pair of cells) and the volume identity.  ``on_face`` is
+    :meth:`_PhiTable.on_face` of the cells.
     Returns the face's failures and the total volume of its full-dimensional
     cells (None when it has no cell)."""
     if not cells:
@@ -716,7 +982,7 @@ def check_target_face(cm: CarrierMap, qf, cells, bad, label):
     certified = (
         not degenerate and total == 1
         and all(bad.isdisjoint(cell) for cell in cells)
-        and _ridge_certificate(cm.phi, qf, cells, volumes)
+        and _ridge_certificate(qf, cells, volumes, on_face)
     )
     if not certified:
         for c1, c2 in combinations(sorted(cells, key=_by_size), 2):
@@ -745,22 +1011,27 @@ def check_target_face(cm: CarrierMap, qf, cells, bad, label):
     return failures, total
 
 
-def _ridge_certificate(phi, qf, cells, volumes) -> bool:
+def _ridge_certificate(qf, cells, volumes, on_face) -> bool:
     """The pseudomanifold part of the certificate in
     :func:`verify_carrier_map`.  ``volumes`` holds the signed volume of each
-    full-dimensional cell over ``qf``, its vertices in sorted order."""
+    full-dimensional cell over ``qf``, its vertices in sorted order, and
+    ``on_face`` per such cell whether φ of its ridge without each vertex is
+    ``qf``."""
     d = len(qf) - 1
     sides = {}
+    inner = {}  # ridge -> whether φ maps it to qf
     through = {}
     for cell, vol in volumes.items():
-        for j, apex in enumerate(sorted(cell)):
+        for j, (apex, on) in enumerate(zip(sorted(cell), on_face[cell])):
             through.setdefault(apex, []).append(cell)
             if d:
                 # the ridge in sorted order, then the apex: moving the apex
                 # from place j to the end takes d - j transpositions
-                sides.setdefault(cell - {apex}, []).append((vol > 0) == ((d - j) % 2 == 0))
+                ridge = cell - {apex}
+                inner[ridge] = on
+                sides.setdefault(ridge, []).append((vol > 0) == ((d - j) % 2 == 0))
     for ridge, signs in sides.items():
-        if phi[ridge] == qf:
+        if inner[ridge]:
             if len(signs) != 2 or signs[0] == signs[1]:
                 return False
         elif len(signs) != 1:
@@ -782,21 +1053,32 @@ def _localize_point(coords, q_sorted):
     return tuple(coords.get(i, _ZERO) for i in q_sorted)
 
 
-def _face_label_fn(q: SimplicialComplex):
-    names = {}  # vertex index -> (sort key, text), filled on first use
+class _FaceLabels:
+    """Labels of target faces: a face's vertex texts joined by "+", in order
+    of the vertices' names (a partition's sort key and text, else its text
+    twice).  The vertices are ranked by name once; :meth:`rows` labels the
+    rows of a 2-d array of vertex indices by adding columns of an object
+    array of texts, which allocates no list per row."""
 
-    def name(i):
-        if i not in names:
-            lab = q.vertices[i]
-            names[i] = (lab.sort_key(), lab.text()) if isinstance(lab, Partition) else (str(lab),) * 2
-        return names[i]
+    def __init__(self, q: SimplicialComplex):
+        names = [(lab.sort_key(), lab.text()) if isinstance(lab, Partition) else (str(lab),) * 2
+                 for lab in q.vertices]
+        order = sorted(range(len(names)), key=names.__getitem__)
+        self._rank = np.empty(len(names), dtype=np.intp)
+        self._rank[order] = np.arange(len(names))
+        self._texts = np.array([names[i][1] for i in order], dtype=object)
 
-    def fn(face):
+    def __call__(self, face):
         if face is None:
             return None
-        return "+".join(text for _, text in sorted(name(i) for i in face))
+        return "+".join(self._texts[np.sort(self._rank[list(face)])])
 
-    return fn
+    def rows(self, rows):
+        texts = self._texts[np.sort(self._rank[rows], axis=1)]
+        out = texts[:, 0]
+        for column in texts.T[1:]:
+            out = out + "+" + column
+        return out.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -1047,7 +1329,7 @@ def check_equivariance(k: int, n: int, perms="all", seed: int = 0,
         (_, src_img), (tgt_map, tgt_img) = src, tgt
         differ = phi.pos[src_img] != np.where(phi.pos < 0, phi.pos, tgt_img[phi.pos])
         for c in np.flatnonzero(~differ & (phi.pos == -1)).tolist():
-            differ[c] = phi.images[src_img[c]] != frozenset(tgt_map[w] for w in phi.images[c])
+            differ[c] = phi.image(src_img[c]) != frozenset(tgt_map[w] for w in phi.image(c))
         if differ.any():
             face = phi.source_faces[differ.argmax()]
             failures.append({"perm": list(pi), "detail": "carrier map does not commute with the relabelling",

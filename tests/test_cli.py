@@ -346,6 +346,32 @@ def test_format_json_summary(tmp_path, capsys):
     assert payload["elements"] == 12
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["homology", "--compare", "--k", "1", "--n", "4"], ["homology", "--compare", "--k", "2", "--n", "3"],
+     ["equivariance", "--in", "{complex}"], ["equivariance", "--in", "{complex}", "--sample", "3"]],
+    ids=["compare-1-4", "compare-2-3", "equivariance-in", "equivariance-in-sample"],
+)
+def test_json_format_prints_json_lines(tmp_path, capsys, args):
+    # every stdout line of the json form is one JSON value, and the text
+    # form keeps its lines
+    _, complex_file = run(["enumerate", "--object", "ktree-complex", "--n", "3", "--k", "1", "-v", "0"], tmp_path)
+    args = [a.format(complex=complex_file) for a in args]
+    capsys.readouterr()
+    assert main(args) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert main(args + ["--format", "json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    payloads = [json.loads(line) for line in lines]
+    assert len(lines) == len([line for line in text if not line.startswith("  ")])
+    if args[0] == "homology":
+        ranks = payloads[-1]["top_degree_ranks"]
+        assert text[-1] == f"top-degree ranks: {ranks['source']} vs {ranks['target']} -> equal"
+    else:
+        assert payloads == [{"permutations_checked": 6, "breaking_invariance": 0}]
+        assert text == ["checked 6 permutations, 0 break invariance"]
+
+
 MIXED_GROUND_SETS = (
     "error: complex labels are not partitions of a common ground set: "
     "permutation length does not match ground set"

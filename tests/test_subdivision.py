@@ -647,6 +647,28 @@ def _coincident_vertices():
     return _hand_map([("A", "B")], pts, [("A", "x"), ("y", "B")])
 
 
+def _fan(centre):
+    # the triangle ABC subdivided at one point x: three cells around x
+    pts = {**CORNERS, "x": centre}
+    return _hand_map([("A", "B", "C")], pts, [("x", "A", "B"), ("x", "B", "C"), ("x", "C", "A")])
+
+
+# a denominator that no int64 holds
+WIDE = 2**64 + 13
+
+
+def _place_middle(coords):
+    # (12)(34) of the (1,4) map placed at coords(lo, hi, other), lo and hi
+    # the ends of its carrier edge and other the first target vertex off it
+    def edit(cm, k, n):
+        v = cm.p_complex.vertex_index(parse_partition("(12)(34)", 4))
+        lo, hi = sorted(cm.f0[v])
+        other = min(set(range(len(cm.q_complex.vertices))) - {lo, hi})
+        cm.f0[v] = coords(lo, hi, other)
+
+    return edit
+
+
 def _ladder(k, n, edit=None):
     def build():
         cm, _ = global_carrier_map(k, n)
@@ -687,6 +709,23 @@ CARRIER_CASES = {
     "vertex-map-total": (_unplaced_vertex, False),
     "vertex-coordinates-sum": (_ladder(1, 4, _unnormalised_vertex), False),
     "vertex-map-injective": (_coincident_vertices, False),
+    # the edges of the vertex table: one denominator per vertex in int64,
+    # else exact integers for that vertex
+    "mixed-denominators": (lambda: _fan({"A": F(1, 2), "B": F(1, 3), "C": F(1, 6)}), True),
+    "mixed-denominators-off-sum": (lambda: _fan({"A": F(1, 2), "B": F(1, 3), "C": F(1, 5)}), False),
+    # numerators that fit int64 but whose sum wraps around to the denominator
+    "wrapping-sum": (lambda: _fan({"A": F(2**63 - 1, 2**61 - 1), "B": F(2**63 - 1, 2**61 - 1),
+                                   "C": F(2**61 + 1, 2**61 - 1)}), False),
+    "wide-denominator": (_ladder(1, 4, _place_middle(lambda lo, hi, _: {lo: F(2**63, WIDE), hi: F(WIDE - 2**63, WIDE)})),
+                         True),
+    "wide-denominator-off-sum": (_ladder(1, 4, _place_middle(lambda lo, hi, _: {lo: F(2**63, WIDE), hi: F(2**63, WIDE)})),
+                                 False),
+    "one-denominator-off-sum": (_ladder(1, 4, _place_middle(lambda lo, hi, _: {lo: F(1, 3), hi: F(1, 3)})), False),
+    "wide-coincident": (lambda: _hand_map([("A", "B")], {**ENDS, "x": F(2**63, WIDE), "y": F(2**63, WIDE)},
+                                          [("A", "x"), ("y", "B")]), False),
+    "zero-coordinate": (_ladder(1, 4, _place_middle(lambda lo, hi, other: {lo: F(1, 2), hi: F(1, 2), other: F(0)})),
+                        False),
+    "negative-coordinate": (_ladder(1, 4, _place_middle(lambda lo, hi, _: {lo: F(3, 2), hi: F(-1, 2)})), False),
 }
 
 
@@ -696,7 +735,8 @@ CARRIER_CASES = {
 NO_OVERLAP = {"dropped-facet-cell", "dropped-ridge-cell", "dropped-facet-orbit",
               "phi-off-orbit", "dropped-cell-beside-last", "stray-target-face",
               "phi-total", "phi-into-target", "phi-order", "vertex-map-total",
-              "vertex-coordinates-sum"}
+              "vertex-coordinates-sum", "mixed-denominators-off-sum", "wrapping-sum",
+              "wide-denominator-off-sum", "zero-coordinate", "one-denominator-off-sum"}
 
 
 @pytest.mark.parametrize("case", sorted(CARRIER_CASES))
@@ -818,7 +858,7 @@ def test_fourier_motzkin_solves_per_broken_map(monkeypatch, case, solves):
 
 
 def _well_formed(cm):
-    return subdivision._check_well_formed(cm, subdivision._face_label_fn(cm.q_complex), subdivision._PhiTable(cm))
+    return subdivision._check_well_formed(cm, subdivision._FaceLabels(cm.q_complex), subdivision._PhiTable(cm))
 
 
 def _vertices(cm, names):
@@ -857,7 +897,7 @@ def _orbits(cm):
     """The target faces' S_m-orbits found by the generator certificate, as
     {root face: set of faces}."""
     order = sorted(cm.q_faces, key=subdivision._by_size)
-    roots = subdivision._orbit_roots(cm, subdivision._PhiTable(cm))
+    roots = subdivision._orbit_roots(subdivision._PhiTable(cm))
     assert all(roots[roots[i]] == roots[i] <= i for i in range(len(order)))
     orbits = {}
     for qf, r in zip(order, roots):
@@ -889,7 +929,7 @@ def test_orbit_roots_match_oracle(case):
         pos = {qf: i for i, qf in enumerate(order)}
         for _, tgt, image in got:
             assert image.tolist() == [pos[frozenset(tgt[v] for v in qf)] for qf in order]
-    assert list(subdivision._orbit_roots(cm, phi)) == orbit_roots_oracle(cm)
+    assert list(subdivision._orbit_roots(phi)) == orbit_roots_oracle(cm)
 
 
 def test_generator_certificate_refuses_non_equivariant_map():
@@ -1141,3 +1181,26 @@ def test_carrier_map_matches_per_face_oracle(kn):
     phi, f0 = carrier_phi_oracle(pk, cm.p_complex, cm.q_complex)
     assert list(cm.phi.items()) == list(phi.items())
     assert list(cm.f0.items()) == list(f0.items())
+
+
+def test_verify_reads_no_image_per_chain(monkeypatch):
+    # φ is stored as the vertex carriers: the φ table computes every image
+    # from them, so a passing verify looks up no chain's image and keeps no
+    # override
+    reads = []
+    for name in ("__getitem__", "__iter__"):
+        real = getattr(subdivision.CarrierPhi, name)
+        monkeypatch.setattr(subdivision.CarrierPhi, name,
+                            lambda self, *args, _real=real, _name=name: reads.append(_name) or _real(self, *args))
+    built = []
+    real_build = subdivision.carrier_map_from_parts
+
+    def keep(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(subdivision, "carrier_map_from_parts", keep)
+    assert verify_theorem(3, 4).verdict == "pass"
+    (cm,) = built
+    assert reads == [] and cm.phi.overrides == {}
+    assert set(vars(cm.phi)) == {"source", "carriers", "overrides"}
