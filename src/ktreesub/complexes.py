@@ -2,17 +2,18 @@
 subdivision, reduced integer homology via Smith normal form, and
 label-level group actions.
 
-A complex indexes its faces by :class:`FaceRows`: per dimension d, one
+A complex stores its faces as :class:`FaceRows`: per dimension d, one
 lexicographically sorted big-endian int32 array of vertex-index rows, whose
 bytes are search keys.  Downward closure, facets, equality and the
-coboundary columns are binary searches on these keys; the faces themselves
-stay frozensets of vertex indices, kept in row order."""
+coboundary columns are binary searches on these keys.  A complex built
+from rows (:meth:`SimplicialComplex.from_rows`, as the order complex and
+the k-tree complex are) has no frozenset per face until its ``faces`` view
+is read; the stellar replay and the carrier check still read it."""
 
 from __future__ import annotations
 
 from heapq import merge
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from . import _kernels as kernels
 from .errors import MAX_FACES, FaceNotPresent, ResourceLimit
 
 _ROW = np.dtype(">i4")
+_CHUNK = 1 << 20  # rows read at a time by the closure check
 
 
 class FaceRows:
@@ -29,10 +31,12 @@ class FaceRows:
     vertex indices in increasing order, big-endian int32, with the rows in
     lexicographic order.  A row's bytes are then a key whose byte order is
     the rows' order, so a face is found by binary search on the keys (as in
-    :func:`~ktreesub._kernels.coarsening_pairs`).  ``faces[d]`` holds the
-    given face objects in row order.  A face's *position* is its place in
-    the concatenation of ``faces``: by size, then lexicographically;
-    ``offsets[d]`` is the position of the first face of dimension d.
+    :func:`~ktreesub._kernels.coarsening_pairs`).  A face's *position* is
+    its place in the concatenation of the rows: by size, then
+    lexicographically; ``offsets[d]`` is the position of the first face of
+    dimension d.  ``faces[d]`` lists the faces of dimension d as frozensets
+    of vertex indices, in row order: the objects given to the constructor,
+    or, for :meth:`from_rows`, a view built from the rows on first read.
 
     The faces must be nonempty sets of integers in 0 .. 2**31 - 1.  The
     family need not be downward closed, and a size below the largest may
@@ -43,15 +47,45 @@ class FaceRows:
         groups = {}
         for f in faces:
             groups.setdefault(len(f), []).append(f)
-        self.rows, self.faces, self.offsets = [], [], [0]
+        rows, self._faces = [], []
         for size in range(1, max(groups, default=0) + 1):
             group = groups.get(size, [])
-            rows = np.fromiter(chain.from_iterable(group), dtype=_ROW, count=size * len(group)).reshape(-1, size)
-            rows.sort(axis=1)
-            order = _keys(rows).argsort()
-            self.rows.append(rows[order])
-            self.faces.append(list(map(group.__getitem__, order.tolist())))
-            self.offsets.append(self.offsets[-1] + len(group))
+            level = np.fromiter(chain.from_iterable(group), dtype=_ROW, count=size * len(group)).reshape(-1, size)
+            level.sort(axis=1)
+            order = _keys(level).argsort()
+            rows.append(level[order])
+            self._faces.append(list(map(group.__getitem__, order.tolist())))
+        self._set_rows(rows)
+
+    @classmethod
+    def from_rows(cls, rows):
+        """The family whose faces of dimension d are the rows of ``rows[d]``,
+        a 2-d integer array of d+1 columns (empty dimensions at the top are
+        dropped).  ``ValueError`` for any other shape, for an entry that
+        is no int32 and unless every row increases strictly and each
+        dimension's rows do, lexicographically: the order the searches
+        need, with no face twice."""
+        rows = [_as_rows(level, d) for d, level in enumerate(rows)]
+        while rows and not len(rows[-1]):
+            rows.pop()
+        if not all(map(_strictly_increasing, rows)):
+            raise ValueError("face rows are not strictly increasing")
+        self = cls.__new__(cls)
+        self._set_rows(rows)
+        self._faces = None
+        return self
+
+    def _set_rows(self, rows):
+        self.rows = rows
+        self.offsets = [0, *np.cumsum([len(level) for level in rows], dtype=np.int64).tolist()]
+
+    @property
+    def faces(self):
+        if self._faces is None:
+            # from the columns as lists, zipped: no list per row (that many
+            # new containers set off collections over every live object)
+            self._faces = [list(map(frozenset, zip(*level.T.tolist()))) for level in self.rows]
+        return self._faces
 
     def find(self, d, rows):
         """Position within dimension ``d`` of each row of ``rows`` (vertex
@@ -84,8 +118,13 @@ class FaceRows:
 
     def is_closed(self) -> bool:
         """Whether every face's facets are faces, so that the family is
-        downward closed."""
-        return all((self.facet_positions(d) >= 0).all() for d in range(1, len(self.rows)))
+        downward closed; read in parts of ``_CHUNK`` rows."""
+        for d in range(1, len(self.rows)):
+            for lo in range(0, len(self.rows[d]), _CHUNK):
+                part = self.rows[d][lo : lo + _CHUNK]
+                if any((self.find(d - 1, np.delete(part, t, axis=1)) < 0).any() for t in range(d + 1)):
+                    return False
+        return True
 
     def image(self, vertex_map, into=None):
         """The position in ``into`` (these faces unless given) of the image
@@ -102,6 +141,35 @@ class FaceRows:
         return np.concatenate(out)
 
 
+def _as_rows(level, d):
+    """``level`` as a contiguous big-endian int32 array of rows of d+1
+    vertex indices; ``ValueError`` when it is not 2-d with d+1 columns or
+    has an entry past int32."""
+    level = np.asarray(level)
+    if level.ndim != 2 or level.shape[1] != d + 1:
+        raise ValueError(f"the rows of dimension {d} need {d + 1} columns")
+    if level.size and not np.issubdtype(level.dtype, np.integer):
+        raise ValueError("face rows must hold integers")
+    bounds = np.iinfo(np.int32)
+    if not np.can_cast(level.dtype, np.int32) and level.size and (level.min() < bounds.min or level.max() > bounds.max):
+        raise ValueError("a vertex index does not fit int32")
+    return np.ascontiguousarray(level, dtype=_ROW)
+
+
+def _strictly_increasing(rows) -> bool:
+    """Whether every row of the 2-d array ``rows`` increases strictly, and
+    the rows do, lexicographically: column by column, among the pairs of
+    consecutive rows equal so far."""
+    if (rows[:, 1:] <= rows[:, :-1]).any():
+        return False
+    tied = np.ones(max(len(rows) - 1, 0), dtype=bool)
+    for column in rows.T:
+        if (tied & (column[1:] < column[:-1])).any():
+            return False
+        tied &= column[1:] == column[:-1]
+    return not tied.any()
+
+
 def _keys(rows):
     """The rows of a 2-d integer array as big-endian int32 byte strings, one
     void scalar per row."""
@@ -112,20 +180,21 @@ def _keys(rows):
 class SimplicialComplex:
     """Family of nonempty faces over an indexed vertex list, downward closed.
 
-    Faces are stored as frozensets of vertex indices, and indexed by
-    :class:`FaceRows`; the empty face is implicit.  Complexes are immutable.
-    With ``close_downward`` the faces are closed under taking sub-faces, and
-    the closure raises :class:`ResourceLimit` as it makes face
-    ``max_faces + 1``.  Otherwise a family that is not downward closed is
-    refused first; then one with a vertex index outside the vertex list;
-    then one with a vertex in no face, all with ``ValueError``.
+    The faces are stored as :class:`FaceRows`; the empty face is implicit.
+    Complexes are immutable.  ``SimplicialComplex(labels, faces)`` takes
+    the faces as sets of vertex indices.  With ``close_downward`` they are
+    closed under taking sub-faces, and the closure raises
+    :class:`ResourceLimit` as it makes face ``max_faces + 1``.  Otherwise a
+    family that is not downward closed is refused first; then one with a
+    vertex index outside the vertex list; then one with a vertex in no
+    face, all with ``ValueError``.  :meth:`from_rows` takes the rows
+    themselves, and :attr:`faces`, the faces as frozensets, is then a view
+    built on first read.  The invariants, the homology, equality and
+    :meth:`to_json` read the rows alone.
     """
 
     def __init__(self, vertex_labels, faces, close_downward=False, max_faces=None):
-        self.vertices = list(vertex_labels)
-        self._index = {lab: i for i, lab in enumerate(self.vertices)}
-        if len(self._index) != len(self.vertices):
-            raise ValueError("vertex labels must be pairwise distinct")
+        self._set_vertices(vertex_labels)
         fs = {frozenset(f) for f in faces}
         fs.discard(frozenset())
         if close_downward:
@@ -140,13 +209,49 @@ class SimplicialComplex:
             if not (close_downward or FaceRows([frozenset(map(number.__getitem__, f)) for f in fs]).is_closed()):
                 raise ValueError("face family is not downward closed")
             raise ValueError(f"vertex indices {sorted(outside, key=repr)} are out of range")
-        self.faces = frozenset(fs)
-        self.face_rows = FaceRows(self.faces)
-        self._by_dim = self.face_rows.faces
+        self._faces = frozenset(fs)
+        self.face_rows = FaceRows(self._faces)
         if not (close_downward or self.face_rows.is_closed()):
             raise ValueError("face family is not downward closed")
         if len(touched) != n:
             raise ValueError(f"vertices {sorted(set(range(n)) - touched)} appear in no face")
+
+    @classmethod
+    def from_rows(cls, vertex_labels, rows):
+        """The complex on ``vertex_labels`` whose faces of dimension d are
+        the rows of ``rows[d]`` (see :meth:`FaceRows.from_rows`, whose
+        order they must be in).  Refused with ``ValueError``, in this
+        order: rows out of order, a family that is not downward closed, a
+        vertex index outside the vertex list, a vertex in no face."""
+        self = cls.__new__(cls)
+        self._set_vertices(vertex_labels)
+        self.face_rows = FaceRows.from_rows(rows)
+        self._faces = None
+        if not self.face_rows.is_closed():
+            raise ValueError("face family is not downward closed")
+        # closed, so every vertex of a face is a one-vertex row
+        vertices = self.face_rows.rows[0][:, 0] if self.face_rows.rows else np.zeros(0, dtype=_ROW)
+        n = len(self.vertices)
+        outside = vertices[(vertices < 0) | (vertices >= n)]
+        if len(outside):
+            raise ValueError(f"vertex indices {outside.tolist()} are out of range")
+        if len(vertices) != n:
+            raise ValueError(f"vertices {sorted(set(range(n)) - set(vertices.tolist()))} appear in no face")
+        return self
+
+    def _set_vertices(self, vertex_labels):
+        self.vertices = list(vertex_labels)
+        self._index = {lab: i for i, lab in enumerate(self.vertices)}
+        if len(self._index) != len(self.vertices):
+            raise ValueError("vertex labels must be pairwise distinct")
+
+    @property
+    def faces(self) -> frozenset:
+        """All faces, as frozensets of vertex indices (the objects of
+        ``face_rows.faces``)."""
+        if self._faces is None:
+            self._faces = frozenset(chain.from_iterable(self.face_rows.faces))
+        return self._faces
 
     @classmethod
     def from_label_faces(cls, faces, close_downward=True):
@@ -166,33 +271,29 @@ class SimplicialComplex:
     # ------------------------------------------------------------------
 
     def dimension(self) -> int:
-        return len(self._by_dim) - 1
+        return len(self.face_rows.rows) - 1
 
     def f_vector(self) -> tuple:
-        return tuple(map(len, self._by_dim))
+        return tuple(map(len, self.face_rows.rows))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * fi for i, fi in enumerate(self.f_vector()))
 
     def facets(self):
         """Maximal faces in lexicographic order of their sorted vertices."""
-        return [f for _, f in self._facet_rows()]
+        return list(map(frozenset, self._facet_rows()))
 
     def _facet_rows(self):
-        """(row as a list, face) of each maximal face, in lexicographic order
-        of the rows."""
-        per_dim = []
-        for d, faces in enumerate(self._by_dim):
-            top = self._maximal(d).tolist()
-            per_dim.append(zip(self.face_rows.rows[d][top].tolist(), map(faces.__getitem__, top)))
-        return merge(*per_dim, key=itemgetter(0))
+        """The maximal faces as lists of vertex indices, in lexicographic
+        order."""
+        return merge(*(self.face_rows.rows[d][self._maximal(d)].tolist() for d in range(self.dimension() + 1)))
 
     def _maximal(self, d):
         """Positions within dimension d of the maximal faces: the face set is
         downward closed, so a face is maximal iff it is the facet of no face
         of dimension d+1."""
-        covered = np.zeros(len(self._by_dim[d]), dtype=bool)
-        if d + 1 < len(self._by_dim):
+        covered = np.zeros(len(self.face_rows.rows[d]), dtype=bool)
+        if d < self.dimension():
             covered[self.face_rows.facet_positions(d + 1).ravel()] = True
         return np.flatnonzero(~covered)
 
@@ -200,14 +301,15 @@ class SimplicialComplex:
         return all(not len(self._maximal(d)) for d in range(self.dimension()))
 
     def faces_of_dim(self, d: int):
-        return list(self._by_dim[d]) if 0 <= d < len(self._by_dim) else []
+        return list(self.face_rows.faces[d]) if 0 <= d <= self.dimension() else []
 
     def has_face_labels(self, labels) -> bool:
         try:
-            f = frozenset(self._index[l] for l in labels)
+            row = sorted({self._index[l] for l in labels})
         except KeyError:
             return False
-        return f in self.faces
+        d = len(row) - 1
+        return 0 <= d <= self.dimension() and self.face_rows.find(d, np.array([row])).item() >= 0
 
     def face_from_labels(self, labels):
         return frozenset(self._index[l] for l in labels)
@@ -288,7 +390,7 @@ class SimplicialComplex:
         (d+1)-face, with entry (-1)^t in the column of its facet without its
         t-th vertex, and each column's rows are increasing.  Needs
         d < dimension."""
-        keep = np.ones(len(self._by_dim[d]), dtype=bool)
+        keep = np.ones(len(self.face_rows.rows[d]), dtype=bool)
         keep[np.fromiter(cleared, dtype=np.intp, count=len(cleared))] = False
         facets = self.face_rows.facet_positions(d + 1)
         cols = facets.ravel()
@@ -335,7 +437,7 @@ class SimplicialComplex:
         fn = label_fn if label_fn is not None else (lambda x: x)
         return {
             "vertices": [fn(l) for l in self.vertices],
-            "facets": [row for row, _ in self._facet_rows()],
+            "facets": list(self._facet_rows()),
         }
 
     @classmethod

@@ -24,7 +24,7 @@ MAX_GROUND_SET = 64
 class Partition:
     """A set partition of {1..m} in canonical block form."""
 
-    __slots__ = ("m", "blocks", "_masks", "_hash")
+    __slots__ = ("m", "blocks", "_masks", "_hash", "_nonsingleton")
 
     def __init__(self, m: int, blocks):
         _check_ground_set(m)
@@ -42,8 +42,24 @@ class Partition:
             raise ValueError(f"blocks do not partition 1..{m}")
         self.m = m
         self.blocks = canon
-        self._masks = tuple(_mask(b) for b in canon)
+        self._masks = tuple(map(_mask, canon))
         self._hash = hash((m, canon))
+        self._nonsingleton = tuple(b for b in canon if len(b) > 1)
+
+    @classmethod
+    def _canonical(cls, m: int, blocks, masks, nonsingleton) -> "Partition":
+        """The partition with ``blocks``, already canonical (each block
+        ascending, blocks by least element) and a partition of 1..m, given
+        with their bitmasks ``masks`` and the ``nonsingleton`` blocks among
+        them: trusted, not checked.  For the bulk builders, which check
+        their input once for all of their labels."""
+        self = cls.__new__(cls)
+        self.m = m
+        self.blocks = blocks
+        self._masks = masks
+        self._hash = hash((m, blocks))
+        self._nonsingleton = nonsingleton
+        return self
 
     # construction helpers ------------------------------------------------
 
@@ -79,7 +95,7 @@ class Partition:
         return self.m - len(self.blocks)
 
     def nonsingleton_blocks(self):
-        return tuple(b for b in self.blocks if len(b) > 1)
+        return self._nonsingleton
 
     def is_mod_k(self, k: int) -> bool:
         return all((len(b) - 1) % k == 0 for b in self.blocks)
@@ -286,7 +302,9 @@ def enumerate_partitions(m: int, k: int, max_elements: int = 100_000) -> Partiti
     The order comes in closed form (:func:`_kernels.coarsening_pairs`): the
     elements above x are Π^(k)_b read over the b blocks of x, and the height
     of x is (m - b) / k.  The element count is checked against
-    ``max_elements`` before any enumeration happens.
+    ``max_elements`` before any enumeration happens.  The labels are built
+    in bulk from the restricted growth strings, which are checked once for
+    all of them (:func:`_labels_of_rgs`).
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive")
@@ -298,21 +316,68 @@ def enumerate_partitions(m: int, k: int, max_elements: int = 100_000) -> Partiti
             f"poset would have {count} elements (cap {max_elements})"
         )
     rgs = kernels.rgs_filtered(m, k)
-    parts = [Partition.from_rgs(row) for row in rgs]
-    order = sorted(range(len(parts)), key=lambda i: parts[i].sort_key())
+    labels, order = _labels_of_rgs(rgs, k)
     canonical = np.empty(len(order), dtype=np.intp)  # rgs row -> element index
     canonical[order] = np.arange(len(order))
     below, above = kernels.coarsening_pairs(rgs, k)
-    labels = [parts[i] for i in order]
     blocks = rgs[order].max(axis=1).astype(np.int64) + 1
-    min_index = labels.index(Partition.zero(m))
-    one = Partition.one(m)
-    max_index = labels.index(one) if (m - 1) % k == 0 or m == 1 else None
+    # the canonical order is by rank first: 0̂ is the only element of rank
+    # 0 and 1̂, when its block size is ≡ 1 (mod k), the only one of rank m-1
     poset = Poset.from_pairs(
-        labels, canonical[below], canonical[above], min_index=min_index, max_index=max_index,
-        heights=(m - blocks) // k,
+        labels, canonical[below], canonical[above], min_index=0,
+        max_index=len(labels) - 1 if (m - 1) % k == 0 else None, heights=(m - blocks) // k,
     )
     return PartitionPoset(m, k, poset)
+
+
+def _labels_of_rgs(rgs, k):
+    """The partitions of the rows of ``rgs``, an (N, m) integer array of
+    restricted growth strings with block sizes ≡ 1 (mod k), in canonical
+    order (by :meth:`Partition.sort_key`), and the row of ``rgs`` each came
+    from.
+
+    The rows are checked once, in bulk, and raise ``ValueError`` unless
+    each starts at 0, grows by at most one past its running maximum and
+    has every block size ≡ 1 (mod k); each label is then built by the
+    trusted :meth:`Partition._canonical`.  Block c of a row is the
+    positions holding c, so a stable argsort of the row lists the blocks in
+    order, each ascending, and the blocks are in canonical order.  The
+    sort key compares as the row of those elements with a 0 after each
+    block: a block that is a prefix of another is followed by the 0 that
+    sorts first, as a shorter tuple does."""
+    a = np.asarray(rgs, dtype=np.intp)
+    n, m = a.shape
+    top = np.maximum.accumulate(a, axis=1)
+    if (a[:, 0] != 0).any() or (a[:, 1:] > top[:, :-1] + 1).any() or (a < 0).any():
+        raise ValueError("a row is not a restricted growth string")
+    counts = np.bincount((np.arange(n)[:, None] * m + a).ravel(), minlength=n * m).reshape(n, m)
+    nblocks = top[:, -1] + 1
+    exists = np.arange(m) < nblocks[:, None]
+    if ((counts[exists] - 1) % k).any():
+        raise ValueError(f"a block size is not 1 (mod {k})")
+    grouped = a.argsort(axis=1, kind="stable")
+    key = np.zeros((n, 2 * m), dtype=np.int8)
+    key[np.arange(n)[:, None], np.arange(m) + np.take_along_axis(a, grouped, axis=1)] = grouped + 1
+    order = np.lexsort((*key[:, ::-1].T, m - nblocks))
+    # the mask of every block, rows in canonical order, from the positions
+    # where each block starts among the grouped elements
+    starts = (np.cumsum(counts, axis=1) - counts)[order] + np.arange(n)[:, None] * m
+    bits = np.left_shift(np.uint64(1), grouped[order].astype(np.uint64))
+    counts = counts[order]
+    masks = np.bitwise_or.reduceat(bits.ravel(), starts[exists[order]])
+    block = {x: tuple(i + 1 for i in range(m) if x >> i & 1) for x in set(masks.tolist())}.__getitem__
+    wide = masks[counts[exists[order]] > 1].tolist()
+    masks = masks.tolist()
+    ends = np.cumsum(nblocks[order]).tolist()
+    wide_ends = np.cumsum((counts > 1).sum(axis=1)).tolist()
+    canonical = Partition._canonical
+    labels = []
+    start = wide_start = 0
+    for end, wide_end in zip(ends, wide_ends):
+        ms = tuple(masks[start:end])
+        labels.append(canonical(m, tuple(map(block, ms)), ms, tuple(map(block, wide[wide_start:wide_end]))))
+        start, wide_start = end, wide_end
+    return labels, order
 
 
 def join_all(parts) -> Partition:
@@ -340,9 +405,21 @@ def g_set_count(m: int, k: int) -> int:
 def g_set(m: int, k: int) -> list:
     """Members of the minimal building set whose rank is divisible by k,
     i.e. whose non-singleton block has size ≡ 1 (mod k), canonically sorted.
-    Only blocks of those sizes are built."""
-    universe = range(1, m + 1)
-    out = [Partition.atom(m, c) for s in range(1 + k, m + 1, k) for c in combinations(universe, s)]
+    Only blocks of those sizes are built, each as its canonical blocks (the
+    singletons below its least element, the block, the other singletons)
+    by the trusted :meth:`Partition._canonical`."""
+    sizes = range(1 + k, m + 1, k)
+    if sizes:
+        _check_ground_set(m)
+    singles = [((i,), 1 << (i - 1)) for i in range(1, m + 1)]
+    canonical = Partition._canonical
+    out = []
+    for s in sizes:
+        for block in combinations(range(1, m + 1), s):
+            mask = _mask(block)
+            rest = [b for b in singles[block[0] :] if not b[1] & mask]
+            blocks, masks = zip(*singles[: block[0] - 1], (block, mask), *rest)
+            out.append(canonical(m, blocks, masks, (block,)))
     return sorted(out, key=Partition.sort_key)
 
 

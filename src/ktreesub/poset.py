@@ -67,6 +67,55 @@ def _gather(indptr, indices, rows):
     return owner, indices[np.repeat(starts, counts) + offset]
 
 
+def _chains(indptr, indices, max_faces=None):
+    """The nonempty chains of a strict order on 0 .. n-1 whose up-sets (the
+    CSR arrays ``indptr``, ``indices``, each row ascending) hold only larger
+    numbers, as one array of rows per length, each row ascending and each
+    array in lexicographic order.
+
+    A chain of length s+1 is a chain of length s extended by an element
+    above its last one (:func:`_extend`).  The extensions of each chain
+    come in ascending order, after those of the chains before it, so every
+    length is in lexicographic order when the one before is.  The number of
+    chains of the next length is the sum of the up-degrees of the last
+    elements: past ``max_faces`` chains in all, ``ResourceLimit`` is raised
+    before that length is made."""
+    degree = np.diff(indptr).astype(np.intp)
+    level = np.arange(len(degree), dtype=indices.dtype).reshape(-1, 1)
+    rows, total = [], 0
+    while len(level):
+        rows.append(level)
+        counts = degree[level[:, -1]]
+        total += len(level)
+        if max_faces is not None and total + counts.sum() > max_faces:
+            raise ResourceLimit(f"order complex exceeds {max_faces} faces")
+        level = _extend(level, counts, indptr, indices)
+    return rows
+
+
+def _extend(level, counts, indptr, indices):
+    """The chains of ``level`` (rows) each extended by each element of the
+    up-set of its last one, in row order, ``counts`` the up-degrees of the
+    last elements; made in parts of about ``_CHUNK`` entries."""
+    ends = np.cumsum(counts)
+    width = level.shape[1] + 1
+    out = np.empty((int(ends[-1]), width), dtype=level.dtype)
+    step = max(1, _CHUNK // width)
+    lo = 0
+    while lo < len(level) and len(out):
+        # parents lo .. hi-1, whose chains start at row `at`
+        at = int(ends[lo] - counts[lo])
+        hi = max(lo + 1, int(np.searchsorted(ends, at + step, side="right")))
+        owner, above = _gather(indptr, indices, level[lo:hi, -1])
+        out[at : at + len(owner), :-1] = level[lo:hi][owner]
+        out[at : at + len(owner), -1] = above
+        lo = hi
+    return out
+
+
+_CHUNK = 1 << 20  # entries of the chain rows made per part
+
+
 class Poset:
     """Finite poset with sparse order queries.
 
@@ -297,36 +346,38 @@ class Poset:
 
     def order_complex(self, max_faces=None):
         """Order complex of the proper part: vertices are the non-designated
-        elements, faces are the nonempty chains."""
-        from .complexes import SimplicialComplex
+        elements, faces are the nonempty chains.
 
-        proper = self.proper_indices()
-        vpos = {g: p for p, g in enumerate(proper)}
-        h = self.heights().tolist()
-        by_height = sorted(proper, key=lambda i: (h[i], i))
-        rank = dict(zip(by_height, range(len(by_height))))
-        above = {v: sorted((w for w in self.up(v) if w in rank), key=rank.__getitem__) for v in by_height}
-        faces = []
-        limit = max_faces
+        The chains are made one length at a time, as rows of vertex
+        positions (:func:`_chains`), with the vertices numbered by height,
+        ties by position: a chain extended upward then has increasing
+        numbers.  When that numbering is the vertices' own, as in a
+        partition poset, whose elements are in rank order, the rows come
+        out in the order of :class:`~ktreesub.complexes.FaceRows`; otherwise
+        each length is renumbered and sorted.  A complex past ``max_faces``
+        faces is refused before the length that passes it is made."""
+        from .complexes import _ROW, SimplicialComplex
 
-        def record(chain):
-            faces.append(chain)
-            if limit is not None and len(faces) > limit:
-                raise ResourceLimit(f"order complex exceeds {limit} faces")
-
-        # extending only upward enumerates every chain exactly once, since
-        # comparable elements have strictly increasing heights
-        def grow(chain):
-            for nxt in above[chain[-1]]:
-                new = chain + (nxt,)
-                record(new)
-                grow(new)
-
-        for v in by_height:
-            record((v,))
-            grow((v,))
-        labels = [self.labels[i] for i in proper]
-        return SimplicialComplex(labels, [frozenset(vpos[i] for i in f) for f in faces])
+        proper = np.asarray(self.proper_indices(), dtype=np.intp)
+        nv = len(proper)
+        # vertex numbers by height, ties by position, and back
+        by_height = np.lexsort((np.arange(nv), self.heights()[proper]))
+        number = np.empty(nv, dtype=np.intp)
+        number[by_height] = np.arange(nv)
+        where = np.full(self.n, -1, dtype=np.intp)
+        where[proper] = number
+        owner, above = _gather(self.up_indptr, self.up_indices, proper)
+        above = where[above]
+        keep = above >= 0
+        indptr, indices = _csr(number[owner[keep]], above[keep], nv)
+        rows = _chains(indptr, indices.astype(_ROW), max_faces)
+        if (by_height != np.arange(nv)).any():
+            for d, level in enumerate(rows):
+                level = by_height[level].astype(_ROW)
+                level.sort(axis=1)
+                rows[d] = level[np.lexsort(level.T[::-1])]
+        labels = [self.labels[i] for i in proper.tolist()]
+        return SimplicialComplex.from_rows(labels, rows)
 
     # ------------------------------------------------------------------
     # linear extensions

@@ -427,15 +427,28 @@ def global_carrier_map(k: int, n: int, max_poset_elements=100_000, max_faces=MAX
 def carrier_map_from_parts(pk: PartitionPoset, p: SimplicialComplex, q: SimplicialComplex) -> CarrierMap:
     """The carrier map from the order complex ``p`` of ``pk`` onto ``q``.
 
-    Each source vertex's factors are looked up in ``q`` once: they are its
-    carrier face, and it sits at their barycenter.  φ of a chain is the
-    union of its vertices' carrier faces, computed when read
-    (:class:`CarrierPhi`)."""
+    The factors of a source vertex x in ``pk`` are the single-block
+    partitions of its blocks of more than one element
+    (:meth:`PartitionPoset.factors`), so its carrier face is read off those
+    blocks: the target vertices with them as their block, in the order of
+    their labels' sort key, with no partition hashed.  x sits at their
+    barycenter.  φ of a chain is the union of its vertices' carrier faces,
+    computed when read (:class:`CarrierPhi`)."""
+    by_key = sorted(range(len(q.vertices)), key=lambda j: q.vertices[j].sort_key())
+    place = dict(zip(by_key, range(len(by_key)))).__getitem__
+    of_block = {}
+    for j in by_key:
+        blocks = q.vertices[j].nonsingleton_blocks()
+        if len(blocks) == 1:
+            of_block[blocks[0]] = j
+    weight = {}
     f0 = {}
     for v, x in enumerate(p.vertices):
-        factors = sorted(pk.factors(x), key=Partition.sort_key)
-        w = Fraction(1, len(factors))
-        f0[v] = {q.vertex_index(g): w for g in factors}
+        carrier = sorted(map(of_block.__getitem__, x.nonsingleton_blocks()), key=place)
+        w = weight.get(len(carrier))
+        if w is None:
+            w = weight[len(carrier)] = Fraction(1, len(carrier))
+        f0[v] = dict.fromkeys(carrier, w)
     phi = CarrierPhi(p, tuple(map(frozenset, f0.values())))
     return CarrierMap(p_complex=p, q_complex=q, phi=phi, f0=f0)
 

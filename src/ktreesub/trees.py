@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import MAX_FACES, FaceNotPresent, NotNested, ResourceLimit
-from .complexes import SimplicialComplex
+from .complexes import _ROW, SimplicialComplex
 from .partitions import Partition, PartitionPoset, g_set, g_set_count
 
 
@@ -210,42 +210,105 @@ def enumerate_ktree_complex(n: int, k: int, max_faces: int = MAX_FACES) -> Simpl
     Faces are generated as the cliques of the graph of blocks that are
     pairwise disjoint or nested, which coincides with the
     minimal-upper-bound condition (the content of the structural lemma on
-    G, checked exhaustively in the test suite).  A face grows by the
-    vertices of its candidate bitset, which it intersects with each new
-    vertex's bitset of later compatible vertices.  Every vertex is a face,
-    so a vertex count past ``max_faces`` is refused before any partition is
-    built."""
+    G, checked exhaustively in the test suite), as rows, one size at a
+    time (:func:`_cliques`).  Every vertex is a face, so a vertex count past
+    ``max_faces`` is refused before any partition is built, and each size
+    is counted before it is made."""
     if n < 3 or k < 1:
         raise ValueError("need n >= 3 and k >= 1")
     m = (n - 1) * k + 1
     if g_set_count(m, k) - 1 > max_faces:
         raise ResourceLimit(f"k-tree complex exceeds {max_faces} faces")
-    verts = [x for x in g_set(m, k) if x != Partition.one(m)]
+    one = Partition.one(m)
+    verts = [x for x in g_set(m, k) if x != one]
+    return SimplicialComplex.from_rows(verts, _cliques(_later_compatible(verts), max_faces))
+
+
+def _later_compatible(verts):
+    """Packed bitsets, one row of little-endian uint64 words per vertex: bit
+    j of row i is set iff j > i and the blocks of vertices i and j are
+    disjoint or nested.  Built one row at a time, never as an nv x nv
+    matrix of bytes."""
     masks = np.array([_mask_of(x) for x in verts], dtype=np.uint64)
-    # later[i]: bit j set iff j > i and blocks i and j are disjoint or
-    # nested; built one row at a time, never as an nv x nv matrix
-    later = []
+    nv = len(masks)
+    words = max(1, -(-nv // 64))
+    later = np.zeros((nv, 8 * words), dtype=np.uint8)
+    row = np.zeros(64 * words, dtype=bool)
     for i, a in enumerate(masks):
         rest = masks[i + 1 :]
         inter = rest & a
-        row = (inter == 0) | (inter == a) | (inter == rest)
-        bits = np.packbits(row, bitorder="little").tobytes()
-        later.append(int.from_bytes(bits, "little") << (i + 1))
-    faces = []
+        row[i] = False
+        row[i + 1 : nv] = (inter == 0) | (inter == a) | (inter == rest)
+        later[i] = np.packbits(row, bitorder="little")
+    return later.view("<u8")
 
-    def grow(face, cand):
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            j = low.bit_length() - 1
-            new = face + (j,)
-            faces.append(frozenset(new))
-            if len(faces) > max_faces:
-                raise ResourceLimit(f"k-tree complex exceeds {max_faces} faces")
-            grow(new, cand & later[j])
 
-    grow((), (1 << len(verts)) - 1)
-    return SimplicialComplex(verts, faces)
+def _cliques(later, max_faces):
+    """The cliques of the graph whose later neighbours are the packed
+    bitsets ``later`` (see :func:`_later_compatible`), as one array of rows
+    per size, each row ascending and each array in lexicographic order.
+
+    A face's candidates are the later vertices compatible with all its
+    members: those of a vertex are its row of ``later``, and those of a
+    face grown by j are the face's candidates AND ``later[j]``.  A face grows
+    by each of its candidates in ascending order, after the faces before
+    it, so each size is in lexicographic order when the one before is.
+    Only faces with a candidate are kept for growing.  The number of faces
+    of the next size is the popcount of the candidates, read before the
+    size is made: past ``max_faces`` faces in all, ``ResourceLimit`` is
+    raised then."""
+    level = np.arange(len(later), dtype=_ROW).reshape(-1, 1)
+    parents, cand = _growing(np.arange(len(later)), later)
+    rows, total = [], 0
+    while len(level):
+        rows.append(level)
+        counts = _POPCOUNT[cand.view(np.uint8)].sum(axis=1, dtype=np.intp)
+        total += len(level)
+        if total + counts.sum() > max_faces:
+            raise ResourceLimit(f"k-tree complex exceeds {max_faces} faces")
+        level, parents, cand = _grow(level, parents, cand, counts, later)
+    return rows
+
+
+def _growing(at, cand):
+    """The faces at positions ``at`` with a candidate left, and their
+    candidates."""
+    keep = cand.any(axis=1)
+    return at[keep], cand[keep]
+
+
+def _grow(level, parents, cand, counts, later):
+    """The faces of the next size: each of the faces ``level[parents]``,
+    with candidates ``cand`` (``counts`` of them each), grown by each
+    candidate in turn; with the positions among them of those that can
+    grow again, and their candidates.  Made in parts of about ``_CHUNK``
+    bits or faces."""
+    ends = np.cumsum(counts)
+    width = level.shape[1] + 1
+    out = np.empty((int(ends[-1]) if len(ends) else 0, width), dtype=_ROW)
+    step = max(1, _CHUNK // max(width, cand.shape[1]))  # faces made
+    span = max(1, _CHUNK // (64 * cand.shape[1]))  # faces whose bits are expanded
+    grow_at, grow_cand = [], []
+    lo = 0
+    while lo < len(parents):
+        # faces lo .. hi-1, whose new faces start at row `at`
+        at = int(ends[lo] - counts[lo])
+        hi = max(lo + 1, min(lo + span, int(np.searchsorted(ends, at + step, side="right"))))
+        bits = np.unpackbits(cand[lo:hi].view(np.uint8), axis=1, bitorder="little")
+        owner, j = np.nonzero(bits)
+        out[at : at + len(j), :-1] = level[parents[lo:hi][owner]]
+        out[at : at + len(j), -1] = j
+        more, more_cand = _growing(np.arange(at, at + len(j)), cand[lo:hi][owner] & later[j])
+        grow_at.append(more)
+        grow_cand.append(more_cand)
+        lo = hi
+    if not grow_at:
+        return out, np.zeros(0, dtype=np.intp), cand[:0]
+    return out, np.concatenate(grow_at), np.concatenate(grow_cand)
+
+
+_CHUNK = 1 << 20  # bits expanded, or faces made, per part
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits of each byte
 
 
 def _mask_of(x: Partition) -> int:

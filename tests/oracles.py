@@ -527,6 +527,72 @@ def ktree_faces_oracle(n, k, max_faces=200_000):
     return verts, faces
 
 
+def ktree_bitset_oracle(n, k, max_faces=200_000):
+    """T^k_n as the recursive clique walk over Python-integer bitsets that
+    the library used before it grew the faces as rows: each face grows by
+    the lowest of its candidates, intersected with that vertex's later
+    compatible vertices.  A complex built from the frozenset faces."""
+    from ktreesub import Partition, ResourceLimit, SimplicialComplex, g_set
+
+    m = (n - 1) * k + 1
+    verts = [x for x in g_set(m, k) if x != Partition.one(m)]
+    masks = [sum(1 << (v - 1) for v in x.nonsingleton_blocks()[0]) for x in verts]
+    later = []
+    for i, a in enumerate(masks):
+        bits = 0
+        for j in range(i + 1, len(masks)):
+            b = masks[j]
+            if a & b in (0, a, b):
+                bits |= 1 << j
+        later.append(bits)
+    faces = []
+
+    def grow(face, cand):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            j = low.bit_length() - 1
+            new = face + (j,)
+            faces.append(frozenset(new))
+            if len(faces) > max_faces:
+                raise ResourceLimit(f"k-tree complex exceeds {max_faces} faces")
+            grow(new, cand & later[j])
+
+    grow((), (1 << len(verts)) - 1)
+    return SimplicialComplex(verts, faces)
+
+
+def order_complex_oracle(poset, max_faces=None):
+    """The order complex of the proper part of ``poset`` by the recursive
+    upward chain walk that the library used before it made the chains as
+    rows: every chain is extended by each element above its top, in height
+    order.  A complex built from the frozenset faces."""
+    from ktreesub import ResourceLimit, SimplicialComplex
+
+    proper = poset.proper_indices()
+    vpos = {g: p for p, g in enumerate(proper)}
+    h = poset.heights().tolist()
+    by_height = sorted(proper, key=lambda i: (h[i], i))
+    above = {v: sorted((w for w in poset.up(v) if w in vpos), key=lambda w: (h[w], w)) for v in by_height}
+    faces = []
+
+    def record(chain):
+        faces.append(chain)
+        if max_faces is not None and len(faces) > max_faces:
+            raise ResourceLimit(f"order complex exceeds {max_faces} faces")
+
+    def grow(chain):
+        for nxt in above[chain[-1]]:
+            new = chain + (nxt,)
+            record(new)
+            grow(new)
+
+    for v in by_height:
+        record((v,))
+        grow((v,))
+    return SimplicialComplex([poset.labels[i] for i in proper], [frozenset(vpos[i] for i in f) for f in faces])
+
+
 def carrier_phi_oracle(pk, p, q):
     """The carrier map's φ and f0 face by face: each chain maps to the target
     face of the union of its members' factors, each vertex to the barycenter

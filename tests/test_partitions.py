@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,8 @@ from ktreesub import (
     g_set,
     parse_partition,
 )
-from ktreesub.partitions import g_set_count
+from ktreesub import _kernels, partitions
+from ktreesub.partitions import _labels_of_rgs, g_set_count
 from oracles import (
     brute_modk_partitions,
     brute_set_partitions,
@@ -22,7 +24,17 @@ from oracles import (
     g_set_oracle,
     join_oracle,
     refinement_oracle,
+    rgs_filter_oracle,
 )
+
+
+def _checked(x):
+    """``x`` rebuilt by the validating constructor, with every slot it
+    sets compared to ``x``'s."""
+    y = Partition(x.m, x.blocks)
+    assert (y.m, y.blocks, y._masks, hash(y), y.nonsingleton_blocks()) == (
+        x.m, x.blocks, x._masks, hash(x), tuple(b for b in x.blocks if len(b) > 1))
+    return y
 
 
 def test_canonical_form():
@@ -148,6 +160,52 @@ def test_g_set_matches_filter_oracle_and_closed_form_count():
             gs = g_set(m, k)
             assert gs == g_set_oracle(m, k)
             assert g_set_count(m, k) == len(gs)
+
+
+@pytest.mark.parametrize("mk", [(1, 1), (2, 1), (3, 1), (5, 1), (7, 1), (5, 2), (7, 2), (9, 2), (7, 3), (10, 3), (9, 4)])
+def test_bulk_labels_match_validated_partitions(mk):
+    # the labels built in bulk from the restricted growth strings hold what
+    # the validating constructor makes, in the order of the sort key
+    m, k = mk
+    rgs = rgs_filter_oracle(m, k)
+    labels, order = _labels_of_rgs(rgs, k)
+    assert [_checked(x) for x in labels] == sorted((Partition.from_rgs(r) for r in rgs), key=Partition.sort_key)
+    assert [x.blocks for x in labels] == [Partition.from_rgs(r).blocks for r in rgs[order]]
+    assert enumerate_partitions(m, k).poset.labels == labels
+
+
+def test_g_set_labels_match_validated_partitions():
+    for m, k in [(1, 1), (4, 1), (6, 1), (7, 2), (9, 2), (10, 3), (13, 4)]:
+        assert [_checked(x) for x in g_set(m, k)] == g_set_oracle(m, k)
+
+
+def test_nonsingleton_blocks_are_kept():
+    for x in [parse_partition("(12)3(45)", 5), *g_set(5, 2), *enumerate_partitions(5, 1).poset.labels]:
+        assert x.nonsingleton_blocks() is x.nonsingleton_blocks()
+        assert x.nonsingleton_blocks() == tuple(b for b in x.blocks if len(b) > 1)
+
+
+@pytest.mark.parametrize(
+    "row,k,message",
+    [
+        ([1, 0, 0], 1, "restricted growth"),  # does not start at 0
+        ([0, 2, 1], 1, "restricted growth"),  # skips a block
+        ([0, 0, -1], 1, "restricted growth"),  # a negative block
+        ([0, 1, 1], 2, "block size"),  # a block of two elements
+        ([0, 0, 0], 3, "block size"),  # a block of three, k = 3
+    ],
+)
+def test_corrupted_rgs_row_is_refused(monkeypatch, row, k, message):
+    # one corrupted row among good ones, not the first: checked in bulk,
+    # before any label is built
+    good = rgs_filter_oracle(3, k)
+    rgs = np.concatenate([good, np.array([row], dtype=good.dtype), good[:1]])
+    with pytest.raises(ValueError, match=message):
+        _labels_of_rgs(rgs, k)
+    monkeypatch.setattr(_kernels, "rgs_filtered", lambda m, k: rgs)
+    monkeypatch.setattr(partitions, "Partition", None)  # no label is built
+    with pytest.raises(ValueError, match=message):
+        enumerate_partitions(3, k)
 
 
 def test_factors_I_examples():

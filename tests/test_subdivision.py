@@ -1183,6 +1183,22 @@ def test_carrier_map_matches_per_face_oracle(kn):
     assert list(cm.f0.items()) == list(f0.items())
 
 
+def test_carrier_map_orders_carriers_by_label_over_any_vertex_order():
+    # the target's vertices listed against their sort key: each carrier is
+    # still in the order of its labels, as the oracle lists the factors
+    cm, pk = global_carrier_map(1, 5)
+    q = cm.q_complex
+    order = sorted(range(len(q.vertices)), key=lambda v: (len(q.vertices[v].nonsingleton_blocks()[0]), -v))
+    moved = SimplicialComplex([q.vertices[v] for v in order], [frozenset(map(order.index, f)) for f in q.faces])
+    got = carrier_map_from_parts(pk, cm.p_complex, moved)
+    phi, f0 = carrier_phi_oracle(pk, cm.p_complex, moved)
+    def listed(f0):
+        return [(v, list(coords.items())) for v, coords in f0.items()]
+
+    assert listed(got.f0) == listed(f0) != [(v, sorted(c.items())) for v, c in got.f0.items()]
+    assert list(got.phi.items()) == list(phi.items())
+
+
 def test_verify_reads_no_image_per_chain(monkeypatch):
     # φ is stored as the vertex carriers: the φ table computes every image
     # from them, so a passing verify looks up no chain's image and keeps no
