@@ -105,7 +105,7 @@ def run_child(k: int, n: int, max_poset_elements: int, max_faces: int):
         "event": "counts",
         "poset_elements": pk.poset.n,
         "order": order_size(pk.poset),
-        "faces": {"delta": len(delta.faces), "target": len(q.faces)},
+        "faces": {"delta": sum(delta.f_vector()), "target": sum(q.f_vector())},
         "checks": {
             "stellar_sequence": bool(stellar),
             "carrier_map": bool(carrier),

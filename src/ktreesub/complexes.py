@@ -3,12 +3,17 @@ subdivision, reduced integer homology via Smith normal form, and
 label-level group actions.
 
 A complex stores its faces as :class:`FaceRows`: per dimension d, one
-lexicographically sorted big-endian int32 array of vertex-index rows, whose
-bytes are search keys.  Downward closure, facets, equality and the
-coboundary columns are binary searches on these keys.  A complex built
-from rows (:meth:`SimplicialComplex.from_rows`, as the order complex and
-the k-tree complex are) has no frozenset per face until its ``faces`` view
-is read; the stellar replay and the carrier check still read it."""
+lexicographically sorted int32 array of vertex-index rows.  A face is found
+by binary search on one search key per row: the row packed into an int64
+by mixed radix where it fits, its big-endian bytes where it does not.
+Downward closure, facets, equality and the coboundary columns are such
+searches.  A complex built from rows (:meth:`SimplicialComplex.from_rows`,
+as the order complex, the k-tree complex and every stellar subdivision
+are) has no frozenset per face until its ``faces`` view is read.  The
+stellar replay (:class:`MutableComplex`) keeps the rows of its initial
+complex with the sets of faces its steps removed and added, and reads the
+faces through a vertex, from that complex's view, when a step first
+touches the vertex."""
 
 from __future__ import annotations
 
@@ -29,14 +34,15 @@ class FaceRows:
 
     ``rows[d]`` has shape (n_d, d+1): the faces of d+1 vertices, each as its
     vertex indices in increasing order, big-endian int32, with the rows in
-    lexicographic order.  A row's bytes are then a key whose byte order is
-    the rows' order, so a face is found by binary search on the keys (as in
-    :func:`~ktreesub._kernels.coarsening_pairs`).  A face's *position* is
-    its place in the concatenation of the rows: by size, then
+    lexicographic order.  A face is found by binary search on the rows'
+    search keys (:func:`_search_keys`, in one radix for all dimensions),
+    made per dimension on the first search and kept.  A face's *position*
+    is its place in the concatenation of the rows: by size, then
     lexicographically; ``offsets[d]`` is the position of the first face of
     dimension d.  ``faces[d]`` lists the faces of dimension d as frozensets
     of vertex indices, in row order: the objects given to the constructor,
-    or, for :meth:`from_rows`, a view built from the rows on first read.
+    or, for :meth:`from_rows`, a view built from the rows on first read and
+    kept.
 
     The faces must be nonempty sets of integers in 0 .. 2**31 - 1.  The
     family need not be downward closed, and a size below the largest may
@@ -52,7 +58,9 @@ class FaceRows:
             group = groups.get(size, [])
             level = np.fromiter(chain.from_iterable(group), dtype=_ROW, count=size * len(group)).reshape(-1, size)
             level.sort(axis=1)
-            order = _keys(level).argsort()
+            # stable sorts here and below: the default one maps in its
+            # vector kernels, about 0.4 MB of resident memory on first use
+            order = _search_keys(level, _radix_bits([level]))[0].argsort(kind="stable")
             rows.append(level[order])
             self._faces.append(list(map(group.__getitem__, order.tolist())))
         self._set_rows(rows)
@@ -68,61 +76,129 @@ class FaceRows:
         rows = [_as_rows(level, d) for d, level in enumerate(rows)]
         while rows and not len(rows[-1]):
             rows.pop()
-        if not all(map(_strictly_increasing, rows)):
-            raise ValueError("face rows are not strictly increasing")
         self = cls.__new__(cls)
         self._set_rows(rows)
         self._faces = None
+        if not all(map(self._strictly_increasing, range(len(rows)))):
+            raise ValueError("face rows are not strictly increasing")
         return self
 
     def _set_rows(self, rows):
         self.rows = rows
         self.offsets = [0, *np.cumsum([len(level) for level in rows], dtype=np.int64).tolist()]
+        self._key_levels = None  # per dimension: its search keys and whether packed, once made
+
+    def _keys_of(self, d):
+        """The search keys of dimension d and whether they are packed, in
+        the radix of ``_bits`` bits."""
+        if self._key_levels is None:
+            self._bits = _radix_bits(self.rows)
+            self._key_levels = [None] * len(self.rows)
+        if self._key_levels[d] is None:
+            self._key_levels[d] = _search_keys(self.rows[d], self._bits)
+        return self._key_levels[d]
 
     @property
     def faces(self):
         if self._faces is None:
-            # from the columns as lists, zipped: no list per row (that many
-            # new containers set off collections over every live object)
-            self._faces = [list(map(frozenset, zip(*level.T.tolist()))) for level in self.rows]
+            self._faces = list(map(_frozensets, self.rows))
         return self._faces
+
+    def faces_at(self, positions):
+        """The faces at ``positions`` (an integer array), as frozensets of
+        vertex indices, in that order: the objects of :attr:`faces` when
+        that view is built, else new ones, made one dimension at a time and
+        not kept."""
+        positions = np.asarray(positions, dtype=np.intp)
+        if not len(positions):
+            return []
+        dims = np.searchsorted(self.offsets, positions, side="right") - 1
+        out = np.empty(len(positions), dtype=object)
+        for d in range(dims.min(), dims.max() + 1):
+            at = dims == d
+            local = positions[at] - self.offsets[d]
+            if self._faces is None:
+                out[at] = _frozensets(self.rows[d][local])
+            else:
+                out[at] = list(map(self._faces[d].__getitem__, local.tolist()))
+        return out.tolist()
+
+    def _strictly_increasing(self, d) -> bool:
+        """Whether every row of dimension d increases strictly, and the rows
+        do, lexicographically: as their packed keys do where they are
+        packed, else column by column, among the pairs of consecutive rows
+        equal so far."""
+        rows = self.rows[d]
+        if (rows[:, 1:] <= rows[:, :-1]).any():
+            return False
+        keys, packed = self._keys_of(d)
+        if packed:
+            return bool((keys[1:] > keys[:-1]).all())
+        tied = np.ones(max(len(rows) - 1, 0), dtype=bool)
+        for column in rows.T:
+            if (tied & (column[1:] < column[:-1])).any():
+                return False
+            tied &= column[1:] == column[:-1]
+        return not tied.any()
 
     def find(self, d, rows):
         """Position within dimension ``d`` of each row of ``rows`` (vertex
         indices in increasing order, d+1 columns); -1 for a row that is no
         face."""
-        keys = _keys(self.rows[d]) if d < len(self.rows) else ()
-        if not len(keys):
+        rows = np.asarray(rows)
+        if d >= len(self.rows) or not len(self.rows[d]) or not len(rows):
             return np.full(len(rows), -1, dtype=np.intp)
-        query = _keys(rows)
-        at = np.minimum(keys.searchsorted(query), len(keys) - 1)
-        return np.where(keys[at] == query, at, -1)
+        keys, packed = self._keys_of(d)
+        lo, hi = (0, (1 << self._bits) - 1) if packed else (-(1 << 31), (1 << 31) - 1)
+        valid = True
+        if rows.min() < lo or rows.max() > hi:
+            # a row with an entry past the keys' range is no face: zeroed, it is searched for nothing
+            valid = ((rows >= lo) & (rows <= hi)).all(axis=1)
+            rows = np.where(valid[:, None], rows, 0)
+        return _search(keys, _packed(rows, self._bits) if packed else _keys(rows), valid)
 
     def positions(self, faces):
-        """The position of each of ``faces``, which must all be faces of the
-        family."""
-        out = np.empty(len(faces), dtype=np.intp)
+        """The position of each of ``faces`` (a list of sets of vertex
+        indices), -1 for one that is no face of the family."""
+        out = np.full(len(faces), -1, dtype=np.intp)
         sizes = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
-        for size in set(sizes.tolist()):
+        for size in set(sizes.tolist()) & set(range(1, len(self.rows) + 1)):
             at = np.flatnonzero(sizes == size)
-            rows = np.array([sorted(faces[i]) for i in at.tolist()]).reshape(-1, size)
-            out[at] = self.find(size - 1, rows) + self.offsets[size - 1]
+            rows = np.fromiter(chain.from_iterable(map(faces.__getitem__, at.tolist())), dtype=np.int64,
+                               count=size * len(at)).reshape(-1, size)
+            rows.sort(axis=1, kind="stable")
+            found = self.find(size - 1, rows)
+            out[at] = np.where(found < 0, -1, found + self.offsets[size - 1])
         return out
 
     def facet_positions(self, d):
         """(n_d, d+1) array: entry (i, t) is the position within dimension
         d-1 of the i-th face of dimension d without its t-th vertex, -1 when
         that is no face."""
-        rows = self.rows[d]
-        return np.stack([self.find(d - 1, np.delete(rows, t, axis=1)) for t in range(d + 1)], axis=1)
+        return np.stack(list(self._facet_columns(d, 0, None)), axis=1)
+
+    def _facet_columns(self, d, lo, hi):
+        """For t = 0 .. d, the positions within dimension d-1 of the faces of
+        dimension d at places ``lo`` to ``hi`` without their t-th vertex, -1
+        where that is no face.  Where dimension d's keys are packed, so are
+        those of d-1, which has one column less, and a facet's key is its
+        face's key with the digit of the vertex cut out."""
+        keys, packed = self._keys_of(d)
+        below = self._keys_of(d - 1)[0] if packed and len(self.rows[d - 1]) else None
+        for t in range(d + 1):
+            if below is not None:
+                after = self._bits * (d - t)  # the bits of the vertices after the t-th
+                part = keys[lo:hi]
+                yield _search(below, (part >> (after + self._bits)) << after | part & ((1 << after) - 1))
+            else:
+                yield self.find(d - 1, np.delete(self.rows[d][lo:hi], t, axis=1))
 
     def is_closed(self) -> bool:
         """Whether every face's facets are faces, so that the family is
         downward closed; read in parts of ``_CHUNK`` rows."""
         for d in range(1, len(self.rows)):
             for lo in range(0, len(self.rows[d]), _CHUNK):
-                part = self.rows[d][lo : lo + _CHUNK]
-                if any((self.find(d - 1, np.delete(part, t, axis=1)) < 0).any() for t in range(d + 1)):
+                if any((column < 0).any() for column in self._facet_columns(d, lo, lo + _CHUNK)):
                     return False
         return True
 
@@ -141,6 +217,13 @@ class FaceRows:
         return np.concatenate(out)
 
 
+def _frozensets(level):
+    """The rows of a 2-d array as frozensets: from the columns as lists,
+    zipped, so that no list is made per row (that many new containers set
+    off collections over every live object)."""
+    return list(map(frozenset, zip(*level.T.tolist())))
+
+
 def _as_rows(level, d):
     """``level`` as a contiguous big-endian int32 array of rows of d+1
     vertex indices; ``ValueError`` when it is not 2-d with d+1 columns or
@@ -156,18 +239,45 @@ def _as_rows(level, d):
     return np.ascontiguousarray(level, dtype=_ROW)
 
 
-def _strictly_increasing(rows) -> bool:
-    """Whether every row of the 2-d array ``rows`` increases strictly, and
-    the rows do, lexicographically: column by column, among the pairs of
-    consecutive rows equal so far."""
-    if (rows[:, 1:] <= rows[:, :-1]).any():
-        return False
-    tied = np.ones(max(len(rows) - 1, 0), dtype=bool)
-    for column in rows.T:
-        if (tied & (column[1:] < column[:-1])).any():
-            return False
-        tied &= column[1:] == column[:-1]
-    return not tied.any()
+def _radix_bits(levels):
+    """The bit length b of the largest entry of the 2-d integer arrays
+    ``levels`` (at least 1), so that every entry is a digit of radix 2**b;
+    None when an entry is negative."""
+    levels = [level for level in levels if level.size]
+    if any(level.min() < 0 for level in levels):
+        return None
+    return max(max((int(level.max()) for level in levels), default=0).bit_length(), 1)
+
+
+def _search_keys(rows, bits):
+    """One search key per row of a 2-d integer array, ordered as the rows
+    are lexicographically, and whether they are packed: a row of w entries
+    in radix 2**bits packs into one int64 when w*bits <= 63
+    (:func:`_packed`); otherwise, or with no bits, the keys are the rows'
+    big-endian bytes (:func:`_keys`).  A query must be packed with the
+    same bits."""
+    if bits is not None and rows.shape[1] * bits <= 63:
+        return _packed(rows, bits), True
+    return _keys(rows), False
+
+
+def _search(keys, query, found=True):
+    """The place of each of ``query`` among the sorted ``keys``, -1 for one
+    that is not there or where ``found`` is False."""
+    at = np.minimum(keys.searchsorted(query), len(keys) - 1)
+    hit = keys[at] == query
+    return np.where(hit if found is True else hit & found, at, -1)
+
+
+def _packed(rows, bits):
+    """Each row of a 2-d array of entries in 0 .. 2**bits - 1 as one int64:
+    its entries as the digits of radix 2**bits, the first the most
+    significant."""
+    out = np.zeros(len(rows), dtype=np.int64)
+    for column in np.asarray(rows).T:
+        out <<= bits
+        out |= column
+    return out
 
 
 def _keys(rows):
@@ -189,7 +299,7 @@ class SimplicialComplex:
     vertex index outside the vertex list; then one with a vertex in no
     face, all with ``ValueError``.  :meth:`from_rows` takes the rows
     themselves, and :attr:`faces`, the faces as frozensets, is then a view
-    built on first read.  The invariants, the homology, equality and
+    built on first read.  The invariants, the homology, equality, the hash and
     :meth:`to_json` read the rows alone.
     """
 
@@ -311,6 +421,13 @@ class SimplicialComplex:
         d = len(row) - 1
         return 0 <= d <= self.dimension() and self.face_rows.find(d, np.array([row])).item() >= 0
 
+    def has_face(self, face) -> bool:
+        """Whether ``face``, a set of vertex indices, is a face: a set look-up
+        when the ``faces`` view is built, else a row search."""
+        if self._faces is not None:
+            return face in self._faces
+        return self.face_rows.positions([face])[0] >= 0
+
     def face_from_labels(self, labels):
         return frozenset(self._index[l] for l in labels)
 
@@ -427,7 +544,9 @@ class SimplicialComplex:
         return not (other.face_rows.image(idx, self.face_rows) < 0).any()
 
     def __hash__(self):
-        return hash(self.label_faces())
+        """From the vertex labels and the f-vector, which equal complexes
+        share (:meth:`__eq__` compares both first)."""
+        return hash((frozenset(self._index), self.f_vector()))
 
     # ------------------------------------------------------------------
     # serialization
@@ -476,32 +595,60 @@ class SimplicialComplex:
 
 
 class MutableComplex:
-    """A complex under a sequence of stellar subdivisions, edited in place.
+    """A complex under a sequence of stellar subdivisions.
 
-    Keeps the face set, the vertex labels and, per vertex, the faces through
-    it, so that a subdivision rewrites only the star of the subdivided face.
-    Nothing is validated until :meth:`freeze` builds a
-    :class:`SimplicialComplex`.
+    The initial complex K is kept as its :class:`FaceRows`, with two sets:
+    the faces of K that the steps removed, and the faces they added that
+    are still there.  A step rewrites only the star of the subdivided face,
+    found from the faces through one of its vertices.  A new vertex starts
+    with none; a vertex of K gets its set when a step first reads it: its
+    faces in K, from a CSR index over K's rows and the objects of K's
+    ``faces`` view (built once and kept on K, so replays from one complex
+    share them), less the removed ones, plus the added faces through it
+    made before.  Nothing is validated until :meth:`freeze` builds a
+    :class:`SimplicialComplex` from the rows.
     """
 
     def __init__(self, K: SimplicialComplex):
         self.vertices = list(K.vertices)
         self._index = dict(K._index)
-        self.faces = set(K.faces)
-        self._incident = [set() for _ in self.vertices]
-        for f in self.faces:
-            for v in f:
-                self._incident[v].add(f)
+        self._base = K.face_rows
+        self._removed = set()  # faces of K no longer in the complex
+        self._added = set()  # faces made by the steps, still in the complex
+        self._through = [None] * len(self.vertices)  # vertex -> every face through it, once read
+        self._pending = {}  # vertex of K not yet read -> the added faces through it
+        # the positions of K's faces through each vertex v: _at[_start[v]:_start[v + 1]]
+        sizes = np.diff(self._base.offsets)
+        owner = np.arange(self._base.offsets[-1]).repeat(np.arange(1, len(sizes) + 1).repeat(sizes))
+        entries = np.concatenate([np.zeros(0, dtype=np.int32), *(level.ravel() for level in self._base.rows)],
+                                 dtype=np.int32)
+        self._at = owner[entries.argsort(kind="stable")]
+        self._start = np.concatenate(([0], np.bincount(entries, minlength=len(self.vertices)).cumsum()))
+        self._listed = None  # K's faces in position order, when first read
+
+    def _faces_through(self, u):
+        """The faces through vertex ``u``, as one set, read on first use."""
+        faces = self._through[u]
+        if faces is None:
+            if self._listed is None:
+                self._listed = list(chain.from_iterable(self._base.faces))
+            removed = self._removed
+            at = self._at[self._start[u]:self._start[u + 1]].tolist()
+            faces = {f for f in map(self._listed.__getitem__, at) if f not in removed}
+            faces.update(self._pending.pop(u, ()))
+            self._through[u] = faces
+        return faces
 
     def stellar_subdivide(self, face_labels, new_label=None) -> bool:
         """Subdivide at the face with the given vertex labels, as
         :meth:`SimplicialComplex.stellar_subdivide` does; False (and no
         change) when the face is a vertex."""
         sigma = frozenset(self._index[l] for l in face_labels)
-        if sigma not in self.faces:
-            raise FaceNotPresent(f"face {sorted(face_labels, key=_label_key)} not in complex")
-        if len(sigma) == 1:
+        if len(sigma) == 1:  # every vertex is a face
             return False
+        smallest = min(map(self._faces_through, sigma), key=len, default=())
+        if sigma not in smallest:
+            raise FaceNotPresent(f"face {sorted(face_labels, key=_label_key)} not in complex")
         if new_label is None:
             new_label = tuple(sorted((self.vertices[i] for i in sigma), key=_label_key))
         if new_label in self._index:
@@ -509,24 +656,53 @@ class MutableComplex:
         v = len(self.vertices)
         self.vertices.append(new_label)
         self._index[new_label] = v
-        self._incident.append(set())
-        star = [f for f in min((self._incident[u] for u in sigma), key=len) if sigma <= f]
+        self._through.append(set())
+        star = [f for f in smallest if sigma <= f]
         for gamma in star:
-            self.faces.remove(gamma)
+            made = gamma in self._added
+            if made:
+                self._added.remove(gamma)
+            else:
+                self._removed.add(gamma)
             for u in gamma:
-                self._incident[u].remove(gamma)
+                faces = self._through[u]
+                if faces is not None:
+                    faces.remove(gamma)
+                elif made:
+                    self._pending[u].remove(gamma)
         proper_subsets = _all_subsets(sigma) - {sigma}
         for gamma in star:
             rest = gamma - sigma
             for delta in proper_subsets:
                 f = rest | delta | {v}
-                self.faces.add(f)
+                self._added.add(f)
                 for u in f:
-                    self._incident[u].add(f)
+                    faces = self._through[u]
+                    if faces is None:
+                        faces = self._pending.setdefault(u, set())
+                    faces.add(f)
         return True
 
     def freeze(self) -> SimplicialComplex:
-        return SimplicialComplex(self.vertices, self.faces)
+        """The complex now: K's rows less the removed faces, merged with the
+        rows of the added faces, through :meth:`SimplicialComplex.from_rows`
+        and all its checks."""
+        base = self._base
+        keep = np.ones(base.offsets[-1], dtype=bool)
+        keep[base.positions(list(self._removed))] = False
+        added = {}
+        for f in self._added:
+            added.setdefault(len(f), []).append(f)
+        bits = max(len(self.vertices) - 1, 1).bit_length()
+        rows = []
+        for d in range(max(len(base.rows), max(added, default=0))):
+            new = added.get(d + 1, [])
+            level = np.fromiter(chain.from_iterable(new), dtype=_ROW, count=(d + 1) * len(new)).reshape(-1, d + 1)
+            level.sort(axis=1, kind="stable")
+            if d < len(base.rows):
+                level = np.concatenate([base.rows[d][keep[base.offsets[d]:base.offsets[d + 1]]], level])
+            rows.append(level[_search_keys(level, bits)[0].argsort(kind="stable")])
+        return SimplicialComplex.from_rows(self.vertices, rows)
 
 
 def _spanning_forest(edges, n_vertices):

@@ -238,7 +238,8 @@ def run_blowup(order: Poset, initial: SimplicialComplex, ext_indices, record_int
     current vertices below the new element.  Processing the extension upward
     instead provably breaks the intermediate building sets.
 
-    The steps edit one face set in place, rewriting only the star of each
+    The steps edit a :class:`MutableComplex`, the initial complex's rows
+    with the faces removed and added so far, rewriting only the star of each
     subdivided face; the final complex is built (and validated) once, and
     with ``record_intermediate`` one complex is built after every step.
     """
@@ -329,7 +330,7 @@ class CarrierPhi(MutableMapping):
         self.overrides = {} if overrides is None else overrides
 
     def _closed(self, face) -> bool:
-        return self.carriers is not None and face in self.source.faces
+        return self.carriers is not None and self.source.has_face(face)
 
     def __getitem__(self, face):
         if face in self.overrides:
@@ -376,7 +377,6 @@ class CarrierPhi(MutableMapping):
         return rows
 
 
-@dataclass
 class CarrierMap:
     """Face-poset map plus exact rational vertex placement witnessing a
     subdivision.
@@ -386,24 +386,32 @@ class CarrierMap:
     as its overrides over no carriers); ``f0`` places each source vertex
     inside the realization of the target, as a sparse dict of barycentric
     coordinates over target vertex indices.  ``p_faces``/``q_faces`` are
-    the faces the checks read as source and target, all faces of the two
-    complexes unless given.
+    the faces the checks read as source and target: all faces of the two
+    complexes unless given or set.  The checks read the complexes' rows,
+    and reading either attribute unset gives its complex's ``faces``.
     """
 
-    p_complex: SimplicialComplex
-    q_complex: SimplicialComplex
-    phi: CarrierPhi
-    f0: dict
-    p_faces: frozenset = None
-    q_faces: frozenset = None
+    def __init__(self, p_complex: SimplicialComplex, q_complex: SimplicialComplex, phi, f0: dict,
+                 p_faces=None, q_faces=None):
+        self.p_complex, self.q_complex, self.f0 = p_complex, q_complex, f0
+        self.phi = phi if isinstance(phi, CarrierPhi) else CarrierPhi(p_complex, overrides=phi)
+        self.given_p_faces, self.given_q_faces = p_faces, q_faces
 
-    def __post_init__(self):
-        if not isinstance(self.phi, CarrierPhi):
-            self.phi = CarrierPhi(self.p_complex, overrides=self.phi)
-        if self.p_faces is None:
-            self.p_faces = frozenset(self.p_complex.faces)
-        if self.q_faces is None:
-            self.q_faces = frozenset(self.q_complex.faces)
+    @property
+    def p_faces(self) -> frozenset:
+        return self.p_complex.faces if self.given_p_faces is None else self.given_p_faces
+
+    @p_faces.setter
+    def p_faces(self, faces):
+        self.given_p_faces = faces
+
+    @property
+    def q_faces(self) -> frozenset:
+        return self.q_complex.faces if self.given_q_faces is None else self.given_q_faces
+
+    @q_faces.setter
+    def q_faces(self, faces):
+        self.given_q_faces = faces
 
 
 def _instance(k: int, n: int, max_poset_elements, max_faces):
@@ -541,7 +549,7 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     label = _FaceLabels(cm.q_complex)
     phi = _PhiTable(cm)
     failures, bad = _check_well_formed(cm, label, phi)
-    n = len(phi.target_faces)
+    n = phi.target.rows.offsets[-1]
     # the source positions grouped by their image's target position: the cells over each target face
     hit = np.flatnonzero(phi.pos >= 0)
     cells = hit[phi.pos[hit].argsort(kind="stable")]
@@ -549,17 +557,31 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     roots = np.arange(n) if bad else _orbit_roots(phi)
     is_root = roots == np.arange(n)
 
+    source_face, target_face = {}, {}  # position -> frozenset, for the faces checked and their cells
+
+    def read(targets):
+        """The target positions ``targets``, once their faces and the faces of
+        the cells over them are made, one batch each."""
+        if len(targets):
+            wanted = np.zeros(n, dtype=bool)
+            wanted[targets] = True
+            over = cells[wanted[phi.pos[cells]]]
+            source_face.update(zip(over.tolist(), phi.source.rows.faces_at(over)))
+            target_face.update(zip(targets.tolist(), phi.target.rows.faces_at(targets)))
+        return targets.tolist()
+
     def check(i):
         over = cells[bounds[i]:bounds[i + 1]]
-        faces = [phi.source_faces[c] for c in over.tolist()]
-        face_failures, total = check_target_face(cm, phi.target_faces[i], faces, bad, label, phi.on_face(i, over))
+        faces = list(map(source_face.__getitem__, over.tolist()))
+        on_face = phi.on_face(i, over, source_face)
+        face_failures, total = check_target_face(cm, target_face[i], faces, bad, label, on_face)
         return face_failures, None if total is None else str(total)
 
     # the roots, then every face of an orbit whose root fails
-    checked = {i: check(i) for i in np.flatnonzero(is_root).tolist()}
+    checked = {i: check(i) for i in read(np.flatnonzero(is_root))}
     failed = np.zeros(n, dtype=bool)
     failed[[i for i, (face_failures, _) in checked.items() if face_failures]] = True
-    checked.update((i, check(i)) for i in np.flatnonzero(~is_root & failed[roots]).tolist())
+    checked.update((i, check(i)) for i in read(np.flatnonzero(~is_root & failed[roots])))
     for i in sorted(checked):
         failures += checked[i][0]
     totals = [checked.get(i, checked[r])[1] for i, r in enumerate(roots.tolist())]
@@ -576,11 +598,11 @@ class PermutationAction:
     determine it), so a permutation moves each distinct block once, not once
     per label.  :meth:`relabel`, the one relabelling test, reads ``faces``,
     all faces of ``K`` unless given, through their :class:`FaceRows`
-    ``rows``; ``m`` is None when the labels are not all :class:`Partition`
-    objects of one ground set."""
+    ``rows`` (``K``'s own for all faces); ``m`` is None when the labels are
+    not all :class:`Partition` objects of one ground set."""
 
     def __init__(self, K: SimplicialComplex, faces=None):
-        self.rows = _face_rows(K, K.faces if faces is None else faces)
+        self.rows = _face_rows(K, faces)
         ms = {lab.m if isinstance(lab, Partition) else None for lab in K.vertices}
         self.m = ms.pop() if len(ms) == 1 else None
         self._blocks = {}  # block -> its number
@@ -616,20 +638,21 @@ class PermutationAction:
 
 def _face_rows(K: SimplicialComplex, faces) -> FaceRows:
     """The :class:`FaceRows` of ``faces``, a family of faces over the
-    vertices of ``K``: ``K``'s own when they are all its faces."""
-    return K.face_rows if faces is K.faces else FaceRows(faces)
+    vertices of ``K``: ``K``'s own when they are None, all its faces."""
+    return K.face_rows if faces is None else FaceRows(faces)
 
 
 class _PhiTable:
     """φ of a carrier map as target positions.  ``source`` and ``target`` act
-    on ``cm.p_faces`` and ``cm.q_faces``, listed by position in
-    ``source_faces`` and ``target_faces``.  For the source face at position
-    i, ``pos[i]`` is the target position of its image, -1 when the image is
-    no target face, -2 when there is none.  The positions come from the
-    carriers of ``cm.phi`` (:func:`_union_positions`, one dimension at a
-    time) on the faces of its complex, and from ``cm.phi`` itself on its
-    overrides; :meth:`image` reads one image from ``cm.phi``, where a
-    message needs it.  ``vertices`` are the source's one-vertex rows, in
+    on ``cm.p_faces`` and ``cm.q_faces`` (the complexes' own rows for all
+    faces), by position; a reader makes the frozensets of the faces it
+    needs from the rows (:meth:`FaceRows.faces_at`), and the complexes keep
+    none.  For the source face at position i, ``pos[i]`` is the target
+    position of its image, -1 when the image is no target face, -2 when
+    there is none.  The positions come from the carriers of ``cm.phi``
+    (:func:`_union_positions`, one dimension at a time) on the faces of its
+    complex, and from ``cm.phi`` itself on its overrides; :meth:`image`
+    reads one image from ``cm.phi``, where a message needs it.  ``vertices`` are the source's one-vertex rows, in
     order, ``facets[d]`` the source's :meth:`FaceRows.facet_positions` and
     :attr:`f0` the :class:`_VertexTable` of ``cm.f0``, each made on first
     use."""
@@ -637,30 +660,26 @@ class _PhiTable:
     def __init__(self, cm: CarrierMap):
         self._phi = phi = cm.phi
         self._f0 = cm.f0
-        self.source = PermutationAction(cm.p_complex, cm.p_faces)
-        self.target = PermutationAction(cm.q_complex, cm.q_faces)
-        self.source_faces = list(chain.from_iterable(self.source.rows.faces))
-        self.target_faces = list(chain.from_iterable(self.target.rows.faces))
+        self.source = PermutationAction(cm.p_complex, cm.given_p_faces)
+        self.target = PermutationAction(cm.q_complex, cm.given_q_faces)
         src, tgt = self.source.rows, self.target.rows
         self.pos = np.full(src.offsets[-1], -2, dtype=np.intp)
         if phi.carriers is not None:
             carriers = phi.carrier_rows()
             for d, rows in enumerate(src.rows):
-                closed = slice(None) if cm.p_faces is phi.source.faces else phi.source.face_rows.find(d, rows) >= 0
+                closed = slice(None) if src is phi.source.face_rows else phi.source.face_rows.find(d, rows) >= 0
                 self.pos[src.offsets[d]:src.offsets[d + 1]][closed] = _union_positions(carriers[rows[closed]], tgt)
-        overridden = [f for f in phi.overrides if f in cm.p_faces]
-        if overridden:
-            images = list(map(phi.get, overridden))
-            known = [j for j, img in enumerate(images) if img in cm.q_faces]
-            at = np.array([-2 if img is None else -1 for img in images], dtype=np.intp)
-            at[known] = tgt.positions([images[j] for j in known])
-            self.pos[src.positions(overridden)] = at
+        overrides = list(phi.overrides)
+        at = src.positions(overrides)
+        images = [phi.get(f) for f, i in zip(overrides, at.tolist()) if i >= 0]
+        none = [img is None for img in images]
+        self.pos[at[at >= 0]] = np.where(none, -2, tgt.positions([img or () for img in images]))
         self.vertices = src.rows[0][:, 0].tolist() if src.rows else []
 
     def image(self, i):
         """The image of the source face at position i, None when it has
         none."""
-        return self._phi.get(self.source_faces[i])
+        return self._phi.get(self.source.rows.faces_at([i])[0])
 
     @cached_property
     def facets(self):
@@ -671,10 +690,11 @@ class _PhiTable:
     def f0(self):
         return _VertexTable(self._f0, self.vertices)
 
-    def on_face(self, i, cells):
+    def on_face(self, i, cells, face_of):
         """For each cell (source positions) of as many vertices as the i-th
-        target face: its face -> per vertex, in sorted order, whether φ of
-        the cell without it is the i-th target face."""
+        target face: its face (``face_of`` maps a position to it) -> per
+        vertex, in sorted order, whether φ of the cell without it is the
+        i-th target face."""
         src = self.source.rows
         d = int(np.searchsorted(self.target.rows.offsets, i, side="right")) - 1
         top = cells[(cells >= src.offsets[d]) & (cells < src.offsets[d + 1])] if d < len(src.rows) else cells[:0]
@@ -683,7 +703,7 @@ class _PhiTable:
         else:
             ridges = self.facets[d][top - src.offsets[d]]
             on = (ridges >= 0) & (self.pos[src.offsets[d - 1] + ridges] == i)
-        return dict(zip(map(self.source_faces.__getitem__, top.tolist()), on.tolist()))
+        return dict(zip(map(face_of.__getitem__, top.tolist()), on.tolist()))
 
 
 def _union_positions(carriers, into: FaceRows):
@@ -796,7 +816,7 @@ def _orbit_roots(phi: _PhiTable):
     permutes the faces, that is the least face of its orbit.  Assumes the
     well-formedness pass marked no vertex (φ is total on the source
     faces)."""
-    roots = np.arange(len(phi.target_faces))
+    roots = np.arange(phi.target.rows.offsets[-1])
     maps = generator_certificate(phi.source, phi.target, phi.pos)
     if maps and all(_f0_commutes(phi, src, tgt) for src, tgt, _ in maps):
         while True:
@@ -869,8 +889,8 @@ def _check_well_formed(cm: CarrierMap, label, phi: _PhiTable):
             out[i, t] = below is not None and not below <= phi.image(lo + i)
         disorder[lo:hi] = out.any(axis=1)
     failures = []
-    for i in np.flatnonzero((pos < 0) | disorder).tolist():
-        face = sorted(phi.source_faces[i])
+    failing = np.flatnonzero((pos < 0) | disorder)
+    for i, face in zip(failing.tolist(), map(sorted, rows.faces_at(failing))):
         if pos[i] == -2:
             failures.append(CheckFailure("phi_total", f"no image for face {face}"))
         if pos[i] == -1:
@@ -879,7 +899,7 @@ def _check_well_formed(cm: CarrierMap, label, phi: _PhiTable):
             )
         if disorder[i]:
             failures.append(CheckFailure("phi_order", f"phi not order-preserving at {face}"))
-    bad = set().union(*map(phi.source_faces.__getitem__, np.flatnonzero(flagged | disorder).tolist()))
+    bad = set().union(*rows.faces_at(np.flatnonzero(flagged | disorder)))
     vertex_failures, touched = _check_vertices(cm, label, phi, padded)
     return failures + vertex_failures, bad | touched
 
@@ -1344,7 +1364,7 @@ def check_equivariance(k: int, n: int, perms="all", seed: int = 0,
         for c in np.flatnonzero(~differ & (phi.pos == -1)).tolist():
             differ[c] = phi.image(src_img[c]) != frozenset(tgt_map[w] for w in phi.image(c))
         if differ.any():
-            face = phi.source_faces[differ.argmax()]
+            (face,) = phi.source.rows.faces_at([differ.argmax()])
             failures.append({"perm": list(pi), "detail": "carrier map does not commute with the relabelling",
                              "chain": [delta.vertices[v].text() for v in sorted(face)]})
     top = n - 3

@@ -325,6 +325,78 @@ def stellar_subdivision_oracle(K, face_labels, new_label):
     return K.vertices + [new_label], faces
 
 
+class MutableComplexOracle:
+    """The stellar replay over a set of frozenset faces, edited in place:
+    the face set, the vertex labels and, per vertex, the faces through it,
+    all built at the start, so that a subdivision rewrites only the star of
+    the subdivided face.  :meth:`freeze` builds a complex from the faces.
+    The replay the library ran before it kept its initial complex as
+    rows."""
+
+    def __init__(self, K):
+        self.vertices = list(K.vertices)
+        self._index = {lab: i for i, lab in enumerate(self.vertices)}
+        self.faces = set(K.faces)
+        self._incident = [set() for _ in self.vertices]
+        for f in self.faces:
+            for v in f:
+                self._incident[v].add(f)
+
+    def stellar_subdivide(self, face_labels, new_label=None) -> bool:
+        from ktreesub import FaceNotPresent
+        from ktreesub.complexes import _label_key
+
+        sigma = frozenset(self._index[l] for l in face_labels)
+        if sigma not in self.faces:
+            raise FaceNotPresent(f"face {sorted(face_labels, key=_label_key)} not in complex")
+        if len(sigma) == 1:
+            return False
+        if new_label is None:
+            new_label = tuple(sorted((self.vertices[i] for i in sigma), key=_label_key))
+        if new_label in self._index:
+            raise ValueError(f"label {new_label!r} already names a vertex")
+        v = len(self.vertices)
+        self.vertices.append(new_label)
+        self._index[new_label] = v
+        self._incident.append(set())
+        star = [f for f in min((self._incident[u] for u in sigma), key=len) if sigma <= f]
+        for gamma in star:
+            self.faces.remove(gamma)
+            for u in gamma:
+                self._incident[u].remove(gamma)
+        members = sorted(sigma)
+        proper = [frozenset(sub) for r in range(len(members)) for sub in combinations(members, r)]
+        for gamma in star:
+            rest = gamma - sigma
+            for delta in proper:
+                f = rest | delta | {v}
+                self.faces.add(f)
+                for u in f:
+                    self._incident[u].add(f)
+        return True
+
+    def freeze(self):
+        from ktreesub import SimplicialComplex
+
+        return SimplicialComplex(self.vertices, self.faces)
+
+
+def void_key_find(face_rows, d, rows):
+    """``FaceRows.find`` by the big-endian byte keys of the rows: position
+    within dimension ``d`` of each row of ``rows``, -1 for a row that is no
+    face (one with an entry past int32 included)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    out = np.full(len(rows), -1, dtype=np.intp)
+    if d >= len(face_rows.rows) or not len(face_rows.rows[d]) or not len(rows):
+        return out
+    fits = ((rows >= 0) & (rows <= np.iinfo(np.int32).max)).all(axis=1)
+    width = np.dtype((np.void, 4 * (d + 1)))
+    keys = np.ascontiguousarray(face_rows.rows[d], dtype=">i4").view(width).ravel()
+    query = np.ascontiguousarray(np.where(fits[:, None], rows, 0), dtype=">i4").view(width).ravel()
+    at = np.minimum(keys.searchsorted(query), len(keys) - 1)
+    return np.where((keys[at] == query) & fits, at, -1)
+
+
 def pairwise_carrier_oracle(cm):
     """The carrier-map check with one Fourier-Motzkin disjointness test per
     pair of cells over every target face (no certificate).  Returns the

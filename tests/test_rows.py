@@ -1,17 +1,35 @@
 """The order complex and the k-tree complex built as int32 rows: the rows
 against the recursive walks they replaced, the checks of the row
 constructor, the refusal of a size before it is made, and the frozenset
-views that only a reader builds."""
+views that only a reader builds.  The packed search keys against the byte
+keys, and the stellar replay on rows against the set replay it replaced."""
 
 import random
 
 import numpy as np
 import pytest
 
-from ktreesub import ResourceLimit, SimplicialComplex, enumerate_ktree_complex, enumerate_partitions
+from ktreesub import (
+    FaceNotPresent,
+    ResourceLimit,
+    SimplicialComplex,
+    enumerate_ktree_complex,
+    enumerate_partitions,
+    global_carrier_map,
+    verify_carrier_map,
+    verify_theorem,
+)
 from ktreesub import poset as poset_module
-from ktreesub import trees
-from oracles import ktree_bitset_oracle, order_complex_oracle, poset_from_covers
+from ktreesub import subdivision, trees
+from ktreesub.complexes import FaceRows, MutableComplex
+from oracles import (
+    MutableComplexOracle,
+    carrier_phi_oracle,
+    ktree_bitset_oracle,
+    order_complex_oracle,
+    poset_from_covers,
+    void_key_find,
+)
 
 INSTANCES = [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5), (4, 3), (1, 6), (3, 4), (2, 5)]
 
@@ -161,3 +179,190 @@ def test_row_readers_build_no_face_view(side):
     assert len(K.faces) == sum(K.f_vector())
     assert K.faces == frozenset(f for level in K.face_rows.faces for f in level)
     assert all(any(f is g for g in K.faces) for f in K.face_rows.faces[1][:5])
+
+
+# ---------------------------------------------------------------------------
+# integer search keys
+# ---------------------------------------------------------------------------
+
+
+def test_packed_find_matches_byte_key_oracle():
+    # random row families, packed in the radix of their largest vertex or,
+    # past 63 bits, searched by byte keys; the queries
+    # hold rows of the family, rows that are not, and entries past the
+    # largest vertex, past the radix and past int32
+    rng = random.Random(11)
+    packed = void = 0
+    for _ in range(300):
+        width = rng.randint(1, 8)
+        top = rng.choice([width + 2, 40, 1000, 2**20, 2**31 - 1])
+        rows = sorted({tuple(sorted(rng.sample(range(top), width))) for _ in range(rng.randint(1, 40))})
+        family = FaceRows.from_rows([np.zeros((0, d + 1), dtype=int) for d in range(width - 1)] + [rows])
+        bits = max(max(map(max, rows)).bit_length(), 1)
+        packed += width * bits <= 63
+        void += width * bits > 63
+        queries = [list(r) for r in rng.sample(rows, min(len(rows), 5))]
+        if width > 1:  # a row of the family with one radix carried into the next entry
+            carried = list(rng.choice(rows))
+            j = rng.randrange(width - 1)
+            carried[j] -= 1
+            carried[j + 1] += 1 << bits
+            queries.append(carried)
+        for _ in range(10):
+            row = sorted(rng.sample(range(top + 5), width))
+            if rng.random() < 0.3:
+                row[-1] = rng.choice([top, 1 << bits, 2**31 - 1, 2**31, 2**40])
+            queries.append(row)
+        queries = np.array(queries, dtype=np.int64)
+        for d in range(width + 1):
+            q = queries if d == width - 1 else np.zeros((3, d + 1), dtype=np.int64)
+            assert family.find(d, q).tolist() == void_key_find(family, d, q).tolist()
+        assert family.find(width - 1, np.array(rows)).tolist() == list(range(len(rows)))
+    assert packed > 50 and void > 50
+
+
+# ---------------------------------------------------------------------------
+# the stellar replay on rows against the set replay
+# ---------------------------------------------------------------------------
+
+
+def _random_complex(rng):
+    labels = rng.sample(["a", "b", "c", "d", "e", "f", "g", "h", 1, 2, 3], rng.randint(2, 8))
+    facets = [rng.sample(labels, rng.randint(1, min(4, len(labels)))) for _ in range(rng.randint(1, 6))]
+    facets += [[lab] for lab in labels]
+    return SimplicialComplex.from_label_faces(facets)
+
+
+def _same(ours, oracle):
+    assert ours.vertices == oracle.vertices
+    assert _rows(ours) == _rows(oracle)
+    assert ours.faces == oracle.faces
+
+
+def _step(rng, oracle, fresh):
+    """A step on the oracle's complex: mostly a face of two or more vertices,
+    sometimes a vertex, a set of vertices that is no face, or a new label
+    that already names a vertex."""
+    faces = sorted(oracle.faces, key=sorted)
+    roll = rng.random()
+    if roll < 0.1:
+        face = rng.choice([f for f in faces if len(f) == 1])
+    elif roll < 0.2:
+        face = frozenset(rng.sample(range(len(oracle.vertices)), min(3, len(oracle.vertices))))
+    else:
+        face = rng.choice([f for f in faces if len(f) > 1] or faces)
+    label = rng.choice(oracle.vertices) if rng.random() < 0.1 else (None if rng.random() < 0.2 else fresh)
+    return [oracle.vertices[v] for v in face], label
+
+
+def _apply(state, face, label):
+    try:
+        return state.stellar_subdivide(face, new_label=label)
+    except (FaceNotPresent, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _replay(rng, start, steps, freeze_chance):
+    ours, oracle = MutableComplex(start), MutableComplexOracle(start)
+    for t in range(steps):
+        face, label = _step(rng, oracle, ("new", t))
+        assert _apply(ours, face, label) == _apply(oracle, face, label)
+        assert ours.vertices == oracle.vertices
+        if rng.random() < freeze_chance:
+            _same(ours.freeze(), oracle.freeze())
+    final = ours.freeze()
+    _same(final, oracle.freeze())
+    return final
+
+
+def test_row_replay_matches_set_replay():
+    rng = random.Random(3)
+    for _ in range(150):
+        _replay(rng, _random_complex(rng), rng.randint(1, 12), 0.3)
+
+
+def test_chained_row_replays_match_set_replay():
+    # each replay starts from the last one's final complex, built from rows
+    rng = random.Random(4)
+    for _ in range(40):
+        current = _random_complex(rng)
+        for _ in range(4):
+            current = _replay(rng, current, rng.randint(1, 6), 0.0)
+
+
+def test_stellar_subdivide_matches_set_replay():
+    rng = random.Random(5)
+    for _ in range(150):
+        K = _random_complex(rng)
+        oracle = MutableComplexOracle(K)
+        face, label = _step(rng, oracle, "new")
+        got = _apply(K, face, label)
+        want = _apply(oracle, face, label)
+        if isinstance(got, SimplicialComplex):
+            assert want is True or (want is False and got is K)
+            _same(got, oracle.freeze())
+        else:
+            assert got == want
+
+
+def test_replay_refusals_change_nothing(t14):
+    state = MutableComplex(t14)
+    before = state.freeze()
+    a, b = next((a, b) for a in t14.vertices for b in t14.vertices if a != b and not t14.has_face_labels([a, b]))
+    with pytest.raises(FaceNotPresent, match="not in complex"):
+        state.stellar_subdivide([a, b], new_label="x")
+    edge = [t14.vertices[v] for v in t14.face_rows.rows[1][0].tolist()]
+    with pytest.raises(ValueError, match="already names a vertex"):
+        state.stellar_subdivide(edge, new_label=a)
+    assert state.stellar_subdivide([a], new_label="x") is False
+    assert state.vertices == t14.vertices
+    _same(state.freeze(), before)
+    assert state.stellar_subdivide(edge, new_label="x") is True
+    assert state.freeze() == t14.stellar_subdivide(edge, new_label="x")
+
+
+def test_freeze_keeps_the_row_checks():
+    # a replay state that is no complex is refused when it is frozen
+    K = SimplicialComplex.from_label_faces([("a", "b", "c")])
+    state = MutableComplex(K)
+    state._removed.add(frozenset({0, 1}))  # an edge of the triangle
+    with pytest.raises(ValueError, match="not downward closed"):
+        state.freeze()
+    state = MutableComplex(K)
+    state._added.add(frozenset({0, 3}))  # a vertex that is no face
+    with pytest.raises(ValueError, match="not downward closed"):
+        state.freeze()
+
+
+def test_carrier_check_builds_no_face_view_of_delta(monkeypatch):
+    cm, _ = global_carrier_map(3, 4)
+    assert verify_carrier_map(cm).passed
+    assert _views_unbuilt(cm.p_complex) and _views_unbuilt(cm.q_complex)
+    built = []
+    real = subdivision._instance
+
+    def instance(*args):
+        out = real(*args)
+        built.append(out[-1])
+        return out
+
+    monkeypatch.setattr(subdivision, "_instance", instance)
+    assert verify_theorem(3, 4, extensions=3).verdict == "pass"
+    (delta,) = built
+    assert _views_unbuilt(delta)
+
+
+def test_carrier_phi_reads_rows_without_the_view():
+    # φ on faces, on sets that are no faces and on vertices past the
+    # complex, by row search; against the oracle's φ once the view is built
+    cm, pk = global_carrier_map(1, 4)
+    delta = cm.p_complex
+    rng = random.Random(8)
+    n = len(delta.vertices)
+    probes = delta.face_rows.faces_at(np.arange(sum(delta.f_vector())))
+    probes += [frozenset(rng.sample(range(n + 2), rng.randint(0, 4))) for _ in range(200)]
+    got = [(f in cm.phi, cm.phi.get(f)) for f in probes]
+    assert _views_unbuilt(delta)
+    want, _ = carrier_phi_oracle(pk, delta, cm.q_complex)
+    assert got == [(f in want, want.get(f)) for f in probes]
+    assert not all(inside for inside, _ in got)
