@@ -7,7 +7,10 @@ starts and ends.  The parent waits for the child up to ``TIMEOUT_S``
 seconds; a stage still running then is recorded as ``"timeout"`` and the
 stages after it as ``null``.  A line the killed child left half written is
 skipped.  The peak RSS is the child's ``ru_maxrss``,
-read from ``wait4``, so it holds for a child that was killed too.
+read from ``wait4``, so it holds for a child that was killed too.  The
+package under ``--src`` is compiled once, into a temporary
+``PYTHONPYCACHEPREFIX`` that every child reads, so that no child's peak
+counts compiling it.
 
     # from the root of a checkout
     python3 benchmarks/bench_pipeline.py --label change
@@ -123,8 +126,8 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def run_instance(k, n, caps, src) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
+def run_instance(k, n, caps, src, pycache) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=pycache)
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child", str(k), str(n),
            str(caps["max_poset_elements"]), str(caps["max_faces"])]
     with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
@@ -191,11 +194,14 @@ def main(argv=None):
         "numpy": __import__("numpy").__version__,
     }
     instances = run.setdefault("instances", {})
-    for k, n in INSTANCES:
-        result = run_instance(k, n, CAPS, Path(args.src))
-        instances[f"{k},{n}"] = result
-        print(json.dumps({f"{k},{n}": result}), flush=True)
-        out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as pycache:
+        subprocess.run([sys.executable, "-m", "compileall", "-q", args.src], check=True,
+                       env=dict(os.environ, PYTHONPYCACHEPREFIX=pycache))
+        for k, n in INSTANCES:
+            result = run_instance(k, n, CAPS, Path(args.src), pycache)
+            instances[f"{k},{n}"] = result
+            print(json.dumps({f"{k},{n}": result}), flush=True)
+            out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -10,8 +10,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import permutations
-from math import factorial
 
 from .complexes import SimplicialComplex
 from .errors import MAX_FACES, MAX_POSET_ELEMENTS, KTreeSubError, ResourceLimit
@@ -21,7 +19,8 @@ from .subdivision import (
     PermutationAction,
     check_equivariance,
     generators,
-    sample_permutations,
+    tested_permutations,
+    top_rank,
     verify_theorem,
 )
 from .trees import enumerate_ktree_complex
@@ -210,9 +209,7 @@ def cmd_homology(args) -> int:
         target = enumerate_ktree_complex(args.n, args.k, max_faces=args.max_faces)
         hs = _homology_table(source, f"order complex (m={m}, k={args.k})", args)
         ht = _homology_table(target, f"k-tree complex (n={args.n}, k={args.k})", args)
-        top = args.n - 3
-        rank_s = hs[top][0] if 0 <= top < len(hs) else 0
-        rank_t = ht[top][0] if 0 <= top < len(ht) else 0
+        rank_s, rank_t = top_rank(hs, args.n), top_rank(ht, args.n)
         equal = rank_s == rank_t
         _emit_line(args, f"top-degree ranks: {rank_s} vs {rank_t} -> {'equal' if equal else 'DIFFERENT'}",
                    {"top_degree_ranks": {"source": rank_s, "target": rank_t}, "equal": equal})
@@ -253,16 +250,11 @@ def cmd_equivariance(args) -> int:
                 "complex labels are not partitions of a common ground set: "
                 "permutation length does not match ground set"
             )
-        count = min(args.sample, factorial(m)) if m > 5 else factorial(m)
         # the permutations that leave the complex invariant form a subgroup:
         # when the generators of S_m are in it, no permutation breaks invariance
         action = PermutationAction(kom)
-        if all(action.relabel(g) is not None for g in generators(m)):
-            perms = ()
-        elif m > 5:
-            perms = sample_permutations(m, count, args.seed)
-        else:
-            perms = permutations(range(1, m + 1))
+        certified = all(action.relabel(g) is not None for g in generators(m))
+        perms, count = tested_permutations(m, None if m <= 5 else args.sample, args.seed, certified)
         broken = sum(action.relabel(pi) is None for pi in perms)
         _emit_line(args, f"checked {count} permutations, {broken} break invariance",
                    {"permutations_checked": count, "breaking_invariance": broken})

@@ -236,7 +236,9 @@ def run_blowup(order: Poset, initial: SimplicialComplex, ext_indices, record_int
     order on the new elements; subdivisions are performed from its top end
     downward, so that each step subdivides the face spanned by the maximal
     current vertices below the new element.  Processing the extension upward
-    instead provably breaks the intermediate building sets.
+    instead provably breaks the intermediate building sets.  No element
+    added before h is below h (it comes after h in the extension), so that
+    face is h's factor face: the maximal initial vertices below h.
 
     The steps edit a :class:`MutableComplex`, the initial complex's rows
     with the faces removed and added so far, rewriting only the star of each
@@ -254,18 +256,13 @@ def run_blowup(order: Poset, initial: SimplicialComplex, ext_indices, record_int
             order.labels[v] for v in order.maximal_in(below)
         )
     current = MutableComplex(initial)
-    in_current = set(in_initial)
     complexes = [initial]
     steps = []
     for h in reversed(ext):
         h_label = order.labels[h]
-        below = in_current.intersection(order.down(h))
-        sigma = frozenset(order.labels[v] for v in order.maximal_in(below))
+        sigma = factor_map[h_label]
         steps.append(BlowupStep(h_label, sigma))
-        if not current.stellar_subdivide(sigma, new_label=h_label):
-            continue
-        in_current.add(h)
-        if record_intermediate:
+        if current.stellar_subdivide(sigma, new_label=h_label) and record_intermediate:
             complexes.append(current.freeze())
     if not record_intermediate:
         complexes.append(current.freeze())
@@ -309,62 +306,73 @@ def blowup_sequence(
 # ---------------------------------------------------------------------------
 
 
-_DELETED = object()  # an override that removes a face's image
+_DELETED = object()  # an override that removes a key's value
 _PAD = np.iinfo(np.int32).max  # past every vertex index: pads sort last
 
 
-class CarrierPhi(MutableMapping):
-    """φ of a carrier map, in closed form plus overrides.
-
-    A face of the complex ``source`` (a frozenset of its vertex indices)
-    maps to the union of its vertices' ``carriers`` (one frozenset of
-    target vertex indices per source vertex), computed when it is read.
-    Edits made through the mapping (``[]=``, ``del``, ``setdefault``) are
-    kept in ``overrides``, which are read first.  With no carriers the
-    mapping is its overrides alone: a plain dict given to
-    :class:`CarrierMap` becomes that."""
+class _ClosedForm(MutableMapping):
+    """A mapping computed from ``carriers`` (one tuple of target vertex
+    indices per vertex of the complex ``source``) when it is read, plus
+    overrides.  Edits made through the mapping (``[]=``, ``del``,
+    ``setdefault``) are kept in ``overrides``, which are read first.  With
+    no carriers the mapping is its overrides alone.  A subclass gives the
+    keys of the closed form (:meth:`_closed`, :meth:`_keys`) and the value
+    of each (:meth:`_value`)."""
 
     def __init__(self, source, carriers=None, overrides=None):
         self.source = source
         self.carriers = carriers
         self.overrides = {} if overrides is None else overrides
 
-    def _closed(self, face) -> bool:
-        return self.carriers is not None and self.source.has_face(face)
+    def __getitem__(self, key):
+        if key in self.overrides:
+            value = self.overrides[key]
+            if value is _DELETED:
+                raise KeyError(key)
+            return value
+        if self._closed(key):
+            return self._value(key)
+        raise KeyError(key)
 
-    def __getitem__(self, face):
-        if face in self.overrides:
-            image = self.overrides[face]
-            if image is _DELETED:
-                raise KeyError(face)
-            return image
-        if self._closed(face):
-            return frozenset().union(*map(self.carriers.__getitem__, face))
-        raise KeyError(face)
+    def __contains__(self, key):
+        if key in self.overrides:
+            return self.overrides[key] is not _DELETED
+        return self._closed(key)
 
-    def __contains__(self, face):
-        if face in self.overrides:
-            return self.overrides[face] is not _DELETED
-        return self._closed(face)
+    def __setitem__(self, key, value):
+        self.overrides[key] = value
 
-    def __setitem__(self, face, image):
-        self.overrides[face] = image
-
-    def __delitem__(self, face):
-        if face not in self:
-            raise KeyError(face)
-        if self._closed(face):
-            self.overrides[face] = _DELETED
+    def __delitem__(self, key):
+        if key not in self:
+            raise KeyError(key)
+        if self._closed(key):
+            self.overrides[key] = _DELETED
         else:
-            del self.overrides[face]
+            del self.overrides[key]
 
     def __iter__(self):
         if self.carriers is not None:
-            yield from (f for f in self.source.faces if self.overrides.get(f) is not _DELETED)
-        yield from (f for f in self.overrides if not self._closed(f))
+            yield from (key for key in self._keys() if self.overrides.get(key) is not _DELETED)
+        yield from (key for key in self.overrides if not self._closed(key))
 
     def __len__(self):
         return sum(1 for _ in self)
+
+
+class CarrierPhi(_ClosedForm):
+    """φ of a carrier map: a face of ``source`` (a frozenset of its vertex
+    indices) maps to the union of its vertices' carriers.  A plain dict
+    given to :class:`CarrierMap` as φ becomes its overrides over no
+    carriers."""
+
+    def _closed(self, face) -> bool:
+        return self.carriers is not None and self.source.has_face(face)
+
+    def _value(self, face):
+        return frozenset().union(*map(self.carriers.__getitem__, face))
+
+    def _keys(self):
+        return self.source.faces
 
     def carrier_rows(self):
         """The carriers as one int32 array, a row of target vertex indices
@@ -377,24 +385,44 @@ class CarrierPhi(MutableMapping):
         return rows
 
 
+class CarrierF0(_ClosedForm):
+    """f0 of a carrier map: source vertex v (an index below the number of
+    carriers) sits at the barycenter of its carrier, a dict of barycentric
+    coordinates over target vertex indices in the carrier's order (empty
+    for an empty carrier).  A plain dict given to :class:`CarrierMap` as f0
+    becomes its overrides over no carriers."""
+
+    def _closed(self, v) -> bool:
+        return self.carriers is not None and isinstance(v, (int, np.integer)) and 0 <= v < len(self.carriers)
+
+    def _value(self, v):
+        carrier = self.carriers[v]
+        return dict.fromkeys(carrier, Fraction(1, len(carrier)) if carrier else None)
+
+    def _keys(self):
+        return range(len(self.carriers))
+
+
 class CarrierMap:
     """Face-poset map plus exact rational vertex placement witnessing a
     subdivision.
 
     ``phi`` maps faces of the source (frozensets of source vertex indices)
-    to faces of the target, as a :class:`CarrierPhi` (a plain dict is read
-    as its overrides over no carriers); ``f0`` places each source vertex
-    inside the realization of the target, as a sparse dict of barycentric
-    coordinates over target vertex indices.  ``p_faces``/``q_faces`` are
-    the faces the checks read as source and target: all faces of the two
-    complexes unless given or set.  The checks read the complexes' rows,
-    and reading either attribute unset gives its complex's ``faces``.
+    to faces of the target, as a :class:`CarrierPhi`; ``f0`` places each
+    source vertex inside the realization of the target, as sparse dicts of
+    barycentric coordinates over target vertex indices, as a
+    :class:`CarrierF0`.  A plain dict given for either is read as its
+    overrides over no carriers.  ``p_faces``/``q_faces`` are the faces the
+    checks read as source and target: all faces of the two complexes unless
+    given or set.  The checks read the complexes' rows, and reading either
+    attribute unset gives its complex's ``faces``.
     """
 
-    def __init__(self, p_complex: SimplicialComplex, q_complex: SimplicialComplex, phi, f0: dict,
+    def __init__(self, p_complex: SimplicialComplex, q_complex: SimplicialComplex, phi, f0,
                  p_faces=None, q_faces=None):
-        self.p_complex, self.q_complex, self.f0 = p_complex, q_complex, f0
+        self.p_complex, self.q_complex = p_complex, q_complex
         self.phi = phi if isinstance(phi, CarrierPhi) else CarrierPhi(p_complex, overrides=phi)
+        self.f0 = f0 if isinstance(f0, CarrierF0) else CarrierF0(p_complex, overrides=f0)
         self.given_p_faces, self.given_q_faces = p_faces, q_faces
 
     @property
@@ -440,8 +468,10 @@ def carrier_map_from_parts(pk: PartitionPoset, p: SimplicialComplex, q: Simplici
     (:meth:`PartitionPoset.factors`), so its carrier face is read off those
     blocks: the target vertices with them as their block, in the order of
     their labels' sort key, with no partition hashed.  x sits at their
-    barycenter.  φ of a chain is the union of its vertices' carrier faces,
-    computed when read (:class:`CarrierPhi`)."""
+    barycenter.  Only the carriers are stored, as tuples in that order:
+    φ of a chain is the union of its vertices' carriers and f0 of a vertex
+    the barycenter of its carrier, both computed when read
+    (:class:`CarrierPhi`, :class:`CarrierF0`)."""
     by_key = sorted(range(len(q.vertices)), key=lambda j: q.vertices[j].sort_key())
     place = dict(zip(by_key, range(len(by_key)))).__getitem__
     of_block = {}
@@ -449,16 +479,9 @@ def carrier_map_from_parts(pk: PartitionPoset, p: SimplicialComplex, q: Simplici
         blocks = q.vertices[j].nonsingleton_blocks()
         if len(blocks) == 1:
             of_block[blocks[0]] = j
-    weight = {}
-    f0 = {}
-    for v, x in enumerate(p.vertices):
-        carrier = sorted(map(of_block.__getitem__, x.nonsingleton_blocks()), key=place)
-        w = weight.get(len(carrier))
-        if w is None:
-            w = weight[len(carrier)] = Fraction(1, len(carrier))
-        f0[v] = dict.fromkeys(carrier, w)
-    phi = CarrierPhi(p, tuple(map(frozenset, f0.values())))
-    return CarrierMap(p_complex=p, q_complex=q, phi=phi, f0=f0)
+    carriers = tuple(tuple(sorted(map(of_block.__getitem__, x.nonsingleton_blocks()), key=place))
+                     for x in p.vertices)
+    return CarrierMap(p_complex=p, q_complex=q, phi=CarrierPhi(p, carriers), f0=CarrierF0(p, carriers))
 
 
 @dataclass
@@ -490,7 +513,10 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     target face, and the volume identity per target face: a global pass
     (:func:`_check_well_formed`), then :func:`check_target_face` on each
     target face, smallest first, all reading φ from one :class:`_PhiTable`.
-    Failures are collected, not raised.
+    Failures are collected, not raised.  Where f0 is the closed form over
+    φ's carriers (:class:`CarrierF0`), the vertex checks decide only the
+    edited vertices (:func:`_edited_vertices`): every other vertex is the
+    barycenter of its image under φ.
 
     Disjointness is decided by a ridge certificate where it holds, and by
     one linear feasibility test per pair of cells (Fourier-Motzkin, which
@@ -652,10 +678,10 @@ class _PhiTable:
     there is none.  The positions come from the carriers of ``cm.phi``
     (:func:`_union_positions`, one dimension at a time) on the faces of its
     complex, and from ``cm.phi`` itself on its overrides; :meth:`image`
-    reads one image from ``cm.phi``, where a message needs it.  ``vertices`` are the source's one-vertex rows, in
-    order, ``facets[d]`` the source's :meth:`FaceRows.facet_positions` and
-    :attr:`f0` the :class:`_VertexTable` of ``cm.f0``, each made on first
-    use."""
+    reads one image from ``cm.phi``, where a message needs it.
+    ``vertices`` are the source's one-vertex rows, in order, ``facets[d]``
+    the source's :meth:`FaceRows.facet_positions`, made on first use, and
+    ``edited`` the mask of :func:`_edited_vertices` over ``vertices``."""
 
     def __init__(self, cm: CarrierMap):
         self._phi = phi = cm.phi
@@ -664,8 +690,8 @@ class _PhiTable:
         self.target = PermutationAction(cm.q_complex, cm.given_q_faces)
         src, tgt = self.source.rows, self.target.rows
         self.pos = np.full(src.offsets[-1], -2, dtype=np.intp)
-        if phi.carriers is not None:
-            carriers = phi.carrier_rows()
+        carriers = None if phi.carriers is None else phi.carrier_rows()
+        if carriers is not None:
             for d, rows in enumerate(src.rows):
                 closed = slice(None) if src is phi.source.face_rows else phi.source.face_rows.find(d, rows) >= 0
                 self.pos[src.offsets[d]:src.offsets[d + 1]][closed] = _union_positions(carriers[rows[closed]], tgt)
@@ -675,6 +701,7 @@ class _PhiTable:
         none = [img is None for img in images]
         self.pos[at[at >= 0]] = np.where(none, -2, tgt.positions([img or () for img in images]))
         self.vertices = src.rows[0][:, 0].tolist() if src.rows else []
+        self.edited = _edited_vertices(cm, self.vertices, carriers, at[(at >= 0) & (at < len(self.vertices))])
 
     def image(self, i):
         """The image of the source face at position i, None when it has
@@ -685,10 +712,6 @@ class _PhiTable:
     def facets(self):
         rows = self.source.rows
         return [None] + [rows.facet_positions(d) for d in range(1, len(rows.rows))]
-
-    @cached_property
-    def f0(self):
-        return _VertexTable(self._f0, self.vertices)
 
     def on_face(self, i, cells, face_of):
         """For each cell (source positions) of as many vertices as the i-th
@@ -724,57 +747,24 @@ def _union_positions(carriers, into: FaceRows):
     return out
 
 
-class _VertexTable:
-    """``f0`` at the source vertices ``vertices``, read once.  ``coords[v]``
-    is the coordinates dict of the v-th vertex, None when it has none.  A
-    vertex *fits* when its dict is not empty, its target indices and
-    denominators fit int64 and its numerators are below 2**62 / w in
-    magnitude (w the most coordinates of any vertex, so that no sum of them
-    overflows).  The coordinates of the vertices that fit are the rows
-    (``vertex``, ``target``, ``num``, ``den``) of int64 arrays, sorted by
-    vertex (its place in ``vertices``), then target index.  A ``Fraction``
-    is in lowest terms, so two coordinates are equal iff their rows are."""
-
-    def __init__(self, f0, vertices):
-        self.coords = list(map(f0.get, vertices))
-        given = [c for c in self.coords if c is not None]
-        counts = np.array([0 if c is None else len(c) for c in self.coords], dtype=np.intp)
-        owner = np.repeat(np.arange(len(counts)), counts)
-        values = list(chain.from_iterable(c.values() for c in given))
-        target, wide = _as_int64(list(chain.from_iterable(given)))
-        num, wide_num = _as_int64([x.numerator for x in values], (1 << 62) // max(counts.max(initial=0), 1))
-        den, wide_den = _as_int64([x.denominator for x in values])
-        self.fits = (counts > 0) & (np.bincount(owner[wide | wide_num | wide_den], minlength=len(counts)) == 0)
-        keep = self.fits[owner]
-        order = np.lexsort((target[keep], owner[keep]))
-        self.vertex, self.target, self.num, self.den = (a[keep][order] for a in (owner, target, num, den))
-
-    def keys(self):
-        """The vertices that fit, and per vertex one int64 row: its number
-        of coordinates, then (target index, numerator, denominator) of each,
-        padded with zeros.  Two vertices that fit coincide iff their rows
-        are equal."""
-        fit = np.flatnonzero(self.fits)
-        ordinal = np.searchsorted(fit, self.vertex)
-        rank = np.arange(len(self.vertex)) - np.searchsorted(self.vertex, self.vertex)
-        counts = np.bincount(ordinal, minlength=len(fit))
-        out = np.zeros((len(fit), 1 + 3 * counts.max(initial=0)), dtype=np.int64)
-        out[:, 0] = counts
-        for j, column in enumerate((self.target, self.num, self.den)):
-            out[ordinal, 1 + 3 * rank + j] = column
-        return fit, out
-
-
-def _as_int64(values, bound=1 << 63):
-    """The Python ints ``values`` as an int64 array, 0 where one is not in
-    (-bound, bound), and the mask of those."""
-    try:
-        out = np.array(values, dtype=np.int64)
-    except OverflowError:
-        exact = np.array(values, dtype=object)
-        wide = ((exact <= -bound) | (exact >= bound)).astype(bool)
-        return np.where(wide, 0, exact).astype(np.int64), wide
-    return out, (out <= -bound) | (out >= bound)
+def _edited_vertices(cm: CarrierMap, vertices, carriers, phi_edited):
+    """Per source vertex of ``vertices`` (in order), whether the vertex
+    checks decide it on its own: when f0 does not share φ's carriers, when
+    it has an override in f0 or one in φ on the vertex itself (the places
+    ``phi_edited``), and when it has no carrier or its carrier is empty or
+    repeats an index.  Any other vertex sits at the barycenter of the set
+    φ maps it onto.  ``carriers`` are φ's :meth:`CarrierPhi.carrier_rows`,
+    None when it has none."""
+    f0, phi = cm.f0, cm.phi
+    ids = np.asarray(vertices, dtype=np.int64)
+    if carriers is None or not isinstance(f0, CarrierF0) or f0.source is not phi.source or f0.carriers is not phi.carriers:
+        return np.ones(len(ids), dtype=bool)
+    out = ids >= len(carriers)
+    rows = np.sort(carriers[ids[~out]], axis=1)
+    out[~out] = (rows[:, 0] == _PAD) | ((rows[:, 1:] == rows[:, :-1]) & (rows[:, 1:] != _PAD)).any(axis=1)
+    out[phi_edited] = True
+    out |= np.isin(ids, [v for v in f0.overrides if f0._closed(v)])
+    return out
 
 
 def generators(m: int):
@@ -829,26 +819,21 @@ def _orbit_roots(phi: _PhiTable):
 
 def _f0_commutes(phi: _PhiTable, src, tgt) -> bool:
     """Whether f0(σv) = σf0(v) for every source vertex v, where σ has the
-    source and target vertex index maps ``src`` and ``tgt`` and maps the
-    source vertices onto themselves.  On the vertex table, σ moves each row
-    (v, w, x) to (σv, σw, x), and the rows moved and sorted must be the
-    rows; σ keeps the numbers, so it maps the vertices that fit the table
-    onto themselves, and the others are compared as dicts."""
-    table = phi.f0
-    vertices = np.asarray(phi.vertices, dtype=np.intp)
-    moved = np.searchsorted(vertices, np.asarray(src)[vertices])  # place of σv
-    if not (table.fits[moved] == table.fits).all():
-        return False
-    vertex, target = moved[table.vertex], np.asarray(tgt)[table.target]
-    order = np.lexsort((target, vertex))
-    if not all((a[order] == b).all() for a, b in
-               ((vertex, table.vertex), (target, table.target), (table.num, table.num), (table.den, table.den))):
-        return False
-    coords = table.coords
-    return all(
-        coords[moved[v]] == (None if coords[v] is None else {tgt[w]: x for w, x in coords[v].items()})
-        for v in np.flatnonzero(~table.fits).tolist()
-    )
+    source and target vertex index maps ``src`` and ``tgt``, maps the
+    source vertices onto themselves and commutes with φ
+    (:func:`generator_certificate`).  Only the pairs with v edited
+    (``phi.edited``) are compared, as dicts.  For any other v, follow σ
+    from v through edited vertices w_1 .. w_r to the next unedited vertex
+    u = σ^(r+1) v: the compared pairs give f0(w_1) = σ^(-r) f0(u), and f0(u),
+    f0(v) are the barycenters of φ(u) = σ^(r+1) φ(v) and φ(v), so
+    f0(σv) = f0(w_1) = σf0(v)."""
+    ids = phi.vertices
+    moved = np.searchsorted(ids, np.asarray(src)[ids])  # place of σv
+    for v in np.flatnonzero(phi.edited).tolist():
+        coords = phi._f0.get(ids[v])
+        if phi._f0.get(ids[moved[v]]) != (None if coords is None else {tgt[w]: x for w, x in coords.items()}):
+            return False
+    return True
 
 
 def _check_well_formed(cm: CarrierMap, label, phi: _PhiTable):
@@ -863,7 +848,8 @@ def _check_well_formed(cm: CarrierMap, label, phi: _PhiTable):
     order, and the closure test the source's facet positions.  The order
     test compares target rows, and the images only where one is no target
     face; it reads ``cm.phi`` only for a sub-face that is no source face.
-    The vertex checks are :func:`_check_vertices`."""
+    The vertex checks are :func:`_check_vertices`, which reads coordinates
+    from ``cm.f0`` only at the edited vertices."""
     rows, pos, target = phi.source.rows, phi.pos, phi.target.rows
     # the target rows padded with -1, and a last row of -1 alone
     padded = np.full((target.offsets[-1] + 1, len(target.rows)), -1, dtype=np.int32)
@@ -900,81 +886,44 @@ def _check_well_formed(cm: CarrierMap, label, phi: _PhiTable):
         if disorder[i]:
             failures.append(CheckFailure("phi_order", f"phi not order-preserving at {face}"))
     bad = set().union(*rows.faces_at(np.flatnonzero(flagged | disorder)))
-    vertex_failures, touched = _check_vertices(cm, label, phi, padded)
+    vertex_failures, touched = _check_vertices(cm, label, phi)
     return failures + vertex_failures, bad | touched
 
 
-def _check_vertices(cm: CarrierMap, label, phi: _PhiTable, padded):
-    """The vertex checks of :func:`_check_well_formed`, on the vertex table
-    ``phi.f0``: each source vertex has coordinates, they are positive with
-    its carrier (φ of the vertex) as support and sum to one, and no earlier
-    vertex has the same ones.  ``padded`` holds the target rows, padded
-    with -1 and ending in a row of -1 alone.  A vertex that fits the table,
-    has one denominator and a target face as its carrier is decided by
-    array tests: its numerators are positive and sum to that denominator,
-    and its target indices are its carrier's.  Any other is decided in
-    Python integers, on its own.  Coincidence is decided on the
-    table's key rows among the vertices that fit, and by dict among the
-    others: coinciding vertices have the same numbers, so both fit or
-    neither does.  Returns the failures, in vertex order, and the vertices
-    they touch."""
-    table = phi.f0
-    n = len(table.coords)
-    placed = np.array([c is not None for c in table.coords], dtype=bool)
-    carrier = phi.pos[:n]  # the one-vertex faces come first
-    vertex = table.vertex
-    total = np.zeros(n, dtype=np.int64)
-    np.add.at(total, vertex, table.num)
-    den = np.zeros(n, dtype=np.int64)
-    den[vertex] = table.den
-    rows = padded[np.where(carrier >= 0, carrier, -1)]  # each vertex's carrier, if a target face
-    on = (rows[vertex] == table.target[:, None]).any(axis=1) & (table.num > 0)
-    inside = (np.bincount(vertex[~on], minlength=n) == 0) & (np.bincount(vertex, minlength=n) == (rows >= 0).sum(axis=1))
-    normalised = total == den
-    mixed = np.bincount(vertex[table.den != den[vertex]], minlength=n) > 0
-    for v in np.flatnonzero(placed & ~(table.fits & ~mixed & (carrier >= 0))).tolist():
-        coords = table.coords[v]
-        inside[v] = all(x > 0 for x in coords.values()) and frozenset(coords) == phi.image(v)
-        common = lcm(*(x.denominator for x in coords.values()))
-        normalised[v] = sum(x.numerator * (common // x.denominator) for x in coords.values()) == common
-    previous = np.full(n, -1)  # the last earlier vertex at the same point
-    fit, keys = table.keys()
-    order = np.lexsort(keys.T[::-1])  # stable: equal rows stay in vertex order
-    same = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
-    previous[fit[order[1:][same]]] = fit[order[:-1][same]]
-    seen = {}
-    for v in np.flatnonzero(placed & ~table.fits).tolist():
-        key = frozenset(table.coords[v].items())
-        previous[v] = seen.get(key, -1)
-        seen[key] = v
-
-    failures, touched = [], set()
-    ids = phi.vertices
-    for v in np.flatnonzero(~(placed & inside & normalised) | (previous >= 0)).tolist():
-        if not placed[v]:
-            failures.append(CheckFailure("vertex_map_total", f"no coordinates for vertex {ids[v]}"))
-            touched.add(ids[v])
+def _check_vertices(cm: CarrierMap, label, phi: _PhiTable):
+    """The vertex checks of :func:`_check_well_formed`: each source vertex
+    has coordinates, they are positive with its carrier (φ of the vertex)
+    as support and sum to one, and no earlier vertex has the same ones.
+    The first three are decided for the edited vertices (``phi.edited``)
+    alone, each on its own in Python integers; the others pass them by
+    construction.  For coincidence an unedited vertex is keyed by its
+    carrier, as is an edited one at the barycenter of the same set, and any
+    other point by its coordinates.  Returns the failures, in vertex order,
+    and the vertices they touch."""
+    failures, touched, seen = [], set(), {}  # seen: point -> the last vertex there
+    for v, (u, edited) in enumerate(zip(phi.vertices, phi.edited.tolist())):
+        if not edited:
+            point = frozenset(cm.f0.carriers[u])
+        elif (coords := cm.f0.get(u)) is None:
+            failures.append(CheckFailure("vertex_map_total", f"no coordinates for vertex {u}"))
+            touched.add(u)
             continue
-        if not inside[v]:
+        else:
             image = phi.image(v)
-            failures.append(
-                CheckFailure(
-                    "vertex_in_carrier_interior",
-                    f"vertex {cm.p_complex.vertices[ids[v]]!r} not strictly inside its carrier",
-                    label(image) if image else None,
-                )
-            )
-            touched.add(ids[v])
-        if not normalised[v]:
-            failures.append(
-                CheckFailure("vertex_coordinates_sum", f"coordinates of vertex {ids[v]} do not sum to 1")
-            )
-            touched.add(ids[v])
-        if previous[v] >= 0:
-            failures.append(
-                CheckFailure("vertex_map_injective", f"vertices {ids[previous[v]]} and {ids[v]} coincide")
-            )
-            touched |= {ids[previous[v]], ids[v]}
+            if not (all(x > 0 for x in coords.values()) and frozenset(coords) == image):
+                failures.append(CheckFailure("vertex_in_carrier_interior", f"vertex {cm.p_complex.vertices[u]!r} not "
+                                             "strictly inside its carrier", label(image) if image else None))
+                touched.add(u)
+            common = lcm(*(x.denominator for x in coords.values()))
+            if sum(x.numerator * (common // x.denominator) for x in coords.values()) != common:
+                failures.append(CheckFailure("vertex_coordinates_sum", f"coordinates of vertex {u} do not sum to 1"))
+                touched.add(u)
+            barycenter = coords and all(x == Fraction(1, len(coords)) for x in coords.values())
+            point = frozenset(coords) if barycenter else frozenset(coords.items())
+        if point in seen:
+            failures.append(CheckFailure("vertex_map_injective", f"vertices {seen[point]} and {u} coincide"))
+            touched |= {seen[point], u}
+        seen[point] = u
     return failures, touched
 
 
@@ -1317,20 +1266,36 @@ def sample_permutations(m: int, count: int, seed: int) -> list:
     return out
 
 
+def tested_permutations(m: int, wanted, seed: int, certified: bool):
+    """The permutations of 1..m an equivariance check tests, and their
+    number: all of S_m when ``wanted`` is None, else ``min(wanted, m!)``
+    drawn by :func:`sample_permutations`.  When ``certified`` (the
+    generators of S_m pass, so no permutation can fail) none is drawn, and
+    the number is the one the loop would have checked."""
+    count = factorial(m) if wanted is None else min(wanted, factorial(m))
+    if certified:
+        return (), count
+    return permutations(range(1, m + 1)) if wanted is None else sample_permutations(m, count, seed), count
+
+
+def top_rank(groups, n: int) -> int:
+    """The rank in degree n - 3, the top degree of T^k_n, of the reduced
+    homology ``groups``; 0 when they stop below it."""
+    return groups[n - 3][0] if 0 <= n - 3 < len(groups) else 0
+
+
 def check_equivariance(k: int, n: int, perms="all", seed: int = 0,
                        max_poset_elements: int = MAX_POSET_ELEMENTS, max_faces: int = MAX_FACES) -> EquivarianceReport:
     """Leaf-relabelling equivariance of the whole carrier map.
 
-    For each tested permutation (all of S_m, or ``perms`` of them drawn by
-    :func:`sample_permutations`) both complexes must be setwise invariant and
-    the factor map must commute with the relabelling on every chain.  Top
-    reduced homology ranks of the two complexes are compared as well.
+    For each tested permutation (all of S_m, or ``perms`` of them:
+    :func:`tested_permutations`) both complexes must be setwise invariant
+    and the factor map must commute with the relabelling on every chain.
+    Top reduced homology ranks of the two complexes are compared as well.
 
     The permutations with both properties form a subgroup of S_m, so it is
     enough that the generators (1 2) and (1 2 ... m) have them
-    (:func:`generator_certificate`).  When they do, no permutation can fail,
-    the sample is not drawn, and ``permutations_checked`` is the number the
-    loop would have checked: m!, or ``min(perms, m!)``.  Otherwise every
+    (:func:`generator_certificate`); then none is tested.  Otherwise every
     tested permutation is checked in turn, by the certificate's relabelling
     test and array comparison, and the failures are reported in order, at
     most one non-commuting chain (the first in row order) per permutation.
@@ -1340,15 +1305,10 @@ def check_equivariance(k: int, n: int, perms="all", seed: int = 0,
     if wanted is not None and wanted < 0:
         raise ValueError("perms must be 'all' or a nonnegative count")
     m, pk, q, delta = _instance(k, n, max_poset_elements, max_faces)
-    count = factorial(m) if wanted is None else min(wanted, factorial(m))
     phi = _PhiTable(carrier_map_from_parts(pk, delta, q))
+    certified = generator_certificate(phi.source, phi.target, phi.pos) is not None
+    chosen, count = tested_permutations(m, wanted, seed, certified)
     failures = []
-    if generator_certificate(phi.source, phi.target, phi.pos) is not None:
-        chosen = ()  # no permutation can fail
-    elif wanted is None:
-        chosen = permutations(range(1, m + 1))
-    else:
-        chosen = sample_permutations(m, count, seed)
     for pi in chosen:
         src = phi.source.relabel(pi)
         if src is None:
@@ -1367,6 +1327,5 @@ def check_equivariance(k: int, n: int, perms="all", seed: int = 0,
             (face,) = phi.source.rows.faces_at([differ.argmax()])
             failures.append({"perm": list(pi), "detail": "carrier map does not commute with the relabelling",
                              "chain": [delta.vertices[v].text() for v in sorted(face)]})
-    top = n - 3
-    rank_d, rank_q = (h[top][0] if 0 <= top < len(h) else 0 for h in (delta.reduced_homology(), q.reduced_homology()))
+    rank_d, rank_q = top_rank(delta.reduced_homology(), n), top_rank(q.reduced_homology(), n)
     return EquivarianceReport(not failures and rank_d == rank_q, count, rank_d, rank_q, failures)

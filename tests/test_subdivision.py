@@ -669,6 +669,52 @@ def _place_middle(coords):
     return edit
 
 
+def _lower_vertex_phi(cm, k, n):
+    # φ of the vertex (12)(34)5 lowered from its carrier edge to one end of
+    # it, while f0 keeps the barycenter of the edge: still order-preserving,
+    # and only the vertex check, reading φ of the vertex, sees the point off
+    # its image
+    v = cm.p_complex.vertex_index(parse_partition("(12)(34)5", 5))
+    cm.phi[frozenset([v])] = frozenset([min(cm.f0[v])])
+
+
+def _onto_unedited_barycenter(cm, k, n):
+    # (12)(34) placed at the barycenter of the carrier of (13)(24), which
+    # keeps its closed-form point: the two coincide, one edited and one not
+    a, b = (cm.p_complex.vertex_index(parse_partition(t, 4)) for t in ["(12)(34)", "(13)(24)"])
+    cm.f0[a] = dict(cm.f0[b])
+
+
+def _recarry(text, carrier):
+    # the carrier of the vertex ``text`` replaced by carrier(old carrier),
+    # in the carriers that φ and f0 share
+    def edit(cm, k, n):
+        v = cm.p_complex.vertex_index(parse_partition(text, (n - 1) * k + 1))
+        carriers = list(cm.phi.carriers)
+        carriers[v] = carrier(carriers[v])
+        cm.phi = subdivision.CarrierPhi(cm.p_complex, tuple(carriers))
+        cm.f0 = subdivision.CarrierF0(cm.p_complex, cm.phi.carriers)
+
+    return edit
+
+
+def _plain_f0_missing_vertex():
+    # φ from carriers and f0 a plain dict without y, whose carrier {A, C}
+    # is no face of the path A-B-C: y has no coordinates and lies in no cell
+    pts = {**CORNERS, "x": {"A": F(1, 2), "B": F(1, 2)}, "y": {"A": F(1, 2), "C": F(1, 2)}}
+    hand = _hand_map([("A", "B"), ("B", "C")], pts, [("A", "x"), ("x", "B"), ("B", "C"), ("y",)])
+    p = hand.p_complex
+    carriers = tuple(tuple(sorted(hand.f0[v])) for v in range(len(p.vertices)))
+    f0 = {v: coords for v, coords in hand.f0.items() if p.vertices[v] != "y"}
+    return CarrierMap(p_complex=p, q_complex=hand.q_complex, phi=subdivision.CarrierPhi(p, carriers), f0=f0)
+
+
+def _stray_source_vertex(cm, k, n):
+    # one more source vertex, past the source complex's vertices: it has
+    # neither an image nor coordinates
+    cm.p_faces = cm.p_faces | {frozenset([len(cm.p_complex.vertices)])}
+
+
 def _ladder(k, n, edit=None):
     def build():
         cm, _ = global_carrier_map(k, n)
@@ -726,6 +772,16 @@ CARRIER_CASES = {
     "zero-coordinate": (_ladder(1, 4, _place_middle(lambda lo, hi, other: {lo: F(1, 2), hi: F(1, 2), other: F(0)})),
                         False),
     "negative-coordinate": (_ladder(1, 4, _place_middle(lambda lo, hi, _: {lo: F(3, 2), hi: F(-1, 2)})), False),
+    # the edited vertices, which the vertex checks decide on their own: φ
+    # overridden on a vertex, f0 overridden onto an unedited point, a plain
+    # f0 beside a carrier φ, carriers that are empty or repeat an index,
+    # and a vertex past the carriers
+    "phi-vertex-override": (_ladder(1, 5, _lower_vertex_phi), False),
+    "coincident-with-unedited": (_ladder(1, 4, _onto_unedited_barycenter), False),
+    "plain-f0-missing-vertex": (_plain_f0_missing_vertex, False),
+    "empty-carrier": (_ladder(1, 4, _recarry("(12)(34)", lambda c: ())), False),
+    "repeated-carrier": (_ladder(1, 4, _recarry("(12)(34)", lambda c: (c[0], c[0]))), False),
+    "stray-source-vertex": (_ladder(1, 4, _stray_source_vertex), False),
 }
 
 
@@ -736,7 +792,9 @@ NO_OVERLAP = {"dropped-facet-cell", "dropped-ridge-cell", "dropped-facet-orbit",
               "phi-off-orbit", "dropped-cell-beside-last", "stray-target-face",
               "phi-total", "phi-into-target", "phi-order", "vertex-map-total",
               "vertex-coordinates-sum", "mixed-denominators-off-sum", "wrapping-sum",
-              "wide-denominator-off-sum", "zero-coordinate", "one-denominator-off-sum"}
+              "wide-denominator-off-sum", "zero-coordinate", "one-denominator-off-sum",
+              "phi-vertex-override", "coincident-with-unedited", "plain-f0-missing-vertex", "empty-carrier",
+              "repeated-carrier", "stray-source-vertex"}
 
 
 @pytest.mark.parametrize("case", sorted(CARRIER_CASES))
@@ -1220,3 +1278,15 @@ def test_verify_reads_no_image_per_chain(monkeypatch):
     (cm,) = built
     assert reads == [] and cm.phi.overrides == {}
     assert set(vars(cm.phi)) == {"source", "carriers", "overrides"}
+
+
+def test_verify_keeps_f0_in_closed_form(monkeypatch):
+    # f0 is the barycenters of the carriers φ is computed from: a passing
+    # verify edits neither, so no vertex is decided on its own
+    built = []
+    real = subdivision.carrier_map_from_parts
+    monkeypatch.setattr(subdivision, "carrier_map_from_parts", lambda *args: built.append(real(*args)) or built[-1])
+    assert verify_theorem(3, 4).verdict == "pass"
+    (cm,) = built
+    assert cm.f0.overrides == {} and cm.f0.carriers is cm.phi.carriers and cm.f0.source is cm.phi.source
+    assert not subdivision._PhiTable(cm).edited.any()
