@@ -7,7 +7,9 @@ scaled to integers by one common multiple L of its denominators, and every
 elimination runs on those integers.  Rank and determinant use Bareiss'
 fraction-free elimination (*Sylvester's identity and multistep
 integer-preserving Gaussian elimination*, Math. Comp. 1968): each entry is a
-minor of the matrix, so every division by the previous pivot is exact.  The
+minor of the matrix, so every division by the previous pivot is exact;
+:func:`bareiss_int64` runs the same elimination on a stack of 0/1 matrices
+at once, in int64, up to an order at which no entry can wrap.  The
 intersection test reduces its equalities and runs Fourier-Motzkin on integer
 rows, each new row divided by the positive gcd of its entries.  Only the
 back-substitution and the witness point are ``Fraction`` arithmetic.
@@ -24,6 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+import numpy as np
 
 
 def _scaled(points):
@@ -56,6 +60,42 @@ def _bareiss(m):
         rank += 1
         if rank == nrows:
             break
+    return rank, sign * prev
+
+
+# The most rows a matrix given to bareiss_int64 may have.  A minor of order r
+# of a 0/1 matrix is at most H(r) = (r+1)^((r+1)/2) / 2^r (Hadamard's bound on
+# the ±1 matrix of order r+1 it borders), and each step of the elimination
+# forms p*x - f*y from minors of order below the number of rows, so no value
+# exceeds 2·H(22)² < 2^63.
+INT64_ORDER = 22
+
+
+def bareiss_int64(m):
+    """:func:`_bareiss` on a stack of 0/1 matrices at once: ``m`` is an int64
+    array of shape (count, rows, columns), with at most :data:`INT64_ORDER`
+    rows, reduced in place.  Returns the rank and the signed last pivot of
+    each matrix, as arrays: the same numbers as :func:`_bareiss` gives on
+    each, since every matrix meets the same pivots and swaps."""
+    count, nrows, ncols = m.shape
+    rank = np.zeros(count, dtype=np.intp)
+    prev = np.ones(count, dtype=np.int64)
+    sign = np.ones(count, dtype=np.int64)
+    row = np.arange(nrows)
+    for col in range(ncols):
+        live = (m[:, :, col] != 0) & (row >= rank[:, None])
+        at = np.flatnonzero(live.any(axis=1))
+        top, piv = rank[at], live[at].argmax(axis=1)
+        swap = piv != top
+        m[at[swap], top[swap]], m[at[swap], piv[swap]] = m[at[swap], piv[swap]], m[at[swap], top[swap]]
+        sign[at[swap]] *= -1
+        block = m[at]
+        pivot_row = block[np.arange(len(at)), top]
+        p = pivot_row[:, col, None, None]
+        reduced = (p * block - block[:, :, col, None] * pivot_row[:, None, :]) // prev[at, None, None]
+        m[at] = np.where((row > top[:, None])[:, :, None], reduced, block)
+        prev[at] = p[:, 0, 0]
+        rank[at] += 1
     return rank, sign * prev
 
 

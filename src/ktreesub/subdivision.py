@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations, permutations
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 import numpy as np
 
@@ -550,6 +550,20 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     pairwise disjoint, which is what the pairwise test would have found.
     Nothing outside C enters the argument.
 
+    A cell of at most :data:`exact.INT64_ORDER` vertices, all unedited,
+    whose carriers C_v lie in qf, is decided in closed form
+    (:meth:`_PhiTable.cells`): in the chart of qf its points are the rows
+    of its 0/1 incidence matrix I (row v marks the vertices of qf in C_v)
+    divided by |C_v|.  It is nondegenerate when I has full row rank.  If it
+    is full-dimensional, its signed volume ratio is the determinant of its
+    square barycentric matrix P (with the first column replaced by the row
+    sums, all 1, this is the determinant of the difference matrix), so
+    det(P) = det(I) / Π|C_v|.  Rank and det(I) come from
+    :func:`exact.bareiss_int64` over all such cells of a batch, exact in
+    int64 up to 22 rows: a 0/1 minor of order r is at most
+    H(r) = (r+1)^((r+1)/2) / 2^r, and 2·H(22)² < 2^63.  Any other cell
+    takes the ``Fraction`` path, as do the pairwise tests.
+
     The target faces are checked one per S_m-orbit where a generator
     certificate allows it.  With no marked vertex (so no well-formedness
     failure) and partition labels on both sides, let σ be (1 2) or
@@ -584,23 +598,27 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     is_root = roots == np.arange(n)
 
     source_face, target_face = {}, {}  # position -> frozenset, for the faces checked and their cells
+    on_face, known = {}, {}  # cell -> its ridge flags, its closed-form geometry (_PhiTable.cells)
 
     def read(targets):
-        """The target positions ``targets``, once their faces and the faces of
-        the cells over them are made, one batch each."""
+        """The target positions ``targets``, once their faces, the faces of
+        the cells over them and the cells' flags and geometry are made, one
+        batch each."""
         if len(targets):
             wanted = np.zeros(n, dtype=bool)
             wanted[targets] = True
             over = cells[wanted[phi.pos[cells]]]
-            source_face.update(zip(over.tolist(), phi.source.rows.faces_at(over)))
+            faces = phi.source.rows.faces_at(over)
+            source_face.update(zip(over.tolist(), faces))
             target_face.update(zip(targets.tolist(), phi.target.rows.faces_at(targets)))
+            flags, geometry = phi.cells(over, faces)
+            on_face.update(flags)
+            known.update(geometry)
         return targets.tolist()
 
     def check(i):
-        over = cells[bounds[i]:bounds[i + 1]]
-        faces = list(map(source_face.__getitem__, over.tolist()))
-        on_face = phi.on_face(i, over, source_face)
-        face_failures, total = check_target_face(cm, target_face[i], faces, bad, label, on_face)
+        faces = list(map(source_face.__getitem__, cells[bounds[i]:bounds[i + 1]].tolist()))
+        face_failures, total = check_target_face(cm, target_face[i], faces, bad, label, on_face, known)
         return face_failures, None if total is None else str(total)
 
     # the roots, then every face of an orbit whose root fails
@@ -702,6 +720,7 @@ class _PhiTable:
         self.pos[at[at >= 0]] = np.where(none, -2, tgt.positions([img or () for img in images]))
         self.vertices = src.rows[0][:, 0].tolist() if src.rows else []
         self.edited = _edited_vertices(cm, self.vertices, carriers, at[(at >= 0) & (at < len(self.vertices))])
+        self.carriers = carriers
 
     def image(self, i):
         """The image of the source face at position i, None when it has
@@ -713,20 +732,61 @@ class _PhiTable:
         rows = self.source.rows
         return [None] + [rows.facet_positions(d) for d in range(1, len(rows.rows))]
 
-    def on_face(self, i, cells, face_of):
-        """For each cell (source positions) of as many vertices as the i-th
-        target face: its face (``face_of`` maps a position to it) -> per
-        vertex, in sorted order, whether φ of the cell without it is the
-        i-th target face."""
-        src = self.source.rows
-        d = int(np.searchsorted(self.target.rows.offsets, i, side="right")) - 1
-        top = cells[(cells >= src.offsets[d]) & (cells < src.offsets[d + 1])] if d < len(src.rows) else cells[:0]
-        if d == 0:
-            on = np.zeros((len(top), 1), dtype=bool)
-        else:
-            ridges = self.facets[d][top - src.offsets[d]]
-            on = (ridges >= 0) & (self.pos[src.offsets[d - 1] + ridges] == i)
-        return dict(zip(map(face_of.__getitem__, top.tolist()), on.tolist()))
+    def cells(self, over, faces):
+        """For the cells at the source positions ``over`` (their frozensets
+        ``faces``), two dicts keyed by face, for :func:`check_target_face`:
+        ``on_face``, per cell of as many vertices as its image, whether φ of
+        the cell without each vertex (in sorted order) is that image; and
+        ``known``, per cell that :func:`verify_carrier_map` decides in
+        closed form, whether it is nondegenerate and, when it is
+        full-dimensional, its signed volume ratio (else None)."""
+        src, tgt = self.source.rows, self.target.rows
+        image = self.pos[over]
+        src_dim = np.searchsorted(src.offsets, over, side="right") - 1
+        tgt_dim = np.searchsorted(tgt.offsets, image, side="right") - 1
+        on_face = {}
+        for d in range(min(len(src.rows), len(tgt.rows))):
+            at = np.flatnonzero((src_dim == d) & (tgt_dim == d))
+            if d == 0:
+                on = np.zeros((len(at), 1), dtype=bool)
+            else:
+                ridges = self.facets[d][over[at] - src.offsets[d]]
+                on = (ridges >= 0) & (self.pos[src.offsets[d - 1] + ridges] == image[at, None])
+            on_face.update(zip(map(faces.__getitem__, at.tolist()), on.tolist()))
+        at = np.flatnonzero(src_dim < exact.INT64_ORDER) if self.carriers is not None else over[:0]
+        if not len(at):
+            return on_face, {}
+        # each cell's vertices and image as rows, padded to the widest: a
+        # vertex slot past the cell's by ``pad`` and a vertex past the
+        # carriers by ``pad + 1``, both rows of _PAD (no target vertex), and
+        # an image slot by -1.  The padding adds zero rows and columns to an
+        # incidence matrix, which hold no pivot: its rank and last pivot
+        # stay the cell's own
+        pad = len(self.carriers)
+        carriers = np.vstack([self.carriers, np.full((2, self.carriers.shape[1]), _PAD, dtype=np.int32)])
+        plain = np.zeros(pad + 2, dtype=bool)
+        plain[np.asarray(self.vertices, dtype=np.intp)[~self.edited]] = True
+        plain[pad] = True
+        cell_dim, face_dim = src_dim[at], tgt_dim[at]
+        vertices = np.full((len(at), cell_dim.max() + 1), pad, dtype=np.intp)
+        face = np.full((len(at), face_dim.max() + 1), -1, dtype=np.int32)
+        for d in range(vertices.shape[1]):
+            cell = np.flatnonzero(cell_dim == d)
+            ids = src.rows[d][over[at[cell]] - src.offsets[d]]
+            vertices[cell, :d + 1] = np.where(ids < pad, ids, pad + 1)
+        for d in range(face.shape[1]):
+            top = np.flatnonzero(face_dim == d)
+            face[top, :d + 1] = tgt.rows[d][image[at[top]] - tgt.offsets[d]]
+        rows = carriers[vertices]
+        incidence = (rows[..., None] == face[:, None, None, :]).any(axis=2)
+        sizes = (rows != _PAD).sum(axis=2)
+        decided = plain[vertices].all(axis=1) & (incidence.sum(axis=2) == sizes).all(axis=1)
+        rank, det = exact.bareiss_int64(incidence[decided].astype(np.int64))
+        full = (cell_dim == face_dim)[decided].tolist()
+        volumes = [Fraction(x, prod(s)) if f else None
+                   for x, s, f in zip(det.tolist(), np.maximum(sizes[decided], 1).tolist(), full)]
+        nondegenerate = (rank == cell_dim[decided] + 1).tolist()
+        return on_face, dict(zip(map(faces.__getitem__, at[decided].tolist()), zip(nondegenerate, volumes)))
 
 
 def _union_positions(carriers, into: FaceRows):
@@ -927,13 +987,17 @@ def _check_vertices(cm: CarrierMap, label, phi: _PhiTable):
     return failures, touched
 
 
-def check_target_face(cm: CarrierMap, qf, cells, bad, label, on_face):
+def check_target_face(cm: CarrierMap, qf, cells, bad, label, on_face, known):
     """The checks of :func:`verify_carrier_map` on one target face ``qf``
     whose preimage cells are ``cells``: surjectivity, nondegeneracy, disjoint
     open images (the ridge certificate when no cell meets the source
     vertices ``bad`` that failed well-formedness, else one Fourier-Motzkin
-    test per pair of cells) and the volume identity.  ``on_face`` is
-    :meth:`_PhiTable.on_face` of the cells.
+    test per pair of cells) and the volume identity.  ``on_face`` and
+    ``known`` are :meth:`_PhiTable.cells`, for these cells and maybe others:
+    a cell in ``known`` takes its nondegeneracy and volume from there, any
+    other cell from its points, localised to ``qf`` from ``cm.f0``, as do
+    the pairwise tests.  A cell through a vertex with no coordinates has no
+    image: it adds no volume and enters no pairwise test.
     Returns the face's failures and the total volume of its full-dimensional
     cells (None when it has no cell)."""
     if not cells:
@@ -941,12 +1005,25 @@ def check_target_face(cm: CarrierMap, qf, cells, bad, label, on_face):
     failures = []
     qs = sorted(qf)
     qdim = len(qs) - 1
-    local_points = {}
+    points = {}  # cell -> its vertices' points, None when one has no coordinates
+
+    def place(cell):
+        if cell not in points:
+            coords = [cm.f0.get(v) for v in sorted(cell)]
+            points[cell] = None if None in coords else [_localize_point(c, qs) for c in coords]
+        return points[cell]
+
     degenerate = set()
+    volumes = {}  # signed, of the nondegenerate full-dimensional cells
     for cell in cells:
-        pts = [_localize_point(cm.f0[v], qs) for v in sorted(cell)]
-        local_points[cell] = pts
-        if exact.affine_dim(pts) != len(cell) - 1:
+        if cell in known:
+            nondegenerate, volume = known[cell]
+        elif (pts := place(cell)) is None:
+            continue
+        else:
+            nondegenerate = exact.affine_dim(pts) == len(cell) - 1
+            volume = exact.simplex_volume_ratio(pts) if nondegenerate and len(cell) - 1 == qdim else None
+        if not nondegenerate:
             degenerate.add(cell)
             failures.append(
                 CheckFailure(
@@ -955,22 +1032,18 @@ def check_target_face(cm: CarrierMap, qf, cells, bad, label, on_face):
                     label(qf),
                 )
             )
-    volumes = {  # signed, of the nondegenerate full-dimensional cells
-        cell: exact.simplex_volume_ratio(local_points[cell])
-        for cell in cells
-        if len(cell) - 1 == qdim and cell not in degenerate
-    }
-    total = sum((abs(x) for x in volumes.values()), Fraction(0))
+        elif volume is not None:
+            volumes[cell] = volume
+    total = sum(map(abs, volumes.values()), Fraction(0))
     certified = (
         not degenerate and total == 1
         and all(bad.isdisjoint(cell) for cell in cells)
         and _ridge_certificate(qf, cells, volumes, on_face)
     )
     if not certified:
-        for c1, c2 in combinations(sorted(cells, key=_by_size), 2):
-            if c1 in degenerate or c2 in degenerate:
-                continue
-            witness = exact.open_simplices_intersect(local_points[c1], local_points[c2])
+        drawn = [cell for cell in sorted(cells, key=_by_size) if cell not in degenerate and place(cell) is not None]
+        for c1, c2 in combinations(drawn, 2):
+            witness = exact.open_simplices_intersect(points[c1], points[c2])
             if witness is not None:
                 failures.append(
                     CheckFailure(
@@ -1038,9 +1111,11 @@ def _localize_point(coords, q_sorted):
 class _FaceLabels:
     """Labels of target faces: a face's vertex texts joined by "+", in order
     of the vertices' names (a partition's sort key and text, else its text
-    twice).  The vertices are ranked by name once; :meth:`rows` labels the
-    rows of a 2-d array of vertex indices by adding columns of an object
-    array of texts, which allocates no list per row."""
+    twice), then, for a set that is no target face, each index that is no
+    target vertex as "#" and the index, in increasing order.  The vertices
+    are ranked by name once; :meth:`rows` labels the rows of a 2-d array of
+    vertex indices by adding columns of an object array of texts, which
+    allocates no list per row."""
 
     def __init__(self, q: SimplicialComplex):
         names = [(lab.sort_key(), lab.text()) if isinstance(lab, Partition) else (str(lab),) * 2
@@ -1053,7 +1128,9 @@ class _FaceLabels:
     def __call__(self, face):
         if face is None:
             return None
-        return "+".join(self._texts[np.sort(self._rank[list(face)])])
+        ids = np.array(sorted(face), dtype=np.intp)
+        vertex = (ids >= 0) & (ids < len(self._rank))
+        return "+".join([*self._texts[np.sort(self._rank[ids[vertex]])], *(f"#{i}" for i in ids[~vertex].tolist())])
 
     def rows(self, rows):
         texts = self._texts[np.sort(self._rank[rows], axis=1)]

@@ -411,9 +411,12 @@ def pairwise_carrier_oracle(cm):
         return (x.sort_key(), x.text()) if hasattr(x, "text") else (str(x), str(x))
 
     def label(face):
+        # an index that is no target vertex is named by "#" and its number, last
         if face is None:
             return None
-        return "+".join(text for _, text in sorted(name(q.vertices[i]) for i in face))
+        inside = [i for i in face if 0 <= i < len(q.vertices)]
+        stray = sorted(set(face) - set(inside))
+        return "+".join([text for _, text in sorted(name(q.vertices[i]) for i in inside)] + [f"#{i}" for i in stray])
 
     def fail(check, detail, witness=None):
         out = {"check": check, "detail": detail}
@@ -467,9 +470,13 @@ def pairwise_carrier_oracle(cm):
             fail("carrier_surjective", "target face has no preimage cell", label(qf))
             continue
         qs = sorted(qf)
+        # a cell through a vertex with no coordinates has no image: it is
+        # left out of every test below
         points = {
-            c: [tuple(cm.f0[v].get(i, Fraction(0)) for i in qs) for v in sorted(c)] for c in cells
+            c: [tuple(cm.f0[v].get(i, Fraction(0)) for i in qs) for v in sorted(c)]
+            for c in cells if all(v in cm.f0 for v in c)
         }
+        cells = [c for c in cells if c in points]
         degenerate = set()
         for c in cells:
             if fraction_affine_dim(points[c]) != len(c) - 1:
@@ -791,7 +798,8 @@ def orbit_roots_oracle(cm):
     vertices = sorted({v for f in cm.p_faces if len(f) == 1 for v in f})
     for src, tgt in maps:
         for v in vertices:
-            if cm.f0[src[v]] != {tgt[w]: x for w, x in cm.f0[v].items()}:
+            coords = cm.f0.get(v)  # None for a vertex with no coordinates
+            if cm.f0.get(src[v]) != (None if coords is None else {tgt[w]: x for w, x in coords.items()}):
                 return singletons
     pos = {qf: i for i, qf in enumerate(order)}
     roots = [None] * len(order)

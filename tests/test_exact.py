@@ -4,6 +4,7 @@ intersection verdicts with the identical witness point."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,3 +133,36 @@ def test_volume_with_large_prime_denominators():
            (Fraction(1, p), Fraction(1, q), 1 - Fraction(1, p) - Fraction(1, q))]
     assert exact.simplex_volume_ratio(pts) == 1 - Fraction(1, p) - Fraction(1, q)
     assert exact.simplex_volume_ratio(pts[::-1]) == -(1 - Fraction(1, p) - Fraction(1, q))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_bareiss_int64_matches_scalar_elimination(data):
+    # the batched kernel on a stack of 0/1 matrices: the rank and signed
+    # last pivot of _bareiss on each, row swaps and zero columns included
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    entries = st.lists(st.integers(0, 1), min_size=cols, max_size=cols)
+    stack = data.draw(st.lists(st.lists(entries, min_size=rows, max_size=rows), min_size=1, max_size=8))
+    rank, det = exact.bareiss_int64(np.array(stack, dtype=np.int64))
+    assert list(zip(rank.tolist(), det.tolist())) == [exact._bareiss([list(r) for r in m]) for m in stack]
+
+
+def _hadamard_01(order):
+    # the 0/1 matrix of order 2^j - 1 from Sylvester's Hadamard matrix of
+    # order 2^j: its determinant is the largest a 0/1 matrix of that order has
+    h = np.array([[1]])
+    while len(h) < order + 1:
+        h = np.block([[h, h], [h, -h]])
+    return (1 - h[1:, 1:]) // 2
+
+
+def test_int64_order_bound():
+    # Hadamard's bound H(r) = (r+1)^((r+1)/2) / 2^r on a 0/1 minor of order
+    # r: a Bareiss step stays below 2^63 up to the order bound and not one past it
+    def bound(r):
+        return 2 * (r + 1) ** (r + 1) // 4**r
+    assert bound(exact.INT64_ORDER) < 2**63 <= bound(exact.INT64_ORDER + 1)
+    # past it, int64 wraps: the maximal matrix of order 31 loses its rank
+    m = _hadamard_01(31)
+    assert exact._bareiss(m.tolist()) == (31, -(2**49))
+    assert exact.bareiss_int64(m[None].astype(np.int64))[0][0] != 31

@@ -4,9 +4,10 @@ import random
 import re
 from fractions import Fraction
 from itertools import chain, combinations, permutations
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ktreesub import (
@@ -715,6 +716,85 @@ def _stray_source_vertex(cm, k, n):
     cm.p_faces = cm.p_faces | {frozenset([len(cm.p_complex.vertices)])}
 
 
+def _stray_vertex_in_cell(cm, k, n):
+    # the stray source vertex in an edge with (12)34, which φ sends to a
+    # target edge through (12)34: a cell with an image whose other vertex
+    # has no carrier and no coordinates
+    _stray_source_vertex(cm, k, n)
+    u = cm.p_complex.vertex_index(parse_partition("(12)34", 4))
+    edge = frozenset([u, len(cm.p_complex.vertices)])
+    cm.p_faces = cm.p_faces | {edge}
+    cm.phi[edge] = min((f for f in cm.q_faces if len(f) == 2 and cm.phi[frozenset([u])] < f), key=sorted)
+
+
+def _closed_form_map(target_facets, carriers, cells):
+    """A carrier map onto the complex with the given facets whose φ and f0
+    share the carriers ``carriers`` ({source label: target labels}): every
+    vertex is unedited, at the barycenter of its carrier.  The source is
+    the closure of ``cells``."""
+    q = SimplicialComplex.from_label_faces(target_facets)
+    p = SimplicialComplex.from_label_faces(cells)
+    shared = tuple(tuple(sorted(map(q.vertex_index, carriers[name]))) for name in p.vertices)
+    return CarrierMap(p_complex=p, q_complex=q, phi=subdivision.CarrierPhi(p, shared),
+                      f0=subdivision.CarrierF0(p, shared))
+
+
+def _collinear_barycenters():
+    # the triangle [A, m, B] of unedited vertices with carriers {A}, {A, B}
+    # and {B}: φ maps it onto the edge, where its three points lie on one
+    # line, and its edge [A, B] covers the edge beside [A, m] and [m, B]
+    return _closed_form_map([("A", "B")], {"A": "A", "m": "AB", "B": "B"}, [("A", "m", "B")])
+
+
+def _folded_median():
+    # the half [A, B, m] of the triangle cut off by the median from A to m,
+    # the middle of BC, covered twice: by that cell, of unedited vertices,
+    # and by three cells through e on AB and f on Bm, edited vertices placed
+    # inside their carriers.  The cells fold over the median, the one ridge
+    # they share; every other ridge is in the cells it should be, and the
+    # areas sum to that of the triangle.  Only the sides of the median tell
+    # this from a subdivision, one side from a closed-form cell and the
+    # other from a Fraction one
+    cm = _closed_form_map([("A", "B", "C")], {"A": "A", "B": "B", "m": "BC", "e": "AB", "f": "BC"},
+                          [("A", "B", "m"), ("e", "B", "f"), ("e", "f", "m"), ("e", "m", "A")])
+    q = cm.q_complex
+    e, f = map(cm.p_complex.vertex_index, "ef")
+    cm.f0[e] = {q.vertex_index("A"): F(2, 3), q.vertex_index("B"): F(1, 3)}
+    cm.f0[f] = {q.vertex_index("B"): F(3, 4), q.vertex_index("C"): F(1, 4)}
+    return cm
+
+
+def _hadamard_cell():
+    # one cell of 31 unedited vertices over a simplex of 31 vertices, its
+    # carriers the rows of the 0/1 matrix of Sylvester's Hadamard matrix of
+    # order 32: the largest determinant of its order, whose elimination
+    # wraps around in int64, past the order bound.  The source and target
+    # are their vertices alone, φ of the cell is overridden to the simplex,
+    # and φ of each vertex, its carrier, is no target face
+    h = np.array([[1]])
+    while len(h) < 32:
+        h = np.block([[h, h], [h, -h]])
+    names = [f"t{i:02d}" for i in range(31)]
+    carriers = {f"s{i:02d}": [names[j] for j in np.flatnonzero(row < 0)] for i, row in enumerate(h[1:, 1:])}
+    cm = _closed_form_map([(t,) for t in names], carriers, [(s,) for s in carriers])
+    cell = frozenset(range(31))
+    cm.p_faces = cm.p_faces | {cell}
+    cm.q_faces = frozenset([frozenset(range(31))])
+    cm.phi[cell] = frozenset(range(31))
+    return cm
+
+
+def _drop_vertex_coordinates(cm, k, n):
+    # f0 of (12)(34) deleted, while the vertex lies in cells: those cells
+    # have no image, and the faces over its carrier lose their volume
+    del cm.f0[cm.p_complex.vertex_index(parse_partition("(12)(34)", 4))]
+
+
+def _phi_past_target(cm, k, n):
+    # φ of the vertex 5 sent to an index past the target's vertices
+    cm.phi[frozenset([5])] = frozenset([99])
+
+
 def _ladder(k, n, edit=None):
     def build():
         cm, _ = global_carrier_map(k, n)
@@ -782,6 +862,14 @@ CARRIER_CASES = {
     "empty-carrier": (_ladder(1, 4, _recarry("(12)(34)", lambda c: ())), False),
     "repeated-carrier": (_ladder(1, 4, _recarry("(12)(34)", lambda c: (c[0], c[0]))), False),
     "stray-source-vertex": (_ladder(1, 4, _stray_source_vertex), False),
+    "stray-vertex-in-cell": (_ladder(1, 4, _stray_vertex_in_cell), False),
+    "f0-missing-vertex-in-cell": (_ladder(1, 4, _drop_vertex_coordinates), False),
+    "phi-past-target": (_ladder(1, 4, _phi_past_target), False),
+    # the closed-form geometry: a degenerate cell of unedited vertices, and
+    # a cell past the int64 order bound
+    "collinear-barycenters": (_collinear_barycenters, False),
+    "folded-median": (_folded_median, False),
+    "hadamard-cell": (_hadamard_cell, False),
 }
 
 
@@ -794,7 +882,8 @@ NO_OVERLAP = {"dropped-facet-cell", "dropped-ridge-cell", "dropped-facet-orbit",
               "vertex-coordinates-sum", "mixed-denominators-off-sum", "wrapping-sum",
               "wide-denominator-off-sum", "zero-coordinate", "one-denominator-off-sum",
               "phi-vertex-override", "coincident-with-unedited", "plain-f0-missing-vertex", "empty-carrier",
-              "repeated-carrier", "stray-source-vertex"}
+              "repeated-carrier", "stray-source-vertex", "f0-missing-vertex-in-cell", "phi-past-target",
+              "hadamard-cell", "stray-vertex-in-cell"}
 
 
 @pytest.mark.parametrize("case", sorted(CARRIER_CASES))
@@ -844,6 +933,45 @@ def test_overlap_witnesses_carry_large_primes():
     swapped = verify_carrier_map(CARRIER_CASES["swapped-prime-placements"][0]())
     points = [x for f in swapped.failures if f.check == "interiors_disjoint" for x in f.witness["point"]]
     assert points and any(Fraction(x).denominator % PRIMES[0] == 0 for x in points)
+
+
+@pytest.mark.parametrize("kn", [(1, 5), (4, 3), (3, 4), (1, 6)])
+def test_closed_form_geometry_matches_exact(kn):
+    # every cell over every target face: the kernel's rank and determinant on
+    # the incidence rows read from f0 against affine_dim and
+    # simplex_volume_ratio of the cell's points, and the closed-form
+    # geometry of the φ table against both
+    cm, _ = global_carrier_map(*kn)
+    phi = subdivision._PhiTable(cm)
+    over = np.flatnonzero(phi.pos >= 0)
+    cells = phi.source.rows.faces_at(over)
+    images = phi.target.rows.faces_at(phi.pos[over])
+    on_face, known = phi.cells(over, cells)
+    assert len(known) == len(cells)
+    for cell, image in zip(cells, images):
+        qs = sorted(image)
+        points = [subdivision._localize_point(cm.f0[v], qs) for v in sorted(cell)]
+        incidence = np.array([[int(x != 0) for x in pt] for pt in points], dtype=np.int64)
+        (rank,), (det,) = exact.bareiss_int64(incidence[None])
+        dim = exact.affine_dim(points)
+        assert rank - 1 == dim
+        volume = exact.simplex_volume_ratio(points) if len(cell) == len(image) else None
+        if volume is not None:
+            assert Fraction(int(det), prod(len(cm.f0[v]) for v in cell)) == volume
+        assert known[cell] == (dim == len(cell) - 1, volume)
+        assert type(known[cell][1]) is type(volume)
+        assert (cell in on_face) == (len(cell) == len(image))
+
+
+@pytest.mark.parametrize("case", ["negative-control", *sorted(c for c in CARRIER_CASES if c.startswith("ladder-"))])
+def test_exact_path_alone_gives_the_same_results(monkeypatch, case):
+    # with the int64 order bound at 1 every cell of more than one vertex
+    # takes the Fraction path: the same failures and volumes
+    want = verify_carrier_map(CARRIER_CASES[case][0]())
+    monkeypatch.setattr(exact, "INT64_ORDER", 1)
+    got = verify_carrier_map(CARRIER_CASES[case][0]())
+    assert [f.to_json() for f in got.failures] == [f.to_json() for f in want.failures]
+    assert got.facet_volumes == want.facet_volumes
 
 
 def _count_face_checks(monkeypatch):
