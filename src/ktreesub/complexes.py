@@ -600,13 +600,13 @@ class MutableComplex:
     The initial complex K is kept as its :class:`FaceRows`, with two sets:
     the faces of K that the steps removed, and the faces they added that
     are still there.  A step rewrites only the star of the subdivided face,
-    found from the faces through one of its vertices.  A new vertex starts
-    with none; a vertex of K gets its set when a step first reads it: its
-    faces in K, from a CSR index over K's rows and the objects of K's
-    ``faces`` view (built once and kept on K, so replays from one complex
-    share them), less the removed ones, plus the added faces through it
-    made before.  Nothing is validated until :meth:`freeze` builds a
-    :class:`SimplicialComplex` from the rows.
+    the faces through all of its vertices: their sets intersected, smallest
+    first.  A new vertex starts with none; a vertex of K gets its set when
+    a step first reads it: its faces in K, from a CSR index over K's rows
+    and the objects of K's ``faces`` view (built once and kept on K, so
+    replays from one complex share them), less the removed ones, plus the
+    added faces through it made before.  Nothing is validated until
+    :meth:`freeze` builds a :class:`SimplicialComplex` from the rows.
     """
 
     def __init__(self, K: SimplicialComplex):
@@ -646,8 +646,9 @@ class MutableComplex:
         sigma = frozenset(self._index[l] for l in face_labels)
         if len(sigma) == 1:  # every vertex is a face
             return False
-        smallest = min(map(self._faces_through, sigma), key=len, default=())
-        if sigma not in smallest:
+        through = sorted(map(self._faces_through, sigma), key=len)
+        star = through[0].intersection(*through[1:]) if through else ()
+        if sigma not in star:
             raise FaceNotPresent(f"face {sorted(face_labels, key=_label_key)} not in complex")
         if new_label is None:
             new_label = tuple(sorted((self.vertices[i] for i in sigma), key=_label_key))
@@ -657,7 +658,6 @@ class MutableComplex:
         self.vertices.append(new_label)
         self._index[new_label] = v
         self._through.append(set())
-        star = [f for f in smallest if sigma <= f]
         for gamma in star:
             made = gamma in self._added
             if made:

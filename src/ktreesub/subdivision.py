@@ -21,7 +21,7 @@ from math import factorial, lcm, prod
 import numpy as np
 
 from . import exact
-from .complexes import FaceRows, MutableComplex, SimplicialComplex
+from .complexes import FaceRows, MutableComplex, SimplicialComplex, _search, _search_keys
 from .errors import MAX_FACES, MAX_POSET_ELEMENTS, NotLinearExtension, NotNested, ResourceLimit
 from .partitions import Partition, PartitionPoset, enumerate_partitions
 from .poset import Poset, product
@@ -637,37 +637,63 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
 class PermutationAction:
     """S_m acting on a complex whose vertex labels are partitions of 1..m.
 
-    The distinct blocks of more than one element of the labels are numbered
-    once, and each label is kept as its set of such block numbers (which
-    determine it), so a permutation moves each distinct block once, not once
-    per label.  :meth:`relabel`, the one relabelling test, reads ``faces``,
-    all faces of ``K`` unless given, through their :class:`FaceRows`
-    ``rows`` (``K``'s own for all faces); ``m`` is None when the labels are
-    not all :class:`Partition` objects of one ground set."""
+    A label is determined by its blocks of more than one element.  Their
+    bitmasks (``Partition._masks``, bit i-1 for element i) are read for all
+    labels at once; the distinct ones are kept sorted, and a block is
+    numbered by its place among them.  Each vertex is a row of block
+    numbers, ascending and padded with the number of blocks, and the rows
+    are searched by their sorted keys, so a permutation moves each distinct
+    block once, as an array, not once per label.  :meth:`relabel`, the one
+    relabelling test, reads ``faces``, all faces of ``K`` unless given,
+    through their :class:`FaceRows` ``rows`` (``K``'s own for all faces);
+    ``m`` is None when the labels are not all :class:`Partition` objects of
+    one ground set."""
 
     def __init__(self, K: SimplicialComplex, faces=None):
         self.rows = _face_rows(K, faces)
         ms = {lab.m if isinstance(lab, Partition) else None for lab in K.vertices}
         self.m = ms.pop() if len(ms) == 1 else None
-        self._blocks = {}  # block -> its number
-        self._vertex_blocks = [
-            frozenset(self._blocks.setdefault(b, len(self._blocks)) for b in lab.nonsingleton_blocks())
-            for lab in (K.vertices if self.m else ())
-        ]
-        self._index = {blocks: v for v, blocks in enumerate(self._vertex_blocks)}
+        labels = [lab._masks for lab in (K.vertices if self.m else ())]
+        sizes = np.fromiter(map(len, labels), dtype=np.intp, count=len(labels))
+        masks = np.fromiter(chain.from_iterable(labels), dtype="<u8", count=sizes.sum())
+        keep = (masks & (masks - np.uint64(1))) != 0  # blocks of more than one element
+        owner = np.repeat(np.arange(len(labels)), sizes)[keep]  # ascending
+        masks = masks[keep]
+        order = masks.argsort(kind="stable")
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = masks[order[1:]] != masks[order[:-1]]
+        self._masks = masks[order[new]]  # the distinct blocks, ascending
+        # each block's bits, one 0/1 column per element of 1..m
+        self._bit_matrix = np.unpackbits(self._masks.view(np.uint8).reshape(-1, 8), axis=1,
+                                         bitorder="little")[:, :self.m].astype(np.uint64)
+        number = np.empty_like(order)
+        number[order] = new.cumsum() - 1
+        column = np.arange(len(owner)) - owner.searchsorted(owner)  # place among its label's blocks
+        self._table = np.full((len(labels), column.max(initial=-1) + 1), len(self._masks), dtype=np.intp)
+        self._table[owner, column] = number
+        self._table.sort(axis=1)
+        self._bits = max(len(self._masks).bit_length(), 1)
+        keys = _search_keys(self._table, self._bits)[0]
+        self._order = keys.argsort(kind="stable")  # the vertices by key
+        self._keys = keys[self._order]
 
     def index_map(self, perm):
         """The vertex index map of relabelling by ``perm`` (``perm[i-1]`` is
         the image of i): entry v is the index of the image of vertex v.  None
         when ``perm`` does not act on the labels' ground set or an image is
-        not a vertex."""
+        not a vertex.  The bits of the distinct blocks are permuted, the
+        moved blocks found among the blocks, and the rows mapped, sorted and
+        found among the rows by their keys."""
         if len(perm) != self.m:
             return None
-        image = (0, *perm).__getitem__
-        # block number -> number of its image, None when no label has it
-        moved = {i: self._blocks.get(tuple(sorted(map(image, b)))) for b, i in self._blocks.items()}
-        out = [self._index.get(frozenset(map(moved.__getitem__, bs))) for bs in self._vertex_blocks]
-        return None if None in out else out
+        moved = np.bitwise_or.reduce(self._bit_matrix << (np.asarray(perm, dtype=np.uint64) - np.uint64(1)), axis=1)
+        at = _search(self._masks, moved)
+        if (at < 0).any():
+            return None  # a block, so a label, leaves the family
+        image = np.append(at, len(self._masks))[self._table]  # the padding stays last
+        image.sort(axis=1)
+        found = _search(self._keys, _search_keys(image, self._bits)[0])
+        return None if (found < 0).any() else self._order[found].tolist()
 
     def relabel(self, perm):
         """The vertex index map of ``perm`` and the position of the image of
@@ -861,16 +887,23 @@ def _orbit_roots(phi: _PhiTable):
     S_m-orbit of the i-th face.  Every face is its own root unless the map
     passes :func:`generator_certificate` on the φ table ``phi`` and
     f0(σv) = σf0(v) on every source vertex v for both generators σ
-    (:func:`_f0_commutes`).  Then each face takes the least root of itself
-    and its generator images until nothing changes; as each generator
-    permutes the faces, that is the least face of its orbit.  Assumes the
-    well-formedness pass marked no vertex (φ is total on the source
+    (:func:`_f0_commutes`).  Then every face starts as its own root r(i),
+    and each round takes the least root of a face and its generator images,
+    then jumps each root to its own root (``least = least[least]``), until a
+    round changes nothing.  Each root is a face of the orbit no later than
+    the face, and both steps keep that.  At the fixed point the jump
+    changes nothing, so r(i) <= r(σi) for every face i and generator σ; σ
+    permutes the faces, so r(i) <= r(σi) <= r(σ²i) <= ... <= r(i) around each
+    of its cycles, and r is constant on each orbit.  The root of an orbit
+    lies in it and is no later than any face of it: its least face.  Assumes
+    the well-formedness pass marked no vertex (φ is total on the source
     faces)."""
     roots = np.arange(phi.target.rows.offsets[-1])
     maps = generator_certificate(phi.source, phi.target, phi.pos)
     if maps and all(_f0_commutes(phi, src, tgt) for src, tgt, _ in maps):
         while True:
             least = np.minimum.reduce([roots] + [roots[image] for _, _, image in maps])
+            least = least[least]
             if (least == roots).all():
                 break
             roots = least
@@ -882,16 +915,19 @@ def _f0_commutes(phi: _PhiTable, src, tgt) -> bool:
     source and target vertex index maps ``src`` and ``tgt``, maps the
     source vertices onto themselves and commutes with φ
     (:func:`generator_certificate`).  Only the pairs with v edited
-    (``phi.edited``) are compared, as dicts.  For any other v, follow σ
-    from v through edited vertices w_1 .. w_r to the next unedited vertex
-    u = σ^(r+1) v: the compared pairs give f0(w_1) = σ^(-r) f0(u), and f0(u),
-    f0(v) are the barycenters of φ(u) = σ^(r+1) φ(v) and φ(v), so
-    f0(σv) = f0(w_1) = σf0(v)."""
-    ids = phi.vertices
-    moved = np.searchsorted(ids, np.asarray(src)[ids])  # place of σv
-    for v in np.flatnonzero(phi.edited).tolist():
-        coords = phi._f0.get(ids[v])
-        if phi._f0.get(ids[moved[v]]) != (None if coords is None else {tgt[w]: x for w, x in coords.items()}):
+    (``phi.edited``) are compared, as dicts, so with none edited it holds at
+    once.  For any other v, follow σ from v through edited vertices
+    w_1 .. w_r to the next unedited vertex u = σ^(r+1) v: the compared pairs
+    give f0(w_1) = σ^(-r) f0(u), and f0(u), f0(v) are the barycenters of
+    φ(u) = σ^(r+1) φ(v) and φ(v), so f0(σv) = f0(w_1) = σf0(v)."""
+    edited = np.flatnonzero(phi.edited)
+    if not len(edited):
+        return True
+    ids = np.asarray(phi.vertices)
+    moved = ids[np.searchsorted(ids, np.asarray(src)[ids[edited]])]  # σv
+    for v, w in zip(ids[edited].tolist(), moved.tolist()):
+        coords = phi._f0.get(v)
+        if phi._f0.get(w) != (None if coords is None else {tgt[t]: x for t, x in coords.items()}):
             return False
     return True
 
@@ -955,36 +991,85 @@ def _check_vertices(cm: CarrierMap, label, phi: _PhiTable):
     has coordinates, they are positive with its carrier (φ of the vertex)
     as support and sum to one, and no earlier vertex has the same ones.
     The first three are decided for the edited vertices (``phi.edited``)
-    alone, each on its own in Python integers; the others pass them by
-    construction.  For coincidence an unedited vertex is keyed by its
-    carrier, as is an edited one at the barycenter of the same set, and any
-    other point by its coordinates.  Returns the failures, in vertex order,
-    and the vertices they touch."""
+    alone, each on its own in Python integers (:func:`_edited_point`); the
+    others pass them by construction.  For coincidence an unedited vertex
+    is keyed by its carrier, as is an edited one at the barycenter of the
+    same set, and any other point by its coordinates.  The unedited
+    vertices that share a key are found by one lexsort of their sorted
+    carrier rows, beside the rows of the edited barycenters
+    (:func:`_sharing`); every other unedited vertex is alone at its point.
+    Only the edited vertices and those sharing one take the pass in vertex
+    order.  Returns the failures, in vertex order, and the vertices they
+    touch."""
+    ids = phi.vertices
+    checked, points = {}, {}  # position -> its failures, its point (None for no coordinates)
+    for v in np.flatnonzero(phi.edited).tolist():
+        checked[v], points[v] = _edited_point(cm, label, phi, v)
+    for v in _sharing(phi, points.values()).tolist():
+        checked[v], points[v] = [], frozenset(cm.f0.carriers[ids[v]])
     failures, touched, seen = [], set(), {}  # seen: point -> the last vertex there
-    for v, (u, edited) in enumerate(zip(phi.vertices, phi.edited.tolist())):
-        if not edited:
-            point = frozenset(cm.f0.carriers[u])
-        elif (coords := cm.f0.get(u)) is None:
-            failures.append(CheckFailure("vertex_map_total", f"no coordinates for vertex {u}"))
+    for v in sorted(points):
+        u, point = ids[v], points[v]
+        failures += checked[v]
+        if checked[v]:
             touched.add(u)
+        if point is None:
             continue
-        else:
-            image = phi.image(v)
-            if not (all(x > 0 for x in coords.values()) and frozenset(coords) == image):
-                failures.append(CheckFailure("vertex_in_carrier_interior", f"vertex {cm.p_complex.vertices[u]!r} not "
-                                             "strictly inside its carrier", label(image) if image else None))
-                touched.add(u)
-            common = lcm(*(x.denominator for x in coords.values()))
-            if sum(x.numerator * (common // x.denominator) for x in coords.values()) != common:
-                failures.append(CheckFailure("vertex_coordinates_sum", f"coordinates of vertex {u} do not sum to 1"))
-                touched.add(u)
-            barycenter = coords and all(x == Fraction(1, len(coords)) for x in coords.values())
-            point = frozenset(coords) if barycenter else frozenset(coords.items())
         if point in seen:
             failures.append(CheckFailure("vertex_map_injective", f"vertices {seen[point]} and {u} coincide"))
             touched |= {seen[point], u}
         seen[point] = u
     return failures, touched
+
+
+def _edited_point(cm: CarrierMap, label, phi: _PhiTable, v):
+    """The failures of the edited source vertex at position v of
+    ``phi.vertices``, and its point for the coincidence test: its support
+    when it is a barycenter, else its coordinates; None when it has none."""
+    u = phi.vertices[v]
+    coords = cm.f0.get(u)
+    if coords is None:
+        return [CheckFailure("vertex_map_total", f"no coordinates for vertex {u}")], None
+    failures = []
+    image = phi.image(v)
+    if not (all(x > 0 for x in coords.values()) and frozenset(coords) == image):
+        failures.append(CheckFailure("vertex_in_carrier_interior", f"vertex {cm.p_complex.vertices[u]!r} not "
+                                     "strictly inside its carrier", label(image) if image else None))
+    common = lcm(*(x.denominator for x in coords.values()))
+    if sum(x.numerator * (common // x.denominator) for x in coords.values()) != common:
+        failures.append(CheckFailure("vertex_coordinates_sum", f"coordinates of vertex {u} do not sum to 1"))
+    barycenter = coords and all(x == Fraction(1, len(coords)) for x in coords.values())
+    return failures, frozenset(coords) if barycenter else frozenset(coords.items())
+
+
+def _sharing(phi: _PhiTable, points):
+    """The positions of the unedited vertices whose carrier, as a set, is
+    that of another unedited vertex or one of ``points``: their carriers,
+    sorted and padded with ``_PAD``, with the points that are sets of
+    target indices, lexsorted as rows; equal neighbours share a key."""
+    plain = np.flatnonzero(~phi.edited)
+    if not len(plain):
+        return plain
+    rows = np.sort(phi.carriers[np.asarray(phi.vertices)[plain]], axis=1)
+    width = rows.shape[1]
+    extra = [row + [_PAD] * (width - len(row)) for row in map(_index_row, points) if row and len(row) <= width]
+    rows = np.vstack([rows, np.array(extra, dtype=np.int32).reshape(-1, width)])
+    order = np.lexsort(rows.T[::-1])
+    same = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
+    shared = np.zeros(len(rows), dtype=bool)
+    shared[order[1:][same]] = shared[order[:-1][same]] = True
+    return plain[shared[:len(plain)]]
+
+
+def _index_row(point):
+    """The members of ``point`` as ascending target indices, when it is a
+    nonempty set whose members equal int32 indices below ``_PAD``; else
+    None."""
+    try:
+        row = sorted(map(int, point))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return row if row and 0 <= row[0] and row[-1] < _PAD and set(row) == point else None
 
 
 def check_target_face(cm: CarrierMap, qf, cells, bad, label, on_face, known):

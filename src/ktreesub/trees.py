@@ -227,19 +227,22 @@ def enumerate_ktree_complex(n: int, k: int, max_faces: int = MAX_FACES) -> Simpl
 def _later_compatible(verts):
     """Packed bitsets, one row of little-endian uint64 words per vertex: bit
     j of row i is set iff j > i and the blocks of vertices i and j are
-    disjoint or nested.  Built one row at a time, never as an nv x nv
-    matrix of bytes."""
+    disjoint or nested.  Built in parts of about ``_PAIRS`` pairs of
+    vertices, a block of rows against the later vertices at a time, never
+    as an nv x nv matrix of bytes."""
     masks = np.array([_mask_of(x) for x in verts], dtype=np.uint64)
     nv = len(masks)
     words = max(1, -(-nv // 64))
     later = np.zeros((nv, 8 * words), dtype=np.uint8)
-    row = np.zeros(64 * words, dtype=bool)
-    for i, a in enumerate(masks):
-        rest = masks[i + 1 :]
-        inter = rest & a
-        row[i] = False
-        row[i + 1 : nv] = (inter == 0) | (inter == a) | (inter == rest)
-        later[i] = np.packbits(row, bitorder="little")
+    step = max(1, _PAIRS // max(nv, 1))
+    ids = np.arange(nv)
+    for lo in range(0, nv, step):
+        hi = min(nv, lo + step)
+        a, rest = masks[lo:hi, None], masks[lo + 1:]
+        inter = a & rest
+        row = np.zeros((hi - lo, 64 * words), dtype=bool)
+        row[:, lo + 1:nv] = ((inter == 0) | (inter == a) | (inter == rest)) & (ids[lo + 1:] > ids[lo:hi, None])
+        later[lo:hi] = np.packbits(row, axis=1, bitorder="little")
     return later.view("<u8")
 
 
@@ -308,6 +311,7 @@ def _grow(level, parents, cand, counts, later):
 
 
 _CHUNK = 1 << 20  # bits expanded, or faces made, per part
+_PAIRS = 1 << 16  # pairs of vertices compared per part: larger parts leave the cache, and run slower
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits of each byte
 
 

@@ -818,6 +818,44 @@ def orbit_roots_oracle(cm):
     return roots
 
 
+def check_vertices_oracle(cm, label, phi):
+    """The vertex checks of ``subdivision._check_vertices`` as one loop in
+    vertex order, a frozenset key per vertex: the failures, as ``to_json``
+    dicts, and the vertices they touch.  ``label`` and ``phi`` are the
+    face labeller and φ table the verifier makes (``phi.vertices``,
+    ``phi.edited`` and ``phi.image``)."""
+    from math import lcm
+
+    def fail(check, detail, witness=None):
+        return {"check": check, "detail": detail, **({} if witness is None else {"witness": witness})}
+
+    failures, touched, seen = [], set(), {}  # seen: point -> the last vertex there
+    for v, (u, edited) in enumerate(zip(phi.vertices, phi.edited.tolist())):
+        if not edited:
+            point = frozenset(cm.f0.carriers[u])
+        elif (coords := cm.f0.get(u)) is None:
+            failures.append(fail("vertex_map_total", f"no coordinates for vertex {u}"))
+            touched.add(u)
+            continue
+        else:
+            image = phi.image(v)
+            if not (all(x > 0 for x in coords.values()) and frozenset(coords) == image):
+                failures.append(fail("vertex_in_carrier_interior", f"vertex {cm.p_complex.vertices[u]!r} not "
+                                     "strictly inside its carrier", label(image) if image else None))
+                touched.add(u)
+            common = lcm(*(x.denominator for x in coords.values()))
+            if sum(x.numerator * (common // x.denominator) for x in coords.values()) != common:
+                failures.append(fail("vertex_coordinates_sum", f"coordinates of vertex {u} do not sum to 1"))
+                touched.add(u)
+            barycenter = coords and all(x == Fraction(1, len(coords)) for x in coords.values())
+            point = frozenset(coords) if barycenter else frozenset(coords.items())
+        if point in seen:
+            failures.append(fail("vertex_map_injective", f"vertices {seen[point]} and {u} coincide"))
+            touched |= {seen[point], u}
+        seen[point] = u
+    return failures, touched
+
+
 def facets_oracle(K):
     """Maximal faces of K in lexicographic order, by testing each face,
     largest first, against every maximal face found so far."""

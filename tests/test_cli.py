@@ -396,6 +396,16 @@ def test_equivariance_exit_1_on_broken_symmetry(tmp_path):
     assert code == 1
 
 
+def test_equivariance_counts_isolated_vertices(tmp_path, capsys):
+    # (12)(34)5 and 12(34)5 as two isolated vertices: a permutation keeps
+    # them iff it fixes {1, 2} and {3, 4} setwise, 4 of 120.  One that fixes
+    # {3, 4} and moves {1, 2} to no block must not send (12)(34)5 to 12(34)5
+    f = tmp_path / "isolated.json"
+    f.write_text(json.dumps({"vertices": [[[1, 2], [3, 4], [5]], [[1], [2], [3, 4], [5]]], "facets": [[0], [1]]}))
+    assert main(["equivariance", "--in", str(f)]) == 1
+    assert capsys.readouterr().out == "checked 120 permutations, 116 break invariance\n"
+
+
 @pytest.mark.parametrize(
     "vertices, flags, line, code",
     [

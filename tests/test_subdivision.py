@@ -38,8 +38,10 @@ from ktreesub import exact, subdivision
 from ktreesub.subdivision import _distinct_extensions, sample_permutations
 from oracles import (
     apply_permutation,
+    _relabelling_maps,
     by_size_order,
     carrier_phi_oracle,
+    check_vertices_oracle,
     equivariance_oracle,
     generator_certificate_oracle,
     orbit_roots_oracle,
@@ -699,6 +701,16 @@ def _recarry(text, carrier):
     return edit
 
 
+def _coincident_carriers():
+    # the map of "vertex-map-injective" with φ and f0 from shared carriers:
+    # x and y, both unedited, have the carrier {A, B}
+    hand = _coincident_vertices()
+    p = hand.p_complex
+    carriers = tuple(tuple(sorted(hand.f0[v])) for v in range(len(p.vertices)))
+    phi = subdivision.CarrierPhi(p, carriers)
+    return CarrierMap(p_complex=p, q_complex=hand.q_complex, phi=phi, f0=subdivision.CarrierF0(p, carriers))
+
+
 def _plain_f0_missing_vertex():
     # φ from carriers and f0 a plain dict without y, whose carrier {A, C}
     # is no face of the path A-B-C: y has no coordinates and lies in no cell
@@ -858,6 +870,7 @@ CARRIER_CASES = {
     # and a vertex past the carriers
     "phi-vertex-override": (_ladder(1, 5, _lower_vertex_phi), False),
     "coincident-with-unedited": (_ladder(1, 4, _onto_unedited_barycenter), False),
+    "coincident-carriers": (_coincident_carriers, False),
     "plain-f0-missing-vertex": (_plain_f0_missing_vertex, False),
     "empty-carrier": (_ladder(1, 4, _recarry("(12)(34)", lambda c: ())), False),
     "repeated-carrier": (_ladder(1, 4, _recarry("(12)(34)", lambda c: (c[0], c[0]))), False),
@@ -1077,6 +1090,17 @@ def test_missing_sub_faces_mark_their_faces():
 @pytest.mark.parametrize("case", sorted(c for c in CARRIER_CASES if c.startswith("ladder-")))
 def test_well_formed_ladder_marks_nothing(case):
     assert _well_formed(CARRIER_CASES[case][0]()) == ([], set())
+
+
+@pytest.mark.parametrize("case", sorted(CARRIER_CASES))
+def test_vertex_checks_match_loop_oracle(case):
+    # the lexsort of the unedited carriers and the pass over the rest give
+    # the failures, in order, and the touched vertices of one loop with a
+    # frozenset key per vertex
+    cm = CARRIER_CASES[case][0]()
+    label, phi = subdivision._FaceLabels(cm.q_complex), subdivision._PhiTable(cm)
+    failures, touched = subdivision._check_vertices(cm, label, phi)
+    assert ([f.to_json() for f in failures], touched) == check_vertices_oracle(cm, label, phi)
 
 
 def _orbits(cm):
@@ -1341,6 +1365,47 @@ def test_failing_certificate_reuses_each_block_table(monkeypatch):
     assert check_equivariance(1, 4, perms="all").failures
     assert len(calls) == 2
     assert all(perms[-24:] == list(permutations(range(1, 5))) for perms in calls.values())
+
+
+@pytest.mark.parametrize("kn", [(1, 4), (2, 4), (1, 5), (3, 4)])
+def test_index_map_matches_relabelling_oracle(kn):
+    # seeded random permutations, each mapped by the block table of Δ and of
+    # T, against relabelling every label and looking it up
+    cm, _ = global_carrier_map(*kn)
+    m = cm.q_complex.vertices[0].m
+    rng = random.Random(m)
+    perms = [tuple(rng.sample(range(1, m + 1), m)) for _ in range(6)]
+    for K in (cm.p_complex, cm.q_complex):
+        action = subdivision.PermutationAction(K)
+        for perm in perms:
+            want = _relabelling_maps(K, perm)
+            assert want is not None and action.index_map(perm) == want
+
+
+def _without_vertex(K, label):
+    v = K.vertex_index(label)
+    return SimplicialComplex.from_label_faces([[K.vertices[u] for u in f] for f in K.faces if v not in f])
+
+
+@pytest.mark.parametrize("side, text", [("source", "(12)(34)"), ("target", "(12)34")])
+def test_index_map_refuses_a_missing_vertex(side, text):
+    # with (12)(34) gone from Δ its blocks remain and a moved row is not
+    # found; with (12)34 gone from T its block is gone and a moved block is
+    # not found
+    cm, _ = global_carrier_map(1, 4)
+    K = _without_vertex(cm.p_complex if side == "source" else cm.q_complex, parse_partition(text, 4))
+    action = subdivision.PermutationAction(K)
+    for perm in permutations(range(1, 5)):
+        assert action.index_map(perm) == _relabelling_maps(K, perm)
+    assert action.index_map((2, 3, 4, 1)) is None
+
+
+def test_index_map_refuses_other_ground_sets():
+    cm, _ = global_carrier_map(1, 4)
+    action = subdivision.PermutationAction(cm.q_complex)
+    assert action.index_map((2, 1, 3)) is None and action.index_map((2, 1, 3, 4, 5)) is None
+    strings = subdivision.PermutationAction(SimplicialComplex.from_label_faces([("A", "B")]))
+    assert strings.m is None and strings.index_map((2, 1)) is None
 
 
 def test_equivariance_rejects_negative_count():
