@@ -3,10 +3,10 @@
 Everything here is exact integer/boolean work.  The one Smith normal form,
 :func:`smith_reduce`, works on sparse columns: unit pivots are eliminated
 first, each on the smallest ±1 row of its column, and only the columns
-without one go through the exact big-integer reduction.  It returns the
-unit pivots by row, which ``SimplicialComplex.reduced_homology`` clears from
-the coboundary of the next degree; :func:`snf_diagonal` gives the padded
-diagonal of invariant factors.
+without one go through the exact big-integer reduction.
+``SimplicialComplex.reduced_homology`` hands it only what coreduction
+leaves: the coboundary restricted to the cells left in two adjacent
+dimensions, which no complex of the ladder has.
 """
 
 from __future__ import annotations
@@ -268,11 +268,3 @@ def smith_reduce(columns):
     rest = _snf_exact_python([[col.get(r, 0) for col in residual] for r in rows])
     return pivots, [x for x in rest if x]
 
-
-def snf_diagonal(columns, n_rows) -> list:
-    """Invariant factors of an integer matrix given as sparse columns
-    (nonnegative, divisibility ordered, padded with zeros to min(r, c)),
-    by :func:`smith_reduce` on a copy of the columns without their zeros."""
-    pivots, factors = smith_reduce([{int(r): int(v) for r, v in col.items() if v} for col in columns])
-    diag = [1] * len(pivots) + factors
-    return diag + [0] * (min(n_rows, len(columns)) - len(diag))

@@ -1,5 +1,6 @@
 """Abstract simplicial complexes on labelled vertices: f-vectors, stellar
-subdivision, reduced integer homology via Smith normal form, and
+subdivision, reduced integer homology by coreductions on the face rows
+(a Smith normal form only for what they leave in adjacent dimensions), and
 label-level group actions.
 
 A complex stores its faces as :class:`FaceRows`: per dimension d, one
@@ -458,70 +459,101 @@ class SimplicialComplex:
         """Per-degree reduced integer homology: list of (betti, torsion
         coefficients) for degrees 0..dim.
 
-        Betti number d is n_d - rank ∂_d - rank ∂_{d+1}, and the torsion of
-        H̃_d is the invariant factors > 1 of ∂_{d+1}.  rank ∂_0 = 1.  A
-        graph's incidence matrix is totally unimodular, so ∂_1 has no
-        factor > 1, and its rank is #vertices - #components, from a union-find
-        over the edges.  For d = 1 .. dim-1 the invariant factors of ∂_{d+1}
-        are those of the coboundary δ_d = ∂_{d+1}ᵀ, reduced by
-        :func:`~ktreesub._kernels.smith_reduce` over the d-faces that are not
-        *cleared* (Chen and Kerber's twist, run on coboundaries as de Silva,
-        Morozov and Vejdemo-Johansson recommend).
+        The homology is that of the augmented chain complex, whose one cell
+        in degree -1 is the empty face, the boundary of every vertex.  It
+        is read off after *coreductions* (Mrozek and Batko, DCG 2009): a
+        pair (σ, τ) of alive cells, σ a facet of τ and the only alive facet
+        of τ, is removed, which keeps the integer homology.  In the
+        reduction of Kaczynski, Mrozek and Ślusarek (1998), removing a pair
+        with ⟨∂τ, σ⟩ = ±1 changes the boundary of each cell c to
+        ∂'c = ∂c − ⟨∂c, σ⟩/⟨∂τ, σ⟩ · ∂τ, and drops τ from the boundaries one
+        dimension up.  ∂τ restricted to the alive cells is ±σ, so ∂'c is ∂c
+        less its σ term: the reduced complex is the same boundary restricted
+        to the cells still alive.  Every simplicial incidence is ±1, so this
+        is exact over ℤ.
 
-        Why clearing is exact over ℤ: each unit-pivot column z that the
-        reduction of δ_{d-1} makes is a combination of its columns, so it is
-        a coboundary and δ_d z = 0.  z is ±1 at its pivot row r, a d-face,
-        and 0 on the pivot rows of the pivot columns made before it.  So
-        these cocycles, against their pivot rows, form a triangular block
-        with ±1 on the diagonal, and replacing the basis cochain of each
-        pivot row r by its z is a unimodular change of basis of C^d.  In the
-        new basis the column of δ_d at r is δ_d z = 0: dropping the pivot
-        rows of δ_{d-1} from the columns of δ_d changes neither its rank nor
-        its invariant factors.  In degree 1 the spanning-forest edges are
-        the cleared faces: with each tree rooted, the indicator of the
-        subtree below a vertex v has coboundary ±1 on the edge from v to its
-        parent and 0 on every other forest edge.
+        The empty face is paired with vertex 0 first.  Then, for d = 1 ..
+        dim, rounds run in bulk on the face rows: every alive d-face with
+        exactly one alive facet is free, one free face is kept per facet
+        (the first in a stable sort by facet), and each kept face is removed
+        with its facet.  A pair in dimension d removes a (d-1)-face and a
+        d-face, which changes the alive facets of d- and (d+1)-faces only,
+        so once a round in dimension d pairs nothing, no later round makes a
+        free face there again, and one pass up the dimensions leaves no
+        coreduction.
+
+        In dimension 1 the rounds pair every vertex of the component of
+        vertex 0 and reach no other.  A vertex w of another component, which
+        is then whole, is split off: the sum of the coefficients on that
+        component's vertices vanishes on every restricted boundary and is 1
+        on w, so the class of w spans a free summand ℤ of H̃_0, and removing
+        w leaves the rest of the homology.  That is pairing w with the
+        component's own empty face, and the rounds go on from w.
+
+        When no two dimensions that still hold cells are adjacent, every
+        restricted boundary is zero, and H̃_d is free of rank the number of
+        d-cells left (on every k-tree complex and order complex of the
+        ladder).  Otherwise the coboundary δ_d restricted to the cells left
+        in dimensions d and d+1 goes to
+        :func:`~ktreesub._kernels.smith_reduce`: the Betti number d is the
+        count of d-cells left less the ranks of the restricted ∂_d and
+        ∂_{d+1}, and the torsion of H̃_d is the invariant factors > 1 of
+        ∂_{d+1}.
         """
         dim = self.dimension()
         if dim < 0:
             return []
-        sizes = self.f_vector()
-        # the edges as two lists of ints, not a list per edge: that many new
-        # containers set off full collections over every live object
-        ends = self.face_rows.rows[1].T.tolist() if dim else ((), ())
-        forest = _spanning_forest(zip(*ends), sizes[0])
-        # ranks[d] = rank ∂_d, d = 0 .. dim+1
-        ranks = [1, len(forest)] + [0] * dim
+        alive = [np.ones(len(level), dtype=bool) for level in self.face_rows.rows]
+        alive[0][0] = False  # paired with the empty face
+        split = 0  # vertices split off H̃_0, one per component without vertex 0
+        if dim:
+            # vertex i is the i-th one-vertex face, so an edge's facets are
+            # its vertices, the last one first
+            edges = self.face_rows.rows[1].astype(np.intp)
+            cells = np.arange(len(edges))
+            while True:
+                _coreduce(alive[0], alive[1], edges[cells].T[::-1], cells)
+                # the edges of the components no round reached
+                cells = cells[alive[1][cells] & alive[0][edges[cells, 0]]]
+                if not len(cells):
+                    break
+                alive[0][edges[cells[0], 0]] = False
+                split += 1
+        for d in range(2, dim + 1):
+            _coreduce(alive[d - 1], alive[d], self.face_rows.facet_positions(d).T, np.arange(len(alive[d])))
+        left = [int(np.count_nonzero(mask)) for mask in alive]
+        # ranks[d] = rank of the restricted ∂_d, d = 0 .. dim+1
+        ranks = [0] * (dim + 2)
         torsion = [()] * (dim + 1)
-        cleared = set(forest)
-        for d in range(1, dim):
-            pivots, factors = kernels.smith_reduce(self._coboundary_columns(d, cleared))
-            ranks[d + 1] = len(pivots) + len(factors)
-            torsion[d] = tuple(x for x in factors if x > 1)
-            cleared = set(pivots)
-        return [(sizes[d] - ranks[d] - ranks[d + 1], torsion[d]) for d in range(dim + 1)]
+        for d in range(dim):
+            if left[d] and left[d + 1]:
+                pivots, factors = kernels.smith_reduce(self._coboundary_columns(d, alive[d], alive[d + 1]))
+                ranks[d + 1] = len(pivots) + len(factors)
+                torsion[d] = tuple(x for x in factors if x > 1)
+        betti = [left[d] - ranks[d] - ranks[d + 1] for d in range(dim + 1)]
+        betti[0] += split
+        return list(zip(betti, torsion))
 
-    def _coboundary_columns(self, d: int, cleared):
-        """δ_d as sparse columns: one {row: ±1} dict per d-face whose
-        position is not in ``cleared``, in face order; row r is the r-th
+    def _coboundary_columns(self, d: int, columns, rows):
+        """δ_d restricted to the d-faces where the boolean mask ``columns``
+        holds and the (d+1)-faces where ``rows`` does, as sparse columns: one
+        {row: ±1} dict per kept d-face, in face order; row r is the r-th
         (d+1)-face, with entry (-1)^t in the column of its facet without its
         t-th vertex, and each column's rows are increasing.  Needs
         d < dimension."""
-        keep = np.ones(len(self.face_rows.rows[d]), dtype=bool)
-        keep[np.fromiter(cleared, dtype=np.intp, count=len(cleared))] = False
         facets = self.face_rows.facet_positions(d + 1)
         cols = facets.ravel()
-        live = keep[cols]
-        rows = np.repeat(np.arange(len(facets)), d + 2)[live]
+        live = columns[cols] & np.repeat(rows, d + 2)
+        at = np.repeat(np.arange(len(facets)), d + 2)[live]
         signs = np.tile(1 - 2 * (np.arange(d + 2) & 1), len(facets))[live]
         cols = cols[live]
         by_col = cols.argsort(kind="stable")
-        rows, signs = rows[by_col].tolist(), signs[by_col].tolist()
-        counts = np.bincount(cols, minlength=len(keep))
+        at, signs = at[by_col].tolist(), signs[by_col].tolist()
+        counts = np.bincount(cols, minlength=len(columns))
         ends = np.cumsum(counts)
         starts = ends - counts
-        kept = np.flatnonzero(keep)
-        return [dict(zip(rows[a:b], signs[a:b])) for a, b in zip(starts[kept].tolist(), ends[kept].tolist())]
+        kept = np.flatnonzero(columns)
+        return [dict(zip(at[a:b], signs[a:b])) for a, b in zip(starts[kept].tolist(), ends[kept].tolist())]
 
     # ------------------------------------------------------------------
     # comparisons and actions
@@ -705,21 +737,39 @@ class MutableComplex:
         return SimplicialComplex.from_rows(self.vertices, rows)
 
 
-def _spanning_forest(edges, n_vertices):
-    """Positions of the edges, taken in order, that join two components: a
-    spanning forest, found by union-find with path halving."""
-    parent = list(range(n_vertices))
-    forest = []
-    for i, edge in enumerate(edges):
-        a, b = edge
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            forest.append(i)
-    return forest
+def _coreduce(lower, upper, facets, cells):
+    """Coreduce dimension d in rounds, until a round pairs nothing.
+
+    ``lower`` and ``upper`` are the alive masks of the (d-1)- and d-faces,
+    cleared in place.  ``cells`` lists the d-faces to read, among them every
+    alive one with an alive facet, and ``facets`` holds one array per vertex
+    left out, entry i the position of the facet of the d-face ``cells[i]``
+    without it (as the columns of ``FaceRows.facet_positions(d)``).  A
+    round finds every such face with exactly one alive facet and keeps one
+    per facet, the first in a stable sort by facet; each kept face is
+    removed with its facet.  A d-face's count of alive facets only falls,
+    and a removed face, or a free one not kept, has none left, so only the
+    faces with two or more are read again."""
+    while len(cells):
+        live = [lower[column] for column in facets]
+        count = live[0].view(np.int8).copy()
+        for at in live[1:]:
+            count += at.view(np.int8)
+        free = np.flatnonzero(count == 1)
+        if not len(free):
+            return
+        partner = facets[-1][free]
+        for column, at in zip(facets[:-1], live[:-1]):
+            partner = np.where(at[free], column[free], partner)
+        by_partner = partner.argsort(kind="stable")
+        partner = partner[by_partner]
+        first = np.ones(len(partner), dtype=bool)
+        first[1:] = partner[1:] != partner[:-1]
+        upper[cells[free[by_partner[first]]]] = False
+        lower[partner[first]] = False
+        again = np.flatnonzero(count > 1)
+        cells = cells[again]
+        facets = [column[again] for column in facets]
 
 
 def _downward_closure(faces, max_faces=None):

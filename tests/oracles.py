@@ -203,6 +203,18 @@ def dense_to_columns(mat):
     return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n_cols)], len(rows)
 
 
+def snf_diagonal(columns, n_rows) -> list:
+    """Invariant factors of an integer matrix given as sparse columns
+    (nonnegative, divisibility ordered, padded with zeros to min(r, c)), by
+    ``ktreesub._kernels.smith_reduce`` on a copy of the columns without
+    their zeros: the form :func:`boundary_reduced_homology` reads."""
+    from ktreesub._kernels import smith_reduce
+
+    pivots, factors = smith_reduce([{int(r): int(v) for r, v in col.items() if v} for col in columns])
+    diag = [1] * len(pivots) + factors
+    return diag + [0] * (min(n_rows, len(columns)) - len(diag))
+
+
 def dense_reduced_homology(K, snf):
     """Reduced homology of K as (betti, torsion) per degree, from dense
     boundary matrices built off the face lists and a dense Smith normal form

@@ -14,7 +14,8 @@ from ktreesub import (
     enumerate_ktree_complex,
     enumerate_partitions,
 )
-from ktreesub._kernels import _snf_exact_python, snf_diagonal
+from ktreesub import _kernels
+from ktreesub._kernels import _snf_exact_python
 from ktreesub.complexes import FaceRows
 from oracles import (
     apply_permutation,
@@ -27,6 +28,7 @@ from oracles import (
     dense_to_columns,
     downward_closed_oracle,
     facets_oracle,
+    snf_diagonal,
     stellar_subdivision_oracle,
 )
 
@@ -67,7 +69,20 @@ HOMOLOGY_CASES = {
     "rp2-suspension": (suspension(RP2_FACETS), [(0, ()), (0, ()), (0, (2,)), (0, ())]),
     "rp2-and-point": (RP2_FACETS + [("point",)], [(1, ()), (0, (2,)), (0, ())]),
     "rp2-cone": ([f + ("apex",) for f in RP2_FACETS], [(0, ()), (0, ()), (0, ()), (0, ())]),
+    # disconnected: the circle is split off H̃_0 and leaves an edge beside RP²'s cells
+    "rp2-and-circle": (RP2_FACETS + [("a", "b"), ("b", "c"), ("a", "c")], [(1, ()), (1, (2,)), (0, ())]),
+    # not pure: a whisker from vertex 0 to a hollow triangle
+    "rp2-whisker-circle": (
+        RP2_FACETS + [(0, "w"), ("w", "x"), ("x", "y"), ("w", "y")],
+        [(0, ()), (1, (2,)), (0, ())],
+    ),
     "points": ([(i,) for i in range(7)], [(6, ())]),
+    # disconnected, and each sphere leaves one triangle once split off
+    "two-spheres": (
+        [tuple(sorted(set(range(4)) - {v})) for v in range(4)]
+        + [tuple(sorted(set(range(4, 8)) - {v})) for v in range(4, 8)],
+        [(1, ()), (0, ()), (2, ())],
+    ),
 }
 LADDER = [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5), (4, 3)]
 
@@ -351,6 +366,13 @@ def _columns(cols):
     return [list(col.items()) for col in cols]
 
 
+def _restricted_oracle(K, d, columns, rows):
+    """The oracle's δ_d on the d-faces where ``columns`` holds, with only
+    the rows of the (d+1)-faces where ``rows`` does."""
+    dropped = set(np.flatnonzero(~columns).tolist())
+    return [{r: v for r, v in col.items() if rows[r]} for col in coboundary_columns_oracle(K, d, dropped)]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
 def test_face_rows_match_oracles(data):
@@ -384,9 +406,9 @@ def test_face_rows_match_oracles(data):
     assert K.is_pure() == (len({len(f) for f in facets_oracle(K)}) == 1)
     assert K.to_json()["facets"] == sorted(sorted(f) for f in facets_oracle(K))
     for d in range(K.dimension()):
-        n = len(K.faces_of_dim(d))
-        cleared = set(data.draw(st.lists(st.integers(0, n - 1), max_size=n)))
-        assert _columns(K._coboundary_columns(d, cleared)) == _columns(coboundary_columns_oracle(K, d, cleared))
+        columns, rows = (np.array(data.draw(st.lists(st.booleans(), min_size=len(K.faces_of_dim(e)),
+                                                     max_size=len(K.faces_of_dim(e))))) for e in (d, d + 1))
+        assert _columns(K._coboundary_columns(d, columns, rows)) == _columns(_restricted_oracle(K, d, columns, rows))
     order = data.draw(st.permutations(range(len(names))))
     relabelled = SimplicialComplex([names[i] for i in order], [frozenset(order.index(v) for v in f) for f in K.faces])
     other = SimplicialComplex.from_label_faces(
@@ -397,24 +419,41 @@ def test_face_rows_match_oracles(data):
     assert K == relabelled
 
 
-@pytest.mark.parametrize("name", ["delta-1-5", "target-1-5", "delta-2-4", "target-2-4", "target-1-6", "delta-3-4"])
+RP2_CASES = [name for name in HOMOLOGY_CASES if name.startswith("rp2") and name != "rp2-cone"]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["delta-1-5", "target-1-5", "delta-2-4", "target-2-4", "target-1-6", "delta-3-4", "delta-1-6", "target-3-4"]
+    + ["two-spheres"]
+    + RP2_CASES,
+)
 def test_smith_reduce_receives_oracle_columns(monkeypatch, name):
-    # the columns each homology call hands to smith_reduce, in order, with
-    # the cleared faces of the step before: those of the frozenset loop
+    # coreduction leaves the ladder complexes and two disjoint spheres no
+    # adjacent dimensions, so no Smith form; on the RP² cases the columns
+    # handed to smith_reduce are the oracle's coboundary restricted to the
+    # cells coreduction left
     K = homology_case(name)
     real = SimplicialComplex._coboundary_columns
-    calls = []
+    calls, reduced = [], []
 
-    def recording(self, d, cleared):
-        cols = real(self, d, cleared)
-        calls.append((d, set(cleared), _columns(cols)))
+    def recording(self, d, columns, rows):
+        cols = real(self, d, columns, rows)
+        calls.append((d, columns.copy(), rows.copy(), _columns(cols)))
         return cols
 
+    def counting(columns):
+        reduced.append(len(columns))
+        return real_smith(columns)
+
+    real_smith = _kernels.smith_reduce
     monkeypatch.setattr(SimplicialComplex, "_coboundary_columns", recording)
+    monkeypatch.setattr(_kernels, "smith_reduce", counting)
     K.reduced_homology()
-    assert [d for d, _, _ in calls] == list(range(1, K.dimension()))
-    for d, cleared, cols in calls:
-        assert cols == _columns(coboundary_columns_oracle(K, d, cleared))
+    assert len(reduced) == len(calls)
+    assert bool(calls) == (name in RP2_CASES)
+    for d, columns, rows, cols in calls:
+        assert cols == _columns(_restricted_oracle(K, d, columns, rows))
 
 
 def test_json_round_trip(t14):
