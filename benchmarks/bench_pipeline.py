@@ -98,7 +98,7 @@ def run_child(k: int, n: int, max_poset_elements: int, max_faces: int):
     ext = stage("linear_extension", lambda: list(pk.poset.linear_extension(pool)))
     stellar = stage(
         "stellar_sequence",
-        lambda: K.run_blowup(pk.poset, q, ext, record_intermediate=False).final == delta,
+        lambda: K.run_blowup(pk.poset, q, ext, record_intermediate=False).replay.equals(delta),
     )
     cm = stage("carrier_map", lambda: K.carrier_map_from_parts(pk, delta, q))
     carrier = stage("verify_carrier_map", lambda: K.verify_carrier_map(cm).passed)

@@ -7,19 +7,18 @@ A complex stores its faces as :class:`FaceRows`: per dimension d, one
 lexicographically sorted int32 array of vertex-index rows.  A face is found
 by binary search on one search key per row: the row packed into an int64
 by mixed radix where it fits, its big-endian bytes where it does not.
-Downward closure, facets, equality and the coboundary columns are such
+The closure check, facets, equality and the coboundary columns are such
 searches.  A complex built from rows (:meth:`SimplicialComplex.from_rows`,
-as the order complex, the k-tree complex and every stellar subdivision
-are) has no frozenset per face until its ``faces`` view is read.  The
-stellar replay (:class:`MutableComplex`) keeps the rows of its initial
-complex with the sets of faces its steps removed and added, and reads the
-faces through a vertex, from that complex's view, when a step first
-touches the vertex."""
+as every complex is) has no frozenset per face until its ``faces`` view is
+read.  One kernel, :func:`closure_rows`, closes rows of facets downward,
+for ``close_downward``, ``from_json`` and the stellar replay
+(:class:`FacetReplay`), which holds maximal faces only."""
 
 from __future__ import annotations
 
+from functools import cached_property
 from heapq import merge
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from . import _kernels as kernels
 from .errors import MAX_FACES, FaceNotPresent, ResourceLimit
 
 _ROW = np.dtype(">i4")
-_CHUNK = 1 << 20  # rows read at a time by the closure check
+_CHUNK = 1 << 20  # rows read at a time by the closure check, made at a time by closure_rows
 
 
 class FaceRows:
@@ -41,9 +40,8 @@ class FaceRows:
     is its place in the concatenation of the rows: by size, then
     lexicographically; ``offsets[d]`` is the position of the first face of
     dimension d.  ``faces[d]`` lists the faces of dimension d as frozensets
-    of vertex indices, in row order: the objects given to the constructor,
-    or, for :meth:`from_rows`, a view built from the rows on first read and
-    kept.
+    of vertex indices, in row order: a view built from the rows on first
+    read and kept.
 
     The faces must be nonempty sets of integers in 0 .. 2**31 - 1.  The
     family need not be downward closed, and a size below the largest may
@@ -54,16 +52,14 @@ class FaceRows:
         groups = {}
         for f in faces:
             groups.setdefault(len(f), []).append(f)
-        rows, self._faces = [], []
+        rows = []
         for size in range(1, max(groups, default=0) + 1):
             group = groups.get(size, [])
             level = np.fromiter(chain.from_iterable(group), dtype=_ROW, count=size * len(group)).reshape(-1, size)
             level.sort(axis=1)
             # stable sorts here and below: the default one maps in its
             # vector kernels, about 0.4 MB of resident memory on first use
-            order = _search_keys(level, _radix_bits([level]))[0].argsort(kind="stable")
-            rows.append(level[order])
-            self._faces.append(list(map(group.__getitem__, order.tolist())))
+            rows.append(level[_search_keys(level, _radix_bits([level]))[0].argsort(kind="stable")])
         self._set_rows(rows)
 
     @classmethod
@@ -79,7 +75,6 @@ class FaceRows:
             rows.pop()
         self = cls.__new__(cls)
         self._set_rows(rows)
-        self._faces = None
         if not all(map(self._strictly_increasing, range(len(rows)))):
             raise ValueError("face rows are not strictly increasing")
         return self
@@ -88,6 +83,7 @@ class FaceRows:
         self.rows = rows
         self.offsets = [0, *np.cumsum([len(level) for level in rows], dtype=np.int64).tolist()]
         self._key_levels = None  # per dimension: its search keys and whether packed, once made
+        self._faces = None  # the view, once read
 
     def _keys_of(self, d):
         """The search keys of dimension d and whether they are packed, in
@@ -218,6 +214,46 @@ class FaceRows:
         return np.concatenate(out)
 
 
+def closure_rows(facets, max_faces=None):
+    """The downward closure of ``facets``, one array of increasing rows of w
+    vertex indices per width w = 1, 2, ... (repeats and rows inside others
+    allowed), as the rows per dimension that :meth:`FaceRows.from_rows`
+    takes.  The vertices are counted; the faces of w ≥ 2 vertices are the
+    w-column subsets of the rows of w or more, made in batches of about
+    ``_CHUNK`` rows, each merged into those found so far: sorted by search
+    key, a repeated key dropped.  :class:`ResourceLimit` is raised once the
+    distinct faces pass ``max_faces``, before any array holds more than
+    ``max_faces`` rows plus one batch."""
+    bits = _radix_bits(facets)
+    out = []
+
+    def distinct(parts):
+        level = np.concatenate(parts, dtype=_ROW)
+        keys = _search_keys(level, bits)[0]
+        order = keys.argsort(kind="stable")
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[order[1:]] != keys[order[:-1]]
+        level = level[order[first]]
+        if max_faces is not None and sum(map(len, out)) + len(level) > max_faces:
+            raise ResourceLimit(f"complex exceeds {max_faces} faces")
+        return level
+
+    for w in range(1, len(facets) + 1):
+        if w == 1:  # the vertices, counted
+            entries = np.concatenate([np.zeros(0, dtype=_ROW), *(rows.ravel() for rows in facets)])
+            parts = [np.flatnonzero(np.bincount(entries)).astype(_ROW)[:, None]]
+        else:
+            parts, size = [np.zeros((0, w), dtype=_ROW)], 0
+            for width, rows in enumerate(facets[w - 1:], w):
+                for columns in combinations(range(width), w) if len(rows) else ():
+                    parts.append(rows if width == w else rows[:, columns])
+                    size += len(rows)
+                    if size >= _CHUNK:
+                        parts, size = [distinct(parts)], 0
+        out.append(distinct(parts))
+    return out
+
+
 def _frozensets(level):
     """The rows of a 2-d array as frozensets: from the columns as lists,
     zipped, so that no list is made per row (that many new containers set
@@ -293,39 +329,31 @@ class SimplicialComplex:
 
     The faces are stored as :class:`FaceRows`; the empty face is implicit.
     Complexes are immutable.  ``SimplicialComplex(labels, faces)`` takes
-    the faces as sets of vertex indices.  With ``close_downward`` they are
-    closed under taking sub-faces, and the closure raises
-    :class:`ResourceLimit` as it makes face ``max_faces + 1``.  Otherwise a
-    family that is not downward closed is refused first; then one with a
-    vertex index outside the vertex list; then one with a vertex in no
-    face, all with ``ValueError``.  :meth:`from_rows` takes the rows
-    themselves, and :attr:`faces`, the faces as frozensets, is then a view
-    built on first read.  The invariants, the homology, equality, the hash and
-    :meth:`to_json` read the rows alone.
+    the faces as sets of vertex indices; a vertex index outside the vertex
+    list is refused with ``ValueError``.  With ``close_downward`` they are
+    closed downward by :func:`closure_rows`, which raises
+    :class:`ResourceLimit` past ``max_faces``.  The rows then go through
+    the checks of :meth:`from_rows`, which takes the rows themselves.
+    :attr:`faces`, the faces as frozensets, is a view built on first read;
+    the invariants, the homology, equality, the hash and :meth:`to_json`
+    read the rows alone.
     """
 
     def __init__(self, vertex_labels, faces, close_downward=False, max_faces=None):
         self._set_vertices(vertex_labels)
         fs = {frozenset(f) for f in faces}
         fs.discard(frozenset())
-        if close_downward:
-            fs = _downward_closure(fs, max_faces)
-        n = len(self.vertices)
         touched = set().union(*fs)
         # the range is checked before any row is made: an index past int32
         # would not fit a row, or would be truncated into one
-        outside = touched.difference(range(n))
+        outside = touched.difference(range(len(self.vertices)))
         if outside:
             number = {v: i for i, v in enumerate(touched)}
             if not (close_downward or FaceRows([frozenset(map(number.__getitem__, f)) for f in fs]).is_closed()):
                 raise ValueError("face family is not downward closed")
             raise ValueError(f"vertex indices {sorted(outside, key=repr)} are out of range")
-        self._faces = frozenset(fs)
-        self.face_rows = FaceRows(self._faces)
-        if not (close_downward or self.face_rows.is_closed()):
-            raise ValueError("face family is not downward closed")
-        if len(touched) != n:
-            raise ValueError(f"vertices {sorted(set(range(n)) - touched)} appear in no face")
+        rows = FaceRows(fs).rows
+        self._set_rows(closure_rows(rows, max_faces) if close_downward else rows)
 
     @classmethod
     def from_rows(cls, vertex_labels, rows):
@@ -336,6 +364,11 @@ class SimplicialComplex:
         vertex index outside the vertex list, a vertex in no face."""
         self = cls.__new__(cls)
         self._set_vertices(vertex_labels)
+        self._set_rows(rows)
+        return self
+
+    def _set_rows(self, rows):
+        """Take ``rows`` as the faces, with the checks of :meth:`from_rows`."""
         self.face_rows = FaceRows.from_rows(rows)
         self._faces = None
         if not self.face_rows.is_closed():
@@ -348,7 +381,6 @@ class SimplicialComplex:
             raise ValueError(f"vertex indices {outside.tolist()} are out of range")
         if len(vertices) != n:
             raise ValueError(f"vertices {sorted(set(range(n)) - set(vertices.tolist()))} appear in no face")
-        return self
 
     def _set_vertices(self, vertex_labels):
         self.vertices = list(vertex_labels)
@@ -397,19 +429,21 @@ class SimplicialComplex:
     def _facet_rows(self):
         """The maximal faces as lists of vertex indices, in lexicographic
         order."""
-        return merge(*(self.face_rows.rows[d][self._maximal(d)].tolist() for d in range(self.dimension() + 1)))
+        return merge(*(rows[at].tolist() for rows, at in zip(self.face_rows.rows, self._maximal)))
 
-    def _maximal(self, d):
-        """Positions within dimension d of the maximal faces: the face set is
-        downward closed, so a face is maximal iff it is the facet of no face
-        of dimension d+1."""
-        covered = np.zeros(len(self.face_rows.rows[d]), dtype=bool)
-        if d < self.dimension():
-            covered[self.face_rows.facet_positions(d + 1).ravel()] = True
-        return np.flatnonzero(~covered)
+    @cached_property
+    def _maximal(self):
+        """Per dimension d, the positions within d of the maximal faces, those
+        that are the facet of no face of dimension d+1 (vertex i is the i-th
+        one-vertex face, so an edge's facets are its vertices)."""
+        rows = self.face_rows.rows
+        covered = [np.zeros(len(level), dtype=bool) for level in rows]
+        for d in range(1, len(rows)):
+            covered[d - 1][rows[1].ravel() if d == 1 else self.face_rows.facet_positions(d).ravel()] = True
+        return [np.flatnonzero(~mask) for mask in covered]
 
     def is_pure(self) -> bool:
-        return all(not len(self._maximal(d)) for d in range(self.dimension()))
+        return all(not len(at) for at in self._maximal[:-1])
 
     def faces_of_dim(self, d: int):
         return list(self.face_rows.faces[d]) if 0 <= d <= self.dimension() else []
@@ -446,7 +480,7 @@ class SimplicialComplex:
         ``new_label`` (default: the tuple of the face's labels in sorted
         order).
         """
-        state = MutableComplex(self)
+        state = FacetReplay(self)
         if not state.stellar_subdivide(face_labels, new_label):
             return self
         return state.freeze()
@@ -601,8 +635,8 @@ class SimplicialComplex:
 
         The facets are closed downward, and a facet of d vertices has
         2^d - 1 faces: one with more than ``max_faces`` is refused before it
-        is expanded, and the closure stops at face ``max_faces + 1``, both
-        with :class:`ResourceLimit`."""
+        is expanded, and the closure stops once its distinct faces pass
+        ``max_faces``, both with :class:`ResourceLimit`."""
         if not (
             isinstance(data, dict)
             and isinstance(data.get("vertices"), list)
@@ -626,49 +660,34 @@ class SimplicialComplex:
         return f"SimplicialComplex(f={self.f_vector()})"
 
 
-class MutableComplex:
-    """A complex under a sequence of stellar subdivisions.
-
-    The initial complex K is kept as its :class:`FaceRows`, with two sets:
-    the faces of K that the steps removed, and the faces they added that
-    are still there.  A step rewrites only the star of the subdivided face,
-    the faces through all of its vertices: their sets intersected, smallest
-    first.  A new vertex starts with none; a vertex of K gets its set when
-    a step first reads it: its faces in K, from a CSR index over K's rows
-    and the objects of K's ``faces`` view (built once and kept on K, so
-    replays from one complex share them), less the removed ones, plus the
-    added faces through it made before.  Nothing is validated until
-    :meth:`freeze` builds a :class:`SimplicialComplex` from the rows.
-    """
+class FacetReplay:
+    """A complex under a sequence of stellar subdivisions, held by its
+    maximal faces (the lemma in :func:`~ktreesub.subdivision.run_blowup`):
+    tuples of increasing vertex indices, in one set per vertex.  A vertex of
+    the initial complex K reads its set from a CSR index over K's maximal
+    rows when a step first touches it; a step touches every vertex of the
+    faces it removes or makes, so an unread vertex keeps its faces of K.
+    The star of σ is the intersection of its vertices' sets, smallest
+    first; each F in it gives way to (F ∖ {s}) ∪ {v} for every s in σ, the
+    new vertex v last, as it has the largest index yet."""
 
     def __init__(self, K: SimplicialComplex):
         self.vertices = list(K.vertices)
         self._index = dict(K._index)
-        self._base = K.face_rows
-        self._removed = set()  # faces of K no longer in the complex
-        self._added = set()  # faces made by the steps, still in the complex
-        self._through = [None] * len(self.vertices)  # vertex -> every face through it, once read
-        self._pending = {}  # vertex of K not yet read -> the added faces through it
-        # the positions of K's faces through each vertex v: _at[_start[v]:_start[v + 1]]
-        sizes = np.diff(self._base.offsets)
-        owner = np.arange(self._base.offsets[-1]).repeat(np.arange(1, len(sizes) + 1).repeat(sizes))
-        entries = np.concatenate([np.zeros(0, dtype=np.int32), *(level.ravel() for level in self._base.rows)],
-                                 dtype=np.int32)
-        self._at = owner[entries.argsort(kind="stable")]
-        self._start = np.concatenate(([0], np.bincount(entries, minlength=len(self.vertices)).cumsum()))
-        self._listed = None  # K's faces in position order, when first read
+        self._through = [None] * len(self.vertices)  # vertex -> the maximal faces through it, once read
+        # per dimension, K's maximal rows, and through each vertex v the rows at[start[v]:start[v + 1]]
+        self._csr = []
+        for d, at in filter(lambda pair: len(pair[1]), enumerate(K._maximal)):
+            rows = K.face_rows.rows[d][at]
+            start = np.concatenate(([0], np.bincount(rows.ravel(), minlength=len(self.vertices)).cumsum()))
+            self._csr.append((rows, np.arange(len(at)).repeat(d + 1)[rows.ravel().argsort(kind="stable")], start))
 
-    def _faces_through(self, u):
-        """The faces through vertex ``u``, as one set, read on first use."""
+    def _facets_through(self, u):
+        """The maximal faces through vertex ``u``, as one set."""
         faces = self._through[u]
         if faces is None:
-            if self._listed is None:
-                self._listed = list(chain.from_iterable(self._base.faces))
-            removed = self._removed
-            at = self._at[self._start[u]:self._start[u + 1]].tolist()
-            faces = {f for f in map(self._listed.__getitem__, at) if f not in removed}
-            faces.update(self._pending.pop(u, ()))
-            self._through[u] = faces
+            faces = self._through[u] = {
+                f for rows, at, start in self._csr for f in zip(*rows[at[start[u]:start[u + 1]]].T.tolist())}
         return faces
 
     def stellar_subdivide(self, face_labels, new_label=None) -> bool:
@@ -678,9 +697,9 @@ class MutableComplex:
         sigma = frozenset(self._index[l] for l in face_labels)
         if len(sigma) == 1:  # every vertex is a face
             return False
-        through = sorted(map(self._faces_through, sigma), key=len)
+        through = sorted(map(self._facets_through, sigma), key=len)
         star = through[0].intersection(*through[1:]) if through else ()
-        if sigma not in star:
+        if not star:
             raise FaceNotPresent(f"face {sorted(face_labels, key=_label_key)} not in complex")
         if new_label is None:
             new_label = tuple(sorted((self.vertices[i] for i in sigma), key=_label_key))
@@ -690,51 +709,46 @@ class MutableComplex:
         self.vertices.append(new_label)
         self._index[new_label] = v
         self._through.append(set())
-        for gamma in star:
-            made = gamma in self._added
-            if made:
-                self._added.remove(gamma)
-            else:
-                self._removed.add(gamma)
-            for u in gamma:
-                faces = self._through[u]
-                if faces is not None:
-                    faces.remove(gamma)
-                elif made:
-                    self._pending[u].remove(gamma)
-        proper_subsets = _all_subsets(sigma) - {sigma}
-        for gamma in star:
-            rest = gamma - sigma
-            for delta in proper_subsets:
-                f = rest | delta | {v}
-                self._added.add(f)
+        for facet in star:
+            for u in facet:
+                self._facets_through(u).remove(facet)
+            for f in (facet[:i] + facet[i + 1:] + (v,) for i, s in enumerate(facet) if s in sigma):
                 for u in f:
-                    faces = self._through[u]
-                    if faces is None:
-                        faces = self._pending.setdefault(u, set())
-                    faces.add(f)
+                    self._facets_through(u).add(f)
         return True
 
+    def facet_rows(self):
+        """The maximal faces now, as one array of increasing rows per width
+        1 to K's widest: each face once, at its first vertex, from its set,
+        or from K's rows where that vertex is unread."""
+        unread = np.array([faces is None for faces in self._through], dtype=bool)
+        listed = {}
+        for u, faces in enumerate(self._through):
+            for f in faces or ():
+                if f[0] == u:
+                    listed.setdefault(len(f), []).append(f)
+        kept = {rows.shape[1]: rows[unread[rows[:, 0]]] for rows, _, _ in self._csr}
+        out = []
+        for w in range(1, max(kept, default=0) + 1):  # K's widest faces are maximal
+            new = listed.get(w, [])
+            made = np.fromiter(chain.from_iterable(new), dtype=_ROW, count=w * len(new)).reshape(-1, w)
+            out.append(np.concatenate([kept[w], made]) if w in kept else made)
+        return out
+
     def freeze(self) -> SimplicialComplex:
-        """The complex now: K's rows less the removed faces, merged with the
-        rows of the added faces, through :meth:`SimplicialComplex.from_rows`
-        and all its checks."""
-        base = self._base
-        keep = np.ones(base.offsets[-1], dtype=bool)
-        keep[base.positions(list(self._removed))] = False
-        added = {}
-        for f in self._added:
-            added.setdefault(len(f), []).append(f)
-        bits = max(len(self.vertices) - 1, 1).bit_length()
-        rows = []
-        for d in range(max(len(base.rows), max(added, default=0))):
-            new = added.get(d + 1, [])
-            level = np.fromiter(chain.from_iterable(new), dtype=_ROW, count=(d + 1) * len(new)).reshape(-1, d + 1)
-            level.sort(axis=1, kind="stable")
-            if d < len(base.rows):
-                level = np.concatenate([base.rows[d][keep[base.offsets[d]:base.offsets[d + 1]]], level])
-            rows.append(level[_search_keys(level, bits)[0].argsort(kind="stable")])
-        return SimplicialComplex.from_rows(self.vertices, rows)
+        """The complex now, closed down from the maximal faces and checked."""
+        return SimplicialComplex.from_rows(self.vertices, closure_rows(self.facet_rows()))
+
+    def equals(self, K: SimplicialComplex) -> bool:
+        """Whether the complex now is K, label by label, from the maximal
+        faces alone (a step keeps the widths, so K's must be as wide)."""
+        rows = self.facet_rows()
+        if self._index.keys() != K._index.keys() or len(rows) != len(K._maximal):
+            return False
+        idx = np.array([K._index[lab] for lab in self.vertices], dtype=np.intp)
+        images = (np.sort(idx[level], axis=1) for level in rows)
+        return all(np.array_equal(np.sort(K.face_rows.find(d, img)), at)
+                   for d, (img, at) in enumerate(zip(images, K._maximal)))
 
 
 def _coreduce(lower, upper, facets, cells):
@@ -770,32 +784,6 @@ def _coreduce(lower, upper, facets, cells):
         again = np.flatnonzero(count > 1)
         cells = cells[again]
         facets = [column[again] for column in facets]
-
-
-def _downward_closure(faces, max_faces=None):
-    out = set()
-    stack = list(faces)
-    while stack:
-        f = stack.pop()
-        if f in out or not f:
-            continue
-        out.add(f)
-        if max_faces is not None and len(out) > max_faces:
-            raise ResourceLimit(f"complex exceeds {max_faces} faces")
-        if len(f) > 1:
-            for v in f:
-                g = f - {v}
-                if g not in out:
-                    stack.append(g)
-    return out
-
-
-def _all_subsets(s):
-    s = sorted(s)
-    out = [frozenset()]
-    for x in s:
-        out += [f | {x} for f in out]
-    return set(out)
 
 
 def _label_key(label):

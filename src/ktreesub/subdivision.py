@@ -21,7 +21,7 @@ from math import factorial, lcm, prod
 import numpy as np
 
 from . import exact
-from .complexes import FaceRows, MutableComplex, SimplicialComplex, _search, _search_keys
+from .complexes import FaceRows, FacetReplay, SimplicialComplex, _search, _search_keys
 from .errors import MAX_FACES, MAX_POSET_ELEMENTS, NotLinearExtension, NotNested, ResourceLimit
 from .partitions import Partition, PartitionPoset, enumerate_partitions
 from .poset import Poset, product
@@ -215,10 +215,19 @@ class BlowupStep:
 @dataclass
 class BlowupResult:
     initial: SimplicialComplex
-    final: SimplicialComplex
     steps: list
-    complexes: list
     factor_map: dict  # label -> frozenset of initial vertex labels
+    replay: FacetReplay  # the maximal faces after the last step
+    recorded: list | None = None  # the initial complex and one after every step, when recorded
+
+    @cached_property
+    def complexes(self) -> list:
+        """The recorded complexes, else the initial and the final one."""
+        return self.recorded or [self.initial, self.replay.freeze()]
+
+    @property
+    def final(self) -> SimplicialComplex:
+        return self.complexes[-1]
 
     def carrier(self, face_labels) -> frozenset:
         """Carrier of a face of any intermediate complex inside the initial
@@ -240,10 +249,22 @@ def run_blowup(order: Poset, initial: SimplicialComplex, ext_indices, record_int
     added before h is below h (it comes after h in the extension), so that
     face is h's factor face: the maximal initial vertices below h.
 
-    The steps edit a :class:`MutableComplex`, the initial complex's rows
-    with the faces removed and added so far, rewriting only the star of each
-    subdivided face; the final complex is built (and validated) once, and
-    with ``record_intermediate`` one complex is built after every step.
+    The steps edit a :class:`FacetReplay`, which holds maximal faces only,
+    by this lemma.  Let K be a simplicial complex and σ a face with
+    |σ| ≥ 2, subdivided by a new vertex v.  The maximal faces of sd_σ K
+    are the maximal faces of K that do not contain σ, and (F ∖ {s}) ∪ {v}
+    for each maximal F ⊇ σ and each s ∈ σ; distinct pairs (F, s) give
+    distinct faces.  K need not be pure.  Proof sketch:
+
+    * sd_σ K = (K ∖ st σ) ∪ (v ∗ ∂σ ∗ lk σ), and the facets of lk σ are
+      the F ∖ σ;
+    * a face that does not contain σ but lies in some F ⊇ σ lies in
+      F ∖ {s}, for some s ∈ σ that it misses;
+    * no new face lies in another one, and no old maximal face lies in a
+      new one, because it would lie in F ∖ {s} ⊊ F.
+
+    ``final`` is built (and validated) on first read, and with
+    ``record_intermediate`` a complex after every step.
     """
     ext = list(ext_indices)
     if not order.is_linear_extension(ext):
@@ -255,24 +276,13 @@ def run_blowup(order: Poset, initial: SimplicialComplex, ext_indices, record_int
         factor_map[order.labels[h]] = frozenset(
             order.labels[v] for v in order.maximal_in(below)
         )
-    current = MutableComplex(initial)
-    complexes = [initial]
-    steps = []
-    for h in reversed(ext):
-        h_label = order.labels[h]
-        sigma = factor_map[h_label]
-        steps.append(BlowupStep(h_label, sigma))
-        if current.stellar_subdivide(sigma, new_label=h_label) and record_intermediate:
-            complexes.append(current.freeze())
-    if not record_intermediate:
-        complexes.append(current.freeze())
-    return BlowupResult(
-        initial=initial,
-        final=complexes[-1],
-        steps=steps,
-        complexes=complexes,
-        factor_map=factor_map,
-    )
+    replay = FacetReplay(initial)
+    recorded = [initial] if record_intermediate else None
+    steps = [BlowupStep(order.labels[h], factor_map[order.labels[h]]) for h in reversed(ext)]
+    for step in steps:
+        if replay.stellar_subdivide(step.subdivided_face, new_label=step.new_label) and record_intermediate:
+            recorded.append(replay.freeze())
+    return BlowupResult(initial=initial, steps=steps, factor_map=factor_map, replay=replay, recorded=recorded)
 
 
 def blowup_sequence(
@@ -1326,7 +1336,7 @@ def verify_theorem(
 
     * ``stellar_sequence_matches_order_complex[t]``: the stellar sequence
       along the t-th distinct linear extension (at most ``extensions`` of
-      them) ends at the order complex, label by label;
+      them) ends at the order complex, label by label (:meth:`FacetReplay.equals`);
     * ``carrier_map_partition``: the global carrier map partitions every
       target face, in exact arithmetic (``verify_carrier_map``);
     * ``homology_equal_all_degrees``: the reduced homology groups agree.
@@ -1349,7 +1359,7 @@ def verify_theorem(
     ext_pool = [i for i in pk.poset.proper_indices() if i not in g_idx]
     exts = _distinct_extensions(pk.poset, ext_pool, extensions, seed)
     for t, ext in enumerate(exts):
-        same = run_blowup(pk.poset, q, list(ext), record_intermediate=False).final == delta
+        same = run_blowup(pk.poset, q, list(ext), record_intermediate=False).replay.equals(delta)
         record(
             f"stellar_sequence_matches_order_complex[{t}]",
             same,

@@ -342,8 +342,8 @@ class MutableComplexOracle:
     the face set, the vertex labels and, per vertex, the faces through it,
     all built at the start, so that a subdivision rewrites only the star of
     the subdivided face.  :meth:`freeze` builds a complex from the faces.
-    The replay the library ran before it kept its initial complex as
-    rows."""
+    This was the library's replay before it kept its initial complex as
+    rows, and then only the maximal faces."""
 
     def __init__(self, K):
         self.vertices = list(K.vertices)
@@ -704,6 +704,31 @@ def by_size_order(faces):
     """Faces by size, then lexicographically by their sorted vertices: the
     order of a complex's faces of one dimension and of the carrier check."""
     return sorted(faces, key=lambda f: (len(f), tuple(sorted(f))))
+
+
+def downward_closure_oracle(faces, max_faces=None):
+    """The downward closure of a family of frozensets, by a depth-first
+    walk that removes one vertex at a time: the set of its nonempty faces.
+    Raises ResourceLimit, with the library's message, as it finds face
+    ``max_faces + 1``.  The library closed families so before it closed
+    rows of facets by column subsets."""
+    from ktreesub import ResourceLimit
+
+    out = set()
+    stack = list(faces)
+    while stack:
+        f = stack.pop()
+        if f in out or not f:
+            continue
+        out.add(f)
+        if max_faces is not None and len(out) > max_faces:
+            raise ResourceLimit(f"complex exceeds {max_faces} faces")
+        if len(f) > 1:
+            for v in f:
+                g = f - {v}
+                if g not in out:
+                    stack.append(g)
+    return out
 
 
 def downward_closed_oracle(faces):

@@ -2,7 +2,8 @@
 against the recursive walks they replaced, the checks of the row
 constructor, the refusal of a size before it is made, and the frozenset
 views that only a reader builds.  The packed search keys against the byte
-keys, and the stellar replay on rows against the set replay it replaced."""
+keys, and the stellar replay on maximal faces against the set replay over
+every face."""
 
 import random
 
@@ -20,11 +21,12 @@ from ktreesub import (
     verify_theorem,
 )
 from ktreesub import poset as poset_module
-from ktreesub import subdivision, trees
-from ktreesub.complexes import FaceRows, MutableComplex
+from ktreesub import complexes, subdivision, trees
+from ktreesub.complexes import FaceRows, FacetReplay, closure_rows
 from oracles import (
     MutableComplexOracle,
     carrier_phi_oracle,
+    downward_closure_oracle,
     ktree_bitset_oracle,
     order_complex_oracle,
     poset_from_covers,
@@ -35,7 +37,11 @@ INSTANCES = [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5), (4, 3), (1, 6), (3,
 
 
 def _rows(K):
-    return [level.tolist() for level in K.face_rows.rows]
+    return _rows_of(K.face_rows)
+
+
+def _rows_of(face_rows):
+    return [level.tolist() for level in face_rows.rows]
 
 
 def _delta(k, n):
@@ -222,7 +228,53 @@ def test_packed_find_matches_byte_key_oracle():
 
 
 # ---------------------------------------------------------------------------
-# the stellar replay on rows against the set replay
+# the closure kernel against the closure walk
+# ---------------------------------------------------------------------------
+
+
+def _random_facets(rng):
+    """A family of faces of 1 to 5 vertices, some repeated and some inside
+    others, grouped by width as rows in random order, each row
+    increasing."""
+    faces = [frozenset(rng.sample(range(12), rng.randint(1, 5))) for _ in range(rng.randint(1, 8))]
+    faces += rng.sample(faces, rng.randint(0, len(faces)))
+    faces += [frozenset(rng.sample(sorted(f), rng.randint(1, len(f)))) for f in rng.choices(faces, k=2)]
+    rng.shuffle(faces)
+    groups = [[sorted(f) for f in faces if len(f) == w] for w in range(1, max(map(len, faces)) + 1)]
+    return faces, [np.array(group, dtype=np.int32).reshape(-1, w) for w, group in enumerate(groups, 1)]
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 3])
+def test_closure_rows_match_closure_oracle(monkeypatch, chunk):
+    # in one batch per width, and in batches of a few rows merged one by one
+    monkeypatch.setattr(complexes, "_CHUNK", chunk)
+    rng = random.Random(11)
+    for _ in range(200):
+        faces, facets = _random_facets(rng)
+        want = downward_closure_oracle(faces)
+        want_rows = _rows_of(FaceRows(want))
+        got = closure_rows(facets)
+        assert [level.tolist() for level in got] == want_rows
+        assert all(level.dtype == np.dtype(">i4") for level in got)
+        assert [level.tolist() for level in closure_rows(facets, max_faces=len(want))] == want_rows
+        with pytest.raises(ResourceLimit, match=f"complex exceeds {len(want) - 1} faces"):
+            downward_closure_oracle(faces, max_faces=len(want) - 1)
+        with pytest.raises(ResourceLimit, match=f"complex exceeds {len(want) - 1} faces"):
+            closure_rows(facets, max_faces=len(want) - 1)
+
+
+def test_closure_cap_counts_distinct_faces(monkeypatch):
+    # a facet repeated 1,000 times has 7 faces, within a cap of 7, though
+    # its column subsets make 7,000 rows; a batch is merged before the next
+    monkeypatch.setattr(complexes, "_CHUNK", 10)
+    facets = [np.zeros((0, 1), dtype=np.int32), np.zeros((0, 2), dtype=np.int32), np.tile([[2, 5, 9]], (1000, 1))]
+    assert list(map(len, closure_rows(facets, max_faces=7))) == [3, 3, 1]
+    with pytest.raises(ResourceLimit, match="complex exceeds 6 faces"):
+        closure_rows(facets, max_faces=6)
+
+
+# ---------------------------------------------------------------------------
+# the stellar replay on maximal faces against the set replay
 # ---------------------------------------------------------------------------
 
 
@@ -263,15 +315,16 @@ def _apply(state, face, label):
 
 
 def _replay(rng, start, steps, freeze_chance):
-    ours, oracle = MutableComplex(start), MutableComplexOracle(start)
+    ours, oracle = FacetReplay(start), MutableComplexOracle(start)
     for t in range(steps):
         face, label = _step(rng, oracle, ("new", t))
         assert _apply(ours, face, label) == _apply(oracle, face, label)
         assert ours.vertices == oracle.vertices
         if rng.random() < freeze_chance:
             _same(ours.freeze(), oracle.freeze())
-    final = ours.freeze()
-    _same(final, oracle.freeze())
+    final, want = ours.freeze(), oracle.freeze()
+    _same(final, want)
+    assert ours.equals(want) and ours.equals(start) == (final == start)
     return final
 
 
@@ -306,7 +359,7 @@ def test_stellar_subdivide_matches_set_replay():
 
 
 def test_replay_refusals_change_nothing(t14):
-    state = MutableComplex(t14)
+    state = FacetReplay(t14)
     before = state.freeze()
     a, b = next((a, b) for a in t14.vertices for b in t14.vertices if a != b and not t14.has_face_labels([a, b]))
     with pytest.raises(FaceNotPresent, match="not in complex"):
@@ -322,16 +375,51 @@ def test_replay_refusals_change_nothing(t14):
 
 
 def test_freeze_keeps_the_row_checks():
-    # a replay state that is no complex is refused when it is frozen
-    K = SimplicialComplex.from_label_faces([("a", "b", "c")])
-    state = MutableComplex(K)
-    state._removed.add(frozenset({0, 1}))  # an edge of the triangle
-    with pytest.raises(ValueError, match="not downward closed"):
+    # a replay state that is no complex is refused when it is frozen: the
+    # closure of any facets is closed downward, so what is left to refuse is
+    # a vertex in no maximal face, or a label twice
+    K = SimplicialComplex.from_label_faces([("a", "b", "c"), ("c", "d")])
+    state = FacetReplay(K)
+    state._through[2] = set()  # "c" read with no maximal face: the edge to "d" is lost
+    with pytest.raises(ValueError, match=r"vertices \[3\] appear in no face"):
         state.freeze()
-    state = MutableComplex(K)
-    state._added.add(frozenset({0, 3}))  # a vertex that is no face
-    with pytest.raises(ValueError, match="not downward closed"):
+    state = FacetReplay(K)
+    state.stellar_subdivide(["a", "b"], new_label="x")
+    state.vertices[-1] = "a"  # the new vertex under a label already taken
+    with pytest.raises(ValueError, match="pairwise distinct"):
         state.freeze()
+
+
+def test_facet_comparison_reads_the_facets():
+    # the paths b-a-c-d and a-b-c-d: the same labels and three edges each
+    K = SimplicialComplex.from_label_faces([("a", "b"), ("a", "c"), ("c", "d")])
+    L = SimplicialComplex.from_label_faces([("a", "b"), ("b", "c"), ("c", "d")])
+    assert FacetReplay(K).equals(K) and not FacetReplay(K).equals(L)
+    state = FacetReplay(K)
+    state.stellar_subdivide(["a", "c"], new_label="x")
+    M = K.stellar_subdivide(["a", "c"], new_label="x")
+    assert state.equals(M) and not state.equals(K)
+    # a non-pure complex: a triangle and an edge against two triangles
+    N = SimplicialComplex.from_label_faces([("a", "b", "c"), ("c", "d")])
+    assert FacetReplay(N).equals(N)
+    assert not FacetReplay(N).equals(SimplicialComplex.from_label_faces([("a", "b", "c"), ("b", "c", "d")]))
+
+
+@pytest.mark.parametrize("kn", [(2, 4), (1, 5)])
+def test_verify_builds_no_face_view(monkeypatch, kn):
+    # the stellar check compares maximal faces, read from T's rows
+    built = []
+    real = subdivision._instance
+
+    def instance(*args):
+        out = real(*args)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(subdivision, "_instance", instance)
+    assert verify_theorem(*kn, extensions=3).verdict == "pass"
+    ((_, _, q, delta),) = built
+    assert _views_unbuilt(q) and _views_unbuilt(delta)
 
 
 def test_carrier_check_builds_no_face_view_of_delta(monkeypatch):

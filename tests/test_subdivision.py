@@ -235,8 +235,16 @@ def test_global_blowup_matches_order_complex(pk72, t24, delta72):
     g = set(pk72.g_indices())
     pool = [i for i in pk72.poset.proper_indices() if i not in g]
     res = run_blowup(pk72.poset, t24, pk72.poset.linear_extension(pool), record_intermediate=False)
+    assert res.replay.equals(delta72) and not res.replay.equals(t24)
     assert res.final == delta72
     assert len(res.steps) == 70
+    # Δ with the labels of its first and last vertex swapped: the same
+    # labels and f-vector, other maximal faces
+    labels = list(delta72.vertices)
+    labels[0], labels[-1] = labels[-1], labels[0]
+    swapped = SimplicialComplex.from_rows(labels, delta72.face_rows.rows)
+    assert swapped.f_vector() == delta72.f_vector() and res.final != swapped
+    assert not res.replay.equals(swapped)
 
 
 def test_extension_independence(pk72, t24):
@@ -306,6 +314,7 @@ def test_full_stellar_sequence_34_ends_at_order_complex():
     ext = pk.poset.linear_extension(_added_pool(pk))
     res = run_blowup(pk.poset, q, ext, record_intermediate=False)
     assert len(res.steps) == 1575
+    assert res.replay.equals(delta)
     assert res.final.f_vector() == delta.f_vector() == (1905, 7350)
     assert res.final == delta
 
