@@ -19,6 +19,13 @@ counts compiling it.
 The results go under ``runs[label]`` of ``--out`` (default
 ``BENCH_pipeline.json``); the other labels already in the file are kept, so
 one file holds the measurements of several source trees.
+
+``--scale`` runs the scale tier instead, only on request: the instances
+``SCALE_INSTANCES`` at ``SCALE_CAPS``, under ``SCALE_MEMORY_LIMIT`` and
+``SCALE_TIMEOUT_S`` per child, recorded under ``runs[label]["scale"]``.
+One scale run takes several minutes and a few GB per child.
+
+    python3 benchmarks/bench_pipeline.py --label change --scale
 """
 
 from __future__ import annotations
@@ -58,6 +65,14 @@ TIMEOUT_S = 600
 # defaults runs the same instances: they admit (1,7) and (4,4)
 CAPS = {"max_poset_elements": 40_000, "max_faces": 300_000}
 INSTANCES = ((1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5), (1, 6), (3, 4), (2, 5), (1, 7), (4, 4))
+
+# the scale tier: 8 to 11 million faces of the order complex each, past the
+# default caps; its own address-space limit and timeout per child, sized for
+# a host of 7 GB
+SCALE_INSTANCES = ((2, 6), (1, 8), (3, 5))
+SCALE_CAPS = {"max_poset_elements": 10**7, "max_faces": 10**9}
+SCALE_MEMORY_LIMIT = 6 * 2**30
+SCALE_TIMEOUT_S = 1800
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +137,14 @@ def run_child(k: int, n: int, max_poset_elements: int, max_faces: int):
 # ---------------------------------------------------------------------------
 
 
-def _limit_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
-
-
-def run_instance(k, n, caps, src, pycache) -> dict:
+def run_instance(k, n, caps, src, pycache, memory_limit=MEMORY_LIMIT, timeout_s=TIMEOUT_S) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=pycache)
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child", str(k), str(n),
            str(caps["max_poset_elements"]), str(caps["max_faces"])]
     with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
         proc = subprocess.Popen(cmd, stdout=out, stderr=err, env=env,
-                                preexec_fn=_limit_memory)
-        deadline = time.monotonic() + TIMEOUT_S
+                                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (memory_limit,) * 2))
+        deadline = time.monotonic() + timeout_s
         timed_out = False
         while True:
             pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
@@ -177,6 +188,7 @@ def main(argv=None):
     parser.add_argument("--label", help="key of this run under runs[] in the output (required)")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory that holds ktreesub")
     parser.add_argument("--out", default=str(ROOT / "BENCH_pipeline.json"))
+    parser.add_argument("--scale", action="store_true", help="run the scale tier (SCALE_INSTANCES) instead")
     parser.add_argument("--child", nargs=4, type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -193,12 +205,16 @@ def main(argv=None):
         "python": platform.python_version(),
         "numpy": __import__("numpy").__version__,
     }
-    instances = run.setdefault("instances", {})
+    if args.scale:
+        tier, caps, limits = SCALE_INSTANCES, SCALE_CAPS, (SCALE_MEMORY_LIMIT, SCALE_TIMEOUT_S)
+    else:
+        tier, caps, limits = INSTANCES, CAPS, (MEMORY_LIMIT, TIMEOUT_S)
+    instances = run.setdefault("scale" if args.scale else "instances", {})
     with tempfile.TemporaryDirectory() as pycache:
         subprocess.run([sys.executable, "-m", "compileall", "-q", args.src], check=True,
                        env=dict(os.environ, PYTHONPYCACHEPREFIX=pycache))
-        for k, n in INSTANCES:
-            result = run_instance(k, n, CAPS, Path(args.src), pycache)
+        for k, n in tier:
+            result = run_instance(k, n, caps, Path(args.src), pycache, *limits)
             instances[f"{k},{n}"] = result
             print(json.dumps({f"{k},{n}": result}), flush=True)
             out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")

@@ -168,34 +168,36 @@ class FaceRows:
             out[at] = np.where(found < 0, -1, found + self.offsets[size - 1])
         return out
 
-    def facet_positions(self, d):
-        """(n_d, d+1) array: entry (i, t) is the position within dimension
-        d-1 of the i-th face of dimension d without its t-th vertex, -1 when
-        that is no face."""
-        return np.stack(list(self._facet_columns(d, 0, None)), axis=1)
+    def facet_positions(self, d, at=slice(None)):
+        """(n, d+1) array for the faces of dimension d at places ``at``
+        within it (a slice or an integer array; all of them by default):
+        entry (i, t) is the position within dimension d-1 of the i-th of
+        them without its t-th vertex, -1 when that is no face."""
+        return np.stack(list(self._facet_columns(d, at)), axis=1)
 
-    def _facet_columns(self, d, lo, hi):
+    def _facet_columns(self, d, at):
         """For t = 0 .. d, the positions within dimension d-1 of the faces of
-        dimension d at places ``lo`` to ``hi`` without their t-th vertex, -1
-        where that is no face.  Where dimension d's keys are packed, so are
-        those of d-1, which has one column less, and a facet's key is its
-        face's key with the digit of the vertex cut out."""
+        dimension d at places ``at`` (a slice or an integer array) without
+        their t-th vertex, -1 where that is no face.  Where dimension d's
+        keys are packed, so are those of d-1, which has one column less,
+        and a facet's key is its face's key with the digit of the vertex cut
+        out."""
         keys, packed = self._keys_of(d)
         below = self._keys_of(d - 1)[0] if packed and len(self.rows[d - 1]) else None
         for t in range(d + 1):
             if below is not None:
                 after = self._bits * (d - t)  # the bits of the vertices after the t-th
-                part = keys[lo:hi]
+                part = keys[at]
                 yield _search(below, (part >> (after + self._bits)) << after | part & ((1 << after) - 1))
             else:
-                yield self.find(d - 1, np.delete(self.rows[d][lo:hi], t, axis=1))
+                yield self.find(d - 1, np.delete(self.rows[d][at], t, axis=1))
 
     def is_closed(self) -> bool:
         """Whether every face's facets are faces, so that the family is
         downward closed; read in parts of ``_CHUNK`` rows."""
         for d in range(1, len(self.rows)):
             for lo in range(0, len(self.rows[d]), _CHUNK):
-                if any((column < 0).any() for column in self._facet_columns(d, lo, lo + _CHUNK)):
+                if any((column < 0).any() for column in self._facet_columns(d, slice(lo, lo + _CHUNK))):
                     return False
         return True
 
@@ -203,15 +205,17 @@ class FaceRows:
         """The position in ``into`` (these faces unless given) of the image
         of every face, in position order, under the injective vertex map
         ``vertex_map`` (an integer array, entry v the image of vertex v); -1
-        where the image is no face there."""
+        where the image is no face there.  Read in parts of ``_CHUNK``
+        rows."""
         into = self if into is None else into
-        out = [np.zeros(0, dtype=np.intp)]
+        out = np.full(self.offsets[-1], -1, dtype=np.intp)
         for d, rows in enumerate(self.rows):
-            img = vertex_map[rows]
-            img.sort(axis=1)
-            at = into.find(d, img)
-            out.append(np.where(at < 0, -1, at + into.offsets[d]))
-        return np.concatenate(out)
+            for lo in range(0, len(rows), _CHUNK):
+                img = vertex_map[rows[lo:lo + _CHUNK]]
+                img.sort(axis=1)
+                at = into.find(d, img)
+                out[self.offsets[d] + lo + np.flatnonzero(at >= 0)] = at[at >= 0] + into.offsets[d]
+        return out
 
 
 def closure_rows(facets, max_faces=None):

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import MutableMapping
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property, partial
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import factorial, lcm, prod
@@ -21,7 +21,7 @@ from math import factorial, lcm, prod
 import numpy as np
 
 from . import exact
-from .complexes import FaceRows, FacetReplay, SimplicialComplex, _search, _search_keys
+from .complexes import _CHUNK, FaceRows, FacetReplay, SimplicialComplex, _search, _search_keys
 from .errors import MAX_FACES, MAX_POSET_ELEMENTS, NotLinearExtension, NotNested, ResourceLimit
 from .partitions import Partition, PartitionPoset, enumerate_partitions
 from .poset import Poset, product
@@ -507,11 +507,21 @@ class CheckFailure:
         return out
 
 
-@dataclass
 class CarrierCheckResult:
-    passed: bool
-    failures: list
-    facet_volumes: dict = field(default_factory=dict)
+    """The outcome of :func:`verify_carrier_map`: whether the map passed,
+    its failures in check order, and ``facet_volumes``, per target face
+    with cells (keyed by its label, in check order) the total volume of its
+    full-dimensional cells as a string.  ``facet_volumes`` is given, or
+    made by ``volumes()`` on first read."""
+
+    def __init__(self, passed: bool, failures: list, facet_volumes: dict | None = None, volumes=None):
+        self.passed, self.failures, self._volumes = passed, failures, volumes
+        if volumes is None:
+            self.facet_volumes = {} if facet_volumes is None else facet_volumes
+
+    @cached_property
+    def facet_volumes(self) -> dict:
+        return self._volumes()
 
 
 def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
@@ -526,7 +536,13 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     Failures are collected, not raised.  Where f0 is the closed form over
     φ's carriers (:class:`CarrierF0`), the vertex checks decide only the
     edited vertices (:func:`_edited_vertices`): every other vertex is the
-    barycenter of its image under φ.
+    barycenter of its image under φ.  Likewise the order test compares only
+    the pairs of a face σ and a facet τ of it where one of the two takes φ
+    from elsewhere than the carriers: if both are faces of
+    ``cm.phi.source`` with no entry in ``cm.phi.overrides``, then
+    φ(τ) = ∪_{v∈τ} C_v ⊆ ∪_{v∈σ} C_v = φ(σ), C_v the carrier of v.  A
+    target face's label is made only for a failure that names it, and
+    ``facet_volumes`` only when it is read (:class:`CarrierCheckResult`).
 
     Disjointness is decided by a ridge certificate where it holds, and by
     one linear feasibility test per pair of cells (Fourier-Motzkin, which
@@ -596,30 +612,31 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     size, then lexicographically: the φ failures, the target faces and the
     cells over each come in that order.
     """
-    label = _FaceLabels(cm.q_complex)
+    face_labels = cache(lambda: _FaceLabels(cm.q_complex))  # made for the first label read
+
+    def label(face):
+        return None if face is None else face_labels()(face)
+
     phi = _PhiTable(cm)
     failures, bad = _check_well_formed(cm, label, phi)
     n = phi.target.rows.offsets[-1]
-    # the source positions grouped by their image's target position: the cells over each target face
-    hit = np.flatnonzero(phi.pos >= 0)
-    cells = hit[phi.pos[hit].argsort(kind="stable")]
-    bounds = phi.pos[cells].searchsorted(np.arange(n + 1))
     roots = np.arange(n) if bad else _orbit_roots(phi)
     is_root = roots == np.arange(n)
 
-    source_face, target_face = {}, {}  # position -> frozenset, for the faces checked and their cells
+    target_face, cells = {}, {}  # target position -> its face, the faces of the cells over it
     on_face, known = {}, {}  # cell -> its ridge flags, its closed-form geometry (_PhiTable.cells)
 
     def read(targets):
-        """The target positions ``targets``, once their faces, the faces of
-        the cells over them and the cells' flags and geometry are made, one
-        batch each."""
+        """The ascending target positions ``targets``, once their faces, the
+        cells over them (in row order) and the cells' flags and geometry
+        are made, one batch each."""
         if len(targets):
-            wanted = np.zeros(n, dtype=bool)
+            wanted = np.zeros(n + 2, dtype=bool)  # the last two read φ table entries -2 and -1
             wanted[targets] = True
-            over = cells[wanted[phi.pos[cells]]]
+            over = np.flatnonzero(wanted[phi.pos])
             faces = phi.source.rows.faces_at(over)
-            source_face.update(zip(over.tolist(), faces))
+            for t, face in zip(phi.pos[over].tolist(), faces):
+                cells.setdefault(t, []).append(face)
             target_face.update(zip(targets.tolist(), phi.target.rows.faces_at(targets)))
             flags, geometry = phi.cells(over, faces)
             on_face.update(flags)
@@ -627,8 +644,7 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
         return targets.tolist()
 
     def check(i):
-        faces = list(map(source_face.__getitem__, cells[bounds[i]:bounds[i + 1]].tolist()))
-        face_failures, total = check_target_face(cm, target_face[i], faces, bad, label, on_face, known)
+        face_failures, total = check_target_face(cm, target_face[i], cells.get(i, []), bad, label, on_face, known)
         return face_failures, None if total is None else str(total)
 
     # the roots, then every face of an orbit whose root fails
@@ -638,10 +654,28 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     checked.update((i, check(i)) for i in read(np.flatnonzero(~is_root & failed[roots])))
     for i in sorted(checked):
         failures += checked[i][0]
-    totals = [checked.get(i, checked[r])[1] for i, r in enumerate(roots.tolist())]
-    labels = chain.from_iterable(map(label.rows, phi.target.rows.rows))
-    facet_volumes = {name: total for name, total in zip(labels, totals) if total is not None}
-    return CarrierCheckResult(passed=not failures, failures=failures, facet_volumes=facet_volumes)
+    return CarrierCheckResult(passed=not failures, failures=failures,
+                              volumes=partial(_facet_volumes, face_labels, phi.target.rows, checked, roots))
+
+
+def _facet_volumes(face_labels, rows: FaceRows, checked, roots) -> dict:
+    """``CarrierCheckResult.facet_volumes`` of a check of the target faces
+    ``rows``: per face with cells, in position order, its label from
+    ``face_labels()`` (a :class:`_FaceLabels`) and its total volume, which
+    ``checked`` (position -> its failures and total) holds where the face
+    was checked, else holds for its orbit root ``roots[i]``.  It keeps
+    only these, not the φ table."""
+    n = rows.offsets[-1]
+    total = np.full(n, None, dtype=object)
+    total[list(checked)] = [t for _, t in checked.values()]
+    own = np.zeros(n, dtype=bool)
+    own[list(checked)] = True
+    total = total[np.where(own, np.arange(n), roots)]
+    at = np.flatnonzero(total != None)  # noqa: E711 (elementwise)
+    bounds = np.searchsorted(at, rows.offsets)
+    labels = chain.from_iterable(face_labels().rows(rows.rows[d][at[bounds[d]:bounds[d + 1]] - rows.offsets[d]])
+                                 for d in range(len(rows.rows)) if bounds[d] < bounds[d + 1])
+    return dict(zip(labels, total[at].tolist()))
 
 
 class PermutationAction:
@@ -731,10 +765,12 @@ class _PhiTable:
     position of its image, -1 when the image is no target face, -2 when
     there is none.  The positions come from the carriers of ``cm.phi``
     (:func:`_union_positions`, one dimension at a time) on the faces of its
-    complex, and from ``cm.phi`` itself on its overrides; :meth:`image`
-    reads one image from ``cm.phi``, where a message needs it.
-    ``vertices`` are the source's one-vertex rows, in order, ``facets[d]``
-    the source's :meth:`FaceRows.facet_positions`, made on first use, and
+    complex, and from ``cm.phi`` itself on its overrides; ``plain[i]``
+    tells whether the first alone gives it: the face is one of
+    ``cm.phi.source`` with no entry in ``cm.phi.overrides``.
+    :meth:`image` reads one image from ``cm.phi``, where a message needs
+    it.
+    ``vertices`` are the source's one-vertex rows, in order, and
     ``edited`` the mask of :func:`_edited_vertices` over ``vertices``."""
 
     def __init__(self, cm: CarrierMap):
@@ -744,16 +780,20 @@ class _PhiTable:
         self.target = PermutationAction(cm.q_complex, cm.given_q_faces)
         src, tgt = self.source.rows, self.target.rows
         self.pos = np.full(src.offsets[-1], -2, dtype=np.intp)
+        self.plain = np.zeros(src.offsets[-1], dtype=bool)
         carriers = None if phi.carriers is None else phi.carrier_rows()
         if carriers is not None:
             for d, rows in enumerate(src.rows):
+                level = slice(src.offsets[d], src.offsets[d + 1])
                 closed = slice(None) if src is phi.source.face_rows else phi.source.face_rows.find(d, rows) >= 0
-                self.pos[src.offsets[d]:src.offsets[d + 1]][closed] = _union_positions(carriers[rows[closed]], tgt)
+                self.pos[level][closed] = _union_positions(carriers, rows[closed], tgt)
+                self.plain[level][closed] = True
         overrides = list(phi.overrides)
         at = src.positions(overrides)
         images = [phi.get(f) for f, i in zip(overrides, at.tolist()) if i >= 0]
         none = [img is None for img in images]
         self.pos[at[at >= 0]] = np.where(none, -2, tgt.positions([img or () for img in images]))
+        self.plain[at[at >= 0]] = False
         self.vertices = src.rows[0][:, 0].tolist() if src.rows else []
         self.edited = _edited_vertices(cm, self.vertices, carriers, at[(at >= 0) & (at < len(self.vertices))])
         self.carriers = carriers
@@ -762,11 +802,6 @@ class _PhiTable:
         """The image of the source face at position i, None when it has
         none."""
         return self._phi.get(self.source.rows.faces_at([i])[0])
-
-    @cached_property
-    def facets(self):
-        rows = self.source.rows
-        return [None] + [rows.facet_positions(d) for d in range(1, len(rows.rows))]
 
     def cells(self, over, faces):
         """For the cells at the source positions ``over`` (their frozensets
@@ -786,7 +821,7 @@ class _PhiTable:
             if d == 0:
                 on = np.zeros((len(at), 1), dtype=bool)
             else:
-                ridges = self.facets[d][over[at] - src.offsets[d]]
+                ridges = src.facet_positions(d, over[at] - src.offsets[d])
                 on = (ridges >= 0) & (self.pos[src.offsets[d - 1] + ridges] == image[at, None])
             on_face.update(zip(map(faces.__getitem__, at.tolist()), on.tolist()))
         at = np.flatnonzero(src_dim < exact.INT64_ORDER) if self.carriers is not None else over[:0]
@@ -805,14 +840,11 @@ class _PhiTable:
         plain[pad] = True
         cell_dim, face_dim = src_dim[at], tgt_dim[at]
         vertices = np.full((len(at), cell_dim.max() + 1), pad, dtype=np.intp)
-        face = np.full((len(at), face_dim.max() + 1), -1, dtype=np.int32)
         for d in range(vertices.shape[1]):
             cell = np.flatnonzero(cell_dim == d)
             ids = src.rows[d][over[at[cell]] - src.offsets[d]]
             vertices[cell, :d + 1] = np.where(ids < pad, ids, pad + 1)
-        for d in range(face.shape[1]):
-            top = np.flatnonzero(face_dim == d)
-            face[top, :d + 1] = tgt.rows[d][image[at[top]] - tgt.offsets[d]]
+        face = _padded_rows(tgt, image[at])
         rows = carriers[vertices]
         incidence = (rows[..., None] == face[:, None, None, :]).any(axis=2)
         sizes = (rows != _PAD).sum(axis=2)
@@ -825,21 +857,37 @@ class _PhiTable:
         return on_face, dict(zip(map(faces.__getitem__, at[decided].tolist()), zip(nondegenerate, volumes)))
 
 
-def _union_positions(carriers, into: FaceRows):
-    """For each (r, w) block of ``carriers``, an (n, r, w) int32 array of
-    target vertex indices padded with ``_PAD``, the position in ``into`` of
-    the union of its rows, -1 when that is no face there."""
-    union = carriers.reshape(len(carriers), carriers.shape[1] * carriers.shape[2])
-    union.sort(axis=1)
-    union[:, 1:][union[:, 1:] == union[:, :-1]] = _PAD
-    union.sort(axis=1)
-    sizes = (union != _PAD).sum(axis=1)
-    out = np.full(len(union), -1, dtype=np.intp)
-    for size in range(1, min(union.shape[1], len(into.rows)) + 1):
-        at = np.flatnonzero(sizes == size)
-        if len(at):
-            found = into.find(size - 1, union[at, :size])
-            out[at] = np.where(found < 0, -1, found + into.offsets[size - 1])
+def _union_positions(carriers, rows, into: FaceRows):
+    """For each row of ``rows`` (an (n, r) array of source vertex indices),
+    the position in ``into`` of the union of its vertices' rows of
+    ``carriers`` (the :meth:`CarrierPhi.carrier_rows`), -1 when that is no
+    face there.  Made in parts of about ``_CHUNK`` carrier entries, each
+    gathered, sorted, cleared of repeats and sorted again."""
+    out = np.full(len(rows), -1, dtype=np.intp)
+    step = max(1, _CHUNK // (rows.shape[1] * carriers.shape[1]))
+    for lo in range(0, len(rows), step):
+        part = rows[lo:lo + step]
+        union = carriers[part].reshape(len(part), -1)
+        union.sort(axis=1)
+        union[:, 1:][union[:, 1:] == union[:, :-1]] = _PAD
+        union.sort(axis=1)
+        sizes = (union != _PAD).sum(axis=1)
+        for size in range(1, min(union.shape[1], len(into.rows)) + 1):
+            at = np.flatnonzero(sizes == size)
+            if len(at):
+                found = into.find(size - 1, union[at, :size])
+                out[lo + at] = np.where(found < 0, -1, found + into.offsets[size - 1])
+    return out
+
+
+def _padded_rows(rows: FaceRows, at):
+    """The rows of the faces at positions ``at`` of ``rows``, as one int32
+    array padded with -1 to the widest of them."""
+    dims = np.searchsorted(rows.offsets, at, side="right") - 1
+    out = np.full((len(at), dims.max(initial=-1) + 1), -1, dtype=np.int32)
+    for d in range(out.shape[1]):
+        top = np.flatnonzero(dims == d)
+        out[top, :d + 1] = rows.rows[d][at[top] - rows.offsets[d]]
     return out
 
 
@@ -876,7 +924,8 @@ def generator_certificate(source: PermutationAction, target: PermutationAction, 
     φ(σc) = σφ(c) for every source face c; else None.  ``phi`` is the φ
     table (:attr:`_PhiTable.pos`), and a negative entry gives None.  Per
     generator, both sides are relabelled by :meth:`PermutationAction.relabel`,
-    and φ(σc) = σφ(c) is one array comparison of table positions.
+    and φ(σc) = σφ(c) is an array comparison of table positions, in parts
+    of ``_CHUNK`` faces.
 
     The permutations that leave a face set invariant form a subgroup, and so
     do those that also commute with φ, so when the generators pass, every
@@ -886,7 +935,8 @@ def generator_certificate(source: PermutationAction, target: PermutationAction, 
     maps = []
     for perm in generators(target.m):
         src, tgt = source.relabel(perm), target.relabel(perm)
-        if src is None or tgt is None or not (phi[src[1]] == tgt[1][phi]).all():
+        if src is None or tgt is None or not all((phi[src[1][lo:lo + _CHUNK]] == tgt[1][phi[lo:lo + _CHUNK]]).all()
+                                                 for lo in range(0, len(phi), _CHUNK)):
             return None
         maps.append((src[0], tgt[0], tgt[1]))
     return maps
@@ -951,35 +1001,32 @@ def _check_well_formed(cm: CarrierMap, label, phi: _PhiTable):
     each vertex that fails a vertex check, and both vertices of a
     coincidence.  The ridge certificate may be used on the cells that avoid
     this set.  The φ checks read the table ``phi``, face by face in row
-    order, and the closure test the source's facet positions.  The order
-    test compares target rows, and the images only where one is no target
-    face; it reads ``cm.phi`` only for a sub-face that is no source face.
-    The vertex checks are :func:`_check_vertices`, which reads coordinates
-    from ``cm.f0`` only at the edited vertices."""
-    rows, pos, target = phi.source.rows, phi.pos, phi.target.rows
-    # the target rows padded with -1, and a last row of -1 alone
-    padded = np.full((target.offsets[-1] + 1, len(target.rows)), -1, dtype=np.int32)
-    for d, block in enumerate(target.rows):
-        padded[target.offsets[d]:target.offsets[d + 1], : d + 1] = block
+    order, and the closure test the source's facet positions.  The vertex
+    checks are :func:`_check_vertices`, which reads coordinates from
+    ``cm.f0`` only at the edited vertices.
+
+    The order test is implied where φ is the closed form on both faces of a
+    pair.  Lemma: for a face σ and a facet τ of it, both faces of
+    ``cm.phi.source`` with no entry in ``cm.phi.overrides`` (``phi.plain``),
+    φ(τ) = ∪_{v∈τ} C_v ⊆ ∪_{v∈σ} C_v = φ(σ), C_v the carrier of v.  So
+    only the other pairs are compared (:func:`_out_of_order`), and with no
+    override none is."""
+    rows, pos = phi.source.rows, phi.pos
     flagged = pos < 0  # faces that fail a φ check or miss a sub-face
     disorder = np.zeros(len(pos), dtype=bool)
     for d in range(1, len(rows.rows)):
-        lo, hi = rows.offsets[d], rows.offsets[d + 1]
-        facets = phi.facets[d]
-        missing = facets < 0
-        flagged[lo:hi] |= missing.any(axis=1)
-        img = np.broadcast_to(pos[lo:hi, None], facets.shape)
-        sub = np.where(missing, -3, pos[rows.offsets[d - 1] + facets])  # -3: not a source face
-        tested = (img != -2) & (sub != -2)
-        fast = tested & (img >= 0) & (sub >= 0)
-        a, b = padded[sub[fast]], padded[img[fast]]
-        out = np.zeros(facets.shape, dtype=bool)
-        out[fast] = ~((a[:, :, None] == b[:, None, :]).any(axis=2) | (a < 0)).all(axis=1)
-        for i, t in zip(*np.nonzero(tested & ~fast)):
-            below = (cm.phi.get(frozenset(np.delete(rows.rows[d][i], t).tolist())) if missing[i, t]
-                     else phi.image(rows.offsets[d - 1] + facets[i, t]))
-            out[i, t] = below is not None and not below <= phi.image(lo + i)
-        disorder[lo:hi] = out.any(axis=1)
+        # per facet position, then -1 (no source face): whether φ there may
+        # be other than the carriers' union
+        other = np.append(~phi.plain[rows.offsets[d - 1]:rows.offsets[d]], True)
+        step = max(1, _CHUNK // (d + 1))
+        for lo in range(rows.offsets[d], rows.offsets[d + 1], step):
+            hi = min(lo + step, rows.offsets[d + 1])
+            facets = rows.facet_positions(d, slice(lo - rows.offsets[d], hi - rows.offsets[d]))
+            flagged[lo:hi] |= (facets < 0).any(axis=1)
+            compared = ~phi.plain[lo:hi, None] | other[facets]
+            at = np.flatnonzero(compared.any(axis=1))
+            if len(at):
+                disorder[lo + at] = _out_of_order(cm, phi, d, lo + at, facets[at], compared[at])
     failures = []
     failing = np.flatnonzero((pos < 0) | disorder)
     for i, face in zip(failing.tolist(), map(sorted, rows.faces_at(failing))):
@@ -994,6 +1041,29 @@ def _check_well_formed(cm: CarrierMap, label, phi: _PhiTable):
     bad = set().union(*rows.faces_at(np.flatnonzero(flagged | disorder)))
     vertex_failures, touched = _check_vertices(cm, label, phi)
     return failures + vertex_failures, bad | touched
+
+
+def _out_of_order(cm: CarrierMap, phi: _PhiTable, d, at, facets, compared):
+    """Per source face of dimension d at the positions ``at``, with its
+    :meth:`FaceRows.facet_positions` ``facets``, whether φ of one of its
+    facets, among the pairs ``compared`` (a row of d+1 flags per face), is
+    no subset of φ of the face: the target rows of the two images are
+    compared, and the images themselves only where one is no target face;
+    ``cm.phi`` is read only for a facet that is no source face."""
+    rows, pos = phi.source.rows, phi.pos
+    missing = facets < 0
+    img = np.broadcast_to(pos[at, None], facets.shape)
+    sub = np.where(missing, -3, pos[rows.offsets[d - 1] + facets])  # -3: not a source face
+    tested = compared & (img != -2) & (sub != -2)
+    fast = tested & (img >= 0) & (sub >= 0)
+    a, b = _padded_rows(phi.target.rows, sub[fast]), _padded_rows(phi.target.rows, img[fast])
+    out = np.zeros(facets.shape, dtype=bool)
+    out[fast] = ~((a[:, :, None] == b[:, None, :]).any(axis=2) | (a < 0)).all(axis=1)
+    for i, t in zip(*np.nonzero(tested & ~fast)):
+        below = (cm.phi.get(frozenset(np.delete(rows.rows[d][at[i] - rows.offsets[d]], t).tolist()))
+                 if missing[i, t] else phi.image(rows.offsets[d - 1] + facets[i, t]))
+        out[i, t] = below is not None and not below <= phi.image(at[i])
+    return out.any(axis=1)
 
 
 def _check_vertices(cm: CarrierMap, label, phi: _PhiTable):
@@ -1292,33 +1362,50 @@ def _distinct_extensions(poset: Poset, subset, count, seed):
 def _count_extensions(poset: Poset, subset, limit) -> int:
     """The number of linear extensions of ``subset`` under the order of
     ``poset``, or ``limit`` if there are more: a depth-first enumeration
-    that stops at the ``limit``-th."""
+    that stops at the ``limit``-th, in O(N + edges) memory.
+
+    The items that may come next are kept in one list, edited in place:
+    placing the j-th swaps it to the end and pops it, then appends the
+    items it frees; undoing the step reverses both, which restores the
+    list exactly.  Per depth only j, the item and the number it freed are
+    kept, and the next choice there is place j + 1.  No partial placement
+    is a dead end (every order ideal of a finite poset extends to a linear
+    extension), so the search reaches the ``limit``-th extension within
+    ``limit`` · N placements."""
     items = list(subset)
     above = poset.induced_up(items)  # positions of the items above each item
-    below = np.zeros(len(items), dtype=np.int64)  # unplaced items below; -1 once placed
+    below = [0] * len(items)  # unplaced items below each item
     for bs in above:
-        below[bs] += 1
-    path = []
-    stack = [list(np.flatnonzero(below == 0))]  # untried choices per depth
-    found = 0
-    while stack:
-        if stack[-1]:
-            i = stack[-1].pop()
-            below[above[i]] -= 1
-            below[i] = -1
-            path.append(i)
-            stack.append(list(np.flatnonzero(below == 0)))
+        for b in bs:
+            below[b] += 1
+    free = [i for i, count in enumerate(below) if count == 0]
+    steps = []  # per depth: the place of the item placed there, the item, the number it freed
+    found, j = 0, 0  # j: the next place to try at the current depth
+    while True:
+        if len(steps) < len(items) and j < len(free):
+            free[j], free[-1] = free[-1], free[j]
+            i = free.pop()
+            before = len(free)
+            for b in above[i]:
+                below[b] -= 1
+                if not below[b]:
+                    free.append(b)
+            steps.append((j, i, len(free) - before))
+            j = 0
             continue
-        stack.pop()
-        if len(path) == len(items):
+        if len(steps) == len(items):
             found += 1
             if found >= limit:
                 return found
-        if path:
-            i = path.pop()
-            below[i] = 0
-            below[above[i]] += 1
-    return found
+        if not steps:
+            return found
+        j, i, freed = steps.pop()
+        del free[len(free) - freed:]
+        for b in above[i]:
+            below[b] += 1
+        free.append(i)
+        free[j], free[-1] = free[-1], free[j]
+        j += 1
 
 
 def verify_theorem(

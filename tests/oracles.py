@@ -893,6 +893,46 @@ def check_vertices_oracle(cm, label, phi):
     return failures, touched
 
 
+def eager_labels_oracle(cm):
+    """The failures (as ``to_json`` dicts) and ``facet_volumes`` of
+    ``subdivision.verify_carrier_map`` with every target face labelled up
+    front and checked on its own: no orbit roots, no labels made on
+    demand.  The labels are made from the vertex names here, as
+    :func:`pairwise_carrier_oracle` makes them; the checks are the
+    library's (its φ table, well-formedness pass and
+    ``check_target_face``), each target face in :func:`by_size_order` with
+    its cells in the source's row order."""
+    from ktreesub import subdivision
+
+    q = cm.q_complex
+    names = [(x.sort_key(), x.text()) if hasattr(x, "text") else (str(x), str(x)) for x in q.vertices]
+
+    def label(face):
+        if face is None:
+            return None
+        inside = [i for i in face if 0 <= i < len(q.vertices)]
+        stray = sorted(set(face) - set(inside))
+        return "+".join([text for _, text in sorted(names[i] for i in inside)] + [f"#{i}" for i in stray])
+
+    order = by_size_order(cm.q_faces)
+    labels = [label(qf) for qf in order]
+    phi = subdivision._PhiTable(cm)
+    failures, bad = subdivision._check_well_formed(cm, label, phi)
+    over = np.flatnonzero(phi.pos >= 0)
+    faces = phi.source.rows.faces_at(over)
+    on_face, known = phi.cells(over, faces)
+    cells = {}
+    for t, face in zip(phi.pos[over].tolist(), faces):
+        cells.setdefault(t, []).append(face)
+    volumes = {}
+    for t, qf in enumerate(order):
+        face_failures, total = subdivision.check_target_face(cm, qf, cells.get(t, []), bad, label, on_face, known)
+        failures += face_failures
+        if total is not None:
+            volumes[labels[t]] = str(total)
+    return [f.to_json() for f in failures], volumes
+
+
 def facets_oracle(K):
     """Maximal faces of K in lexicographic order, by testing each face,
     largest first, against every maximal face found so far."""
@@ -1316,6 +1356,17 @@ def dense_count_extensions(leq, subset, limit):
 
     grow([], items)
     return min(found, limit)
+
+
+def brute_count_extensions(leq, subset, limit):
+    """Linear extensions of ``subset`` under the dense order ``leq``,
+    counted over every permutation of it, at most ``limit``."""
+    from itertools import permutations
+
+    items = list(subset)
+    count = sum(all(not leq[b, a] for t, a in enumerate(perm) for b in perm[t + 1:])
+                for perm in permutations(items))
+    return min(count, limit)
 
 
 def dense_chain_count(leq, proper, limit):

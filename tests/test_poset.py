@@ -1,4 +1,5 @@
 import random
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from ktreesub import (
 from ktreesub import subdivision
 from ktreesub._kernels import count_partitions_modk
 from oracles import (
+    brute_count_extensions,
     chains_oracle,
     closure_oracle,
     dense_chain_count,
@@ -379,3 +381,27 @@ def test_verify_builds_no_dense_order(monkeypatch):
     monkeypatch.setattr(subdivision, "enumerate_partitions", keep)
     assert subdivision.verify_theorem(3, 4).verdict == "pass"
     assert len(built) == 1 and built[0].poset._leq is None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_count_extensions_matches_brute_force(seed):
+    # seeded random orders on up to 8 elements, every subset size, against
+    # the count over all permutations, below and past the limit
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    covers = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < rng.choice([0.1, 0.3, 0.6])]
+    p = poset_from_covers(list(range(n)), covers)
+    for size in range(n + 1):
+        subset = rng.sample(range(n), size)
+        for limit in (1, 2, 3, 7, 50000):
+            assert subdivision._count_extensions(p, subset, limit) == brute_count_extensions(p.leq, subset, limit)
+
+
+def test_count_extensions_of_a_wide_antichain_stops_at_the_limit():
+    # 20,000 incomparable items: the search reaches the limit after one
+    # descent and a few steps back, in memory linear in the items
+    n = 20_000
+    p = Poset.from_pairs(list(range(n)), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
+    start = time.perf_counter()
+    assert subdivision._count_extensions(p, range(n), 3) == 3
+    assert time.perf_counter() - start < 1

@@ -42,6 +42,7 @@ from oracles import (
     by_size_order,
     carrier_phi_oracle,
     check_vertices_oracle,
+    eager_labels_oracle,
     equivariance_oracle,
     generator_certificate_oracle,
     orbit_roots_oracle,
@@ -636,6 +637,15 @@ def _phi_out_of_order(cm, k, n):
     cm.phi[tri] = cm.phi[tri - {max(tri)}]
 
 
+def _phi_facet_out_of_order(cm, k, n):
+    # φ of the first edge in check order sent to a target vertex off φ of
+    # the first triangle through it: the override sits on the facet alone,
+    # and the triangle, φ from the carriers, fails the order test
+    edge = min((f for f in cm.p_faces if len(f) == 2), key=sorted)
+    tri = min((f for f in cm.p_faces if len(f) == 3 and edge < f), key=sorted)
+    cm.phi[edge] = frozenset([min(set(range(len(cm.q_complex.vertices))) - cm.phi[tri])])
+
+
 def _unplaced_vertex():
     # a source vertex y in no cell with neither an image nor coordinates
     pts = {**ENDS, "x": F(1, 2), "y": F(1, 4)}
@@ -853,6 +863,7 @@ CARRIER_CASES = {
     "phi-total": (_ladder(1, 4, _phi_partial), False),
     "phi-into-target": (_ladder(1, 4, _phi_outside_target), False),
     "phi-order": (_ladder(1, 5, _phi_out_of_order), False),
+    "phi-order-on-facet": (_ladder(1, 5, _phi_facet_out_of_order), False),
     "vertex-map-total": (_unplaced_vertex, False),
     "vertex-coordinates-sum": (_ladder(1, 4, _unnormalised_vertex), False),
     "vertex-map-injective": (_coincident_vertices, False),
@@ -900,7 +911,7 @@ CARRIER_CASES = {
 # well-formedness check
 NO_OVERLAP = {"dropped-facet-cell", "dropped-ridge-cell", "dropped-facet-orbit",
               "phi-off-orbit", "dropped-cell-beside-last", "stray-target-face",
-              "phi-total", "phi-into-target", "phi-order", "vertex-map-total",
+              "phi-total", "phi-into-target", "phi-order", "phi-order-on-facet", "vertex-map-total",
               "vertex-coordinates-sum", "mixed-denominators-off-sum", "wrapping-sum",
               "wide-denominator-off-sum", "zero-coordinate", "one-denominator-off-sum",
               "phi-vertex-override", "coincident-with-unedited", "plain-f0-missing-vertex", "empty-carrier",
@@ -921,6 +932,46 @@ def test_verify_carrier_map_matches_pairwise_oracle(case):
     assert res.passed == is_subdivision
     if not is_subdivision and case not in NO_OVERLAP:
         assert any(f["check"] == "interiors_disjoint" and "point" in f["witness"] for f in failures)
+
+
+@pytest.mark.parametrize("case", sorted(CARRIER_CASES))
+def test_lazy_labels_match_eager_labelling(case):
+    # the labels made only for failures and on the first read of the
+    # volumes: the same failures and volumes, in the same order, as
+    # labelling and checking every target face up front
+    res = verify_carrier_map(CARRIER_CASES[case][0]())
+    failures, volumes = eager_labels_oracle(CARRIER_CASES[case][0]())
+    assert [f.to_json() for f in res.failures] == failures
+    assert list(res.facet_volumes.items()) == list(volumes.items())
+
+
+def test_passing_check_labels_nothing_until_volumes_are_read(monkeypatch):
+    # a passing check makes no face labels; the first read of its volumes
+    # makes them once, and the volumes are kept
+    made = []
+    real = subdivision._FaceLabels
+    monkeypatch.setattr(subdivision, "_FaceLabels", lambda q: made.append(q) or real(q))
+    cm, _ = global_carrier_map(3, 4)
+    res = verify_carrier_map(cm)
+    assert res.passed and made == []
+    volumes = res.facet_volumes
+    assert made == [cm.q_complex] and res.facet_volumes is volumes and len(volumes) == len(cm.q_faces)
+
+
+def test_carrier_check_result_keeps_given_volumes():
+    given = {"a": "1"}
+    assert subdivision.CarrierCheckResult(passed=True, failures=[], facet_volumes=given).facet_volumes is given
+    assert subdivision.CarrierCheckResult(passed=True, failures=[]).facet_volumes == {}
+
+
+@pytest.mark.parametrize("case", sorted(CARRIER_CASES))
+def test_plain_faces_are_the_unedited_faces_of_phis_source(case):
+    # the faces whose order pairs are implied: faces of φ's source with no
+    # override, not every given source face without one
+    cm = CARRIER_CASES[case][0]()
+    want = [cm.phi.carriers is not None and face in cm.phi.source.faces and face not in cm.phi.overrides
+            for face in by_size_order(cm.p_faces)]
+    assert subdivision._PhiTable(cm).plain.tolist() == want
 
 
 def test_every_carrier_check_fires():
