@@ -19,7 +19,6 @@ from .errors import (
 from .partitions import (
     Partition,
     PartitionPoset,
-    building_set_I,
     enumerate_partitions,
     factors_I,
     g_set,
@@ -76,7 +75,6 @@ __all__ = [
     "SimplicialComplex",
     "SubdivisionReport",
     "blowup_sequence",
-    "building_set_I",
     "carrier_map_from_parts",
     "check_equivariance",
     "contract",

@@ -17,6 +17,8 @@ from .partitions import Partition, enumerate_partitions, g_set, g_set_count, par
 from .poset import poset_to_json
 from .subdivision import (
     PermutationAction,
+    _homology_json,
+    _instance,
     check_equivariance,
     generators,
     tested_permutations,
@@ -90,6 +92,15 @@ def _object_args_error(args, obj):
     return None
 
 
+def _object_complex(args) -> SimplicialComplex:
+    """The complex ``--object`` names, order-complex or ktree-complex, within
+    the caps."""
+    if args.object == "order-complex":
+        pk = enumerate_partitions(args.m, args.k, max_elements=args.max_poset_elements)
+        return pk.poset.order_complex(max_faces=args.max_faces)
+    return enumerate_ktree_complex(args.n, args.k, max_faces=args.max_faces)
+
+
 def cmd_enumerate(args) -> int:
     obj = args.object
     error = _object_args_error(args, obj)
@@ -127,19 +138,12 @@ def cmd_enumerate(args) -> int:
         payload = [x.to_json() for x in gs]
         _emit(args, [f"elements: {len(gs)}"], {"elements": len(gs)})
         name = f"g-set-m{args.m}-k{args.k}.json"
-    elif obj == "order-complex":
-        pk = enumerate_partitions(args.m, args.k, max_elements=args.max_poset_elements)
-        kom = pk.poset.order_complex(max_faces=args.max_faces)
+    else:  # order-complex or ktree-complex: argparse restricts choices
+        kom = _object_complex(args)
         payload = kom.to_json(label_fn=_partition_label)
         _emit(args, [f"f_vector: {tuple(kom.f_vector())}"], {"f_vector": list(kom.f_vector())})
-        name = f"order-complex-m{args.m}-k{args.k}.json"
-    elif obj == "ktree-complex":
-        kom = enumerate_ktree_complex(args.n, args.k, max_faces=args.max_faces)
-        payload = kom.to_json(label_fn=_partition_label)
-        _emit(args, [f"f_vector: {tuple(kom.f_vector())}"], {"f_vector": list(kom.f_vector())})
-        name = f"ktree-complex-n{args.n}-k{args.k}.json"
-    else:  # pragma: no cover - argparse restricts choices
-        return _usage_error(f"unknown object {obj}")
+        size = f"m{args.m}" if obj == "order-complex" else f"n{args.n}"
+        name = f"{obj}-{size}-k{args.k}.json"
 
     _write_json(_out_path(args, name), payload, args.verbosity)
     return EXIT_PASS
@@ -168,10 +172,10 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if report.verdict == "pass" else EXIT_FAIL
 
 
-def _homology_table(kom: SimplicialComplex, title: str, args=None):
+def _homology_table(kom: SimplicialComplex, title: str, args):
     rows = kom.reduced_homology()
-    if args is not None and args.format == "json":
-        print(json.dumps({"name": title, "groups": [[b, list(t)] for b, t in rows]}, sort_keys=True))
+    if args.format == "json":
+        print(json.dumps({"name": title, "groups": _homology_json(rows)}, sort_keys=True))
         return rows
     print(title)
     for d, (betti, torsion) in enumerate(rows):
@@ -203,10 +207,7 @@ def cmd_homology(args) -> int:
             return _usage_error("--compare needs --k and --n")
         if args.k < 1 or args.n < 3:
             return _usage_error("need k >= 1 and n >= 3")
-        m = (args.n - 1) * args.k + 1
-        pk = enumerate_partitions(m, args.k, max_elements=args.max_poset_elements)
-        source = pk.poset.order_complex(max_faces=args.max_faces)
-        target = enumerate_ktree_complex(args.n, args.k, max_faces=args.max_faces)
+        m, _, target, source = _instance(args.k, args.n, args.max_poset_elements, args.max_faces)
         hs = _homology_table(source, f"order complex (m={m}, k={args.k})", args)
         ht = _homology_table(target, f"k-tree complex (n={args.n}, k={args.k})", args)
         rank_s, rank_t = top_rank(hs, args.n), top_rank(ht, args.n)
@@ -223,19 +224,15 @@ def cmd_homology(args) -> int:
         _homology_table(kom, args.infile, args)
         return EXIT_PASS
 
-    error = args.object and _object_args_error(args, args.object)
+    if not args.object:
+        return _usage_error("homology needs --compare, --in, or --object")
+    error = _object_args_error(args, args.object)
     if error:
         return _usage_error(error)
-    if args.object == "order-complex":
-        pk = enumerate_partitions(args.m, args.k, max_elements=args.max_poset_elements)
-        kom = pk.poset.order_complex(max_faces=args.max_faces)
-        _homology_table(kom, f"order complex (m={args.m}, k={args.k})", args)
-        return EXIT_PASS
-    if args.object == "ktree-complex":
-        kom = enumerate_ktree_complex(args.n, args.k, max_faces=args.max_faces)
-        _homology_table(kom, f"k-tree complex (n={args.n}, k={args.k})", args)
-        return EXIT_PASS
-    return _usage_error("homology needs --compare, --in, or --object")
+    title = (f"order complex (m={args.m}, k={args.k})" if args.object == "order-complex"
+             else f"k-tree complex (n={args.n}, k={args.k})")
+    _homology_table(_object_complex(args), title, args)
+    return EXIT_PASS
 
 
 def cmd_equivariance(args) -> int:
@@ -252,7 +249,7 @@ def cmd_equivariance(args) -> int:
             )
         # the permutations that leave the complex invariant form a subgroup:
         # when the generators of S_m are in it, no permutation breaks invariance
-        action = PermutationAction(kom)
+        action = PermutationAction(kom, kom.face_rows)
         certified = all(action.relabel(g) is not None for g in generators(m))
         perms, count = tested_permutations(m, None if m <= 5 else args.sample, args.seed, certified)
         broken = sum(action.relabel(pi) is None for pi in perms)
@@ -295,11 +292,16 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _add_common(sub):
-    sub.add_argument("--out", help="output artifact path")
+    """The flags every subcommand reads: the output format and the caps."""
     sub.add_argument("--format", choices=["json", "text"], default="text")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--max-poset-elements", type=_nonnegative_int, default=MAX_POSET_ELEMENTS)
     sub.add_argument("--max-faces", type=_nonnegative_int, default=MAX_FACES)
+
+
+def _add_artifact(sub):
+    """The flags of a subcommand that writes an artifact: its path and
+    whether to say so."""
+    sub.add_argument("--out", help="output artifact path")
     sub.add_argument("-v", "--verbosity", type=int, default=1)
 
 
@@ -317,13 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--n", type=int)
     p_enum.add_argument("--element", help="partition shorthand like '(123)4567' to look up")
     _add_common(p_enum)
+    _add_artifact(p_enum)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_ver = subs.add_parser("verify", help="verify the subdivision theorem instance")
     p_ver.add_argument("--k", type=int, required=True)
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument("--extensions", type=int, default=1)
+    p_ver.add_argument("--seed", type=int, default=0)
     _add_common(p_ver)
+    _add_artifact(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
     p_hom = subs.add_parser("homology", help="reduced homology tables")
@@ -341,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq.add_argument("--n", type=int)
     p_eq.add_argument("--sample", type=_nonnegative_int, default=200)
     p_eq.add_argument("--in", dest="infile", help="complex artifact to check for invariance")
+    p_eq.add_argument("--seed", type=int, default=0)
     _add_common(p_eq)
+    _add_artifact(p_eq)
     p_eq.set_defaults(func=cmd_equivariance)
 
     return parser

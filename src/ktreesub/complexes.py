@@ -39,9 +39,8 @@ class FaceRows:
     made per dimension on the first search and kept.  A face's *position*
     is its place in the concatenation of the rows: by size, then
     lexicographically; ``offsets[d]`` is the position of the first face of
-    dimension d.  ``faces[d]`` lists the faces of dimension d as frozensets
-    of vertex indices, in row order: a view built from the rows on first
-    read and kept.
+    dimension d.  The family holds rows only: a reader that needs faces as
+    frozensets makes them from the rows (:meth:`faces_at`).
 
     The faces must be nonempty sets of integers in 0 .. 2**31 - 1.  The
     family need not be downward closed, and a size below the largest may
@@ -83,7 +82,6 @@ class FaceRows:
         self.rows = rows
         self.offsets = [0, *np.cumsum([len(level) for level in rows], dtype=np.int64).tolist()]
         self._key_levels = None  # per dimension: its search keys and whether packed, once made
-        self._faces = None  # the view, once read
 
     def _keys_of(self, d):
         """The search keys of dimension d and whether they are packed, in
@@ -95,17 +93,10 @@ class FaceRows:
             self._key_levels[d] = _search_keys(self.rows[d], self._bits)
         return self._key_levels[d]
 
-    @property
-    def faces(self):
-        if self._faces is None:
-            self._faces = list(map(_frozensets, self.rows))
-        return self._faces
-
     def faces_at(self, positions):
-        """The faces at ``positions`` (an integer array), as frozensets of
-        vertex indices, in that order: the objects of :attr:`faces` when
-        that view is built, else new ones, made one dimension at a time and
-        not kept."""
+        """The faces at ``positions`` (an integer array), as new frozensets
+        of vertex indices, in that order, made from the rows one dimension
+        at a time and not kept."""
         positions = np.asarray(positions, dtype=np.intp)
         if not len(positions):
             return []
@@ -113,11 +104,7 @@ class FaceRows:
         out = np.empty(len(positions), dtype=object)
         for d in range(dims.min(), dims.max() + 1):
             at = dims == d
-            local = positions[at] - self.offsets[d]
-            if self._faces is None:
-                out[at] = _frozensets(self.rows[d][local])
-            else:
-                out[at] = list(map(self._faces[d].__getitem__, local.tolist()))
+            out[at] = _frozensets(self.rows[d][positions[at] - self.offsets[d]])
         return out.tolist()
 
     def _strictly_increasing(self, d) -> bool:
@@ -201,20 +188,18 @@ class FaceRows:
                     return False
         return True
 
-    def image(self, vertex_map, into=None):
-        """The position in ``into`` (these faces unless given) of the image
-        of every face, in position order, under the injective vertex map
-        ``vertex_map`` (an integer array, entry v the image of vertex v); -1
-        where the image is no face there.  Read in parts of ``_CHUNK``
-        rows."""
-        into = self if into is None else into
+    def image(self, vertex_map):
+        """The position of the image of every face, in position order, under
+        the injective vertex map ``vertex_map`` (an integer array, entry v
+        the image of vertex v); -1 where the image is no face.  Read in parts
+        of ``_CHUNK`` rows."""
         out = np.full(self.offsets[-1], -1, dtype=np.intp)
         for d, rows in enumerate(self.rows):
             for lo in range(0, len(rows), _CHUNK):
                 img = vertex_map[rows[lo:lo + _CHUNK]]
                 img.sort(axis=1)
-                at = into.find(d, img)
-                out[self.offsets[d] + lo + np.flatnonzero(at >= 0)] = at[at >= 0] + into.offsets[d]
+                at = self.find(d, img)
+                out[self.offsets[d] + lo + np.flatnonzero(at >= 0)] = at[at >= 0] + self.offsets[d]
         return out
 
 
@@ -394,10 +379,10 @@ class SimplicialComplex:
 
     @property
     def faces(self) -> frozenset:
-        """All faces, as frozensets of vertex indices (the objects of
-        ``face_rows.faces``)."""
+        """All faces, as frozensets of vertex indices: made from the rows on
+        first read and kept, the one view of the faces as sets."""
         if self._faces is None:
-            self._faces = frozenset(chain.from_iterable(self.face_rows.faces))
+            self._faces = frozenset(chain.from_iterable(map(_frozensets, self.face_rows.rows)))
         return self._faces
 
     @classmethod
@@ -450,7 +435,8 @@ class SimplicialComplex:
         return all(not len(at) for at in self._maximal[:-1])
 
     def faces_of_dim(self, d: int):
-        return list(self.face_rows.faces[d]) if 0 <= d <= self.dimension() else []
+        """The faces of dimension d in row order, as new frozensets."""
+        return _frozensets(self.face_rows.rows[d]) if 0 <= d <= self.dimension() else []
 
     def has_face_labels(self, labels) -> bool:
         try:
@@ -602,16 +588,16 @@ class SimplicialComplex:
         return frozenset(frozenset(self.vertices[i] for i in f) for f in self.faces)
 
     def __eq__(self, other):
-        """Same vertex labels and same faces as sets of labels, compared
-        through the map from ``other``'s vertex indices to this one's."""
-        if not (
+        """Same vertex labels and same faces as sets of labels: two
+        complexes are equal iff their maximal faces are, so ``other``'s are
+        compared with this one's (:func:`_same_maximal`)."""
+        return (
             isinstance(other, SimplicialComplex)
             and self._index.keys() == other._index.keys()
             and self.f_vector() == other.f_vector()
-        ):
-            return False
-        idx = np.array([self._index[lab] for lab in other.vertices], dtype=np.intp)
-        return not (other.face_rows.image(idx, self.face_rows) < 0).any()
+            and _same_maximal(other.vertices, [rows[at] for rows, at in zip(other.face_rows.rows, other._maximal)],
+                              self)
+        )
 
     def __hash__(self):
         """From the vertex labels and the f-vector, which equal complexes
@@ -745,14 +731,22 @@ class FacetReplay:
 
     def equals(self, K: SimplicialComplex) -> bool:
         """Whether the complex now is K, label by label, from the maximal
-        faces alone (a step keeps the widths, so K's must be as wide)."""
-        rows = self.facet_rows()
-        if self._index.keys() != K._index.keys() or len(rows) != len(K._maximal):
-            return False
-        idx = np.array([K._index[lab] for lab in self.vertices], dtype=np.intp)
-        images = (np.sort(idx[level], axis=1) for level in rows)
-        return all(np.array_equal(np.sort(K.face_rows.find(d, img)), at)
-                   for d, (img, at) in enumerate(zip(images, K._maximal)))
+        faces alone (:func:`_same_maximal`)."""
+        return self._index.keys() == K._index.keys() and _same_maximal(self.vertices, self.facet_rows(), K)
+
+
+def _same_maximal(vertices, rows, K: SimplicialComplex) -> bool:
+    """Whether the maximal faces ``rows`` (per dimension d, an array of
+    increasing rows of d+1 indices into the labels ``vertices``, all of
+    them labels of K) are K's, label by label: each row, mapped by label,
+    is a face of K, and per dimension the faces found are exactly K's
+    maximal ones (``SimplicialComplex._maximal``).  Two complexes on the
+    same labels are equal iff their maximal faces are."""
+    if len(rows) != len(K._maximal):
+        return False
+    idx = np.array([K._index[lab] for lab in vertices], dtype=np.intp)
+    return all(np.array_equal(np.sort(K.face_rows.find(d, np.sort(idx[level], axis=1))), at)
+               for d, (level, at) in enumerate(zip(rows, K._maximal)))
 
 
 def _coreduce(lower, upper, facets, cells):

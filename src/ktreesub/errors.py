@@ -1,8 +1,10 @@
 """Exception types shared across the package, and the default resource caps."""
 
-# Default caps of every entry point that enumerates.  They admit (4,4), with
-# 38,040 poset elements, and (1,7), with 262,759 faces in its order complex;
-# (2,6), (1,8) and (3,5) exceed them.
+# The default caps of every public entry point that enumerates: each such
+# parameter (max_poset_elements, max_elements, max_faces) defaults to these
+# constants themselves, never to a copy of their values.  They admit (4,4),
+# with 38,040 poset elements, and (1,7), with 262,759 faces in its order
+# complex; (2,6), (1,8) and (3,5) exceed them.
 MAX_POSET_ELEMENTS = 40_000
 MAX_FACES = 300_000
 

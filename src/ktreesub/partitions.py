@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from . import _kernels as kernels
-from .errors import ResourceLimit
+from .errors import MAX_POSET_ELEMENTS, ResourceLimit
 from .poset import Poset
 
 MAX_GROUND_SET = 64
@@ -233,20 +233,6 @@ class PartitionPoset:
         self._g_indices = None
         self._g_by_block = None
 
-    def index(self, x: Partition) -> int:
-        return self.poset.index(x)
-
-    def partition(self, i: int) -> Partition:
-        return self.poset.labels[i]
-
-    @property
-    def zero_index(self) -> int:
-        return self.poset.min_index
-
-    @property
-    def one_index(self):
-        return self.poset.max_index
-
     def g_indices(self):
         """Indices of the building-set analogue G: single-nonsingleton-block
         partitions of rank divisible by k."""
@@ -268,7 +254,7 @@ class PartitionPoset:
         partitions of its non-singleton blocks: ``factors_I(x)``, as the
         poset's own label objects (looked up by block, not built afresh).
         """
-        i = self.index(x)
+        i = self.poset.index(x)
         got = self._factors_cache.get(i)
         if got is None:
             if self._g_by_block is None:
@@ -288,14 +274,14 @@ class PartitionPoset:
 
     def minimal_upper_bounds(self, parts) -> list:
         """All minimal upper bounds within this poset, as partitions."""
-        idx = [self.index(x) for x in parts]
+        idx = [self.poset.index(x) for x in parts]
         return sorted(
             (self.poset.labels[i] for i in self.poset.minimal_upper_bounds(idx)),
             key=Partition.sort_key,
         )
 
 
-def enumerate_partitions(m: int, k: int, max_elements: int = 100_000) -> PartitionPoset:
+def enumerate_partitions(m: int, k: int, max_elements: int = MAX_POSET_ELEMENTS) -> PartitionPoset:
     """All partitions of {1..m} with block sizes ≡ 1 (mod k), with refinement
     order, canonical element order, and designated bounds.
 
@@ -389,13 +375,6 @@ def join_all(parts) -> Partition:
     return out
 
 
-def building_set_I(m: int) -> list:
-    """All partitions of {1..m} with exactly one block of size > 1 (the
-    minimal building set of the full partition lattice), canonically sorted:
-    G for k = 1."""
-    return g_set(m, 1)
-
-
 def g_set_count(m: int, k: int) -> int:
     """``len(g_set(m, k))`` in closed form: C(m, s) summed over the block
     sizes s = 1 + jk, j >= 1."""
@@ -403,8 +382,10 @@ def g_set_count(m: int, k: int) -> int:
 
 
 def g_set(m: int, k: int) -> list:
-    """Members of the minimal building set whose rank is divisible by k,
-    i.e. whose non-singleton block has size ≡ 1 (mod k), canonically sorted.
+    """Members of the minimal building set (the partitions of {1..m} with
+    exactly one block of size > 1; all of them for k = 1) whose rank is
+    divisible by k, i.e. whose non-singleton block has size ≡ 1 (mod k),
+    canonically sorted.
     Only blocks of those sizes are built, each as its canonical blocks (the
     singletons below its least element, the block, the other singletons)
     by the trusted :meth:`Partition._canonical`."""

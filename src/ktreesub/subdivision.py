@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import MutableMapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, cached_property, partial
 from fractions import Fraction
 from itertools import chain, combinations, permutations
@@ -142,38 +142,37 @@ class SigmaLattice:
 def _unique_kjoin(pk: PartitionPoset, idx_set):
     """Index of the unique minimal upper bound; NotNested when ambiguous."""
     if not idx_set:
-        return pk.zero_index
+        return pk.poset.min_index
     mubs = pk.poset.minimal_upper_bounds(idx_set)
     if len(mubs) != 1:
-        labels = [pk.partition(i).text() for i in idx_set]
+        labels = [pk.poset.labels[i].text() for i in idx_set]
         raise NotNested(f"{len(mubs)} minimal upper bounds for {labels}")
     return mubs[0]
 
 
-def sigma_lattice(pk: PartitionPoset, family, check=True) -> SigmaLattice:
+def sigma_lattice(pk: PartitionPoset, family) -> SigmaLattice:
     """Close a nested family under joins of subsets inside the restricted
-    poset.  With ``check`` the lattice axioms, the factor identity
-    a = join(max family below a), the meet formula, and the building-set
-    property of the family are all asserted."""
+    poset.  The lattice axioms, the factor identity a = join(max family
+    below a), the meet formula, and the building-set property of the family
+    are all asserted (:class:`NotNested` otherwise)."""
     fam = sorted(set(family), key=Partition.sort_key)
-    fidx = [pk.index(x) for x in fam]
+    fidx = [pk.poset.index(x) for x in fam]
     elements = set()
     for r in range(len(fidx) + 1):
         for sub in combinations(fidx, r):
             elements.add(_unique_kjoin(pk, list(sub)))
-    order = sorted(elements, key=lambda i: pk.partition(i).sort_key())
+    order = sorted(elements, key=lambda i: pk.poset.labels[i].sort_key())
     top = _unique_kjoin(pk, fidx)
-    sub = pk.poset.subposet(order, min_index=pk.zero_index, max_index=top)
+    sub = pk.poset.subposet(order, min_index=pk.poset.min_index, max_index=top)
     sigma = SigmaLattice(tuple(fam), sub)
-    if check:
-        _check_sigma(pk, sigma, fidx)
+    _check_sigma(pk, sigma, fidx)
     return sigma
 
 
 def _check_sigma(pk: PartitionPoset, sigma: SigmaLattice, fidx):
     sub = sigma.poset
     n = sub.n
-    pk_index = [pk.index(lab) for lab in sub.labels]
+    pk_index = [pk.poset.index(lab) for lab in sub.labels]
     for a in range(n):
         below = [i for i in fidx if pk.poset.is_leq(i, pk_index[a])]
         expect = _unique_kjoin(pk, pk.poset.maximal_in(below))
@@ -460,7 +459,7 @@ def _instance(k: int, n: int, max_poset_elements, max_faces):
     return m, pk, q, pk.poset.order_complex(max_faces=max_faces)
 
 
-def global_carrier_map(k: int, n: int, max_poset_elements=100_000, max_faces=MAX_FACES):
+def global_carrier_map(k: int, n: int, max_poset_elements=MAX_POSET_ELEMENTS, max_faces=MAX_FACES):
     """The carrier map from the order complex of the restricted partition
     poset onto the k-tree complex: chains map to the union of their members'
     factors, vertices to exact barycenters of their factor faces.
@@ -619,8 +618,8 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
 
     phi = _PhiTable(cm)
     failures, bad = _check_well_formed(cm, label, phi)
-    n = phi.target.rows.offsets[-1]
-    roots = np.arange(n) if bad else _orbit_roots(phi)
+    n = phi.target.offsets[-1]
+    roots = np.arange(n) if bad else _orbit_roots(cm, phi)
     is_root = roots == np.arange(n)
 
     target_face, cells = {}, {}  # target position -> its face, the faces of the cells over it
@@ -634,10 +633,10 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
             wanted = np.zeros(n + 2, dtype=bool)  # the last two read φ table entries -2 and -1
             wanted[targets] = True
             over = np.flatnonzero(wanted[phi.pos])
-            faces = phi.source.rows.faces_at(over)
+            faces = phi.source.faces_at(over)
             for t, face in zip(phi.pos[over].tolist(), faces):
                 cells.setdefault(t, []).append(face)
-            target_face.update(zip(targets.tolist(), phi.target.rows.faces_at(targets)))
+            target_face.update(zip(targets.tolist(), phi.target.faces_at(targets)))
             flags, geometry = phi.cells(over, faces)
             on_face.update(flags)
             known.update(geometry)
@@ -655,7 +654,7 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     for i in sorted(checked):
         failures += checked[i][0]
     return CarrierCheckResult(passed=not failures, failures=failures,
-                              volumes=partial(_facet_volumes, face_labels, phi.target.rows, checked, roots))
+                              volumes=partial(_facet_volumes, face_labels, phi.target, checked, roots))
 
 
 def _facet_volumes(face_labels, rows: FaceRows, checked, roots) -> dict:
@@ -688,13 +687,13 @@ class PermutationAction:
     numbers, ascending and padded with the number of blocks, and the rows
     are searched by their sorted keys, so a permutation moves each distinct
     block once, as an array, not once per label.  :meth:`relabel`, the one
-    relabelling test, reads ``faces``, all faces of ``K`` unless given,
-    through their :class:`FaceRows` ``rows`` (``K``'s own for all faces);
-    ``m`` is None when the labels are not all :class:`Partition` objects of
-    one ground set."""
+    relabelling test, maps ``rows``, a :class:`FaceRows` of faces over the
+    vertices of ``K`` (``K.face_rows`` for all its faces); ``m`` is None
+    when the labels are not all :class:`Partition` objects of one ground
+    set."""
 
-    def __init__(self, K: SimplicialComplex, faces=None):
-        self.rows = _face_rows(K, faces)
+    def __init__(self, K: SimplicialComplex, rows: FaceRows):
+        self.rows = rows
         ms = {lab.m if isinstance(lab, Partition) else None for lab in K.vertices}
         self.m = ms.pop() if len(ms) == 1 else None
         labels = [lab._masks for lab in (K.vertices if self.m else ())]
@@ -750,20 +749,15 @@ class PermutationAction:
         return None if (image < 0).any() else (idx, image)
 
 
-def _face_rows(K: SimplicialComplex, faces) -> FaceRows:
-    """The :class:`FaceRows` of ``faces``, a family of faces over the
-    vertices of ``K``: ``K``'s own when they are None, all its faces."""
-    return K.face_rows if faces is None else FaceRows(faces)
-
-
 class _PhiTable:
-    """φ of a carrier map as target positions.  ``source`` and ``target`` act
-    on ``cm.p_faces`` and ``cm.q_faces`` (the complexes' own rows for all
-    faces), by position; a reader makes the frozensets of the faces it
-    needs from the rows (:meth:`FaceRows.faces_at`), and the complexes keep
-    none.  For the source face at position i, ``pos[i]`` is the target
-    position of its image, -1 when the image is no target face, -2 when
-    there is none.  The positions come from the carriers of ``cm.phi``
+    """φ of a carrier map as target positions.  ``source`` and ``target`` are
+    the :class:`FaceRows` of ``cm.p_faces`` and ``cm.q_faces`` (the
+    complexes' own rows for all faces), read by position; a reader makes
+    the frozensets of the faces it needs from the rows
+    (:meth:`FaceRows.faces_at`), and the complexes keep none.  For the
+    source face at position i, ``pos[i]`` is the target position of its
+    image, -1 when the image is no target face, -2 when there is none.  The
+    positions come from the carriers of ``cm.phi``
     (:func:`_union_positions`, one dimension at a time) on the faces of its
     complex, and from ``cm.phi`` itself on its overrides; ``plain[i]``
     tells whether the first alone gives it: the face is one of
@@ -776,9 +770,8 @@ class _PhiTable:
     def __init__(self, cm: CarrierMap):
         self._phi = phi = cm.phi
         self._f0 = cm.f0
-        self.source = PermutationAction(cm.p_complex, cm.given_p_faces)
-        self.target = PermutationAction(cm.q_complex, cm.given_q_faces)
-        src, tgt = self.source.rows, self.target.rows
+        self.source = src = cm.p_complex.face_rows if cm.given_p_faces is None else FaceRows(cm.given_p_faces)
+        self.target = tgt = cm.q_complex.face_rows if cm.given_q_faces is None else FaceRows(cm.given_q_faces)
         self.pos = np.full(src.offsets[-1], -2, dtype=np.intp)
         self.plain = np.zeros(src.offsets[-1], dtype=bool)
         carriers = None if phi.carriers is None else phi.carrier_rows()
@@ -801,7 +794,7 @@ class _PhiTable:
     def image(self, i):
         """The image of the source face at position i, None when it has
         none."""
-        return self._phi.get(self.source.rows.faces_at([i])[0])
+        return self._phi.get(self.source.faces_at([i])[0])
 
     def cells(self, over, faces):
         """For the cells at the source positions ``over`` (their frozensets
@@ -811,7 +804,7 @@ class _PhiTable:
         ``known``, per cell that :func:`verify_carrier_map` decides in
         closed form, whether it is nondegenerate and, when it is
         full-dimensional, its signed volume ratio (else None)."""
-        src, tgt = self.source.rows, self.target.rows
+        src, tgt = self.source, self.target
         image = self.pos[over]
         src_dim = np.searchsorted(src.offsets, over, side="right") - 1
         tgt_dim = np.searchsorted(tgt.offsets, image, side="right") - 1
@@ -942,10 +935,11 @@ def generator_certificate(source: PermutationAction, target: PermutationAction, 
     return maps
 
 
-def _orbit_roots(phi: _PhiTable):
+def _orbit_roots(cm: CarrierMap, phi: _PhiTable):
     """For each target position i, the position of the first face of the
     S_m-orbit of the i-th face.  Every face is its own root unless the map
-    passes :func:`generator_certificate` on the φ table ``phi`` and
+    passes :func:`generator_certificate` on the φ table ``phi`` of ``cm``
+    (with the S_m actions on the complexes' labels built here) and
     f0(σv) = σf0(v) on every source vertex v for both generators σ
     (:func:`_f0_commutes`).  Then every face starts as its own root r(i),
     and each round takes the least root of a face and its generator images,
@@ -958,8 +952,9 @@ def _orbit_roots(phi: _PhiTable):
     lies in it and is no later than any face of it: its least face.  Assumes
     the well-formedness pass marked no vertex (φ is total on the source
     faces)."""
-    roots = np.arange(phi.target.rows.offsets[-1])
-    maps = generator_certificate(phi.source, phi.target, phi.pos)
+    roots = np.arange(phi.target.offsets[-1])
+    maps = generator_certificate(PermutationAction(cm.p_complex, phi.source),
+                                 PermutationAction(cm.q_complex, phi.target), phi.pos)
     if maps and all(_f0_commutes(phi, src, tgt) for src, tgt, _ in maps):
         while True:
             least = np.minimum.reduce([roots] + [roots[image] for _, _, image in maps])
@@ -1011,7 +1006,7 @@ def _check_well_formed(cm: CarrierMap, label, phi: _PhiTable):
     φ(τ) = ∪_{v∈τ} C_v ⊆ ∪_{v∈σ} C_v = φ(σ), C_v the carrier of v.  So
     only the other pairs are compared (:func:`_out_of_order`), and with no
     override none is."""
-    rows, pos = phi.source.rows, phi.pos
+    rows, pos = phi.source, phi.pos
     flagged = pos < 0  # faces that fail a φ check or miss a sub-face
     disorder = np.zeros(len(pos), dtype=bool)
     for d in range(1, len(rows.rows)):
@@ -1050,13 +1045,13 @@ def _out_of_order(cm: CarrierMap, phi: _PhiTable, d, at, facets, compared):
     no subset of φ of the face: the target rows of the two images are
     compared, and the images themselves only where one is no target face;
     ``cm.phi`` is read only for a facet that is no source face."""
-    rows, pos = phi.source.rows, phi.pos
+    rows, pos = phi.source, phi.pos
     missing = facets < 0
     img = np.broadcast_to(pos[at, None], facets.shape)
     sub = np.where(missing, -3, pos[rows.offsets[d - 1] + facets])  # -3: not a source face
     tested = compared & (img != -2) & (sub != -2)
     fast = tested & (img >= 0) & (sub >= 0)
-    a, b = _padded_rows(phi.target.rows, sub[fast]), _padded_rows(phi.target.rows, img[fast])
+    a, b = _padded_rows(phi.target, sub[fast]), _padded_rows(phi.target, img[fast])
     out = np.zeros(facets.shape, dtype=bool)
     out[fast] = ~((a[:, :, None] == b[:, None, :]).any(axis=2) | (a < 0)).all(axis=1)
     for i, t in zip(*np.nonzero(tested & ~fast)):
@@ -1325,17 +1320,7 @@ class SubdivisionReport:
     verdict: str
 
     def to_json(self):
-        return {
-            "instance": self.instance,
-            "sizes": self.sizes,
-            "f_vectors": self.f_vectors,
-            "extension_used": self.extension_used,
-            "extensions_checked": self.extensions_checked,
-            "checks": self.checks,
-            "homology": self.homology,
-            "facet_volumes": self.facet_volumes,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def _homology_json(groups):
@@ -1477,7 +1462,7 @@ def verify_theorem(
             "target_vertices": len(q.vertices),
         },
         f_vectors={"source": list(delta.f_vector()), "target": list(q.f_vector())},
-        extension_used=[pk.partition(i).text() for i in exts[0]],
+        extension_used=[pk.poset.labels[i].text() for i in exts[0]],
         extensions_checked=len(exts),
         checks=checks,
         homology={"source": _homology_json(h_delta), "target": _homology_json(h_q)},
@@ -1565,15 +1550,16 @@ def check_equivariance(k: int, n: int, perms="all", seed: int = 0,
         raise ValueError("perms must be 'all' or a nonnegative count")
     m, pk, q, delta = _instance(k, n, max_poset_elements, max_faces)
     phi = _PhiTable(carrier_map_from_parts(pk, delta, q))
-    certified = generator_certificate(phi.source, phi.target, phi.pos) is not None
+    source, target = PermutationAction(delta, phi.source), PermutationAction(q, phi.target)
+    certified = generator_certificate(source, target, phi.pos) is not None
     chosen, count = tested_permutations(m, wanted, seed, certified)
     failures = []
     for pi in chosen:
-        src = phi.source.relabel(pi)
+        src = source.relabel(pi)
         if src is None:
             failures.append({"perm": list(pi), "detail": "order complex not invariant"})
             continue
-        tgt = phi.target.relabel(pi)
+        tgt = target.relabel(pi)
         if tgt is None:
             failures.append({"perm": list(pi), "detail": "k-tree complex not invariant"})
             continue
@@ -1583,7 +1569,7 @@ def check_equivariance(k: int, n: int, perms="all", seed: int = 0,
         for c in np.flatnonzero(~differ & (phi.pos == -1)).tolist():
             differ[c] = phi.image(src_img[c]) != frozenset(tgt_map[w] for w in phi.image(c))
         if differ.any():
-            (face,) = phi.source.rows.faces_at([differ.argmax()])
+            (face,) = phi.source.faces_at([differ.argmax()])
             failures.append({"perm": list(pi), "detail": "carrier map does not commute with the relabelling",
                              "chain": [delta.vertices[v].text() for v in sorted(face)]})
     rank_d, rank_q = top_rank(delta.reduced_homology(), n), top_rank(q.reduced_homology(), n)

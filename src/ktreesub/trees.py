@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MAX_FACES, FaceNotPresent, NotNested, ResourceLimit
 from .complexes import _ROW, SimplicialComplex
-from .partitions import Partition, PartitionPoset, g_set, g_set_count
+from .partitions import Partition, PartitionPoset, _mask, g_set, g_set_count
 
 
 def _leafset(node) -> frozenset:
@@ -186,7 +186,7 @@ def is_k_nested(pk: PartitionPoset, members) -> bool:
             raise ValueError(f"{x.text()} is not a G-element")
     if Partition.one(pk.m) in parts:
         return False
-    idx = [pk.index(x) for x in parts]
+    idx = [pk.poset.index(x) for x in parts]
     leq = pk.poset.is_leq
     n = len(idx)
     for size in range(2, n + 1):
@@ -198,7 +198,7 @@ def is_k_nested(pk: PartitionPoset, members) -> bool:
             if not antichain:
                 continue
             mubs = pk.poset.minimal_upper_bounds([idx[a] for a in sub])
-            if len(mubs) != 1 or pk.partition(mubs[0]) in gset:
+            if len(mubs) != 1 or pk.poset.labels[mubs[0]] in gset:
                 return False
     return True
 
@@ -230,7 +230,7 @@ def _later_compatible(verts):
     disjoint or nested.  Built in parts of about ``_PAIRS`` pairs of
     vertices, a block of rows against the later vertices at a time, never
     as an nv x nv matrix of bytes."""
-    masks = np.array([_mask_of(x) for x in verts], dtype=np.uint64)
+    masks = np.array([_mask(x.nonsingleton_blocks()[0]) for x in verts], dtype=np.uint64)
     nv = len(masks)
     words = max(1, -(-nv // 64))
     later = np.zeros((nv, 8 * words), dtype=np.uint8)
@@ -313,11 +313,3 @@ def _grow(level, parents, cand, counts, later):
 _CHUNK = 1 << 20  # bits expanded, or faces made, per part
 _PAIRS = 1 << 16  # pairs of vertices compared per part: larger parts leave the cache, and run slower
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits of each byte
-
-
-def _mask_of(x: Partition) -> int:
-    block = x.nonsingleton_blocks()[0]
-    msk = 0
-    for v in block:
-        msk |= 1 << (v - 1)
-    return msk

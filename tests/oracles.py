@@ -919,7 +919,7 @@ def eager_labels_oracle(cm):
     phi = subdivision._PhiTable(cm)
     failures, bad = subdivision._check_well_formed(cm, label, phi)
     over = np.flatnonzero(phi.pos >= 0)
-    faces = phi.source.rows.faces_at(over)
+    faces = phi.source.faces_at(over)
     on_face, known = phi.cells(over, faces)
     cells = {}
     for t, face in zip(phi.pos[over].tolist(), faces):

@@ -160,7 +160,7 @@ def test_criterion_4_structural_lemmas(mk):
     for i in proper:
         for j in proper:
             if i != j and pk.poset.leq[i, j]:
-                union = pk.factors(pk.partition(i)) | pk.factors(pk.partition(j))
+                union = pk.factors(pk.poset.labels[i]) | pk.factors(pk.poset.labels[j])
                 claim_ok &= is_k_nested(pk, union)
 
     report(

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ktreesub
-from ktreesub.cli import main
+from ktreesub.cli import build_parser, main
 
 
 def run(args, tmp_path, name="out.json"):
@@ -228,6 +229,71 @@ def test_homology_ten_points(capsys):
     code = main(["homology", "--object", "order-complex", "--m", "5", "--k", "2"])
     assert code == 0
     assert "degree 0: betti 9" in capsys.readouterr().out
+
+
+def _homology_json(args, capsys):
+    """What ``homology ... --format json`` prints, as one JSON value."""
+    capsys.readouterr()
+    assert main(["homology", *args, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_homology_of_a_written_complex_matches_the_object(tmp_path, capsys):
+    # enumerate writes T^1_5, and homology reads it back: the same groups
+    # as homology of the object itself
+    code, out = run(["enumerate", "--object", "ktree-complex", "--n", "5", "--k", "1"], tmp_path)
+    assert code == 0
+    table = _homology_json(["--object", "ktree-complex", "--n", "5", "--k", "1"], capsys)
+    assert table == {"name": "k-tree complex (n=5, k=1)", "groups": [[0, []], [0, []], [24, []]]}
+    assert _homology_json(["--in", str(out)], capsys) == {"name": str(out), "groups": table["groups"]}
+
+
+def test_equivariance_writes_its_report(tmp_path, capsys):
+    code, out = run(["equivariance", "--k", "2", "--n", "3"], tmp_path)
+    assert code == 0
+    assert capsys.readouterr().out.endswith(f"wrote {out}\n")
+    report = json.loads(out.read_text())
+    assert report == {"passed": True, "permutations_checked": 120, "top_rank": {"source": 9, "target": 9},
+                      "failures": []}
+
+
+def test_verify_zero_extensions_is_usage_error(capsys):
+    assert main(["verify", "--k", "1", "--n", "4", "--extensions", "0"]) == 2
+    assert capsys.readouterr().err == "error: --extensions must be positive\n"
+
+
+# the option strings of each subcommand: each is read by its command
+SUBCOMMAND_OPTIONS = {
+    "enumerate": ["--object", "--m", "--k", "--n", "--element", "--format", "--max-poset-elements", "--max-faces",
+                  "--out", "-v", "--verbosity"],
+    "verify": ["--k", "--n", "--extensions", "--seed", "--format", "--max-poset-elements", "--max-faces",
+               "--out", "-v", "--verbosity"],
+    "homology": ["--object", "--m", "--k", "--n", "--compare", "--in", "--format", "--max-poset-elements",
+                 "--max-faces"],
+    "equivariance": ["--k", "--n", "--sample", "--in", "--seed", "--format", "--max-poset-elements",
+                     "--max-faces", "--out", "-v", "--verbosity"],
+}
+
+
+def test_subcommand_options_are_pinned():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(subparsers.choices) == sorted(SUBCOMMAND_OPTIONS)
+    for command, parser in subparsers.choices.items():
+        options = [s for action in parser._actions for s in action.option_strings if s not in ("-h", "--help")]
+        assert options == SUBCOMMAND_OPTIONS[command], command
+
+
+@pytest.mark.parametrize("args", [
+    ["enumerate", "--object", "pi-k", "--m", "5", "--k", "2", "--seed", "1"],
+    ["homology", "--object", "order-complex", "--m", "4", "--k", "1", "--seed", "1"],
+    ["homology", "--object", "order-complex", "--m", "4", "--k", "1", "--out", "h.json"],
+    ["homology", "--object", "order-complex", "--m", "4", "--k", "1", "-v", "0"],
+], ids=["enumerate-seed", "homology-seed", "homology-out", "homology-verbosity"])
+def test_flags_no_command_reads_exit_2(args, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_equivariance_builtin(capsys):
@@ -481,7 +547,8 @@ def _cli_call(draw):
     if command == "equivariance":
         maybe("--sample", st.integers(0, 30))
     maybe("--format", st.sampled_from(["json", "text"]))
-    maybe("--seed", st.integers(-3, 3))
+    if command in ("verify", "equivariance"):
+        maybe("--seed", st.integers(-3, 3))
     argv += ["--max-poset-elements", str(draw(st.integers(0, 150))),
              "--max-faces", str(draw(st.integers(0, 400)))]
     payload = None

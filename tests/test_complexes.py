@@ -386,7 +386,8 @@ def test_face_rows_match_oracles(data):
             family -= {data.draw(st.sampled_from(sorted(family, key=sorted)))}
     rows = FaceRows(family)
     assert rows.is_closed() == downward_closed_oracle(family)
-    for d, faces in enumerate(rows.faces):
+    for d in range(len(rows.rows)):
+        faces = rows.faces_at(np.arange(rows.offsets[d], rows.offsets[d + 1]))
         assert faces == by_size_order(f for f in family if len(f) == d + 1)
         assert rows.rows[d].tolist() == [sorted(f) for f in faces]
         assert rows.offsets[d + 1] - rows.offsets[d] == len(faces)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,14 @@ from ktreesub import (
     KTreeSubError,
     Partition,
     ResourceLimit,
-    building_set_I,
     count_partitions_modk,
     enumerate_partitions,
     factors_I,
     g_set,
     parse_partition,
 )
-from ktreesub import _kernels, partitions
+import ktreesub
+from ktreesub import _kernels, errors, partitions
 from ktreesub.partitions import _labels_of_rgs, g_set_count
 from oracles import (
     brute_modk_partitions,
@@ -106,10 +108,37 @@ def test_enumerate_cap():
         enumerate_partitions(99, 1)
 
 
+def test_enumerate_default_cap_is_the_package_cap():
+    # (14, 5) has 45,410 elements, past the default cap of 40,000
+    assert count_partitions_modk(14, 5) == 45_410 > errors.MAX_POSET_ELEMENTS
+    with pytest.raises(ResourceLimit, match="cap 40000"):
+        enumerate_partitions(14, 5)
+
+
+# a caller-given face family closed on request: no cap unless one is passed
+UNCAPPED = {("SimplicialComplex", "max_faces")}
+CAPS = {"max_poset_elements": "MAX_POSET_ELEMENTS", "max_elements": "MAX_POSET_ELEMENTS", "max_faces": "MAX_FACES"}
+
+
+def test_public_cap_defaults_are_the_errors_constants():
+    # every public callable with a cap parameter defaults to the constant in
+    # errors itself, not to a copy of its value or another number
+    seen = set()
+    for name in ktreesub.__all__:
+        obj = getattr(ktreesub, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            if param.name in CAPS and (name, param.name) not in UNCAPPED:
+                assert param.default is getattr(errors, CAPS[param.name]), (name, param.name)
+                seen.add(name)
+    assert {"enumerate_partitions", "global_carrier_map", "verify_theorem", "check_equivariance"} <= seen
+
+
 def test_enumerate_desk_scale_instance():
     pk = enumerate_partitions(10, 3)
     assert pk.poset.n == 1907
-    assert pk.one_index is not None  # 10 ≡ 1 (mod 3)
+    assert pk.poset.max_index is not None  # 10 ≡ 1 (mod 3)
     by_rank = {}
     for x in pk.poset.labels:
         by_rank[x.rank] = by_rank.get(x.rank, 0) + 1
@@ -139,16 +168,15 @@ def test_kmub_examples(pk72):
 
 
 def test_building_set_I_counts():
-    assert len(building_set_I(3)) == 4
-    assert len(building_set_I(4)) == 11
-    assert all(len(x.nonsingleton_blocks()) == 1 for x in building_set_I(6))
+    # the minimal building set I of the full partition lattice is G for k = 1
+    assert len(g_set(3, 1)) == 4
+    assert len(g_set(4, 1)) == 11
+    assert all(len(x.nonsingleton_blocks()) == 1 for x in g_set(6, 1))
 
 
 def test_g_set_counts():
     assert len(g_set(5, 2)) == 11
     assert len(g_set(7, 2)) == 57
-    for m in (3, 4, 5):
-        assert g_set(m, 1) == building_set_I(m)
     for x in g_set(7, 2):
         assert (len(x.nonsingleton_blocks()[0]) - 1) % 2 == 0
         assert x.rank % 2 == 0
@@ -310,4 +338,4 @@ def test_meet_oracle_agrees_with_poset(pk41):
     for i, a in enumerate(pk41.poset.labels):
         for j, b in enumerate(pk41.poset.labels):
             met = pk41.poset.meet([i, j])
-            assert pk41.partition(met).blocks == common_refinement_oracle(a.blocks, b.blocks)
+            assert pk41.poset.labels[met].blocks == common_refinement_oracle(a.blocks, b.blocks)

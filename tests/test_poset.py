@@ -83,31 +83,31 @@ def test_join_paper_example(pk72):
     b = parse_partition("1(234)567", 7)
     assert a.join(b).text() == "(1234)567"
     with pytest.raises(NotUnique) as err:
-        pk72.poset.join([pk72.index(a), pk72.index(b)])
+        pk72.poset.join([pk72.poset.index(a), pk72.poset.index(b)])
     assert len(err.value.witnesses) == 3
 
 
 def test_join_singleton(pk72):
-    i = pk72.index(parse_partition("(123)4567", 7))
+    i = pk72.poset.index(parse_partition("(123)4567", 7))
     assert pk72.poset.join([i]) == i
 
 
 def test_meet_examples(pk41):
-    a = pk41.index(parse_partition("(12)(34)", 4))
-    b = pk41.index(parse_partition("(12)34", 4))
+    a = pk41.poset.index(parse_partition("(12)(34)", 4))
+    b = pk41.poset.index(parse_partition("(12)34", 4))
     assert pk41.poset.meet([a, b]) == b
-    c = pk41.index(parse_partition("(13)24", 4))
-    d = pk41.index(parse_partition("(24)13", 4))
-    assert pk41.poset.meet([c, d]) == pk41.zero_index
+    c = pk41.poset.index(parse_partition("(13)24", 4))
+    d = pk41.poset.index(parse_partition("(24)13", 4))
+    assert pk41.poset.meet([c, d]) == pk41.poset.min_index
     assert pk41.poset.meet([a]) == a
 
 
 def test_interval_examples(pk41):
-    zero = pk41.zero_index
-    x = pk41.index(parse_partition("(12)(34)", 4))
+    zero = pk41.poset.min_index
+    x = pk41.poset.index(parse_partition("(12)(34)", 4))
     iv = pk41.poset.interval(zero, x)
     assert iv.n == 4
-    y = pk41.index(parse_partition("(123)4", 4))
+    y = pk41.poset.index(parse_partition("(123)4", 4))
     assert pk41.poset.interval(zero, y).n == 5
     assert pk41.poset.interval(x, x).n == 1
     with pytest.raises(NotComparable):
@@ -127,10 +127,10 @@ def test_product_identity_and_diamond():
 
 
 def test_product_isomorphic_to_interval(pk41):
-    zero = pk41.zero_index
-    a = pk41.index(parse_partition("(12)34", 4))
-    b = pk41.index(parse_partition("12(34)", 4))
-    x = pk41.index(parse_partition("(12)(34)", 4))
+    zero = pk41.poset.min_index
+    a = pk41.poset.index(parse_partition("(12)34", 4))
+    b = pk41.poset.index(parse_partition("12(34)", 4))
+    x = pk41.poset.index(parse_partition("(12)(34)", 4))
     prod = product([pk41.poset.interval(zero, a), pk41.poset.interval(zero, b)])
     target = pk41.poset.interval(zero, x)
     assert prod.is_isomorphic(target) is not None
@@ -174,7 +174,7 @@ def test_linear_extension_policies(pk72):
     pool = [i for i in pk72.poset.proper_indices() if i not in g]
     default = pk72.poset.linear_extension(pool)
     assert pk72.poset.is_linear_extension(default)
-    ranks = [pk72.partition(i).rank for i in default]
+    ranks = [pk72.poset.labels[i].rank for i in default]
     assert ranks == sorted(ranks)
     seeded = pk72.poset.linear_extension(pool, policy="seeded-random", seed=5)
     assert pk72.poset.is_linear_extension(seeded)

@@ -166,7 +166,12 @@ def test_closure_check_reads_every_part(monkeypatch):
 
 
 def _views_unbuilt(K):
-    return K._faces is None and K.face_rows._faces is None
+    return K._faces is None
+
+
+def _holds_sets(value):
+    """Whether ``value`` is a frozenset or a list or tuple holding one."""
+    return isinstance(value, frozenset) or isinstance(value, (list, tuple)) and any(map(_holds_sets, value))
 
 
 @pytest.mark.parametrize("side", ["delta", "ktree"])
@@ -181,10 +186,10 @@ def test_row_readers_build_no_face_view(side):
     assert K == L
     assert K.has_face_labels(K.vertices[:1]) and not K.has_face_labels(K.vertices)
     assert _views_unbuilt(K) and _views_unbuilt(L)
-    # a reader of the faces builds both views, over the same objects
+    # a reader of the faces builds the one view, and the rows keep no sets
     assert len(K.faces) == sum(K.f_vector())
-    assert K.faces == frozenset(f for level in K.face_rows.faces for f in level)
-    assert all(any(f is g for g in K.faces) for f in K.face_rows.faces[1][:5])
+    assert K.faces == frozenset(K.face_rows.faces_at(np.arange(sum(K.f_vector()))))
+    assert not any(map(_holds_sets, vars(K.face_rows).values()))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +408,16 @@ def test_facet_comparison_reads_the_facets():
     N = SimplicialComplex.from_label_faces([("a", "b", "c"), ("c", "d")])
     assert FacetReplay(N).equals(N)
     assert not FacetReplay(N).equals(SimplicialComplex.from_label_faces([("a", "b", "c"), ("b", "c", "d")]))
+
+
+def test_facet_comparison_needs_every_width():
+    # five edges, each maximal, against the same five edges and the triangle
+    # cde: every edge is a maximal face of both, and only the widths differ
+    edges = [("a", "b"), ("b", "c"), ("a", "c"), ("a", "d"), ("b", "e")]
+    K = SimplicialComplex.from_label_faces(edges)
+    L = SimplicialComplex.from_label_faces([*edges, ("c", "d", "e")])
+    assert not FacetReplay(K).equals(L) and not FacetReplay(L).equals(K)
+    assert K != L and L != K
 
 
 @pytest.mark.parametrize("kn", [(2, 4), (1, 5)])

@@ -3,7 +3,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 from math import factorial, prod
 from pathlib import Path
 
@@ -68,13 +68,13 @@ def test_minimal_building_set_of_partition_lattice(pk41):
 
 def test_maximal_building_set_any_lattice(pk41, pk52):
     for pk in (pk41,):
-        allg = [i for i in range(pk.poset.n) if i != pk.zero_index]
+        allg = [i for i in range(pk.poset.n) if i != pk.poset.min_index]
         ok, _ = is_building_set(pk.poset, allg)
         assert ok
 
 
 def test_single_atom_not_building(pk31):
-    atom = pk31.index(parse_partition("(12)3", 3))
+    atom = pk31.poset.index(parse_partition("(12)3", 3))
     ok, witness = is_building_set(pk31.poset, [atom])
     assert not ok
     assert witness is not None and witness != parse_partition("(12)3", 3)
@@ -87,7 +87,7 @@ def test_single_atom_not_building(pk31):
 
 
 def test_nested_complex_maximal_building_set_is_order_complex(pk41, delta41):
-    allg = [i for i in range(pk41.poset.n) if i != pk41.zero_index]
+    allg = [i for i in range(pk41.poset.n) if i != pk41.poset.min_index]
     assert nested_set_complex(pk41.poset, allg) == delta41
 
 
@@ -303,7 +303,7 @@ def test_blowup_missing_face_raises_at_its_step(pk41, t14, record):
 def test_blowup_empty_face_raises(pk41):
     # an initial complex with no vertex below an added element
     start = SimplicialComplex([parse_partition("(123)4", 4)], [frozenset([0])])
-    ext = [pk41.index(parse_partition("(12)(34)", 4))]
+    ext = [pk41.poset.index(parse_partition("(12)(34)", 4))]
     with pytest.raises(FaceNotPresent, match=r"face \[\] not in complex"):
         run_blowup(pk41.poset, start, ext)
 
@@ -1017,8 +1017,8 @@ def test_closed_form_geometry_matches_exact(kn):
     cm, _ = global_carrier_map(*kn)
     phi = subdivision._PhiTable(cm)
     over = np.flatnonzero(phi.pos >= 0)
-    cells = phi.source.rows.faces_at(over)
-    images = phi.target.rows.faces_at(phi.pos[over])
+    cells = phi.source.faces_at(over)
+    images = phi.target.faces_at(phi.pos[over])
     on_face, known = phi.cells(over, cells)
     assert len(known) == len(cells)
     for cell, image in zip(cells, images):
@@ -1167,7 +1167,7 @@ def _orbits(cm):
     """The target faces' S_m-orbits found by the generator certificate, as
     {root face: set of faces}."""
     order = sorted(cm.q_faces, key=subdivision._by_size)
-    roots = subdivision._orbit_roots(subdivision._PhiTable(cm))
+    roots = subdivision._orbit_roots(cm, subdivision._PhiTable(cm))
     assert all(roots[roots[i]] == roots[i] <= i for i in range(len(order)))
     orbits = {}
     for qf, r in zip(order, roots):
@@ -1187,10 +1187,10 @@ def test_orbit_roots_match_oracle(case):
     # orbit roots, against the frozenset loops they replace
     cm = ORBIT_CASES[case]()
     order = by_size_order(cm.q_faces)
-    assert list(chain.from_iterable(subdivision._face_rows(cm.q_complex, cm.q_faces).faces)) == order
-    source = subdivision.PermutationAction(cm.p_complex, cm.p_faces)
-    target = subdivision.PermutationAction(cm.q_complex, cm.q_faces)
     phi = subdivision._PhiTable(cm)
+    assert phi.target.faces_at(np.arange(phi.target.offsets[-1])) == order
+    source = subdivision.PermutationAction(cm.p_complex, phi.source)
+    target = subdivision.PermutationAction(cm.q_complex, phi.target)
     got = subdivision.generator_certificate(source, target, phi.pos)
     want = generator_certificate_oracle(cm.p_complex, cm.p_faces, cm.q_complex, cm.q_faces, cm.phi)
     assert (got is None) == (want is None)
@@ -1199,7 +1199,7 @@ def test_orbit_roots_match_oracle(case):
         pos = {qf: i for i, qf in enumerate(order)}
         for _, tgt, image in got:
             assert image.tolist() == [pos[frozenset(tgt[v] for v in qf)] for qf in order]
-    assert list(subdivision._orbit_roots(phi)) == orbit_roots_oracle(cm)
+    assert list(subdivision._orbit_roots(cm, phi)) == orbit_roots_oracle(cm)
 
 
 def test_generator_certificate_refuses_non_equivariant_map():
@@ -1241,7 +1241,7 @@ def test_factor_union_of_comparable_pair_is_nested(pk72, t24):
     for i in proper:
         for j in proper:
             if i != j and leq[i, j]:
-                union = pk72.factors(pk72.partition(i)) | pk72.factors(pk72.partition(j))
+                union = pk72.factors(pk72.poset.labels[i]) | pk72.factors(pk72.poset.labels[j])
                 assert t24.has_face_labels(union)
                 assert is_k_nested(pk72, union)
 
@@ -1414,6 +1414,20 @@ def test_passing_equivariance_maps_only_the_generators(monkeypatch):
     assert list(calls.values()) == [list(subdivision.generators(7))] * 2
 
 
+def test_carrier_check_builds_actions_only_for_the_orbit_roots(monkeypatch):
+    # the φ table holds the face rows, not S_m actions: the negative control
+    # marks vertices, so no orbit is sought and no action is built; a
+    # passing map builds one per side, for the generator certificate
+    calls = _count_index_maps(monkeypatch)
+    assert not verify_carrier_map(CARRIER_CASES["negative-control"][0]()).passed
+    assert calls == {}
+    cm, _ = global_carrier_map(1, 5)
+    subdivision._PhiTable(cm)
+    assert calls == {}
+    assert verify_carrier_map(cm).passed
+    assert list(calls.values()) == [list(subdivision.generators(5))] * 2
+
+
 def test_failing_certificate_reuses_each_block_table(monkeypatch):
     # one facet removed from the k-tree complex: the certificate fails and
     # all 24 permutations are checked, each through the two actions built
@@ -1436,7 +1450,7 @@ def test_index_map_matches_relabelling_oracle(kn):
     rng = random.Random(m)
     perms = [tuple(rng.sample(range(1, m + 1), m)) for _ in range(6)]
     for K in (cm.p_complex, cm.q_complex):
-        action = subdivision.PermutationAction(K)
+        action = subdivision.PermutationAction(K, K.face_rows)
         for perm in perms:
             want = _relabelling_maps(K, perm)
             assert want is not None and action.index_map(perm) == want
@@ -1454,7 +1468,7 @@ def test_index_map_refuses_a_missing_vertex(side, text):
     # not found
     cm, _ = global_carrier_map(1, 4)
     K = _without_vertex(cm.p_complex if side == "source" else cm.q_complex, parse_partition(text, 4))
-    action = subdivision.PermutationAction(K)
+    action = subdivision.PermutationAction(K, K.face_rows)
     for perm in permutations(range(1, 5)):
         assert action.index_map(perm) == _relabelling_maps(K, perm)
     assert action.index_map((2, 3, 4, 1)) is None
@@ -1462,9 +1476,10 @@ def test_index_map_refuses_a_missing_vertex(side, text):
 
 def test_index_map_refuses_other_ground_sets():
     cm, _ = global_carrier_map(1, 4)
-    action = subdivision.PermutationAction(cm.q_complex)
+    action = subdivision.PermutationAction(cm.q_complex, cm.q_complex.face_rows)
     assert action.index_map((2, 1, 3)) is None and action.index_map((2, 1, 3, 4, 5)) is None
-    strings = subdivision.PermutationAction(SimplicialComplex.from_label_faces([("A", "B")]))
+    edge = SimplicialComplex.from_label_faces([("A", "B")])
+    strings = subdivision.PermutationAction(edge, edge.face_rows)
     assert strings.m is None and strings.index_map((2, 1)) is None
 
 
