@@ -44,43 +44,51 @@ def count_partitions_modk(m: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def rgs_filtered(m: int, k: int) -> np.ndarray:
-    """All restricted growth strings on m symbols whose block sizes are
-    ≡ 1 (mod k), as an (N, m) int8 array in lexicographic order.
+def rgs_filtered(m: int, k: int) -> list:
+    """The restricted growth strings whose block sizes are ≡ 1 (mod k), on
+    every number of symbols up to m: ``tables[b]`` holds those on b symbols
+    as a (N_b, b) int8 array in lexicographic order, for b = 0..m.
 
-    Only these strings are generated.  A block of size s needs
-    ``(1 - s) % k`` more elements; a prefix is extended only while the sum of
-    these deficits fits in the positions left.  Every such prefix completes
-    (fill the deficits, then open singleton blocks), so the search never
-    backtracks out of a dead end.
+    One growth makes every table (restricted growth strings as in Knuth,
+    TAOCP 4A, 7.2.1.5).  Level i holds the prefixes of length i that
+    complete to a string on m symbols: a block of size s needs
+    ``(1 - s) % k`` more elements, and a prefix is kept only while the sum
+    of these deficits fits in the positions left.  Every kept prefix
+    completes (fill the deficits, then open singleton blocks), so no level
+    holds a dead end.  Each prefix grows by every block it may join, then
+    by one new block, so a level is lexicographic when the one before is.
+    A prefix of length b with deficit 0 is a string on b symbols, and every
+    such string is kept (its deficits, 0, fit in the m - b positions left),
+    so ``tables[b]`` is level b where the deficit is 0.
     """
+    # the state of a block is its size mod k, or k for the next new block:
+    # joined[state] is the change of the deficit when the block takes one
+    # more element, grown[state] its state after.  No block outgrows m, so a
+    # k past m acts as m + 1: only singletons fit either way.
     n = count_partitions_modk(m, k)
-    rows = []
-    a = [0] * m
-    sizes = []  # sizes[c]: elements placed in block c so far
-
-    def extend(i, deficit):
-        if i == m:
-            rows.append(tuple(a))
-            return
-        left = m - i - 1
-        for c, s in enumerate(sizes):
-            d = deficit - (1 - s) % k + (-s) % k
-            if d <= left:
-                a[i] = c
-                sizes[c] = s + 1
-                extend(i + 1, d)
-                sizes[c] = s
-        if deficit <= left:
-            a[i] = len(sizes)
-            sizes.append(1)
-            extend(i + 1, deficit)
-            sizes.pop()
-
-    extend(0, 0)
+    k = min(k, m + 1)
+    r = np.arange(k)
+    joined = np.append((-r) % k - (1 - r) % k, 0).astype(np.int16)
+    grown = np.append((r + 1) % k, 1 % k).astype(np.int8)
+    rows = np.zeros((1, 0), dtype=np.int8)
+    states = np.full((1, m), k, dtype=np.int8)
+    deficit = np.zeros(1, dtype=np.int16)
+    blocks = np.zeros(1, dtype=np.int8)
+    tables = [rows]
+    for i in range(m):
+        d = deficit[:, None] + joined[states[:, : i + 1]]
+        at, c = np.nonzero((d <= m - i - 1) & (np.arange(i + 1) <= blocks[:, None]))
+        rows = np.concatenate([np.take(rows, at, axis=0), c[:, None].astype(np.int8)], axis=1)
+        deficit = d[at, c]
+        blocks = np.take(blocks, at)
+        blocks += c == blocks
+        states = np.take(states, at, axis=0)
+        each = np.arange(len(at))
+        states[each, c] = grown[states[each, c]]
+        tables.append(rows[deficit == 0])
     if len(rows) != n:
         raise AssertionError(f"rgs enumeration produced {len(rows)} rows, expected {n}")
-    return np.array(rows, dtype=np.int8).reshape(n, m)
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -88,38 +96,41 @@ def rgs_filtered(m: int, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def coarsening_pairs(rgs: np.ndarray, k: int):
+def coarsening_pairs(tables):
     """The strict refinement order on all of Π^(k)_m, as two arrays
-    (below, above) of row numbers of ``rgs``, the (N, m) array of
-    :func:`rgs_filtered` in its lexicographic order.
+    (below, above) of row numbers of ``rgs = tables[m]``, the tables of
+    :func:`rgs_filtered` on m symbols and fewer, in their lexicographic
+    order.
 
     A row x with b blocks is refined strictly by exactly the partitions that
     merge its blocks into groups of sizes ≡ 1 (mod k), since a union of t
     blocks of sizes ≡ 1 has size ≡ t.  So the rows above x are y[x] for the
-    rows y of ``rgs_filtered(b, k)`` other than the all-singletons one, and
+    rows y of ``tables[b]`` other than the all-singletons one, and
     these are again restricted growth strings (the blocks of x are numbered
-    by their least elements).  They are found by binary search on the rows
-    as byte strings, whose order is the lexicographic one.  No N × N array
-    is made: the work is one row per comparable pair.
+    by their least elements).  They are found by binary search on the rows'
+    search keys (:func:`complexes._search_keys`), whose order is the
+    lexicographic one.  No N × N array is made: the work is one row per
+    comparable pair.
     """
-    n, m = rgs.shape
-    rows = np.ascontiguousarray(rgs)
-    keys = rows.view(np.dtype((np.void, m))).ravel()
+    from .complexes import _search, _search_keys  # complexes imports this module
+
+    rows = tables[-1]
+    m = rows.shape[1]
+    bits = max(m - 1, 1).bit_length()  # the digits are blocks 0 .. m-1
+    keys, _ = _search_keys(rows, bits)
     blocks = rows.max(axis=1).astype(np.intp) + 1
     below, above = [], []
     for b in sorted(set(blocks.tolist())):
         xs = np.flatnonzero(blocks == b)
-        ys = rows if b == m else rgs_filtered(b, k)
+        ys = tables[b]
         ys = ys[ys.max(axis=1) + 1 < b]  # merges at least two blocks
         if not len(ys):
             continue
         step = max(1, (1 << 20) // (len(ys) * m))
         for lo in range(0, len(xs), step):
             part = xs[lo : lo + step]
-            merged = np.ascontiguousarray(ys[:, rows[part]].transpose(1, 0, 2))
-            merged = merged.view(np.dtype((np.void, m))).ravel()
-            at = np.minimum(keys.searchsorted(merged), n - 1)
-            if not (keys[at] == merged).all():
+            at = _search(keys, _search_keys(ys[:, rows[part]].transpose(1, 0, 2).reshape(-1, m), bits)[0])
+            if (at < 0).any():
                 raise AssertionError("a coarsening is missing from the rows")
             below.append(np.repeat(part, len(ys)))
             above.append(at)

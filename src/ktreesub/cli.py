@@ -253,8 +253,10 @@ def cmd_equivariance(args) -> int:
         certified = all(action.relabel(g) is not None for g in generators(m))
         perms, count = tested_permutations(m, None if m <= 5 else args.sample, args.seed, certified)
         broken = sum(action.relabel(pi) is None for pi in perms)
-        _emit_line(args, f"checked {count} permutations, {broken} break invariance",
-                   {"permutations_checked": count, "breaking_invariance": broken})
+        payload = {"permutations_checked": count, "breaking_invariance": broken}
+        _emit_line(args, f"checked {count} permutations, {broken} break invariance", payload)
+        if args.out:
+            _write_json(args.out, payload, args.verbosity)
         return EXIT_PASS if not broken else EXIT_FAIL
 
     if not _require(args, ["k", "n"]):

@@ -328,7 +328,7 @@ class SimplicialComplex:
     read the rows alone.
     """
 
-    def __init__(self, vertex_labels, faces, close_downward=False, max_faces=None):
+    def __init__(self, vertex_labels, faces, close_downward=False, max_faces=MAX_FACES):
         self._set_vertices(vertex_labels)
         fs = {frozenset(f) for f in faces}
         fs.discard(frozenset())

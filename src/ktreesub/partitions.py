@@ -9,8 +9,9 @@ bitmasks, so m is capped at 64.
 from __future__ import annotations
 
 import re
-from itertools import combinations
+from itertools import chain, combinations, groupby, repeat
 from math import comb
+from operator import attrgetter
 
 import numpy as np
 
@@ -288,9 +289,11 @@ def enumerate_partitions(m: int, k: int, max_elements: int = MAX_POSET_ELEMENTS)
     The order comes in closed form (:func:`_kernels.coarsening_pairs`): the
     elements above x are Π^(k)_b read over the b blocks of x, and the height
     of x is (m - b) / k.  The element count is checked against
-    ``max_elements`` before any enumeration happens.  The labels are built
-    in bulk from the restricted growth strings, which are checked once for
-    all of them (:func:`_labels_of_rgs`).
+    ``max_elements`` before any enumeration happens.  One growth makes the
+    restricted growth strings on m symbols and on each fewer number
+    (:func:`_kernels.rgs_filtered`): the labels are built in bulk from the
+    first, which are checked once for all of them (:func:`_labels_of_rgs`),
+    and the order reads the others.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive")
@@ -301,11 +304,12 @@ def enumerate_partitions(m: int, k: int, max_elements: int = MAX_POSET_ELEMENTS)
         raise ResourceLimit(
             f"poset would have {count} elements (cap {max_elements})"
         )
-    rgs = kernels.rgs_filtered(m, k)
+    tables = kernels.rgs_filtered(m, k)
+    rgs = tables[m]
     labels, order = _labels_of_rgs(rgs, k)
     canonical = np.empty(len(order), dtype=np.intp)  # rgs row -> element index
     canonical[order] = np.arange(len(order))
-    below, above = kernels.coarsening_pairs(rgs, k)
+    below, above = kernels.coarsening_pairs(tables)
     blocks = rgs[order].max(axis=1).astype(np.int64) + 1
     # the canonical order is by rank first: 0̂ is the only element of rank
     # 0 and 1̂, when its block size is ≡ 1 (mod k), the only one of rank m-1
@@ -349,21 +353,51 @@ def _labels_of_rgs(rgs, k):
     # where each block starts among the grouped elements
     starts = (np.cumsum(counts, axis=1) - counts)[order] + np.arange(n)[:, None] * m
     bits = np.left_shift(np.uint64(1), grouped[order].astype(np.uint64))
-    counts = counts[order]
-    masks = np.bitwise_or.reduceat(bits.ravel(), starts[exists[order]])
-    block = {x: tuple(i + 1 for i in range(m) if x >> i & 1) for x in set(masks.tolist())}.__getitem__
-    wide = masks[counts[exists[order]] > 1].tolist()
-    masks = masks.tolist()
-    ends = np.cumsum(nblocks[order]).tolist()
-    wide_ends = np.cumsum((counts > 1).sum(axis=1)).tolist()
-    canonical = Partition._canonical
-    labels = []
-    start = wide_start = 0
-    for end, wide_end in zip(ends, wide_ends):
-        ms = tuple(masks[start:end])
-        labels.append(canonical(m, tuple(map(block, ms)), ms, tuple(map(block, wide[wide_start:wide_end]))))
-        start, wide_start = end, wide_end
+    counts, exists, nblocks = counts[order], exists[order], nblocks[order]
+    masks = np.bitwise_or.reduceat(bits.ravel(), starts[exists])
+    # one tuple and one int per distinct block, made from the bits of its
+    # mask, with the distinct blocks by size (so that _cuts makes those of
+    # one size in one step); each label's are cut from the lists of all
+    sizes = counts[exists]
+    by = np.lexsort((masks, sizes))
+    first = np.ones(len(by), dtype=bool)
+    first[1:] = masks[by[1:]] != masks[by[:-1]]
+    which = np.empty(len(by), dtype=np.intp)
+    which[by] = np.cumsum(first) - 1
+    which = which.tolist()
+    distinct = masks[by[first]]
+    members = np.nonzero(distinct[:, None] >> np.arange(m, dtype=np.uint64) & np.uint64(1))[1] + 1
+    blocks = list(map(_cuts(members.tolist(), sizes[by[first]].tolist()).__getitem__, which))
+    wide = list(map(blocks.__getitem__, np.flatnonzero(sizes > 1).tolist()))
+    nblocks = nblocks.tolist()
+    labels = list(map(
+        Partition._canonical, repeat(m), _cuts(blocks, nblocks),
+        _cuts(list(map(distinct.tolist().__getitem__, which)), nblocks), _cuts(wide, (counts > 1).sum(axis=1).tolist()),
+    ))
     return labels, order
+
+
+def _cuts(flat, sizes):
+    """``flat``, a list, cut into consecutive tuples of ``sizes`` (a list)
+    items.  A run of equal sizes is cut in one step, by zipping an iterator
+    over the run with itself: the labels come in runs, by their number of
+    blocks."""
+    out, lo = [], 0
+    for s, run in groupby(sizes):
+        count = len(list(run))
+        out += zip(*[iter(flat[lo : lo + s * count])] * s) if s else repeat((), count)
+        lo += s * count
+    return out
+
+
+def _wide_masks(labels):
+    """The bitmasks of the blocks of more than one element of the
+    partitions ``labels``, and the position in ``labels`` of each."""
+    per_label = list(map(attrgetter("_masks"), labels))
+    masks = np.fromiter(chain.from_iterable(per_label), dtype=np.uint64)
+    owner = np.repeat(np.arange(len(labels)), np.fromiter(map(len, per_label), dtype=np.intp, count=len(labels)))
+    wide = (masks & (masks - np.uint64(1))) != 0
+    return owner[wide], masks[wide]
 
 
 def join_all(parts) -> Partition:

@@ -20,6 +20,7 @@ from itertools import product as _iterproduct
 import numpy as np
 
 from .errors import (
+    MAX_FACES,
     CycleDetected,
     NoLowerBound,
     NotComparable,
@@ -46,11 +47,11 @@ def _validate_partial_order(arr: np.ndarray) -> None:
 
 def _csr(rows, cols, n):
     """CSR arrays (int32 indptr, indices) of the pairs (rows[t], cols[t]),
-    each row's entries ascending."""
-    order = np.lexsort((cols, rows))
+    each row's entries ascending: the pairs sorted as the numbers
+    rows[t] * n + cols[t]."""
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    indices = np.asarray(cols, dtype=np.int32)[order]
+    indices = (np.sort(np.asarray(rows, dtype=np.int64) * n + cols, kind="stable") % n).astype(np.int32)
     for a in (indptr, indices):
         a.setflags(write=False)
     return indptr, indices
@@ -344,7 +345,7 @@ class Poset:
         idx = sorted({a, *self.up(a)} & {b, *self.down(b)})
         return self.subposet(idx, min_index=a, max_index=b)
 
-    def order_complex(self, max_faces=None):
+    def order_complex(self, max_faces=MAX_FACES):
         """Order complex of the proper part: vertices are the non-designated
         elements, faces are the nonempty chains.
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import exact
 from .complexes import _CHUNK, FaceRows, FacetReplay, SimplicialComplex, _search, _search_keys
 from .errors import MAX_FACES, MAX_POSET_ELEMENTS, NotLinearExtension, NotNested, ResourceLimit
-from .partitions import Partition, PartitionPoset, enumerate_partitions
+from .partitions import Partition, PartitionPoset, _cuts, _wide_masks, enumerate_partitions
 from .poset import Poset, product
 from .trees import enumerate_ktree_complex
 
@@ -475,21 +475,29 @@ def carrier_map_from_parts(pk: PartitionPoset, p: SimplicialComplex, q: Simplici
     The factors of a source vertex x in ``pk`` are the single-block
     partitions of its blocks of more than one element
     (:meth:`PartitionPoset.factors`), so its carrier face is read off those
-    blocks: the target vertices with them as their block, in the order of
-    their labels' sort key, with no partition hashed.  x sits at their
-    barycenter.  Only the carriers are stored, as tuples in that order:
-    φ of a chain is the union of its vertices' carriers and f0 of a vertex
-    the barycenter of its carrier, both computed when read
-    (:class:`CarrierPhi`, :class:`CarrierF0`)."""
-    by_key = sorted(range(len(q.vertices)), key=lambda j: q.vertices[j].sort_key())
-    place = dict(zip(by_key, range(len(by_key)))).__getitem__
-    of_block = {}
-    for j in by_key:
-        blocks = q.vertices[j].nonsingleton_blocks()
-        if len(blocks) == 1:
-            of_block[blocks[0]] = j
-    carriers = tuple(tuple(sorted(map(of_block.__getitem__, x.nonsingleton_blocks()), key=place))
-                     for x in p.vertices)
+    blocks: the target vertices with them as their one such block, in the
+    order of their labels' sort key, with no partition hashed.  x sits at
+    their barycenter.  The blocks are compared as bitmasks, all at once:
+    one binary search finds the target vertex of every block of every
+    source vertex, and one sort puts each carrier in order.  Only the
+    carriers are stored, as tuples in that order: φ of a chain is the union
+    of its vertices' carriers and f0 of a vertex the barycenter of its
+    carrier, both computed when read (:class:`CarrierPhi`,
+    :class:`CarrierF0`)."""
+    keys = list(map(Partition.sort_key, q.vertices))
+    place = np.empty(len(keys), dtype=np.intp)
+    place[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    q_owner, q_masks = _wide_masks(q.vertices)
+    single = np.bincount(q_owner, minlength=len(keys))[q_owner] == 1
+    by_mask = np.argsort(q_masks[single])
+    q_owner, q_masks = q_owner[single][by_mask], q_masks[single][by_mask]
+    owner, masks = _wide_masks(p.vertices)
+    at = _search(q_masks, masks)
+    if (at < 0).any():
+        raise KeyError(f"no target vertex has a block of {p.vertices[owner[at < 0][0]].text()}")
+    target = q_owner[at]
+    target = target[np.lexsort((place[target], owner))].tolist()
+    carriers = tuple(_cuts(target, np.bincount(owner, minlength=len(p.vertices)).tolist()))
     return CarrierMap(p_complex=p, q_complex=q, phi=CarrierPhi(p, carriers), f0=CarrierF0(p, carriers))
 
 

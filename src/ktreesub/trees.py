@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MAX_FACES, FaceNotPresent, NotNested, ResourceLimit
 from .complexes import _ROW, SimplicialComplex
-from .partitions import Partition, PartitionPoset, _mask, g_set, g_set_count
+from .partitions import Partition, PartitionPoset, _wide_masks, g_set, g_set_count
 
 
 def _leafset(node) -> frozenset:
@@ -219,8 +219,7 @@ def enumerate_ktree_complex(n: int, k: int, max_faces: int = MAX_FACES) -> Simpl
     m = (n - 1) * k + 1
     if g_set_count(m, k) - 1 > max_faces:
         raise ResourceLimit(f"k-tree complex exceeds {max_faces} faces")
-    one = Partition.one(m)
-    verts = [x for x in g_set(m, k) if x != one]
+    verts = g_set(m, k)[:-1]  # all but 1̂, the one of rank m - 1, which sorts last
     return SimplicialComplex.from_rows(verts, _cliques(_later_compatible(verts), max_faces))
 
 
@@ -230,7 +229,7 @@ def _later_compatible(verts):
     disjoint or nested.  Built in parts of about ``_PAIRS`` pairs of
     vertices, a block of rows against the later vertices at a time, never
     as an nv x nv matrix of bytes."""
-    masks = np.array([_mask(x.nonsingleton_blocks()[0]) for x in verts], dtype=np.uint64)
+    masks = _wide_masks(verts)[1]
     nv = len(masks)
     words = max(1, -(-nv // 64))
     later = np.zeros((nv, 8 * words), dtype=np.uint8)

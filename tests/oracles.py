@@ -700,6 +700,23 @@ def carrier_phi_oracle(pk, p, q):
     return phi, f0
 
 
+def carriers_per_vertex_oracle(p, q):
+    """The vertex carriers of the carrier map from ``p`` onto ``q``, vertex
+    by vertex: the target vertices whose one block of more than one element
+    is such a block of the source vertex, ordered by their labels' sort
+    key.  The library built them so before it searched the block masks in
+    bulk."""
+    by_key = sorted(range(len(q.vertices)), key=lambda j: q.vertices[j].sort_key())
+    place = dict(zip(by_key, range(len(by_key)))).__getitem__
+    of_block = {}
+    for j in by_key:
+        blocks = q.vertices[j].nonsingleton_blocks()
+        if len(blocks) == 1:
+            of_block[blocks[0]] = j
+    return tuple(tuple(sorted(map(of_block.__getitem__, x.nonsingleton_blocks()), key=place))
+                 for x in p.vertices)
+
+
 def by_size_order(faces):
     """Faces by size, then lexicographically by their sorted vertices: the
     order of a complex's faces of one dimension and of the carrier check."""

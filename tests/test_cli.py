@@ -350,6 +350,19 @@ def test_equivariance_file_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("verbosity", [[], ["-v", "0"]], ids=["default", "quiet"])
+def test_equivariance_file_writes_its_report(tmp_path, capsys, verbosity):
+    # --out and -v are read on a complex file as with --k/--n: the summary
+    # line's counts go to the file, and "wrote" is said unless -v 0
+    _, complex_file = run(["enumerate", "--object", "ktree-complex", "--n", "3", "--k", "2"], tmp_path)
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert main(["equivariance", "--in", str(complex_file), "--out", str(report)] + verbosity) == 0
+    wrote = "" if verbosity else f"wrote {report}\n"
+    assert capsys.readouterr().out == "checked 120 permutations, 0 break invariance\n" + wrote
+    assert json.loads(report.read_text()) == {"permutations_checked": 120, "breaking_invariance": 0}
+
+
 def test_byte_identical_artifacts(tmp_path):
     _, a = run(["verify", "--k", "1", "--n", "4", "--extensions", "2"], tmp_path, "a.json")
     _, b = run(["verify", "--k", "1", "--n", "4", "--extensions", "2"], tmp_path, "b.json")

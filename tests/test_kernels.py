@@ -22,7 +22,7 @@ def test_count_matches_bruteforce():
 
 def test_rgs_enumeration_matches_bruteforce():
     for m, k in [(5, 2), (6, 1), (7, 3)]:
-        rows = K.rgs_filtered(m, k)
+        rows = K.rgs_filtered(m, k)[m]
         blocks = set()
         for row in rows:
             groups = {}
@@ -33,17 +33,29 @@ def test_rgs_enumeration_matches_bruteforce():
 
 
 def test_rgs_filtered_matches_walk_and_filter_oracle():
-    # same dtype, shape and row order as walking every growth string
+    # every level of the growth on m symbols: same dtype, shape and row
+    # order as walking every growth string on b <= m symbols
     for m in range(11):
         for k in (1, 2, 3, 4):
-            ours, walked = K.rgs_filtered(m, k), rgs_filter_oracle(m, k)
-            assert ours.dtype == walked.dtype == np.int8
-            assert ours.shape == walked.shape
-            assert (ours == walked).all()
+            tables = K.rgs_filtered(m, k)
+            assert len(tables) == m + 1
+            for b, ours in enumerate(tables):
+                walked = rgs_filter_oracle(b, k)
+                assert ours.dtype == walked.dtype == np.int8
+                assert ours.shape == walked.shape
+                assert (ours == walked).all(), (m, k, b)
+
+
+def test_rgs_filtered_with_k_past_m_keeps_singletons():
+    # k past m leaves only the all-singletons string on each number of
+    # symbols, however large k is
+    for m, k in [(5, 6), (5, 200), (3, 10**9)]:
+        tables = K.rgs_filtered(m, k)
+        assert [t.tolist() for t in tables] == [[list(range(b))] for b in range(m + 1)]
 
 
 def test_rgs_rows_are_valid_growth_strings():
-    rows = K.rgs_filtered(6, 2)
+    rows = K.rgs_filtered(6, 2)[6]
     for row in rows:
         assert row[0] == 0
         for j in range(1, len(row)):
@@ -51,7 +63,7 @@ def test_rgs_rows_are_valid_growth_strings():
 
 
 def test_refinement_paths_agree():
-    rgs = K.rgs_filtered(6, 1)
+    rgs = K.rgs_filtered(6, 1)[6]
     leq = refinement_leq(rgs)
     parts = [Partition.from_rgs(row) for row in rgs]
     for p, a in enumerate(parts):
@@ -64,7 +76,7 @@ def test_refinement_matches_loop_oracle():
     # two words and (17, 16) three
     cases = [(m, k) for m in range(11) for k in (1, 2, 3, 4) if K.count_partitions_modk(m, k) <= 5000]
     for m, k in cases + [(12, 5), (13, 6), (17, 16)]:
-        rgs = K.rgs_filtered(m, k)
+        rgs = K.rgs_filtered(m, k)[m]
         leq = refinement_leq(rgs)
         assert leq.dtype == bool
         assert (leq == refinement_loop_oracle(rgs)).all(), (m, k)

@@ -115,24 +115,24 @@ def test_enumerate_default_cap_is_the_package_cap():
         enumerate_partitions(14, 5)
 
 
-# a caller-given face family closed on request: no cap unless one is passed
-UNCAPPED = {("SimplicialComplex", "max_faces")}
 CAPS = {"max_poset_elements": "MAX_POSET_ELEMENTS", "max_elements": "MAX_POSET_ELEMENTS", "max_faces": "MAX_FACES"}
 
 
 def test_public_cap_defaults_are_the_errors_constants():
-    # every public callable with a cap parameter defaults to the constant in
-    # errors itself, not to a copy of its value or another number
+    # every public callable with a cap parameter, and the order complex of a
+    # poset, defaults to the constant in errors itself, not to a copy of its
+    # value, another number or no cap
     seen = set()
-    for name in ktreesub.__all__:
-        obj = getattr(ktreesub, name)
+    public = [(name, getattr(ktreesub, name)) for name in ktreesub.__all__]
+    for name, obj in public + [("Poset.order_complex", ktreesub.Poset.order_complex)]:
         if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
             continue
         for param in inspect.signature(obj).parameters.values():
-            if param.name in CAPS and (name, param.name) not in UNCAPPED:
+            if param.name in CAPS:
                 assert param.default is getattr(errors, CAPS[param.name]), (name, param.name)
                 seen.add(name)
-    assert {"enumerate_partitions", "global_carrier_map", "verify_theorem", "check_equivariance"} <= seen
+    assert {"enumerate_partitions", "global_carrier_map", "verify_theorem", "check_equivariance",
+            "SimplicialComplex", "Poset.order_complex"} <= seen
 
 
 def test_enumerate_desk_scale_instance():
@@ -230,7 +230,7 @@ def test_corrupted_rgs_row_is_refused(monkeypatch, row, k, message):
     rgs = np.concatenate([good, np.array([row], dtype=good.dtype), good[:1]])
     with pytest.raises(ValueError, match=message):
         _labels_of_rgs(rgs, k)
-    monkeypatch.setattr(_kernels, "rgs_filtered", lambda m, k: rgs)
+    monkeypatch.setattr(_kernels, "rgs_filtered", lambda m, k: [*map(rgs_filter_oracle, range(m), [k] * m), rgs])
     monkeypatch.setattr(partitions, "Partition", None)  # no label is built
     with pytest.raises(ValueError, match=message):
         enumerate_partitions(3, k)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -41,6 +42,7 @@ from oracles import (
     _relabelling_maps,
     by_size_order,
     carrier_phi_oracle,
+    carriers_per_vertex_oracle,
     check_vertices_oracle,
     eager_labels_oracle,
     equivariance_oracle,
@@ -1523,6 +1525,46 @@ def test_carrier_map_orders_carriers_by_label_over_any_vertex_order():
 
     assert listed(got.f0) == listed(f0) != [(v, sorted(c.items())) for v, c in got.f0.items()]
     assert list(got.phi.items()) == list(phi.items())
+
+
+@pytest.mark.parametrize(
+    "kn", [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (1, 5), (3, 4), (4, 4)]
+)
+def test_bulk_carriers_match_per_vertex_oracle(kn):
+    # the carriers found by one search over the block masks are the ones
+    # built vertex by vertex, tuple for tuple
+    k, n = kn
+    cm, _ = global_carrier_map(k, n)
+    assert cm.phi.carriers == carriers_per_vertex_oracle(cm.p_complex, cm.q_complex)
+    assert all(type(v) is int for carrier in cm.phi.carriers[:50] for v in carrier)
+
+
+def test_bulk_carriers_refuse_a_block_no_target_vertex_has():
+    # the target without one vertex: a source vertex with that block has no
+    # carrier, and both constructions say so
+    cm, pk = global_carrier_map(1, 4)
+    q = cm.q_complex
+    kept = [v for v in range(len(q.vertices)) if v != 3]
+    fewer = SimplicialComplex([q.vertices[v] for v in kept],
+                              [frozenset(map(kept.index, f)) for f in q.faces if 3 not in f])
+    with pytest.raises(KeyError):
+        carriers_per_vertex_oracle(cm.p_complex, fewer)
+    with pytest.raises(KeyError, match="no target vertex"):
+        carrier_map_from_parts(pk, cm.p_complex, fewer)
+
+
+def test_global_carrier_map_leaves_no_garbage_cycles():
+    # with the collector off, building the (3,4) instance and its carrier
+    # map leaves no reference cycle for a later collection to find
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        global_carrier_map(3, 4)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_verify_reads_no_image_per_chain(monkeypatch):
