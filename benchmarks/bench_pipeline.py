@@ -111,11 +111,16 @@ def run_child(k: int, n: int, max_poset_elements: int, max_faces: int):
     g = set(pk.g_indices())
     pool = [i for i in pk.poset.proper_indices() if i not in g]
     ext = stage("linear_extension", lambda: list(pk.poset.linear_extension(pool)))
-    stellar = stage(
-        "stellar_sequence",
-        lambda: K.run_blowup(pk.poset, q, ext, record_intermediate=False).replay.equals(delta),
-    )
-    cm = stage("carrier_map", lambda: K.carrier_map_from_parts(pk, delta, q))
+
+    def stellar_sequence():
+        # the replay's passes and the maximal faces they made, null in a tree
+        # whose replay counts neither; the replay itself is not kept
+        replay = K.run_blowup(pk.poset, q, ext, record_intermediate=False).replay
+        counts = {"passes": getattr(replay, "passes", None), "facets_made": getattr(replay, "facets_made", None)}
+        return counts, replay.equals(delta)
+
+    replay_counts, stellar = stage("stellar_sequence", stellar_sequence)
+    cm = stage("carrier_map", lambda: K.carrier_map_from_parts(delta, q))
     carrier = stage("verify_carrier_map", lambda: K.verify_carrier_map(cm).passed)
     h_delta = stage("homology_delta", delta.reduced_homology)
     h_target = stage("homology_target", q.reduced_homology)
@@ -124,6 +129,7 @@ def run_child(k: int, n: int, max_poset_elements: int, max_faces: int):
         "poset_elements": pk.poset.n,
         "order": order_size(pk.poset),
         "faces": {"delta": sum(delta.f_vector()), "target": sum(q.f_vector())},
+        "stellar": replay_counts,
         "checks": {
             "stellar_sequence": bool(stellar),
             "carrier_map": bool(carrier),

@@ -11,8 +11,10 @@ The closure check, facets, equality and the coboundary columns are such
 searches.  A complex built from rows (:meth:`SimplicialComplex.from_rows`,
 as every complex is) has no frozenset per face until its ``faces`` view is
 read.  One kernel, :func:`closure_rows`, closes rows of facets downward,
-for ``close_downward``, ``from_json`` and the stellar replay
-(:class:`FacetReplay`), which holds maximal faces only."""
+for ``close_downward``, ``from_json`` and the stellar replay.  The replay
+(:class:`FacetReplay`) holds maximal faces only, as one int32 row array
+per width with a mask of the rows alive, and applies a run of steps with
+disjoint stars in one pass over the rows."""
 
 from __future__ import annotations
 
@@ -24,9 +26,10 @@ import numpy as np
 
 from . import _kernels as kernels
 from .errors import MAX_FACES, FaceNotPresent, ResourceLimit
+from .poset import _gather
 
 _ROW = np.dtype(">i4")
-_CHUNK = 1 << 20  # rows read at a time by the closure check, made at a time by closure_rows
+_CHUNK = 1 << 20  # rows read at a time by the closure check, made at a time by closure_rows; entries per replay scan
 
 
 class FaceRows:
@@ -322,7 +325,8 @@ class SimplicialComplex:
     list is refused with ``ValueError``.  With ``close_downward`` they are
     closed downward by :func:`closure_rows`, which raises
     :class:`ResourceLimit` past ``max_faces``.  The rows then go through
-    the checks of :meth:`from_rows`, which takes the rows themselves.
+    the checks of :meth:`from_rows`, which takes the rows themselves, but
+    the closure check when :func:`closure_rows` made them.
     :attr:`faces`, the faces as frozensets, is a view built on first read;
     the invariants, the homology, equality, the hash and :meth:`to_json`
     read the rows alone.
@@ -342,7 +346,10 @@ class SimplicialComplex:
                 raise ValueError("face family is not downward closed")
             raise ValueError(f"vertex indices {sorted(outside, key=repr)} are out of range")
         rows = FaceRows(fs).rows
-        self._set_rows(closure_rows(rows, max_faces) if close_downward else rows)
+        if close_downward:
+            self._set_rows(closure_rows(rows, max_faces), closed=True)
+        else:
+            self._set_rows(rows)
 
     @classmethod
     def from_rows(cls, vertex_labels, rows):
@@ -356,11 +363,23 @@ class SimplicialComplex:
         self._set_rows(rows)
         return self
 
-    def _set_rows(self, rows):
-        """Take ``rows`` as the faces, with the checks of :meth:`from_rows`."""
+    @classmethod
+    def _from_closure(cls, vertex_labels, facets):
+        """The complex on ``vertex_labels`` closed down from ``facets`` (per
+        width, increasing rows) by :func:`closure_rows`, with the checks of
+        :meth:`from_rows` but the closure check."""
+        self = cls.__new__(cls)
+        self._set_vertices(vertex_labels)
+        self._set_rows(closure_rows(facets), closed=True)
+        return self
+
+    def _set_rows(self, rows, closed=False):
+        """Take ``rows`` as the faces, with the checks of :meth:`from_rows`;
+        the closure check only unless ``closed``: rows that
+        :func:`closure_rows` made are closed by construction."""
         self.face_rows = FaceRows.from_rows(rows)
         self._faces = None
-        if not self.face_rows.is_closed():
+        if not (closed or self.face_rows.is_closed()):
             raise ValueError("face family is not downward closed")
         # closed, so every vertex of a face is a one-vertex row
         vertices = self.face_rows.rows[0][:, 0] if self.face_rows.rows else np.zeros(0, dtype=_ROW)
@@ -428,7 +447,8 @@ class SimplicialComplex:
         rows = self.face_rows.rows
         covered = [np.zeros(len(level), dtype=bool) for level in rows]
         for d in range(1, len(rows)):
-            covered[d - 1][rows[1].ravel() if d == 1 else self.face_rows.facet_positions(d).ravel()] = True
+            for column in [rows[1].ravel()] if d == 1 else self.face_rows._facet_columns(d, slice(None)):
+                covered[d - 1][column] = True
         return [np.flatnonzero(~mask) for mask in covered]
 
     def is_pure(self) -> bool:
@@ -652,82 +672,166 @@ class SimplicialComplex:
 
 class FacetReplay:
     """A complex under a sequence of stellar subdivisions, held by its
-    maximal faces (the lemma in :func:`~ktreesub.subdivision.run_blowup`):
-    tuples of increasing vertex indices, in one set per vertex.  A vertex of
-    the initial complex K reads its set from a CSR index over K's maximal
-    rows when a step first touches it; a step touches every vertex of the
-    faces it removes or makes, so an unread vertex keeps its faces of K.
-    The star of σ is the intersection of its vertices' sets, smallest
-    first; each F in it gives way to (F ∖ {s}) ∪ {v} for every s in σ, the
-    new vertex v last, as it has the largest index yet."""
+    maximal faces (the facet lemma in :func:`~ktreesub.subdivision.run_blowup`):
+    per width w, an int32 array of increasing rows of w vertex indices and
+    a mask of the rows alive.  Steps run in passes, each a run of steps
+    with pairwise disjoint stars (the disjoint-stars lemma there), read in
+    the complex at its start: the stars are marked dead, and each F in
+    σ_j's star gives way to (F ∖ {s}) ∪ {v_j} for every s in σ_j, the new
+    vertex v_j last, as it has the largest index yet.  ``passes`` and
+    ``facets_made`` count the passes and the rows appended."""
 
     def __init__(self, K: SimplicialComplex):
         self.vertices = list(K.vertices)
         self._index = dict(K._index)
-        self._through = [None] * len(self.vertices)  # vertex -> the maximal faces through it, once read
-        # per dimension, K's maximal rows, and through each vertex v the rows at[start[v]:start[v + 1]]
-        self._csr = []
-        for d, at in filter(lambda pair: len(pair[1]), enumerate(K._maximal)):
-            rows = K.face_rows.rows[d][at]
-            start = np.concatenate(([0], np.bincount(rows.ravel(), minlength=len(self.vertices)).cumsum()))
-            self._csr.append((rows, np.arange(len(at)).repeat(d + 1)[rows.ravel().argsort(kind="stable")], start))
-
-    def _facets_through(self, u):
-        """The maximal faces through vertex ``u``, as one set."""
-        faces = self._through[u]
-        if faces is None:
-            faces = self._through[u] = {
-                f for rows, at, start in self._csr for f in zip(*rows[at[start[u]:start[u + 1]]].T.tolist())}
-        return faces
+        self._rows = [K.face_rows.rows[d][at].astype(np.int32) for d, at in enumerate(K._maximal)]
+        self._alive = [np.ones(len(at), dtype=bool) for at in K._maximal]
+        self.passes = self.facets_made = 0
 
     def stellar_subdivide(self, face_labels, new_label=None) -> bool:
         """Subdivide at the face with the given vertex labels, as
-        :meth:`SimplicialComplex.stellar_subdivide` does; False (and no
-        change) when the face is a vertex."""
-        sigma = frozenset(self._index[l] for l in face_labels)
-        if len(sigma) == 1:  # every vertex is a face
-            return False
-        through = sorted(map(self._facets_through, sigma), key=len)
-        star = through[0].intersection(*through[1:]) if through else ()
-        if not star:
-            raise FaceNotPresent(f"face {sorted(face_labels, key=_label_key)} not in complex")
-        if new_label is None:
-            new_label = tuple(sorted((self.vertices[i] for i in sigma), key=_label_key))
-        if new_label in self._index:
-            raise ValueError(f"label {new_label!r} already names a vertex")
-        v = len(self.vertices)
-        self.vertices.append(new_label)
-        self._index[new_label] = v
-        self._through.append(set())
-        for facet in star:
-            for u in facet:
-                self._facets_through(u).remove(facet)
-            for f in (facet[:i] + facet[i + 1:] + (v,) for i, s in enumerate(facet) if s in sigma):
-                for u in f:
-                    self._facets_through(u).add(f)
-        return True
+        :meth:`SimplicialComplex.stellar_subdivide` does, in a pass of one
+        step; False (and no change) when the face is a vertex."""
+        n = len(self.vertices)
+        self.subdivide_all([(face_labels, new_label)])
+        return len(self.vertices) > n
+
+    def subdivide_all(self, steps):
+        """Subdivide at each (face labels, new label) of ``steps`` in turn,
+        as that many :meth:`stellar_subdivide` calls do, raising where one
+        would, after the steps before; in as few passes as the runs allow.
+        The faces are read first, a new label standing for its vertex."""
+        n0 = len(self.vertices)
+        made = {}  # new label -> the index its vertex gets
+        run, error = [], None  # run: (face labels, σ in increasing order, new label or None if taken)
+        for face_labels, new_label in steps:
+            sigma = {self._index.get(lab, made.get(lab)) for lab in face_labels}
+            if None in sigma:
+                error = KeyError(next(lab for lab in face_labels if lab not in self._index and lab not in made))
+                break
+            if len(sigma) == 1:  # every vertex is a face
+                continue
+            if not sigma:
+                error = FaceNotPresent(f"face {sorted(face_labels, key=_label_key)} not in complex")
+                break
+            if new_label is None:
+                new_label = tuple(sorted((self.vertices[v] if v < n0 else run[v - n0][2] for v in sigma),
+                                         key=_label_key))
+            taken = new_label in self._index or new_label in made
+            run.append((face_labels, sorted(sigma), None if taken else new_label))
+            if taken:  # refused once its star is found nonempty
+                error = ValueError(f"label {new_label!r} already names a vertex")
+                break
+            made[new_label] = n0 + len(run) - 1
+        done = 0
+        while done < len(run):
+            done += self._pass(run[done:])
+        if error is not None:
+            raise error
+
+    def _pass(self, run) -> int:
+        """Apply at once the steps of ``run`` up to the first that holds a
+        vertex the pass makes, or whose star is empty or meets an earlier
+        one's, and return how many; a first step with an empty star raises,
+        and one whose label is taken is not applied."""
+        self.passes += 1
+        for w, alive in enumerate(self._alive):  # the dead rows dropped
+            if not alive.all():
+                self._rows[w], self._alive[w] = self._rows[w][alive], np.ones(np.count_nonzero(alive), dtype=bool)
+        n = len(self.vertices)
+        end = next((j for j, (_, sigma, label) in enumerate(run) if sigma[-1] >= n or label is None and j), len(run))
+        cut, stars = self._stars(run[:end])
+        if cut == 0:
+            raise FaceNotPresent(f"face {sorted(run[0][0], key=_label_key)} not in complex")
+        if run[0][2] is None:
+            return 1
+        self._claim(run[:cut], stars)
+        return cut
+
+    def _stars(self, run):
+        """The number of steps of ``run`` before the first whose star is
+        empty or meets an earlier one's, and the stars: per width, (w, step,
+        row) arrays, with the σ (vertices by their number of rows, fewest
+        first, padded with the vertex count) and their sizes.  The rows are
+        scanned in parts of about ``_CHUNK`` entries: each entry a that is
+        some σ's vertex of fewest rows is paired with every entry of its
+        row, and the pair looked up among the steps' (a, b), b of second
+        fewest rows; a step found is checked for its other vertices."""
+        n = len(self.vertices)
+        size = np.array([len(sigma) for _, sigma, _ in run])
+        pad = [n] * int(size.max())
+        sigmas = np.array([sigma + pad[len(sigma):] for _, sigma, _ in run], dtype=np.int32)
+        degree = np.bincount(np.concatenate([rows.ravel() for rows in self._rows]), minlength=n + 1)
+        degree[n] = np.iinfo(degree.dtype).max  # the pads sort last
+        sigmas = np.take_along_axis(sigmas, degree[sigmas].argsort(axis=1, kind="stable"), axis=1)
+        keys = sigmas[:, 0].astype(np.int64) * n + sigmas[:, 1]
+        by_key = keys.argsort(kind="stable")
+        keys = keys[by_key]
+        rarest, second = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        rarest[sigmas[:, 0]] = second[sigmas[:, 1]] = True
+        found = np.zeros(len(run), dtype=np.intp)
+        cut, stars = len(run), []
+        for w, rows in enumerate(self._rows, 1):
+            steps, at = [], []
+            step_rows = max(_CHUNK // w, 1)
+            for lo in range(0, len(rows), step_rows):
+                part = rows[lo:lo + step_rows]
+                i, c = np.nonzero(rarest[part])
+                b = part[i].ravel()  # the entries of each row through an a, by that a
+                maybe = np.flatnonzero(second[b])
+                query = part[i, c][maybe // w].astype(np.int64) * n + b[maybe]
+                first = keys.searchsorted(query)
+                count = keys.searchsorted(query, side="right") - first
+                step = by_key[np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())]
+                row = i[np.repeat(maybe // w, count)]
+                inside = np.ones(len(row), dtype=bool)
+                for other in sigmas[step, 2:].T:
+                    inside &= (other == n) | (part[row] == other[:, None]).any(axis=1)
+                steps.append(step[inside])
+                at.append(lo + row[inside])
+            if not steps:
+                continue
+            step, at = np.concatenate(steps), np.concatenate(at)
+            found += np.bincount(step, minlength=len(run))
+            by_row = np.lexsort((step, at))
+            again = at[by_row[1:]] == at[by_row[:-1]]
+            if again.any():
+                cut = min(cut, int(step[by_row[1:][again]].min()))
+            stars.append((w, step, at))
+        empty = np.flatnonzero(found == 0)
+        return min(cut, int(empty[0])) if len(empty) else cut, (stars, sigmas, size)
+
+    def _claim(self, run, stars):
+        """Apply the steps of ``run`` at once: name their new vertices, mark
+        their stars dead and append the rows (F ∖ {s}) ∪ {v_j}."""
+        stars, sigmas, size = stars
+        v0 = len(self.vertices)
+        for _, _, label in run:
+            self._index[label] = len(self.vertices)
+            self.vertices.append(label)
+        for w, step, at in stars:
+            keep = step < len(run)
+            self._alive[w - 1][at[keep]] = False
+            many = size[step[keep]]
+            step, at = np.repeat(step[keep], many), np.repeat(at[keep], many)
+            s = sigmas[step, np.arange(len(step)) - np.repeat(np.cumsum(many) - many, many)]
+            rows = self._rows[w - 1][at]
+            drop = np.count_nonzero(rows < s[:, None], axis=1)  # the place of s in F
+            new = np.empty((len(rows), w), dtype=np.int32)
+            new[:, :-1] = np.where(np.arange(w - 1) < drop[:, None], rows[:, :-1], rows[:, 1:])
+            new[:, -1] = v0 + step
+            self._rows[w - 1] = np.concatenate([self._rows[w - 1], new])
+            self._alive[w - 1] = np.concatenate([self._alive[w - 1], np.ones(len(new), dtype=bool)])
+            self.facets_made += len(new)
 
     def facet_rows(self):
         """The maximal faces now, as one array of increasing rows per width
-        1 to K's widest: each face once, at its first vertex, from its set,
-        or from K's rows where that vertex is unread."""
-        unread = np.array([faces is None for faces in self._through], dtype=bool)
-        listed = {}
-        for u, faces in enumerate(self._through):
-            for f in faces or ():
-                if f[0] == u:
-                    listed.setdefault(len(f), []).append(f)
-        kept = {rows.shape[1]: rows[unread[rows[:, 0]]] for rows, _, _ in self._csr}
-        out = []
-        for w in range(1, max(kept, default=0) + 1):  # K's widest faces are maximal
-            new = listed.get(w, [])
-            made = np.fromiter(chain.from_iterable(new), dtype=_ROW, count=w * len(new)).reshape(-1, w)
-            out.append(np.concatenate([kept[w], made]) if w in kept else made)
-        return out
+        1 to K's widest: the alive rows."""
+        return [rows[alive] for rows, alive in zip(self._rows, self._alive)]
 
     def freeze(self) -> SimplicialComplex:
-        """The complex now, closed down from the maximal faces and checked."""
-        return SimplicialComplex.from_rows(self.vertices, closure_rows(self.facet_rows()))
+        """The complex now, closed down from the maximal faces."""
+        return SimplicialComplex._from_closure(self.vertices, self.facet_rows())
 
     def equals(self, K: SimplicialComplex) -> bool:
         """Whether the complex now is K, label by label, from the maximal
@@ -744,9 +848,14 @@ def _same_maximal(vertices, rows, K: SimplicialComplex) -> bool:
     same labels are equal iff their maximal faces are."""
     if len(rows) != len(K._maximal):
         return False
-    idx = np.array([K._index[lab] for lab in vertices], dtype=np.intp)
-    return all(np.array_equal(np.sort(K.face_rows.find(d, np.sort(idx[level], axis=1))), at)
-               for d, (level, at) in enumerate(zip(rows, K._maximal)))
+    idx = np.array([K._index[lab] for lab in vertices], dtype=np.int32)
+
+    def found(d, level):
+        level = idx[level]
+        level.sort(axis=1)
+        return np.sort(K.face_rows.find(d, level))
+
+    return all(np.array_equal(found(d, level), at) for d, (level, at) in enumerate(zip(rows, K._maximal)))
 
 
 def _coreduce(lower, upper, facets, cells):

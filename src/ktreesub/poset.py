@@ -46,12 +46,13 @@ def _validate_partial_order(arr: np.ndarray) -> None:
 
 
 def _csr(rows, cols, n):
-    """CSR arrays (int32 indptr, indices) of the pairs (rows[t], cols[t]),
-    each row's entries ascending: the pairs sorted as the numbers
-    rows[t] * n + cols[t]."""
+    """CSR arrays (int32 indptr, indices) of the distinct pairs (rows[t],
+    cols[t]), each row's entries ascending: the pairs sorted as the numbers
+    rows[t] * n + cols[t], which are distinct, so any sort gives them in
+    the same order."""
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    indices = (np.sort(np.asarray(rows, dtype=np.int64) * n + cols, kind="stable") % n).astype(np.int32)
+    indices = (np.sort(np.asarray(rows, dtype=np.int64) * n + cols) % n).astype(np.int32)
     for a in (indptr, indices):
         a.setflags(write=False)
     return indptr, indices

@@ -24,7 +24,7 @@ from . import exact
 from .complexes import _CHUNK, FaceRows, FacetReplay, SimplicialComplex, _search, _search_keys
 from .errors import MAX_FACES, MAX_POSET_ELEMENTS, NotLinearExtension, NotNested, ResourceLimit
 from .partitions import Partition, PartitionPoset, _cuts, _wide_masks, enumerate_partitions
-from .poset import Poset, product
+from .poset import Poset, _gather, product
 from .trees import enumerate_ktree_complex
 
 
@@ -215,9 +215,16 @@ class BlowupStep:
 class BlowupResult:
     initial: SimplicialComplex
     steps: list
-    factor_map: dict  # label -> frozenset of initial vertex labels
     replay: FacetReplay  # the maximal faces after the last step
     recorded: list | None = None  # the initial complex and one after every step, when recorded
+
+    @cached_property
+    def factor_map(self) -> dict:
+        """Label -> frozenset of initial vertex labels: each initial vertex's
+        own label, and each new vertex's factor face."""
+        out = {lab: frozenset([lab]) for lab in self.initial.vertices}
+        out.update((step.new_label, step.subdivided_face) for step in reversed(self.steps))
+        return out
 
     @cached_property
     def complexes(self) -> list:
@@ -249,8 +256,8 @@ def run_blowup(order: Poset, initial: SimplicialComplex, ext_indices, record_int
     face is h's factor face: the maximal initial vertices below h.
 
     The steps edit a :class:`FacetReplay`, which holds maximal faces only,
-    by this lemma.  Let K be a simplicial complex and σ a face with
-    |σ| ≥ 2, subdivided by a new vertex v.  The maximal faces of sd_σ K
+    by this lemma (the facet lemma).  Let K be a simplicial complex and σ a
+    face with |σ| ≥ 2, subdivided by a new vertex v.  The maximal faces of sd_σ K
     are the maximal faces of K that do not contain σ, and (F ∖ {s}) ∪ {v}
     for each maximal F ⊇ σ and each s ∈ σ; distinct pairs (F, s) give
     distinct faces.  K need not be pure.  Proof sketch:
@@ -262,26 +269,55 @@ def run_blowup(order: Poset, initial: SimplicialComplex, ext_indices, record_int
     * no new face lies in another one, and no old maximal face lies in a
       new one, because it would lie in F ∖ {s} ⊊ F.
 
+    Without ``record_intermediate`` the steps run in passes
+    (:meth:`FacetReplay.subdivide_all`), by the disjoint-stars lemma.  Let
+    the stars (maximal faces F ⊇ σ_j) of σ_1 .. σ_r in K be pairwise
+    disjoint, and let no σ_j hold a vertex v_i that a step makes.  Then the
+    r steps in turn give the complex got at once: every star removed, and
+    (F ∖ {s}) ∪ {v_j} added for each F in σ_j's star and s ∈ σ_j.  Proof
+    sketch: a face (F ∖ {s}) ∪ {v_i} that step i makes holds σ_j only if
+    F ⊇ σ_j, as v_i ∉ σ_j, and F is then in both stars; so no step before
+    j adds a maximal face to σ_j's star or removes one.  σ_i ⊊ σ_j is
+    covered, as the stars then meet.  A run ends before the first step
+    whose star is empty or meets an earlier one's, or whose σ holds a
+    vertex the run makes; that step is read again after the run.  Along
+    the canonical extension the runs are the block counts.
+
     ``final`` is built (and validated) on first read, and with
-    ``record_intermediate`` a complex after every step.
+    ``record_intermediate`` a complex after every step, one pass per step.
     """
     ext = list(ext_indices)
     if not order.is_linear_extension(ext):
         raise NotLinearExtension("supplied sequence is not a linear extension")
-    in_initial = {order.index(lab) for lab in initial.vertices}
-    factor_map = {lab: frozenset([lab]) for lab in initial.vertices}
-    for h in ext:
-        below = in_initial.intersection(order.down(h))
-        factor_map[order.labels[h]] = frozenset(
-            order.labels[v] for v in order.maximal_in(below)
-        )
+    labels = order.labels
+    in_initial = np.zeros(order.n, dtype=bool)
+    in_initial[np.fromiter(map(order._index.__getitem__, initial.vertices), dtype=np.intp,
+                           count=len(initial.vertices))] = True
+    # the initial elements below each h, and below each of those
+    owner, below = _gather(order.down_indptr, order.down_indices, np.asarray(ext, dtype=np.intp))
+    owner, below = owner[in_initial[below]], below[in_initial[below]]
+    tops, top_of = np.unique(below, return_inverse=True)
+    under_of, under = _gather(order.down_indptr, order.down_indices, tops)
+    keep = in_initial[under]
+    start = np.zeros(len(tops) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(under_of[keep], minlength=len(tops)), out=start[1:])
+    # one below h is maximal there unless it is below another one below h
+    inner, lower = _gather(start, under[keep], top_of)
+    maximal = np.ones(len(below), dtype=bool)  # the numbers owner * n + below increase
+    maximal[(owner * order.n + below).searchsorted(owner[inner] * order.n + lower)] = False
+    owner, below = owner[maximal], below[maximal]
+    faces = _cuts(list(map(labels.__getitem__, below.tolist())), np.bincount(owner, minlength=len(ext)).tolist())
+    steps = [BlowupStep(labels[h], frozenset(face)) for h, face in zip(reversed(ext), reversed(faces))]
     replay = FacetReplay(initial)
-    recorded = [initial] if record_intermediate else None
-    steps = [BlowupStep(order.labels[h], factor_map[order.labels[h]]) for h in reversed(ext)]
-    for step in steps:
-        if replay.stellar_subdivide(step.subdivided_face, new_label=step.new_label) and record_intermediate:
-            recorded.append(replay.freeze())
-    return BlowupResult(initial=initial, steps=steps, factor_map=factor_map, replay=replay, recorded=recorded)
+    recorded = None
+    if record_intermediate:
+        recorded = [initial]
+        for step in steps:
+            if replay.stellar_subdivide(step.subdivided_face, new_label=step.new_label):
+                recorded.append(replay.freeze())
+    else:
+        replay.subdivide_all((step.subdivided_face, step.new_label) for step in steps)
+    return BlowupResult(initial=initial, steps=steps, replay=replay, recorded=recorded)
 
 
 def blowup_sequence(
@@ -466,13 +502,14 @@ def global_carrier_map(k: int, n: int, max_poset_elements=MAX_POSET_ELEMENTS, ma
 
     Returns (carrier_map, partition_poset)."""
     _, pk, q, p = _instance(k, n, max_poset_elements, max_faces)
-    return carrier_map_from_parts(pk, p, q), pk
+    return carrier_map_from_parts(p, q), pk
 
 
-def carrier_map_from_parts(pk: PartitionPoset, p: SimplicialComplex, q: SimplicialComplex) -> CarrierMap:
-    """The carrier map from the order complex ``p`` of ``pk`` onto ``q``.
+def carrier_map_from_parts(p: SimplicialComplex, q: SimplicialComplex) -> CarrierMap:
+    """The carrier map from the order complex ``p`` of Π^(k)_m onto the
+    k-tree complex ``q``.
 
-    The factors of a source vertex x in ``pk`` are the single-block
+    The factors of a source vertex x of ``p`` are the single-block
     partitions of its blocks of more than one element
     (:meth:`PartitionPoset.factors`), so its carrier face is read off those
     blocks: the target vertices with them as their one such block, in the
@@ -1445,7 +1482,7 @@ def verify_theorem(
             same,
             None if same else "final complex differs from the order complex",
         )
-    cm = carrier_map_from_parts(pk, delta, q)
+    cm = carrier_map_from_parts(delta, q)
     carrier_res = verify_carrier_map(cm)
     record(
         "carrier_map_partition",
@@ -1557,7 +1594,7 @@ def check_equivariance(k: int, n: int, perms="all", seed: int = 0,
     if wanted is not None and wanted < 0:
         raise ValueError("perms must be 'all' or a nonnegative count")
     m, pk, q, delta = _instance(k, n, max_poset_elements, max_faces)
-    phi = _PhiTable(carrier_map_from_parts(pk, delta, q))
+    phi = _PhiTable(carrier_map_from_parts(delta, q))
     source, target = PermutationAction(delta, phi.source), PermutationAction(q, phi.target)
     certified = generator_certificate(source, target, phi.pos) is not None
     chosen, count = tested_permutations(m, wanted, seed, certified)

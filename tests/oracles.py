@@ -1028,7 +1028,7 @@ def equivariance_oracle(k, n, perms="all", seed=0):
     pk = subdivision.enumerate_partitions(m, k)
     q = subdivision.enumerate_ktree_complex(n, k)
     delta = pk.poset.order_complex()
-    phi = subdivision.carrier_map_from_parts(pk, delta, q).phi
+    phi = subdivision.carrier_map_from_parts(delta, q).phi
     sides = [("order complex", delta.label_faces()), ("k-tree complex", q.label_faces())]
     phi_labels = {
         frozenset(delta.vertices[v] for v in c): frozenset(q.vertices[w] for w in img)

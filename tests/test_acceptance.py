@@ -207,7 +207,7 @@ def test_criterion_6_equivariance(case):
 
 
 def test_criterion_7_negative_controls(pk41, pk72, t14, delta41):
-    cm = carrier_map_from_parts(pk41, delta41, t14)
+    cm = carrier_map_from_parts(delta41, t14)
     a = parse_partition("(12)34", 4)
     h = parse_partition("(12)(34)", 4)
     va, vh = delta41.vertex_index(a), delta41.vertex_index(h)

@@ -19,6 +19,7 @@ from ktreesub import (
     poset_to_json,
     product,
 )
+from ktreesub import poset as poset_module
 from ktreesub import subdivision
 from ktreesub._kernels import count_partitions_modk
 from oracles import (
@@ -405,3 +406,18 @@ def test_count_extensions_of_a_wide_antichain_stops_at_the_limit():
     start = time.perf_counter()
     assert subdivision._count_extensions(p, range(n), 3) == 3
     assert time.perf_counter() - start < 1
+
+
+def test_csr_matches_stable_sort_oracle():
+    # random lists of distinct pairs, in random order, some rows empty: the
+    # default sort gives the arrays a stable sort of the same keys gives
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        n = int(rng.integers(1, 60))
+        keys = rng.choice(n * n, size=int(rng.integers(0, n * n + 1)), replace=False)
+        rows, cols = keys // n, keys % n
+        indptr, indices = poset_module._csr(rows, cols, n)
+        order = np.argsort(rows * n + cols, kind="stable")
+        assert indptr.tolist() == [0, *np.cumsum(np.bincount(rows, minlength=n)).tolist()]
+        assert indices.tolist() == cols[order].tolist()
+        assert indptr.dtype == indices.dtype == np.int32

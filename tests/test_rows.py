@@ -6,6 +6,7 @@ keys, and the stellar replay on maximal faces against the set replay over
 every face."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from oracles import (
     ktree_bitset_oracle,
     order_complex_oracle,
     poset_from_covers,
+    stellar_chain_oracle,
     void_key_find,
 )
 
@@ -268,6 +270,17 @@ def test_closure_rows_match_closure_oracle(monkeypatch, chunk):
             closure_rows(facets, max_faces=len(want) - 1)
 
 
+@pytest.mark.parametrize("chunk", [1 << 20, 3])
+def test_closure_rows_are_closed(monkeypatch, chunk):
+    # the complexes built from closure_rows skip the closure check, which
+    # its output passes by construction
+    monkeypatch.setattr(complexes, "_CHUNK", chunk)
+    rng = random.Random(11)
+    for _ in range(200):
+        _, facets = _random_facets(rng)
+        assert FaceRows.from_rows(closure_rows(facets)).is_closed()
+
+
 def test_closure_cap_counts_distinct_faces(monkeypatch):
     # a facet repeated 1,000 times has 7 faces, within a cap of 7, though
     # its column subsets make 7,000 rows; a batch is merged before the next
@@ -385,7 +398,7 @@ def test_freeze_keeps_the_row_checks():
     # a vertex in no maximal face, or a label twice
     K = SimplicialComplex.from_label_faces([("a", "b", "c"), ("c", "d")])
     state = FacetReplay(K)
-    state._through[2] = set()  # "c" read with no maximal face: the edge to "d" is lost
+    state._alive[1][:] = False  # the edge to "d" marked dead with nothing made for it
     with pytest.raises(ValueError, match=r"vertices \[3\] appear in no face"):
         state.freeze()
     state = FacetReplay(K)
@@ -393,6 +406,118 @@ def test_freeze_keeps_the_row_checks():
     state.vertices[-1] = "a"  # the new vertex under a label already taken
     with pytest.raises(ValueError, match="pairwise distinct"):
         state.freeze()
+
+
+# ---------------------------------------------------------------------------
+# runs of steps in one pass, cut where the disjoint-stars lemma stops
+# ---------------------------------------------------------------------------
+
+
+def _replay_all(start, steps):
+    """The steps run in passes, and the same steps on the set replay one by
+    one: each state after them, and the error raised, from both."""
+    ours, oracle = FacetReplay(start), MutableComplexOracle(start)
+    try:
+        ours.subdivide_all(steps)
+        got = None
+    except (FaceNotPresent, ValueError, KeyError) as exc:
+        got = type(exc), str(exc)
+    want = None
+    for face, label in steps:
+        want = _apply(oracle, face, label)
+        if not isinstance(want, bool):
+            break
+        want = None
+    assert got == want
+    assert ours.vertices == oracle.vertices
+    _same(ours.freeze(), oracle.freeze())
+    return ours
+
+
+def test_run_is_cut_where_stars_share_a_facet():
+    # the edges ab and bc of the triangle abc both have it as their star:
+    # the second step waits for the next pass, where its star is the
+    # triangle that the first one made through b and c
+    K = SimplicialComplex.from_label_faces([("a", "b", "c"), ("c", "d")])
+    state = _replay_all(K, [(["a", "b"], "x"), (["b", "c"], "y"), (["c", "d"], "z")])
+    assert state.passes == 2 and state.facets_made == 2 + 2 + 2
+    # disjoint stars make one run
+    state = _replay_all(K, [(["a", "b"], "x"), (["c", "d"], "z")])
+    assert state.passes == 1
+
+
+def test_run_of_faces_of_several_sizes():
+    # every triangle on six vertices, so that each vertex lies in ten rows,
+    # more than there are vertices: faces of three and of two vertices, with
+    # disjoint stars, in one run
+    K = SimplicialComplex.from_label_faces(combinations(range(6), 3))
+    state = _replay_all(K, [([0, 1, 2], "x"), ([3, 4], "y"), ([5, 0], "z")])
+    assert state.passes == 1
+
+
+def test_run_is_cut_at_a_vertex_it_made():
+    K = SimplicialComplex.from_label_faces([("a", "b", "c"), ("c", "d")])
+    state = _replay_all(K, [(["c", "d"], "z"), (["a", "b"], "x"), (["x", "c"], "y")])
+    assert state.passes == 2
+    # a step whose face is the new vertex alone changes nothing, in any pass
+    state = _replay_all(K, [(["a", "b"], "x"), (["x"], "w"), (["c", "d"], "z")])
+    assert "w" not in state.vertices
+
+
+@pytest.mark.parametrize("face", [["a", "d"], []])
+def test_missing_face_in_a_run_raises_after_the_steps_before(face):
+    # the steps before the missing face are applied, in one pass, and none after
+    K = SimplicialComplex.from_label_faces([("a", "b", "c"), ("c", "d"), ("d", "e")])
+    state = _replay_all(K, [(["a", "b"], "x"), (["d", "e"], "w"), (face, "y"), (["c", "d"], "z")])
+    assert state.vertices[-2:] == ["x", "w"] and state.facets_made == 4
+
+
+@pytest.mark.parametrize("label", ["e", "x"])
+def test_taken_label_in_a_run_raises_after_the_steps_before(label):
+    # a label of the complex, or one that an earlier step of the run made
+    K = SimplicialComplex.from_label_faces([("a", "b", "c"), ("c", "d"), ("d", "e")])
+    state = _replay_all(K, [(["a", "b"], "x"), (["d", "e"], "w"), (["c", "d"], label), (["a", "c"], "z")])
+    assert state.vertices[-2:] == ["x", "w"] and state.passes == 2
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 4])
+def test_runs_of_random_steps_match_set_replay(monkeypatch, chunk):
+    # random steps on random complexes, drawn on the set replay as it goes:
+    # faces of the complex then, vertices, non-faces, new vertices and taken
+    # labels, so that runs are cut at shared facets, new vertices and errors;
+    # the rows read in one part, and in parts of one or two rows
+    monkeypatch.setattr(complexes, "_CHUNK", chunk)
+    rng = random.Random(6)
+    passes = steps_run = 0
+    for _ in range(150):
+        start = _random_complex(rng)
+        oracle, steps = MutableComplexOracle(start), []
+        for t in range(rng.randint(1, 12)):
+            face, label = _step(rng, oracle, ("new", t))
+            steps.append((face, label))
+            if not isinstance(_apply(oracle, face, label), bool):
+                break
+        state = _replay_all(start, steps)
+        passes += state.passes
+        steps_run += len(steps)
+    assert passes < steps_run
+
+
+@pytest.mark.parametrize("kn", [(2, 4), (1, 5)])
+def test_seeded_blowup_runs_match_stellar_chain(kn):
+    # whole stellar sequences along seeded extensions, each in a few
+    # passes, against the chain of whole-complex subdivisions
+    k, n = kn
+    pk = enumerate_partitions((n - 1) * k + 1, k)
+    q = enumerate_ktree_complex(n, k)
+    g = set(pk.g_indices())
+    pool = [i for i in pk.poset.proper_indices() if i not in g]
+    for seed in range(4):
+        ext = pk.poset.linear_extension(pool, policy="seeded-random", seed=seed)
+        want = stellar_chain_oracle(pk.poset, q, ext)[-1]
+        res = subdivision.run_blowup(pk.poset, q, ext, record_intermediate=False)
+        assert res.replay.passes < len(ext)
+        assert res.final.vertices == want.vertices and res.final.faces == want.faces
 
 
 def test_facet_comparison_reads_the_facets():

@@ -328,7 +328,7 @@ def test_full_stellar_sequence_34_ends_at_order_complex():
 
 
 def test_carrier_map_examples(pk72, t24, delta72):
-    cm = carrier_map_from_parts(pk72, delta72, t24)
+    cm = carrier_map_from_parts(delta72, t24)
     g = parse_partition("(12345)67", 7)
     vg = delta72.vertex_index(g)
     assert cm.phi[frozenset([vg])] == t24.face_from_labels([g])
@@ -346,7 +346,7 @@ def test_carrier_map_examples(pk72, t24, delta72):
 
 
 def test_chain_image_is_union_of_factors(pk72, t24, delta72):
-    cm = carrier_map_from_parts(pk72, delta72, t24)
+    cm = carrier_map_from_parts(delta72, t24)
     for face, img in cm.phi.items():
         union = set()
         for v in face:
@@ -355,7 +355,7 @@ def test_chain_image_is_union_of_factors(pk72, t24, delta72):
 
 
 def test_verify_carrier_map_passes(pk41, t14, delta41):
-    cm = carrier_map_from_parts(pk41, delta41, t14)
+    cm = carrier_map_from_parts(delta41, t14)
     res = verify_carrier_map(cm)
     assert res.passed, [f.to_json() for f in res.failures]
     assert all(v == "1" for v in res.facet_volumes.values())
@@ -368,7 +368,7 @@ def test_verify_carrier_map_identity_case():
 
 
 def test_perturbed_vertex_map_fails_with_overlap(pk41, t14, delta41):
-    cm = carrier_map_from_parts(pk41, delta41, t14)
+    cm = carrier_map_from_parts(delta41, t14)
     a = parse_partition("(12)34", 4)
     h = parse_partition("(12)(34)", 4)
     va, vh = delta41.vertex_index(a), delta41.vertex_index(h)
@@ -1326,8 +1326,8 @@ def test_equivariance_reports_non_commuting_map(monkeypatch):
     real = subdivision.carrier_map_from_parts
     x = parse_partition("(12)34", 4)
 
-    def corrupted(pk, p, q):
-        cm = real(pk, p, q)
+    def corrupted(p, q):
+        cm = real(p, q)
         cm.phi[p.face_from_labels([x])] = frozenset()
         return cm
 
@@ -1518,7 +1518,7 @@ def test_carrier_map_orders_carriers_by_label_over_any_vertex_order():
     q = cm.q_complex
     order = sorted(range(len(q.vertices)), key=lambda v: (len(q.vertices[v].nonsingleton_blocks()[0]), -v))
     moved = SimplicialComplex([q.vertices[v] for v in order], [frozenset(map(order.index, f)) for f in q.faces])
-    got = carrier_map_from_parts(pk, cm.p_complex, moved)
+    got = carrier_map_from_parts(cm.p_complex, moved)
     phi, f0 = carrier_phi_oracle(pk, cm.p_complex, moved)
     def listed(f0):
         return [(v, list(coords.items())) for v, coords in f0.items()]
@@ -1550,7 +1550,7 @@ def test_bulk_carriers_refuse_a_block_no_target_vertex_has():
     with pytest.raises(KeyError):
         carriers_per_vertex_oracle(cm.p_complex, fewer)
     with pytest.raises(KeyError, match="no target vertex"):
-        carrier_map_from_parts(pk, cm.p_complex, fewer)
+        carrier_map_from_parts(cm.p_complex, fewer)
 
 
 def test_global_carrier_map_leaves_no_garbage_cycles():
