@@ -25,7 +25,7 @@ from .complexes import _CHUNK, FaceRows, FacetReplay, SimplicialComplex, _search
 from .errors import MAX_FACES, MAX_POSET_ELEMENTS, NotLinearExtension, NotNested, ResourceLimit
 from .partitions import Partition, PartitionPoset, _cuts, _wide_masks, enumerate_partitions
 from .poset import Poset, _gather, product
-from .trees import enumerate_ktree_complex
+from .trees import _ktree_complex
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +488,15 @@ class CarrierMap:
 
 
 def _instance(k: int, n: int, max_poset_elements, max_faces):
-    """m = (n-1)k + 1, Π^(k)_m, T^k_n and Δ(Π^(k)_m), built in that order."""
+    """m = (n-1)k + 1, Π^(k)_m, T^k_n and Δ(Π^(k)_m), built in that order.
+    T's vertices are the poset's own labels of its building set but the
+    last (``g_partitions``, the members of ``g_set(m, k)`` in its order), so
+    both sides share their label objects."""
     m = (n - 1) * k + 1
     pk = enumerate_partitions(m, k, max_elements=max_poset_elements)
-    q = enumerate_ktree_complex(n, k, max_faces=max_faces)
+    if n < 3:
+        raise ValueError("need n >= 3 and k >= 1")
+    q = _ktree_complex(pk.g_partitions()[:-1], max_faces)
     return m, pk, q, pk.poset.order_complex(max_faces=max_faces)
 
 
@@ -590,7 +595,9 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
 
     Disjointness is decided by a ridge certificate where it holds, and by
     one linear feasibility test per pair of cells (Fourier-Motzkin, which
-    also gives the ``interiors_disjoint`` witness point) where it does not.
+    also gives the ``interiors_disjoint`` witness point) where it does not,
+    but for the pairs that need none (:func:`_apart`): a cell and a face of
+    it, and two d-cells on opposite sides of a ridge they share.
     For a target face qf of dimension d with cells C (phi = qf), the
     certificate needs: no cell of C meeting the source vertices that the
     well-formedness pass marks (those of a face with a φ failure or a
@@ -634,23 +641,34 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     H(r) = (r+1)^((r+1)/2) / 2^r, and 2·H(22)² < 2^63.  Any other cell
     takes the ``Fraction`` path, as do the pairwise tests.
 
-    The target faces are checked one per S_m-orbit where a generator
-    certificate allows it.  With no marked vertex (so no well-formedness
-    failure) and partition labels on both sides, let σ be (1 2) or
-    (1 2 ... m), which generate S_m.  The certificate asks that σ map the
-    source faces and the target faces into themselves, that φ(σc) = σφ(c)
-    for every source face c (:func:`generator_certificate`) and that
-    f0(σv) = σf0(v) for every source vertex v.  Then the cells over σ·qf
-    are the images σc of the cells over qf, and the points of σc are those
-    of c with their barycentric coordinates permuted: an affine isomorphism
-    of the target simplex.  It keeps affine dimensions, volume ratios and
-    the ridge counts, and flips the sides of both cells at a ridge together,
-    so the check of σ·qf finds exactly what the check of qf finds, with its
-    cells relabelled.  Each orbit is rooted at its first face in check
-    order; a face copies its root's volume when the root passed with no
-    failure, and is checked itself otherwise.  When the certificate fails,
-    every orbit is a single face.  The failures, their order and the
-    volumes are those of checking every face.
+    The target faces are checked one per clean component of their
+    S_m-orbits where a generator certificate allows it.  With partition
+    labels on both sides, let σ be (1 2) or (1 2 ... m), which generate
+    S_m.  The certificate asks that σ map the source faces and the target
+    faces into themselves and that φ(σc) = σφ(c) for every source face c
+    (:func:`generator_certificate`); then the cells over σ·qf are the images
+    σc of the cells over qf.  A target face is clean when no cell over it
+    meets a marked vertex or an uncommuting one, an edited vertex w with
+    f0(σw) ≠ σf0(w) or f0(w) ≠ σf0(σ⁻¹w) (:func:`_uncommuting`); the others
+    are dirty.  Let qf and σ·qf both be clean and v a vertex of a cell c
+    over qf.  If v or σv is edited, f0(σv) = σf0(v), else the edited one of
+    the two would be uncommuting, and qf or σ·qf (whose cell σc holds σv)
+    dirty; if neither is, both sit at the barycenters of φ(v) and
+    φ(σv) = σφ(v).  So the points of σc are those of c with their
+    barycentric coordinates permuted: an affine isomorphism of the target
+    simplex.  It keeps affine dimensions, volume ratios and the ridge
+    counts, and flips the sides of both cells at a ridge together; neither
+    face has a cell through a marked vertex, so both take the certificate
+    alike, and the check of σ·qf finds exactly what the check of qf finds,
+    with its cells relabelled.  Join two clean faces when a generator maps
+    one to the other (in either direction, so σ and σ⁻¹): along each path
+    of a component of that graph the check finds the same, relabelled.
+    Each component is rooted at its least face in check order
+    (:func:`_orbit_roots`), and each dirty face is its own root; a face
+    copies its root's volume when the root passed with no failure, and is
+    checked itself otherwise.  When the certificate fails, every face is
+    its own root.  The failures, their order and the volumes are those of
+    checking every face.
 
     Both sides are read in the row order of their :class:`FaceRows`, by
     size, then lexicographically: the φ failures, the target faces and the
@@ -664,7 +682,7 @@ def verify_carrier_map(cm: CarrierMap) -> CarrierCheckResult:
     phi = _PhiTable(cm)
     failures, bad = _check_well_formed(cm, label, phi)
     n = phi.target.offsets[-1]
-    roots = np.arange(n) if bad else _orbit_roots(cm, phi)
+    roots = _orbit_roots(cm, phi, bad)
     is_root = roots == np.arange(n)
 
     target_face, cells = {}, {}  # target position -> its face, the faces of the cells over it
@@ -980,56 +998,68 @@ def generator_certificate(source: PermutationAction, target: PermutationAction, 
     return maps
 
 
-def _orbit_roots(cm: CarrierMap, phi: _PhiTable):
-    """For each target position i, the position of the first face of the
-    S_m-orbit of the i-th face.  Every face is its own root unless the map
-    passes :func:`generator_certificate` on the φ table ``phi`` of ``cm``
-    (with the S_m actions on the complexes' labels built here) and
-    f0(σv) = σf0(v) on every source vertex v for both generators σ
-    (:func:`_f0_commutes`).  Then every face starts as its own root r(i),
-    and each round takes the least root of a face and its generator images,
-    then jumps each root to its own root (``least = least[least]``), until a
-    round changes nothing.  Each root is a face of the orbit no later than
-    the face, and both steps keep that.  At the fixed point the jump
-    changes nothing, so r(i) <= r(σi) for every face i and generator σ; σ
-    permutes the faces, so r(i) <= r(σi) <= r(σ²i) <= ... <= r(i) around each
-    of its cycles, and r is constant on each orbit.  The root of an orbit
-    lies in it and is no later than any face of it: its least face.  Assumes
-    the well-formedness pass marked no vertex (φ is total on the source
-    faces)."""
-    roots = np.arange(phi.target.offsets[-1])
+def _orbit_roots(cm: CarrierMap, phi: _PhiTable, bad):
+    """For each target position i, the position of the least face of the
+    clean component of the i-th face (see :func:`verify_carrier_map`).
+    Every face is its own root unless the map passes
+    :func:`generator_certificate` on the φ table ``phi`` of ``cm`` (with the
+    S_m actions on the complexes' labels built here).  Then a face is dirty
+    when a cell over it meets a vertex of ``bad`` or of
+    :func:`_uncommuting`, and is its own root; with no such vertex no face
+    is, and the cells are not scanned.  Each generator σ gives an edge from
+    every clean face i with σi clean to σi, read both ways (σ and its
+    inverse).  Every face starts as its own root r(i), and each round takes
+    the least root of a face and its neighbours, then jumps each root to
+    its own root (``least = least[least]``), until a round changes nothing.
+    Each root is a face of the component no later than the face, and both
+    steps keep that.  At the fixed point the jump changes nothing, so
+    r(i) <= r(j) for every edge, read both ways: r is constant on each
+    component, and the root of its least face is that face."""
+    n = phi.target.offsets[-1]
+    roots = np.arange(n)
     maps = generator_certificate(PermutationAction(cm.p_complex, phi.source),
                                  PermutationAction(cm.q_complex, phi.target), phi.pos)
-    if maps and all(_f0_commutes(phi, src, tgt) for src, tgt, _ in maps):
-        while True:
-            least = np.minimum.reduce([roots] + [roots[image] for _, _, image in maps])
-            least = least[least]
-            if (least == roots).all():
-                break
-            roots = least
-    return roots
+    if not maps:
+        return roots
+    clean = np.ones(n, dtype=bool)
+    dirty = np.fromiter(bad | _uncommuting(phi, maps), dtype=np.intp)
+    for d, rows in enumerate(phi.source.rows if len(dirty) else ()):
+        meets = np.isin(rows, dirty).any(axis=1)
+        clean[phi.pos[phi.source.offsets[d]:phi.source.offsets[d + 1]][meets]] = False
+    edges = []
+    for _, _, image in maps:
+        kept = np.flatnonzero(clean & clean[image])
+        forward, back = roots.copy(), roots.copy()
+        forward[kept], back[image[kept]] = image[kept], kept
+        edges += [forward, back]
+    while True:
+        least = np.minimum.reduce([roots] + [roots[edge] for edge in edges])
+        least = least[least]
+        if (least == roots).all():
+            return roots
+        roots = least
 
 
-def _f0_commutes(phi: _PhiTable, src, tgt) -> bool:
-    """Whether f0(σv) = σf0(v) for every source vertex v, where σ has the
-    source and target vertex index maps ``src`` and ``tgt``, maps the
-    source vertices onto themselves and commutes with φ
-    (:func:`generator_certificate`).  Only the pairs with v edited
-    (``phi.edited``) are compared, as dicts, so with none edited it holds at
-    once.  For any other v, follow σ from v through edited vertices
-    w_1 .. w_r to the next unedited vertex u = σ^(r+1) v: the compared pairs
-    give f0(w_1) = σ^(-r) f0(u), and f0(u), f0(v) are the barycenters of
-    φ(u) = σ^(r+1) φ(v) and φ(v), so f0(σv) = f0(w_1) = σf0(v)."""
-    edited = np.flatnonzero(phi.edited)
-    if not len(edited):
-        return True
-    ids = np.asarray(phi.vertices)
-    moved = ids[np.searchsorted(ids, np.asarray(src)[ids[edited]])]  # σv
-    for v, w in zip(ids[edited].tolist(), moved.tolist()):
-        coords = phi._f0.get(v)
-        if phi._f0.get(w) != (None if coords is None else {tgt[t]: x for t, x in coords.items()}):
-            return False
-    return True
+def _uncommuting(phi: _PhiTable, maps) -> set:
+    """The edited source vertices w (``phi.edited``) where f0(σw) ≠ σf0(w)
+    or f0(w) ≠ σf0(σ⁻¹w) for one of the generators σ, whose source and
+    target vertex index maps ``maps`` holds (:func:`generator_certificate`);
+    a vertex with no coordinates has f0 None.  Only these pairs are
+    compared, as dicts, so with none edited the set is empty at once.  Any
+    other pair (v, σv) has both ends unedited, at the barycenters of
+    φ(v) and φ(σv) = σφ(v), so f0(σv) = σf0(v)."""
+    edited = np.asarray(phi.vertices)[phi.edited].tolist()
+    out = set()
+    for src, tgt, _ in maps if edited else ():
+        inverse = np.empty(len(src), dtype=np.intp)
+        inverse[src] = np.arange(len(src))
+
+        def moved(v):  # σf0(v)
+            coords = phi._f0.get(v)
+            return None if coords is None else {tgt[t]: x for t, x in coords.items()}
+
+        out.update(w for w in edited if phi._f0.get(src[w]) != moved(w) or phi._f0.get(w) != moved(inverse[w]))
+    return out
 
 
 def _check_well_formed(cm: CarrierMap, label, phi: _PhiTable):
@@ -1197,12 +1227,16 @@ def check_target_face(cm: CarrierMap, qf, cells, bad, label, on_face, known):
     whose preimage cells are ``cells``: surjectivity, nondegeneracy, disjoint
     open images (the ridge certificate when no cell meets the source
     vertices ``bad`` that failed well-formedness, else one Fourier-Motzkin
-    test per pair of cells) and the volume identity.  ``on_face`` and
-    ``known`` are :meth:`_PhiTable.cells`, for these cells and maybe others:
-    a cell in ``known`` takes its nondegeneracy and volume from there, any
-    other cell from its points, localised to ``qf`` from ``cm.f0``, as do
-    the pairwise tests.  A cell through a vertex with no coordinates has no
-    image: it adds no volume and enters no pairwise test.
+    test per pair of drawn cells, in size order, but where :func:`_apart`
+    decides the pair: a drawn cell is nondegenerate, so a proper face of it
+    is a face of its simplex, and two d-cells whose apexes lie on opposite
+    sides of their common ridge lie in opposite open half-spaces) and the
+    volume identity.  ``on_face`` and ``known`` are
+    :meth:`_PhiTable.cells`, for these cells and maybe others: a cell in
+    ``known`` takes its nondegeneracy and volume from there, any other cell
+    from its points, localised to ``qf`` from ``cm.f0``, as do the pairwise
+    tests.  A cell through a vertex with no coordinates has no image: it
+    adds no volume and enters no pairwise test.
     Returns the face's failures and the total volume of its full-dimensional
     cells (None when it has no cell)."""
     if not cells:
@@ -1248,6 +1282,8 @@ def check_target_face(cm: CarrierMap, qf, cells, bad, label, on_face, known):
     if not certified:
         drawn = [cell for cell in sorted(cells, key=_by_size) if cell not in degenerate and place(cell) is not None]
         for c1, c2 in combinations(drawn, 2):
+            if _apart(c1, c2, volumes, qdim):
+                continue
             witness = exact.open_simplices_intersect(points[c1], points[c2])
             if witness is not None:
                 failures.append(
@@ -1285,11 +1321,9 @@ def _ridge_certificate(qf, cells, volumes, on_face) -> bool:
         for j, (apex, on) in enumerate(zip(sorted(cell), on_face[cell])):
             through.setdefault(apex, []).append(cell)
             if d:
-                # the ridge in sorted order, then the apex: moving the apex
-                # from place j to the end takes d - j transpositions
                 ridge = cell - {apex}
                 inner[ridge] = on
-                sides.setdefault(ridge, []).append((vol > 0) == ((d - j) % 2 == 0))
+                sides.setdefault(ridge, []).append(_side(vol, d - j))
     for ridge, signs in sides.items():
         if inner[ridge]:
             if len(signs) != 2 or signs[0] == signs[1]:
@@ -1300,6 +1334,31 @@ def _ridge_certificate(qf, cells, volumes, on_face) -> bool:
         cell in volumes or any(cell < top for top in through.get(min(cell), ()))
         for cell in cells
     )
+
+
+def _side(volume, above) -> bool:
+    """The side of its ridge that the apex of a full-dimensional cell lies
+    on, the cell's signed volume ``volume`` taken with its vertices in
+    sorted order and ``above`` of them past the apex: the sign of the volume
+    with the ridge in sorted order, then the apex, as moving the apex to the
+    end takes ``above`` transpositions.  Two cells on one ridge lie on
+    opposite sides of it when their sides differ."""
+    return (volume > 0) == (above % 2 == 0)
+
+
+def _apart(c1, c2, volumes, d) -> bool:
+    """Whether the open images of the drawn (nondegenerate) cells ``c1``,
+    ``c2`` over a target face of dimension d are disjoint without a
+    Fourier-Motzkin test: ``c1`` is a proper face of ``c2``, whose open
+    simplices are distinct faces of one simplex, or both are d-cells of
+    signed volumes ``volumes`` on one ridge with their apexes on opposite
+    sides of its hyperplane."""
+    if c1 < c2:
+        return True
+    if not d or len(c1 & c2) != d or c1 not in volumes or c2 not in volumes:
+        return False
+    (a1,), (a2,) = c1 - c2, c2 - c1
+    return _side(volumes[c1], sum(v > a1 for v in c1)) != _side(volumes[c2], sum(v > a2 for v in c2))
 
 
 _ZERO = Fraction(0)

@@ -219,7 +219,17 @@ def enumerate_ktree_complex(n: int, k: int, max_faces: int = MAX_FACES) -> Simpl
     m = (n - 1) * k + 1
     if g_set_count(m, k) - 1 > max_faces:
         raise ResourceLimit(f"k-tree complex exceeds {max_faces} faces")
-    verts = g_set(m, k)[:-1]  # all but 1̂, the one of rank m - 1, which sorts last
+    return _ktree_complex(g_set(m, k)[:-1], max_faces)  # all but 1̂, the one of rank m - 1, which sorts last
+
+
+def _ktree_complex(verts, max_faces) -> SimplicialComplex:
+    """The k-tree complex on the vertex labels ``verts``: ``g_set(m, k)``
+    without its last member, or the same partitions in the same order, as
+    a caller that holds them already passes them (the poset's own labels in
+    :func:`subdivision._instance`).  More than ``max_faces`` vertices are
+    refused before anything is built."""
+    if len(verts) > max_faces:
+        raise ResourceLimit(f"k-tree complex exceeds {max_faces} faces")
     return SimplicialComplex.from_rows(verts, _cliques(_later_compatible(verts), max_faces))
 
 

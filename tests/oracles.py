@@ -838,35 +838,48 @@ def generator_certificate_oracle(p, p_faces, q, q_faces, phi):
     return maps
 
 
-def orbit_roots_oracle(cm):
+def orbit_roots_oracle(cm, bad, edited):
     """For each target face in :func:`by_size_order`, the position of the
-    first face of its orbit under the generators, when the map passes
-    :func:`generator_certificate_oracle` and f0(σv) = σf0(v) for every
-    source vertex v; each face its own root otherwise.  Orbits are grown
-    face by face from their first face."""
+    least face of its clean component, when the map passes
+    :func:`generator_certificate_oracle`; each face its own root otherwise.
+    A face is dirty, and its own component, when a source face that φ maps
+    onto it has a vertex in ``bad`` or an uncommuting vertex: one of
+    ``edited`` (the edited vertices the verifier found) with
+    f0(σv) != σf0(v) for v it or its preimage under a generator σ.
+    Components are grown face by face from their first face, along each
+    generator and its inverse, between clean faces."""
     order = by_size_order(cm.q_faces)
-    singletons = list(range(len(order)))
+    pos = {qf: i for i, qf in enumerate(order)}
     maps = generator_certificate_oracle(cm.p_complex, cm.p_faces, cm.q_complex, cm.q_faces, cm.phi)
     if not maps:
-        return singletons
-    vertices = sorted({v for f in cm.p_faces if len(f) == 1 for v in f})
+        return list(range(len(order)))
+
+    def moved(v, tgt):
+        coords = cm.f0.get(v)  # None for a vertex with no coordinates
+        return None if coords is None else {tgt[w]: x for w, x in coords.items()}
+
+    dirty = set(bad)
     for src, tgt in maps:
-        for v in vertices:
-            coords = cm.f0.get(v)  # None for a vertex with no coordinates
-            if cm.f0.get(src[v]) != (None if coords is None else {tgt[w]: x for w, x in coords.items()}):
-                return singletons
-    pos = {qf: i for i, qf in enumerate(order)}
+        preimage = {w: v for v, w in enumerate(src)}
+        dirty |= {v for v in edited
+                  if cm.f0.get(src[v]) != moved(v, tgt) or cm.f0.get(v) != moved(preimage[v], tgt)}
+    clean = [True] * len(order)
+    for c in cm.p_faces:
+        if c & dirty:
+            clean[pos[cm.phi[c]]] = False
+    steps = [(lambda f, t=tgt: frozenset(t[v] for v in f)) for _, tgt in maps]
+    steps += [(lambda f, t={w: v for v, w in enumerate(tgt)}: frozenset(t[v] for v in f)) for _, tgt in maps]
     roots = [None] * len(order)
     for i, qf in enumerate(order):
         if roots[i] is not None:
             continue
         roots[i] = i
-        stack = [qf]
+        stack = [qf] if clean[i] else []
         while stack:
             f = stack.pop()
-            for _, tgt in maps:
-                g = frozenset(tgt[v] for v in f)
-                if roots[pos[g]] is None:
+            for step in steps:
+                g = step(f)
+                if clean[pos[g]] and roots[pos[g]] is None:
                     roots[pos[g]] = i
                     stack.append(g)
     return roots
@@ -950,6 +963,26 @@ def eager_labels_oracle(cm):
     return [f.to_json() for f in failures], volumes
 
 
+def every_face_carrier_check(cm):
+    """The failures (as ``to_json`` dicts) and ``facet_volumes`` of
+    ``subdivision.verify_carrier_map`` with every target face checked on its
+    own and every pair of drawn cells that the ridge certificate leaves
+    tested by Fourier-Motzkin: for the length of the call the orbit roots
+    are forced to each face itself and the pair shortcut
+    (``subdivision._apart``) decides no pair."""
+    from unittest import mock
+
+    from ktreesub import subdivision
+
+    def every_face(cm, phi, bad):
+        return np.arange(phi.target.offsets[-1])
+
+    with mock.patch.object(subdivision, "_orbit_roots", every_face), \
+            mock.patch.object(subdivision, "_apart", lambda *args: False):
+        res = subdivision.verify_carrier_map(cm)
+        return [f.to_json() for f in res.failures], res.facet_volumes
+
+
 def facets_oracle(K):
     """Maximal faces of K in lexicographic order, by testing each face,
     largest first, against every maximal face found so far."""
@@ -1018,16 +1051,14 @@ def equivariance_oracle(k, n, perms="all", seed=0):
     certificate: every tested permutation relabels both complexes and φ, and
     they are compared as sets of labels, the chains in
     :func:`by_size_order`.  The complexes and φ come from the
-    library's constructors, looked up on ``subdivision`` so that a test's
-    patches reach them."""
+    library's constructors, through ``subdivision._instance`` so that a
+    test's patches reach them."""
     from itertools import permutations
 
     from ktreesub import subdivision
+    from ktreesub.errors import MAX_FACES, MAX_POSET_ELEMENTS
 
-    m = (n - 1) * k + 1
-    pk = subdivision.enumerate_partitions(m, k)
-    q = subdivision.enumerate_ktree_complex(n, k)
-    delta = pk.poset.order_complex()
+    m, _, q, delta = subdivision._instance(k, n, MAX_POSET_ELEMENTS, MAX_FACES)
     phi = subdivision.carrier_map_from_parts(delta, q).phi
     sides = [("order complex", delta.label_faces()), ("k-tree complex", q.label_faces())]
     phi_labels = {

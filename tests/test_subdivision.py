@@ -46,6 +46,7 @@ from oracles import (
     check_vertices_oracle,
     eager_labels_oracle,
     equivariance_oracle,
+    every_face_carrier_check,
     generator_certificate_oracle,
     orbit_roots_oracle,
     pairwise_carrier_oracle,
@@ -488,6 +489,13 @@ def _stray_vertex():
     return _hand_map([("A", "B")], pts, [("A", "x"), ("x", "B"), ("y",)])
 
 
+def _ridge_pairs():
+    # the edge cut at x into [A,x] and [x,B], which lie on opposite sides of
+    # x, and [y,x] laid over [A,x], on its side of x: the lengths sum to 5/4
+    pts = {**ENDS, "x": F(1, 2), "y": F(1, 4)}
+    return _hand_map([("A", "B")], pts, [("A", "x"), ("x", "B"), ("y", "x")])
+
+
 def _double_cover():
     # two fans over the triangle, around c1 and around c2, with the edges
     # halved in the second: every ridge count and side is right, the
@@ -851,9 +859,14 @@ CARRIER_CASES = {
     "dropped-facet-cell": (_ladder(1, 5, _drop_cells(3)), False),
     "dropped-ridge-cell": (_ladder(2, 4, _drop_cells(1)), False),
     "dropped-facet-orbit": (_ladder(1, 5, _drop_facet_orbit), False),
+    # the orbit dropped as above and a vertex moved along its carrier, which
+    # cuts the faces through it out of their orbits
+    "dropped-orbit-beside-moved-vertex": (
+        _ladder(1, 5, lambda cm, k, n: (_drop_facet_orbit(cm, k, n), _move_along_carrier(cm, k, n))), False),
     "gap-and-overlap": (_gap_and_overlap, False),
     "stray-vertex": (_stray_vertex, False),
     "double-cover": (_double_cover, False),
+    "ridge-pairs": (_ridge_pairs, False),
     "misplaced-carriers": (_misplaced_carriers, False),
     "folded-cycle": (_folded_cycle, False),
     "unchecked-vertices": (_unchecked_vertices, False),
@@ -911,7 +924,7 @@ CARRIER_CASES = {
 # broken maps whose cells do not overlap: a cell is missing or lies over
 # the wrong face, and only a volume or surjectivity check fails, or only a
 # well-formedness check
-NO_OVERLAP = {"dropped-facet-cell", "dropped-ridge-cell", "dropped-facet-orbit",
+NO_OVERLAP = {"dropped-facet-cell", "dropped-ridge-cell", "dropped-facet-orbit", "dropped-orbit-beside-moved-vertex",
               "phi-off-orbit", "dropped-cell-beside-last", "stray-target-face",
               "phi-total", "phi-into-target", "phi-order", "phi-order-on-facet", "vertex-map-total",
               "vertex-coordinates-sum", "mixed-denominators-off-sum", "wrapping-sum",
@@ -943,6 +956,18 @@ def test_lazy_labels_match_eager_labelling(case):
     # labelling and checking every target face up front
     res = verify_carrier_map(CARRIER_CASES[case][0]())
     failures, volumes = eager_labels_oracle(CARRIER_CASES[case][0]())
+    assert [f.to_json() for f in res.failures] == failures
+    assert list(res.facet_volumes.items()) == list(volumes.items())
+
+
+@pytest.mark.parametrize("case", sorted(CARRIER_CASES))
+def test_orbit_roots_and_pair_shortcuts_match_every_face_check(case):
+    # the clean components' roots and the pairs decided without
+    # Fourier-Motzkin: the same failures, in the same order, and the same
+    # volumes as checking every face with a solve for every pair that the
+    # ridge certificate leaves
+    res = verify_carrier_map(CARRIER_CASES[case][0]())
+    failures, volumes = every_face_carrier_check(CARRIER_CASES[case][0]())
     assert [f.to_json() for f in res.failures] == failures
     assert list(res.facet_volumes.items()) == list(volumes.items())
 
@@ -1067,10 +1092,14 @@ def _count_face_checks(monkeypatch):
         (_ladder(3, 4), 4),
         (_ladder(1, 6), 32),
         (_ladder(2, 4), 4),
-        # not well-formed: no generator certificate, every face
-        (CARRIER_CASES["negative-control"][0], 235),
-        # well-formed but not equivariant: every face
-        (CARRIER_CASES["moved-along-carrier"][0], 235),
+        # the 26 faces with a cell through a swapped vertex, which is marked
+        # and does not commute with S_m, and the roots of the 11 clean
+        # components
+        (CARRIER_CASES["negative-control"][0], 37),
+        # well-formed, but the moved vertex does not commute with S_m: the
+        # 4 faces with a cell through it, and the roots of the 11 clean
+        # components
+        (CARRIER_CASES["moved-along-carrier"][0], 15),
     ],
     ids=["3-4", "1-6", "2-4", "negative-control", "moved-along-carrier"],
 )
@@ -1082,20 +1111,32 @@ def test_one_target_face_checked_per_orbit(monkeypatch, build, checked):
     assert len(set(calls)) == checked
 
 
-def _count_fm_solves(monkeypatch):
+def _count_calls(monkeypatch, owner, name):
     calls = []
-    real = exact.open_simplices_intersect
+    real = getattr(owner, name)
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(exact, "open_simplices_intersect", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
+def _count_fm_solves(monkeypatch):
+    return _count_calls(monkeypatch, exact, "open_simplices_intersect")
+
+
+# of the pairs of cells tested below, those that still take a
+# Fourier-Motzkin solve: the others are a face and a cell through it, or
+# two top cells on opposite sides of the ridge they share
+FM_SOLVES = {"negative-control": 29, "moved-off-carrier": 8, "dropped-ridge-cell": 0, "double-cover": 154,
+             "gap-and-overlap": 17, "folded-cycle": 8, "stray-vertex": 3, "misplaced-carriers": 5,
+             "unchecked-vertices": 1}
+
+
 @pytest.mark.parametrize(
-    "case, solves",
+    "case, pairs",
     [
         # a malformed vertex costs the pairwise tests only on the target
         # faces with a cell through it: 420, 416 and 210 with one global
@@ -1111,11 +1152,13 @@ def _count_fm_solves(monkeypatch):
         ("unchecked-vertices", 1),
     ],
 )
-def test_fourier_motzkin_solves_per_broken_map(monkeypatch, case, solves):
+def test_fourier_motzkin_solves_per_broken_map(monkeypatch, case, pairs):
     cm = CARRIER_CASES[case][0]()
+    tested = _count_calls(monkeypatch, subdivision, "_apart")
     calls = _count_fm_solves(monkeypatch)
     assert not verify_carrier_map(cm).passed
-    assert len(calls) == solves
+    assert len(tested) == pairs
+    assert len(calls) == FM_SOLVES[case]
 
 
 def _well_formed(cm):
@@ -1169,7 +1212,7 @@ def _orbits(cm):
     """The target faces' S_m-orbits found by the generator certificate, as
     {root face: set of faces}."""
     order = sorted(cm.q_faces, key=subdivision._by_size)
-    roots = subdivision._orbit_roots(cm, subdivision._PhiTable(cm))
+    roots = subdivision._orbit_roots(cm, subdivision._PhiTable(cm), _well_formed(cm)[1])
     assert all(roots[roots[i]] == roots[i] <= i for i in range(len(order)))
     orbits = {}
     for qf, r in zip(order, roots):
@@ -1201,15 +1244,27 @@ def test_orbit_roots_match_oracle(case):
         pos = {qf: i for i, qf in enumerate(order)}
         for _, tgt, image in got:
             assert image.tolist() == [pos[frozenset(tgt[v] for v in qf)] for qf in order]
-    assert list(subdivision._orbit_roots(cm, phi)) == orbit_roots_oracle(cm)
+    bad = _well_formed(cm)[1]
+    edited = set(np.asarray(phi.vertices)[phi.edited].tolist())
+    assert list(subdivision._orbit_roots(cm, phi, bad)) == orbit_roots_oracle(cm, bad, edited)
 
 
 def test_generator_certificate_refuses_non_equivariant_map():
     # moving one vertex along its carrier keeps a subdivision, but its orbit
-    # is not moved with it
+    # is not moved with it: the vertex does not commute with S_m, the faces
+    # with a cell through it are each their own root, and the rest keep
+    # the orbits of the unmoved map, cut where they pass those faces
     cm = CARRIER_CASES["moved-along-carrier"][0]()
     assert _well_formed(cm) == ([], set())
-    assert len(_orbits(cm)) == len(cm.q_faces)
+    phi = subdivision._PhiTable(cm)
+    maps = subdivision.generator_certificate(subdivision.PermutationAction(cm.p_complex, phi.source),
+                                             subdivision.PermutationAction(cm.q_complex, phi.target), phi.pos)
+    moved = _vertices(cm, ["(12)(34)5"])
+    assert maps and subdivision._uncommuting(phi, maps) == moved
+    dirty = {qf for c, qf in cm.phi.items() if c & moved}
+    orbits = _orbits(cm)
+    assert len(dirty) == 4 and all(orbits[qf] == {qf} for qf in dirty)
+    assert len(orbits) == len(dirty) + 11
 
 
 def test_failing_roots_check_every_member(monkeypatch):
@@ -1225,6 +1280,87 @@ def test_failing_roots_check_every_member(monkeypatch):
     full = [root for root, orbit in orbits.items() if orbit <= checked]
     assert any(len(orbits[root]) > 1 for root in full)
     assert all(orbit & checked == {root} for root, orbit in orbits.items() if root not in full)
+
+
+def test_failing_clean_root_checks_its_component(monkeypatch):
+    # one facet orbit dropped and one vertex moved along its carrier: the 4
+    # faces through the moved vertex are cut out of their orbits, the clean
+    # component whose root fails has every face checked, and every other
+    # component its root alone
+    cm = CARRIER_CASES["dropped-orbit-beside-moved-vertex"][0]()
+    orbits = _orbits(cm)
+    moved = _vertices(cm, ["(12)(34)5"])
+    dirty = {qf for c, qf in cm.phi.items() if c in cm.p_faces and c & moved}
+    assert len(dirty) == 4 and all(orbits[qf] == {qf} for qf in dirty)
+    calls = _count_face_checks(monkeypatch)
+    assert not verify_carrier_map(cm).passed
+    checked = set(calls)
+    assert len(calls) == len(checked) == 74
+    full = [root for root, orbit in orbits.items() if orbit <= checked]
+    assert [len(orbits[root]) for root in full if root not in dirty] == [60]
+    assert all(orbit & checked == {root} for root, orbit in orbits.items() if root not in full)
+
+
+def test_dirty_generator_image_of_a_clean_face_is_checked(monkeypatch):
+    # on the negative control the generator certificate holds; a face with a
+    # cell through a swapped vertex is dirty, its own root and no other
+    # face's, so where a clean face passes and its generator image is dirty
+    # and fails, that image is checked and its failures reported
+    cm = CARRIER_CASES["negative-control"][0]()
+    phi = subdivision._PhiTable(cm)
+    maps = subdivision.generator_certificate(subdivision.PermutationAction(cm.p_complex, phi.source),
+                                             subdivision.PermutationAction(cm.q_complex, phi.target), phi.pos)
+    bad = _well_formed(cm)[1]
+    assert maps and subdivision._uncommuting(phi, maps) == bad
+    order = by_size_order(cm.q_faces)
+    pos = {qf: i for i, qf in enumerate(order)}
+    dirty = {pos[qf] for c, qf in cm.phi.items() if c & bad}
+    roots = subdivision._orbit_roots(cm, phi, bad)
+    assert len(dirty) == 26 and all((roots == i).sum() == 1 and roots[i] == i for i in dirty)
+    outcome = {}
+    real = subdivision.check_target_face
+
+    def recording(cm, qf, *rest):
+        got = real(cm, qf, *rest)
+        outcome[pos[qf]] = got[0]
+        return got
+
+    monkeypatch.setattr(subdivision, "check_target_face", recording)
+    every_face_carrier_check(cm)
+    assert len(outcome) == len(order)
+    edges = [(i, j) for _, _, image in maps for i, j in enumerate(image.tolist()) if i not in dirty and j in dirty]
+    crossing = {j for i, j in edges if not outcome[i] and outcome[j]}
+    outcome.clear()
+    failures = [f.to_json() for f in verify_carrier_map(cm).failures]
+    assert crossing and crossing <= set(outcome)
+    assert all(f.to_json() in failures for j in crossing for f in outcome[j])
+
+
+def test_pairs_decided_without_fourier_motzkin(monkeypatch):
+    # over the edge: a face and a cell through it, and two edges on
+    # opposite sides of the vertex they share, are decided without a solve;
+    # the two edges on one side of x take one and keep its witness
+    cm = CARRIER_CASES["ridge-pairs"][0]()
+    names = cm.p_complex.vertices
+    decided = []
+    real = subdivision._apart
+
+    def recording(c1, c2, *rest):
+        apart = real(c1, c2, *rest)
+        decided.append((frozenset("".join(sorted(names[v] for v in c)) for c in (c1, c2)), apart))
+        return apart
+
+    monkeypatch.setattr(subdivision, "_apart", recording)
+    solves = _count_fm_solves(monkeypatch)
+    res = verify_carrier_map(cm)
+    apart = {pair for pair, yes in decided if yes}
+    assert len(decided) == 10 and len(solves) == 4
+    assert apart == {frozenset(p) for p in [("x", "Ax"), ("x", "Bx"), ("x", "xy"), ("y", "xy"),
+                                            ("Ax", "Bx"), ("Bx", "xy")]}
+    overlaps = [f.detail for f in res.failures if f.check == "interiors_disjoint"]
+    a, x, y = (cm.p_complex.vertex_index(v) for v in "Axy")
+    assert f"open images of cells {sorted([a, x])} and {sorted([x, y])} overlap" in overlaps
+    assert len(overlaps) == 2
 
 
 @pytest.mark.parametrize("kn, count", [((1, 6), 32), ((3, 4), 4), ((2, 5), 12)])
@@ -1358,10 +1494,10 @@ def test_equivariance_reports_non_invariant_complex(monkeypatch, side):
         monkeypatch.setattr(Poset, "order_complex", lambda self, **kw: _without_first_facet(real(self, **kw)))
         broken = enumerate_partitions(4, 1).poset.order_complex()
     else:
-        real = subdivision.enumerate_ktree_complex
-        monkeypatch.setattr(subdivision, "enumerate_ktree_complex",
-                            lambda n, k, **kw: _without_first_facet(real(n, k, **kw)))
-        broken = subdivision.enumerate_ktree_complex(4, 1)
+        real = subdivision._ktree_complex
+        monkeypatch.setattr(subdivision, "_ktree_complex",
+                            lambda verts, max_faces: _without_first_facet(real(verts, max_faces)))
+        broken = _without_first_facet(enumerate_ktree_complex(4, 1))
     want = [
         {"perm": list(pi), "detail": f"{side} not invariant"}
         for pi in permutations(range(1, 5))
@@ -1417,12 +1553,13 @@ def test_passing_equivariance_maps_only_the_generators(monkeypatch):
 
 
 def test_carrier_check_builds_actions_only_for_the_orbit_roots(monkeypatch):
-    # the φ table holds the face rows, not S_m actions: the negative control
-    # marks vertices, so no orbit is sought and no action is built; a
-    # passing map builds one per side, for the generator certificate
+    # the φ table holds the face rows, not S_m actions: each map builds one
+    # action per side, for the generator certificate, the negative control
+    # as well, where the certificate holds and its clean faces share roots
     calls = _count_index_maps(monkeypatch)
     assert not verify_carrier_map(CARRIER_CASES["negative-control"][0]()).passed
-    assert calls == {}
+    assert list(calls.values()) == [list(subdivision.generators(5))] * 2
+    calls.clear()
     cm, _ = global_carrier_map(1, 5)
     subdivision._PhiTable(cm)
     assert calls == {}
@@ -1430,13 +1567,21 @@ def test_carrier_check_builds_actions_only_for_the_orbit_roots(monkeypatch):
     assert list(calls.values()) == [list(subdivision.generators(5))] * 2
 
 
+@pytest.mark.parametrize("k, n", [(1, 2), (2, 2), (1, 1)])
+def test_instance_refuses_too_few_leaves(k, n):
+    # T^k_n is built from the poset's labels, after Π: n < 3 is still
+    # refused as enumerate_ktree_complex refuses it
+    with pytest.raises(ValueError, match="need n >= 3 and k >= 1"):
+        global_carrier_map(k, n)
+
+
 def test_failing_certificate_reuses_each_block_table(monkeypatch):
     # one facet removed from the k-tree complex: the certificate fails and
     # all 24 permutations are checked, each through the two actions built
     # for the certificate
-    real = subdivision.enumerate_ktree_complex
-    monkeypatch.setattr(subdivision, "enumerate_ktree_complex",
-                        lambda n, k, **kw: _without_first_facet(real(n, k, **kw)))
+    real = subdivision._ktree_complex
+    monkeypatch.setattr(subdivision, "_ktree_complex",
+                        lambda verts, max_faces: _without_first_facet(real(verts, max_faces)))
     calls = _count_index_maps(monkeypatch)
     assert check_equivariance(1, 4, perms="all").failures
     assert len(calls) == 2
